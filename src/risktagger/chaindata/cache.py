@@ -2,7 +2,8 @@
 
 A key, once written, is never re-fetched in the same run and a second run
 against a warm cache issues zero upstream requests. Writes go through a
-temp file + rename so a crash never leaves a torn page behind.
+temp file + rename so a crash never leaves a torn page behind. The hit and
+miss counters are shared by the tracer's worker threads, so they are locked.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ class FetchCache:
         self.root = Path(root)
         self.hits = 0
         self.misses = 0
+        self._count_lock = threading.Lock()
         self._write_lock = threading.Lock()
 
     def path_for(self, chain: str, address_hex: str, page_token: str) -> Path:
@@ -27,9 +29,11 @@ class FetchCache:
         try:
             payload = path.read_bytes()
         except FileNotFoundError:
-            self.misses += 1
+            with self._count_lock:
+                self.misses += 1
             return None
-        self.hits += 1
+        with self._count_lock:
+            self.hits += 1
         return payload
 
     def put(self, chain: str, address_hex: str, page_token: str, payload: bytes) -> None:

@@ -2,8 +2,10 @@
 
 Exit codes are stable for scripting: 0 success, 1 infrastructure failure
 (I/O, parsing, adapters, backends), 2 domain incompleteness (mandatory clue
-fields missing, no seed addresses, nothing to report). Ctrl-C exits 130; the
-per-hop checkpoints already on disk make `trace --resume` pick up cleanly.
+fields missing, no seed addresses, nothing to report). Ctrl-C exits 130; every
+finished account is already in the run journal, so `trace --resume` redoes
+only the unfinished ones. Resuming with another config, seed list or prompt
+template exits 1 and names what changed.
 """
 
 from __future__ import annotations
@@ -97,6 +99,8 @@ def _build_ports(config: RunConfig, out_dir: Path) -> TracerPorts:
         out_dir=out_dir,
         strict=config.strict,
         workers=config.workers,
+        # neither changes what a run computes, so a resume may alter them
+        run_config={k: v for k, v in config.to_json().items() if k not in ("workers", "out_dir")},
     )
 
 
@@ -330,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace", help="expand the fund-flow graph from the clue seed accounts")
     p.add_argument("clues", help="case_clues.json from extract")
-    p.add_argument("--resume", action="store_true", help="continue from the latest checkpoint")
+    p.add_argument("--resume", action="store_true", help="continue from the run journal in the output directory")
     p.add_argument(
         "--seed-victims",
         action="store_true",
@@ -383,7 +387,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except KeyboardInterrupt:
-        print("interrupted; completed hops are checkpointed, rerun with --resume", file=sys.stderr)
+        print("interrupted; finished accounts are journaled, rerun trace with --resume", file=sys.stderr)
         return 130
     except EmptyChecklist as exc:
         print(f"error: {exc}", file=sys.stderr)

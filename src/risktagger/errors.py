@@ -45,10 +45,6 @@ class MissingPlaceholder(RiskTaggerError):
     """Prompt rendering was asked to proceed without a required value."""
 
 
-class PromptHashMismatch(RiskTaggerError):
-    """A prompt template on disk does not match its pinned hash."""
-
-
 class UnparseableVerdict(RiskTaggerError):
     """No well-formed JSON object could be recovered from backend output."""
 
@@ -66,4 +62,4 @@ class EmptyChecklist(RiskTaggerError):
 
 
 class CheckpointError(RiskTaggerError):
-    """Checkpoint file missing or inconsistent on resume."""
+    """Run journal unreadable, or written by a different run, on resume."""

@@ -28,7 +28,7 @@ from decimal import Decimal
 
 from .errors import EmptyDocument
 from .model import normalize_address, normalize_chain
-from .reasoner.prompts import load_template, render
+from .reasoner.prompts import get_template, render
 
 logger = logging.getLogger(__name__)
 
@@ -395,7 +395,7 @@ class LlmExtractor:
         from .reasoner.parsing import extract_json_fragment
         from .errors import UnparseableVerdict
 
-        template = load_template(template_id, self.prompts_dir)
+        template = get_template(template_id, self.prompts_dir)
         prompt = render(template, values)
         raw = self.port.complete(prompt, self.temperature, self.max_tokens)
         try:

@@ -12,7 +12,6 @@ from .prompts import (
     load_template,
     render,
     template_hashes,
-    verify_pins,
 )
 from .rules import RuleBackend, RuleThresholds, decide_level, rule_backend_assess
 
@@ -30,7 +29,6 @@ __all__ = [
     "load_template",
     "render",
     "template_hashes",
-    "verify_pins",
     "RuleBackend",
     "RuleThresholds",
     "decide_level",

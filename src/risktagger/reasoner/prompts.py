@@ -3,19 +3,23 @@
 Templates live as plain text files under risktagger/prompts and are loaded
 verbatim (sans trailing newline); the analyst/auditor/explainer texts are
 long-lived transcriptions and must never be edited casually, which is why
-hashes can be pinned in the run config. The extractor templates are original
-to this project (origin "original" below).
+their hashes go into run.json and bind the run journal. The extractor
+templates are original to this project (origin "original" below).
+
+Renderers go through get_template, which reads each (id, directory) pair from
+disk once per process.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from ..errors import MissingPlaceholder, PromptHashMismatch
+from ..errors import MissingPlaceholder
 from ..model import Address
 
 # id -> (required placeholders, origin)
@@ -44,11 +48,13 @@ class PromptTemplate:
         return hashlib.sha256(self.text.encode("utf-8")).hexdigest()
 
 
+@functools.cache
 def _prompts_dir() -> Path:
     return Path(resources.files("risktagger") / "prompts")
 
 
 def load_template(template_id: str, prompts_dir: str | Path | None = None) -> PromptTemplate:
+    """Reads one template from disk."""
     if template_id not in REGISTRY:
         raise KeyError(f"unknown prompt template {template_id!r}")
     placeholders, origin = REGISTRY[template_id]
@@ -57,6 +63,12 @@ def load_template(template_id: str, prompts_dir: str | Path | None = None) -> Pr
     return PromptTemplate(
         id=template_id, text=text, placeholders=frozenset(placeholders), origin=origin
     )
+
+
+@functools.lru_cache(maxsize=None)
+def get_template(template_id: str, prompts_dir: str | Path | None = None) -> PromptTemplate:
+    """load_template, read once per process for each (id, directory) pair."""
+    return load_template(template_id, prompts_dir)
 
 
 def render(template: PromptTemplate, values: dict) -> str:
@@ -84,17 +96,7 @@ def render(template: PromptTemplate, values: dict) -> str:
 
 
 def template_hashes(prompts_dir: str | Path | None = None) -> dict:
-    return {tid: load_template(tid, prompts_dir).sha256 for tid in sorted(REGISTRY)}
-
-
-def verify_pins(pins: dict, prompts_dir: str | Path | None = None) -> None:
-    """Compare on-disk template hashes against pinned values from the config."""
-    actual = template_hashes(prompts_dir)
-    drifted = sorted(
-        tid for tid, expected in pins.items() if actual.get(tid) != expected
-    )
-    if drifted:
-        raise PromptHashMismatch(f"prompt templates drifted from pinned hashes: {drifted}")
+    return {tid: get_template(tid, prompts_dir).sha256 for tid in sorted(REGISTRY)}
 
 
 def build_cot_prompt(payload: dict, target: Address | str, prompts_dir=None) -> str:
@@ -108,22 +110,22 @@ def build_cot_prompt(payload: dict, target: Address | str, prompts_dir=None) -> 
             f"payload target {embedded!r} does not match requested target {target_hex!r}"
         )
     part1 = render(
-        load_template("cot_part1", prompts_dir),
+        get_template("cot_part1", prompts_dir),
         {"target_address": target_hex, "formatted_analysis": payload_json(payload)},
     )
-    part2 = load_template("cot_part2", prompts_dir).text
+    part2 = get_template("cot_part2", prompts_dir).text
     return part1 + "\n\n" + part2
 
 
 def build_reflection_prompt(target: Address | str, analysis_result: str, prompts_dir=None) -> str:
     target_hex = target.hex if isinstance(target, Address) else str(target)
     return render(
-        load_template("reflection", prompts_dir),
+        get_template("reflection", prompts_dir),
         {"target_address": target_hex, "analysis_result": analysis_result},
     )
 
 
 def build_explainer_prompt(analysis_result: str, prompts_dir=None) -> str:
-    part1 = render(load_template("explainer_part1", prompts_dir), {"analysis_result": analysis_result})
-    part2 = load_template("explainer_part2", prompts_dir).text
+    part1 = render(get_template("explainer_part1", prompts_dir), {"analysis_result": analysis_result})
+    part2 = get_template("explainer_part2", prompts_dir).text
     return part1 + "\n\n" + part2

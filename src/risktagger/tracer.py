@@ -18,14 +18,29 @@ flag is 1 when any funder of the candidate was rated High or Medium this
 hop. Funding value is the raw smallest-unit sum across assets, a coarse
 knob on purpose; failed transfers still nominate their receiver but move
 no value.
+
+With an out_dir the coordinator keeps the run journal, journal.jsonl, one
+compact JSON object per line:
+
+    {"kind": "header", "fingerprint", "config", "seeds", "prompts"}
+    {"kind": "account", "address", "assessment", "funding"}   or
+    {"kind": "account", "address", "fetched", "error"}        per attempted account
+    {"kind": "hop_end", "hop", "frontier", "counters"}         per finished hop
+
+The fingerprint is the sha256 of the effective config, the seed list and the
+prompt template hashes. Account lines follow frontier order; `funding` holds
+[value as a decimal string, latest ts] for each of the assessment's
+out_neighbors, so a half-finished hop's frontier rebuilds without refetching.
+resume=True replays the journal, drops a torn last line, and analyzes only
+the accounts it lacks; a fresh run truncates it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
-import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,6 +58,7 @@ from .errors import (
 from .model import Address, RiskAssessment, SuspicionLevel, TracerConfig, normalize_address
 from .reasoner import Blacklist, infer_risk
 from .reasoner.backends import DEFAULT_MAX_TOKENS, DEFAULT_TEMPERATURE
+from .reasoner.prompts import template_hashes
 from .translator import AccountSubgraph, build_subgraph
 
 logger = logging.getLogger(__name__)
@@ -58,7 +74,7 @@ SKIPPABLE_ERRORS = (
     SchemaViolation,
 )
 
-_CHECKPOINT_RE = re.compile(r"^checkpoint_(\d+)\.json$")
+JOURNAL_NAME = "journal.jsonl"
 
 
 def _fresh_diagnostics() -> dict:
@@ -81,27 +97,6 @@ class TracerState:
     L_all: list[RiskAssessment] = field(default_factory=list)
     diagnostics: dict = field(default_factory=_fresh_diagnostics)
 
-    def to_json(self) -> dict:
-        return {
-            "depth": self.depth,
-            "C_current": [a.to_json() for a in self.C_current],
-            "visited": [a.to_json() for a in sorted(self.visited)],
-            "R_final": [r.to_json() for r in self.R_final],
-            "L_all": [r.to_json() for r in self.L_all],
-            "diagnostics": self.diagnostics,
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "TracerState":
-        return TracerState(
-            depth=int(obj["depth"]),
-            C_current=[Address.from_json(a) for a in obj["C_current"]],
-            visited={Address.from_json(a) for a in obj["visited"]},
-            R_final=[RiskAssessment.from_json(r) for r in obj["R_final"]],
-            L_all=[RiskAssessment.from_json(r) for r in obj["L_all"]],
-            diagnostics=obj["diagnostics"],
-        )
-
 
 @dataclass
 class TracerPorts:
@@ -115,9 +110,44 @@ class TracerPorts:
     reflection_rounds: int = 1
     temperature: float = DEFAULT_TEMPERATURE
     max_tokens: int = DEFAULT_MAX_TOKENS
-    out_dir: Path | None = None  # checkpoints land here when set
+    out_dir: Path | None = None  # the run journal lives here when set
     strict: bool = False
     workers: int = 1
+    # settings the journal fingerprint covers; None means chain, tracer config and clock
+    run_config: dict | None = None
+
+
+@dataclass
+class Outcome:
+    """One attempted account: its assessment, or the diagnostics entry of its skip."""
+
+    account: Address
+    assessment: RiskAssessment | None = None
+    funding: list = field(default_factory=list)  # (value, latest ts) per out-neighbor
+    error: dict | None = None
+    fetched: bool = True
+
+    def to_record(self) -> dict:
+        record = {"kind": "account", "address": self.account.to_json()}
+        if self.error is not None:
+            record.update(fetched=self.fetched, error=self.error)
+        else:
+            record.update(
+                assessment=self.assessment.to_json(),
+                funding=[[str(value), ts] for value, ts in self.funding],
+            )
+        return record
+
+    @staticmethod
+    def from_record(record: dict) -> "Outcome":
+        account = Address.from_json(record["address"])
+        if "error" in record:
+            return Outcome(account, error=record["error"], fetched=record["fetched"])
+        return Outcome(
+            account,
+            assessment=RiskAssessment.from_json(record["assessment"]),
+            funding=[(int(value), ts) for value, ts in record["funding"]],
+        )
 
 
 @dataclass
@@ -187,41 +217,46 @@ def filter_frontier(
     return survivors
 
 
+def out_funding(sub: AccountSubgraph, neighbors: list[Address], now: int) -> list[tuple[int, int]]:
+    """(value moved, latest ts) from the center to each neighbor, in order."""
+    funding: dict[Address, tuple[int, int]] = {}
+    for tx in sub.retained_txs:
+        if tx.from_addr != sub.center or tx.to_addr == sub.center:
+            continue
+        moved = 0 if tx.isError else tx.value_int
+        value, ts = funding.get(tx.to_addr, (0, tx.timeStamp))
+        funding[tx.to_addr] = (value + moved, max(ts, tx.timeStamp))
+    for pair in sub.cross_chain:
+        dst = pair.dst_tx.to_addr
+        if dst == sub.center:
+            continue
+        value, ts = funding.get(dst, (0, pair.dst_tx.timeStamp))
+        funding[dst] = (value + int(pair.amount_dst), max(ts, pair.dst_tx.timeStamp))
+    return [funding.get(neighbor, (0, now)) for neighbor in neighbors]
+
+
 def collect_frontier(
-    analyzed: list[tuple[RiskAssessment, AccountSubgraph]], cfg: TracerConfig, now: int
+    analyzed: list[tuple[RiskAssessment, list]], cfg: TracerConfig, now: int
 ) -> tuple[list[Address], FrontierContext]:
     """Out-neighbor nominations plus their funding context, in analysis order."""
     context = FrontierContext(now=now)
     c_next: list[Address] = []
-    for assessment, sub in analyzed:
+    for assessment, funding in analyzed:
         if assessment.suspicion_level not in cfg.expand_levels:
             continue
         sender_flagged = assessment.suspicion_level in (
             SuspicionLevel.HIGH,
             SuspicionLevel.MEDIUM,
         )
-        funding: dict[Address, tuple[int, int]] = {}
-        for tx in sub.retained_txs:
-            if tx.from_addr != sub.center or tx.to_addr == sub.center:
-                continue
-            moved = 0 if tx.isError else tx.value_int
-            value, ts = funding.get(tx.to_addr, (0, tx.timeStamp))
-            funding[tx.to_addr] = (value + moved, max(ts, tx.timeStamp))
-        for pair in sub.cross_chain:
-            dst = pair.dst_tx.to_addr
-            if dst == sub.center:
-                continue
-            value, ts = funding.get(dst, (0, pair.dst_tx.timeStamp))
-            funding[dst] = (value + int(pair.amount_dst), max(ts, pair.dst_tx.timeStamp))
-        for neighbor in assessment.out_neighbors:
-            value, ts = funding.get(neighbor, (0, now))
+        for neighbor, (value, ts) in zip(assessment.out_neighbors, funding):
             context.add(neighbor, value, ts, sender_flagged)
             c_next.append(neighbor)
     return c_next, context
 
 
-def _analyze_account(account: Address, depth: int, cfg: TracerConfig, ports: TracerPorts):
-    """Worker body: fetch, expand, summarize, assess. Never raises; reports."""
+def _analyze_account(account: Address, depth: int, cfg: TracerConfig, ports: TracerPorts) -> Outcome:
+    """Worker body: fetch, expand, summarize, assess. A skippable error becomes
+    a skip outcome, except under ports.strict, where it propagates."""
     fetched = False
     try:
         client = ports.client_for(account.chain)
@@ -238,35 +273,187 @@ def _analyze_account(account: Address, depth: int, cfg: TracerConfig, ports: Tra
             temperature=ports.temperature,
             max_tokens=ports.max_tokens,
         )
-        return account, assessment, sub, None, fetched
+        return Outcome(account, assessment, out_funding(sub, assessment.out_neighbors, ports.now))
     except SKIPPABLE_ERRORS as err:
-        return account, None, None, err, fetched
+        if ports.strict:
+            raise
+        logger.warning("skipping %s: %s", account.hex, err)
+        error = {
+            "address": account.hex,
+            "chain": account.chain,
+            "hop_depth": depth,
+            "error": type(err).__name__,
+            "detail": str(err),
+        }
+        return Outcome(account, error=error, fetched=fetched)
 
 
-def _write_checkpoint(state: TracerState, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"checkpoint_{state.depth}.json"
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(state.to_json(), indent=2, ensure_ascii=False) + "\n")
-    os.replace(tmp, path)
+class Journal:
+    """Append-only writer of journal.jsonl (format in the module docstring)."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    @staticmethod
+    def open(path: Path, header: dict, resume: bool) -> tuple["Journal", list[dict]]:
+        """Starts a fresh journal, or with resume=True continues the one at
+        path; returns the writer and the records to replay after the header."""
+        records, good_bytes = _read_journal(path) if resume and path.exists() else ([], 0)
+        if records:
+            _check_header(records[0], header, path)
+            if good_bytes < path.stat().st_size:
+                logger.warning("dropping the torn last line of %s", path)
+                os.truncate(path, good_bytes)
+            return Journal(open(path, "a", encoding="utf-8")), records[1:]
+        path.parent.mkdir(parents=True, exist_ok=True)
+        journal = Journal(open(path, "w", encoding="utf-8"))
+        journal.append(header)
+        return journal, []
+
+    def append(self, record: dict) -> None:
+        # compact separators keep json on its C encoder
+        self._fh.write(json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n")
+        self._fh.flush()
+
+    def close(self) -> None:
+        self._fh.close()
 
 
-def load_latest_checkpoint(out_dir: str | Path) -> TracerState | None:
-    """Highest-depth checkpoint in out_dir, or None when there is none."""
-    out_dir = Path(out_dir)
-    best = None
-    for path in out_dir.glob("checkpoint_*.json"):
-        m = _CHECKPOINT_RE.match(path.name)
-        if m:
-            depth = int(m.group(1))
-            if best is None or depth > best[0]:
-                best = (depth, path)
-    if best is None:
-        return None
+def _read_journal(path: Path) -> tuple[list[dict], int]:
+    """Records of every complete line, and the byte length they span. A last
+    line that is unterminated or unparseable was torn by a crash and is left out."""
+    lines = path.read_bytes().split(b"\n")
+    records, good_bytes = [], 0
+    for number, line in enumerate(lines[:-1], start=1):
+        try:
+            records.append(json.loads(line))
+        except ValueError as err:
+            if number == len(lines) - 1:
+                break
+            raise CheckpointError(f"{path}: unreadable line {number}: {err}") from err
+        good_bytes += len(line) + 1
+    return records, good_bytes
+
+
+def _journal_header(seeds: list[Address], chain: str, cfg: TracerConfig, ports: TracerPorts) -> dict:
+    config = ports.run_config
+    if config is None:
+        config = {"chain": chain, "tracer": cfg.to_json(), "now": ports.now}
+    parts = {
+        "config": config,
+        "seeds": [seed.to_json() for seed in seeds],
+        "prompts": template_hashes(),
+    }
+    canonical = json.dumps(parts, sort_keys=True, separators=(",", ":"))
+    return {
+        "kind": "header",
+        "fingerprint": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
+        **parts,
+    }
+
+
+def _differences(old, new, name: str) -> list[str]:
+    """Dotted names of the leaves that differ between two JSON values."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        return [
+            diff
+            for key in sorted(set(old) | set(new))
+            for diff in _differences(old.get(key), new.get(key), f"{name}.{key}")
+        ]
+    return [] if old == new else [name]
+
+
+def _check_header(found: dict, header: dict, path: Path) -> None:
+    if found.get("kind") == "header" and found.get("fingerprint") == header["fingerprint"]:
+        return
+    changed = [
+        diff
+        for part in ("config", "seeds", "prompts")
+        for diff in _differences(found.get(part), header[part], part)
+    ]
+    raise CheckpointError(
+        f"{path} belongs to a different run ({', '.join(changed) or 'fingerprint'} changed); "
+        "rerun without --resume to start over"
+    )
+
+
+def _merge(state: TracerState, outcomes: dict) -> list[tuple[RiskAssessment, list]]:
+    """Folds a finished hop into the state; returns (assessment, funding) pairs
+    in (hop_depth, address) order regardless of worker interleaving."""
+    analyzed = []
+    for account in state.C_current:
+        outcome = outcomes[account]
+        if outcome.fetched:
+            state.diagnostics["fetched"] += 1
+        state.visited.add(account)
+        if outcome.error is not None:
+            state.diagnostics["errors"].append(outcome.error)
+            continue
+        analyzed.append((outcome.assessment, outcome.funding))
+    analyzed.sort(key=lambda pair: (pair[0].hop_depth, pair[0].target_address))
+    for assessment, _funding in analyzed:
+        state.L_all.append(assessment)
+        if assessment.suspicion_level is SuspicionLevel.HIGH:
+            state.R_final.append(assessment)
+    return analyzed
+
+
+def _replay(records: list[dict], state: TracerState, path: Path) -> dict:
+    """Folds every journaled hop into the state; returns the outcomes already
+    recorded for the open hop, keyed by account."""
+    outcomes: dict = {}
+    members = set(state.C_current)
+    for number, record in enumerate(records, start=2):
+        try:
+            if record["kind"] == "hop_end" and record["hop"] == state.depth:
+                _merge(state, outcomes)
+                state.C_current = [Address.from_json(a) for a in record["frontier"]]
+                state.diagnostics.update(record["counters"])
+                state.depth += 1
+                outcomes, members = {}, set(state.C_current)
+                continue
+            outcome = Outcome.from_record(record) if record["kind"] == "account" else None
+        except (KeyError, TypeError, ValueError) as err:
+            raise CheckpointError(f"{path}: malformed line {number}: {err!r}") from err
+        if outcome is None or outcome.account not in members:
+            raise CheckpointError(f"{path}: line {number} does not belong to hop {state.depth}")
+        outcomes[outcome.account] = outcome
+    return outcomes
+
+
+def _run_hop(state: TracerState, cfg: TracerConfig, ports: TracerPorts, journal, outcomes: dict) -> None:
+    """Analyzes the frontier accounts missing from `outcomes`, journaling each
+    once it and every account before it are done. When an exception leaves
+    the hop, queued accounts are cancelled, running ones finish, and every
+    completed account is journaled before the exception propagates."""
+    depth = state.depth
+    todo = [a for a in state.C_current if a not in outcomes]
+
+    def accept(outcome: Outcome) -> None:
+        outcomes[outcome.account] = outcome
+        if journal is not None:
+            journal.append(outcome.to_record())
+
+    if ports.workers <= 1 or len(todo) <= 1:
+        for account in todo:
+            accept(_analyze_account(account, depth, cfg, ports))
+        return
+    pool = ThreadPoolExecutor(max_workers=ports.workers)
+    futures = [pool.submit(_analyze_account, a, depth, cfg, ports) for a in todo]
     try:
-        return TracerState.from_json(json.loads(best[1].read_text()))
-    except (json.JSONDecodeError, KeyError, ValueError) as err:
-        raise CheckpointError(f"unreadable checkpoint {best[1]}: {err}") from err
+        for future in futures:
+            accept(future.result())
+    except BaseException:
+        pool.shutdown(wait=True, cancel_futures=True)
+        for future in futures:
+            if future.cancelled() or future.exception() is not None:
+                continue
+            outcome = future.result()
+            if outcome.account not in outcomes:
+                accept(outcome)
+        raise
+    finally:
+        pool.shutdown()
 
 
 def trace(
@@ -279,70 +466,53 @@ def trace(
     """Runs the trace to depth cfg.D and returns the final state.
 
     Seeds may be Address objects or bare hex strings; strings are placed on
-    `chain`. With resume=True the latest checkpoint under ports.out_dir is
-    picked up and the seeds argument only matters when none exists.
+    `chain`. With resume=True the run journal under ports.out_dir is replayed
+    and the trace continues where it stopped; a journal written with other
+    settings, seeds or prompt templates raises CheckpointError.
     """
     if not seeds:
         raise ValueError("at least one seed address is required")
-    state = None
-    if resume and ports.out_dir is not None:
-        state = load_latest_checkpoint(ports.out_dir)
-        if state is not None:
-            logger.info("resuming from depth %d (%d analyzed)", state.depth, len(state.L_all))
-    if state is None:
-        frontier = []
-        for seed in seeds:
-            address = seed if isinstance(seed, Address) else normalize_address(seed, chain)
-            if address not in frontier:
-                frontier.append(address)
-        state = TracerState(C_current=frontier)
+    frontier = []
+    for seed in seeds:
+        address = seed if isinstance(seed, Address) else normalize_address(seed, chain)
+        if address not in frontier:
+            frontier.append(address)
+    state = TracerState(C_current=frontier)
 
-    while state.C_current and state.depth < cfg.D:
-        frontier = list(state.C_current)
-        logger.info("hop %d: %d account(s)", state.depth, len(frontier))
-        if ports.workers > 1 and len(frontier) > 1:
-            with ThreadPoolExecutor(max_workers=ports.workers) as pool:
-                results = list(
-                    pool.map(lambda a: _analyze_account(a, state.depth, cfg, ports), frontier)
-                )
-        else:
-            results = [_analyze_account(a, state.depth, cfg, ports) for a in frontier]
-
-        analyzed: list[tuple[RiskAssessment, AccountSubgraph]] = []
-        for account, assessment, sub, err, fetched in results:
-            if fetched:
-                state.diagnostics["fetched"] += 1
-            state.visited.add(account)
-            if err is not None:
-                if ports.strict:
-                    raise err
-                logger.warning("skipping %s: %s", account.hex, err)
-                state.diagnostics["errors"].append(
+    journal, records, outcomes = None, [], {}
+    if ports.out_dir is not None:
+        path = Path(ports.out_dir) / JOURNAL_NAME
+        journal, records = Journal.open(path, _journal_header(frontier, chain, cfg, ports), resume)
+    try:
+        if records:
+            outcomes = _replay(records, state, path)
+            logger.info(
+                "resuming at hop %d (%d analyzed, %d of the open hop journaled)",
+                state.depth, len(state.L_all), len(outcomes),
+            )
+        while state.C_current and state.depth < cfg.D:
+            logger.info("hop %d: %d account(s)", state.depth, len(state.C_current))
+            _run_hop(state, cfg, ports, journal, outcomes)
+            analyzed = _merge(state, outcomes)
+            c_next, context = collect_frontier(analyzed, cfg, ports.now)
+            state.C_current = filter_frontier(
+                c_next, state.visited, context, cfg, state.diagnostics
+            )
+            if journal is not None:
+                counters = {k: v for k, v in state.diagnostics.items() if k != "errors"}
+                journal.append(
                     {
-                        "address": account.hex,
-                        "chain": account.chain,
-                        "hop_depth": state.depth,
-                        "error": type(err).__name__,
-                        "detail": str(err),
+                        "kind": "hop_end",
+                        "hop": state.depth,
+                        "frontier": [a.to_json() for a in state.C_current],
+                        "counters": counters,
                     }
                 )
-                continue
-            analyzed.append((assessment, sub))
-
-        # deterministic merge regardless of worker interleaving
-        analyzed.sort(key=lambda pair: (pair[0].hop_depth, pair[0].target_address))
-        for assessment, _sub in analyzed:
-            state.L_all.append(assessment)
-            if assessment.suspicion_level is SuspicionLevel.HIGH:
-                state.R_final.append(assessment)
-
-        c_next, context = collect_frontier(analyzed, cfg, ports.now)
-        state.C_current = filter_frontier(
-            c_next, state.visited, context, cfg, state.diagnostics
-        )
-        state.depth += 1
-        if ports.out_dir is not None:
-            _write_checkpoint(state, Path(ports.out_dir))
+            state.depth += 1
+            outcomes = {}
+    finally:
+        if journal is not None:
+            journal.close()
     return state
 
 

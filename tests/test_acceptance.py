@@ -22,7 +22,7 @@ from risktagger.explainer import ChecklistEntity, ReportChecklist, coverage
 from risktagger.extractor import extract_case_clues
 from risktagger.model import SuspicionLevel, TracerConfig
 from risktagger.reasoner import Blacklist, RuleBackend, decide_level, load_template, render
-from risktagger.tracer import TracerPorts, trace
+from risktagger.tracer import JOURNAL_NAME, TracerPorts, trace
 from stub_chain_server import StubChainServer
 
 SEED = "0x47666fab8bd0ac7003bce3f5c3585383f09486e2"
@@ -210,12 +210,14 @@ def test_criterion_5_pipeline_is_deterministic_and_resume_matches_uninterrupted(
     cfg = _run_config(tmp_path, out)
     assert main(["run", str(BYBIT_DOC), "--config", str(cfg)]) == 0
     names = sorted(p.name for p in out.iterdir())
+    assert JOURNAL_NAME in names
+    assert not [name for name in names if name.startswith("checkpoint_")]
     first = {name: (out / name).read_bytes() for name in names}
     assert main(["run", str(BYBIT_DOC), "--config", str(cfg)]) == 0
     assert sorted(p.name for p in out.iterdir()) == names
     assert {name: (out / name).read_bytes() for name in names} == first
 
-    # interrupt inside hop 3, then resume from the checkpoint
+    # interrupt inside hop 3, then resume from the run journal
     straight = trace([SEED], "ethereum", synthetic_cfg(), synthetic_ports())
     before_hop_3 = sum(1 for a in straight.L_all if a.hop_depth <= 2)
 
@@ -228,8 +230,10 @@ def test_criterion_5_pipeline_is_deterministic_and_resume_matches_uninterrupted(
             [SEED], "ethereum", synthetic_cfg(),
             synthetic_ports(backend=crashing, out_dir=work, strict=True),
         )
-    assert (work / "checkpoint_3.json").exists()
-    assert not (work / "checkpoint_4.json").exists()
+    records = [json.loads(line) for line in (work / JOURNAL_NAME).read_text().splitlines()]
+    assert [r["hop"] for r in records if r["kind"] == "hop_end"] == [0, 1, 2]
+    # the accounts hop 3 finished before the crash are kept
+    assert sum(1 for r in records if r["kind"] == "account" and r["assessment"]["hop_depth"] == 3) == 3
 
     resumed = trace(
         [SEED], "ethereum", synthetic_cfg(),

@@ -1,7 +1,7 @@
 """Command behavior end to end: exit codes, artifacts, determinism."""
 
 import json
-import shutil
+import threading
 
 import pytest
 
@@ -9,6 +9,8 @@ from conftest import FIXTURES, GOLDEN
 from risktagger.cli import main
 from risktagger.config import load_config
 from risktagger.errors import ParseError
+from risktagger.reasoner.rules import RuleBackend
+from risktagger.tracer import JOURNAL_NAME
 
 DOC = str(FIXTURES / "bybit_incident.txt")
 NOW = 1_740_700_000
@@ -112,8 +114,9 @@ def test_trace_writes_artifacts(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "trace"
     assert run_cli("trace", clues, "--config", cfg, "--out", out) == 0
-    for name in ("labels.jsonl", "risky.jsonl", "diagnostics.json", "run.json", "checkpoint_1.json"):
+    for name in ("labels.jsonl", "risky.jsonl", "diagnostics.json", "run.json", JOURNAL_NAME):
         assert (out / name).exists(), name
+    assert not list(out.glob("checkpoint_*"))
     diagnostics = json.loads((out / "diagnostics.json").read_text())
     assert diagnostics["fetched"] == 140
 
@@ -140,6 +143,19 @@ def test_trace_deterministic_across_runs(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def journal_through_hop(src, dst, hops):
+    """Copies the run journal up to and including its hops-th hop_end line."""
+    kept = []
+    for line in (src / JOURNAL_NAME).read_text().splitlines(keepends=True):
+        kept.append(line)
+        if json.loads(line)["kind"] == "hop_end":
+            hops -= 1
+            if hops == 0:
+                break
+    dst.mkdir()
+    (dst / JOURNAL_NAME).write_text("".join(kept))
+
+
 def test_trace_resume_from_checkpoint_matches_straight_run(tmp_path):
     clues = extract_clues(tmp_path)
     cfg = write_config(tmp_path)
@@ -147,11 +163,96 @@ def test_trace_resume_from_checkpoint_matches_straight_run(tmp_path):
     assert run_cli("trace", clues, "--config", cfg, "--out", straight) == 0
 
     resumed = tmp_path / "resumed"
-    resumed.mkdir()
-    shutil.copy(straight / "checkpoint_3.json", resumed / "checkpoint_3.json")
+    journal_through_hop(straight, resumed, 3)
     assert run_cli("trace", clues, "--config", cfg, "--out", resumed, "--resume") == 0
     for name in ("labels.jsonl", "risky.jsonl"):
         assert (resumed / name).read_bytes() == (straight / name).read_bytes()
+
+
+def test_resume_after_a_shallower_rerun_reports_the_shallow_run(tmp_path, capsys):
+    clues = extract_clues(tmp_path)
+    cfg = write_config(tmp_path)
+    shallow = tmp_path / "shallow"
+    assert run_cli("trace", clues, "--config", cfg, "--out", shallow, "--max-depth", 3) == 0
+    out = tmp_path / "reused"
+    assert run_cli("trace", clues, "--config", cfg, "--out", out) == 0
+    assert run_cli("trace", clues, "--config", cfg, "--out", out, "--max-depth", 3) == 0
+    capsys.readouterr()
+    assert run_cli("trace", clues, "--config", cfg, "--out", out, "--max-depth", 3, "--resume") == 0
+    assert "over 3 hop(s)" in capsys.readouterr().out
+    for name in ("labels.jsonl", "risky.jsonl", "diagnostics.json", JOURNAL_NAME):
+        assert (out / name).read_bytes() == (shallow / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "extra, edit_prompt, named",
+    [
+        (["--max-depth", 3], False, "config.tracer.D"),
+        (["--max-depth", 4, "--seed-victims"], False, "seeds"),
+        (["--max-depth", 4], True, "prompts.reflection"),
+    ],
+)
+def test_resume_of_another_run_exits_one_naming_the_change(
+    tmp_path, capsys, monkeypatch, extra, edit_prompt, named
+):
+    clues = extract_clues(tmp_path)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "trace"
+    assert run_cli("trace", clues, "--config", cfg, "--out", out, "--max-depth", 4) == 0
+    journal = (out / JOURNAL_NAME).read_bytes()
+    if edit_prompt:
+        from risktagger import tracer
+
+        edited = dict(tracer.template_hashes(), reflection="0" * 64)
+        monkeypatch.setattr(tracer, "template_hashes", lambda: edited)
+    capsys.readouterr()
+    assert run_cli("trace", clues, "--config", cfg, "--out", out, "--resume", *extra) == 1
+    err = capsys.readouterr().err
+    assert named in err and "--resume" in err
+    assert (out / JOURNAL_NAME).read_bytes() == journal
+
+
+class InterruptingRules:
+    """Counts rules-backend completions; past the budget each call raises
+    KeyboardInterrupt, as Ctrl-C would."""
+
+    def __init__(self, monkeypatch, budget=None):
+        self.budget = budget
+        self.calls = 0
+        self.lock = threading.Lock()
+        inner = RuleBackend.complete
+
+        def complete(backend, prompt, temperature, max_tokens):
+            with self.lock:
+                if self.budget is not None and self.calls >= self.budget:
+                    raise KeyboardInterrupt
+                self.calls += 1
+            return inner(backend, prompt, temperature, max_tokens)
+
+        monkeypatch.setattr(RuleBackend, "complete", complete)
+
+
+def test_mid_hop_interrupt_with_workers_resumes_to_the_straight_run(tmp_path, monkeypatch):
+    clues = extract_clues(tmp_path)
+    cfg = write_config(tmp_path, workers=2)
+    straight = tmp_path / "straight"
+    with monkeypatch.context() as patch:
+        counted = InterruptingRules(patch)
+        assert run_cli("trace", clues, "--config", cfg, "--out", straight) == 0
+    depths = [json.loads(line)["hop_depth"] for line in (straight / "labels.jsonl").read_text().splitlines()]
+    widest = max(set(depths), key=depths.count)
+    budget = sum(1 for d in depths if d < widest) + depths.count(widest) // 2
+
+    out = tmp_path / "resumed"
+    with monkeypatch.context() as patch:
+        interrupted = InterruptingRules(patch, budget)
+        assert run_cli("trace", clues, "--config", cfg, "--out", out) == 130
+    with monkeypatch.context() as patch:
+        resumed = InterruptingRules(patch)
+        assert run_cli("trace", clues, "--config", cfg, "--out", out, "--resume") == 0
+    for name in ("labels.jsonl", "risky.jsonl", "diagnostics.json"):
+        assert (out / name).read_bytes() == (straight / name).read_bytes(), name
+    assert interrupted.calls + resumed.calls == counted.calls
 
 
 def test_trace_flag_overrides_config_depth(tmp_path):

@@ -1,5 +1,9 @@
 """Live REST adapter against an in-process stub: paging, cache, retries."""
 
+import sys
+import threading
+import time
+
 import pytest
 
 from conftest import addr
@@ -70,6 +74,42 @@ def test_cache_layout_on_disk(tmp_path):
         client_for(srv, cache=cache).fetch_transactions(CENTER)
     expected = tmp_path / "cache" / "ethereum" / CENTER.hex / "txlist_p1.json"
     assert expected.is_file()
+
+
+class YieldingCount(int):
+    """An int whose += yields the interpreter lock mid-update, widening the
+    window in which an unlocked read-modify-write loses increments."""
+
+    def __add__(self, other):
+        time.sleep(0)
+        return YieldingCount(int(self) + other)
+
+
+def test_cache_counters_exact_under_threads(tmp_path):
+    cache = FetchCache(tmp_path / "cache")
+    cache.put("ethereum", CENTER.hex, "txlist_p1", b"{}")
+    cache.hits, cache.misses = YieldingCount(0), YieldingCount(0)
+    threads, rounds = 16, 200
+    start = threading.Barrier(threads)
+
+    def hammer():
+        start.wait()
+        for _ in range(rounds):
+            cache.get("ethereum", CENTER.hex, "txlist_p1")
+            cache.get("ethereum", CENTER.hex, "absent_p1")
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=hammer) for _ in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(worker.is_alive() for worker in workers)
+    assert (cache.hits, cache.misses) == (threads * rounds, threads * rounds)
 
 
 def test_retry_then_success():

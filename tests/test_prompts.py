@@ -1,4 +1,4 @@
-"""Prompt registry: golden fidelity, rendering rules, hash pinning.
+"""Prompt registry: golden fidelity, rendering rules, hashes and the template cache.
 
 The golden files are the canonical transcriptions of the analyst, auditor
 and explainer prompt texts with placeholder slots blanked; the templates on
@@ -10,7 +10,7 @@ import re
 import pytest
 
 from conftest import GOLDEN, addr, make_tx
-from risktagger.errors import MissingPlaceholder, PromptHashMismatch
+from risktagger.errors import MissingPlaceholder
 from risktagger.model import TracerConfig
 from risktagger.reasoner import (
     build_cot_prompt,
@@ -19,8 +19,8 @@ from risktagger.reasoner import (
     load_template,
     render,
     template_hashes,
-    verify_pins,
 )
+from risktagger.reasoner import prompts
 from risktagger.reasoner.prompts import REGISTRY
 from risktagger.translator import build_subgraph, to_reasoner_payload
 
@@ -95,15 +95,24 @@ def test_registry_marks_origins():
     assert REGISTRY["extractor_consolidate"][1] == "original"
 
 
-def test_hash_pinning_round_trip(tmp_path):
-    pins = template_hashes()
-    verify_pins(pins)  # matching pins pass silently
-    bad = dict(pins)
-    bad["cot_part1"] = "0" * 64
-    with pytest.raises(PromptHashMismatch) as err:
-        verify_pins(bad)
-    assert "cot_part1" in str(err.value)
-
-
 def test_templates_hash_stable_across_loads():
     assert template_hashes() == template_hashes()
+
+
+def test_each_template_is_read_once_per_process(monkeypatch):
+    reads = []
+
+    def counting(template_id, prompts_dir=None):
+        reads.append(template_id)
+        return load_template(template_id, prompts_dir)
+
+    prompts.get_template.cache_clear()
+    monkeypatch.setattr(prompts, "load_template", counting)
+    try:
+        for n in range(5):
+            build_reflection_prompt(addr(n), "{}")
+            build_explainer_prompt("{}")
+        template_hashes()
+    finally:
+        prompts.get_template.cache_clear()
+    assert sorted(reads) == sorted(REGISTRY)

@@ -2,21 +2,22 @@
 
 import json
 import random
+import threading
+import time
 
 import pytest
 
 from conftest import addr, make_tx, tx_hash
 from oracle_bfs import bfs_oracle
 from risktagger.chaindata import BridgeTable, BridgeMatcher, FixtureChainClient, FixtureStore
-from risktagger.errors import BackendFailure, ChainUnavailable
+from risktagger.errors import BackendFailure, ChainUnavailable, CheckpointError
 from risktagger.model import Address, SuspicionLevel, TracerConfig
 from risktagger.reasoner import Blacklist
 from risktagger.tracer import (
+    JOURNAL_NAME,
     FrontierContext,
     TracerPorts,
-    TracerState,
     filter_frontier,
-    load_latest_checkpoint,
     trace,
 )
 
@@ -53,12 +54,16 @@ class ScriptedBackend:
         if prompt.startswith("You are a blockchain security auditor"):
             return "No flaw."
         self.calls += 1
-        anchor = prompt.index('"target_address"')
-        marker = '"hex": "'
-        start = prompt.index(marker, anchor) + len(marker)
-        target = prompt[start : prompt.index('"', start)]
-        level = self.levels.get(target, self.default)
+        level = self.levels.get(target_of(prompt), self.default)
         return verdict_for(level, risky=level in ("High", "Medium"))
+
+
+def target_of(prompt):
+    """Hex of the account an analyst prompt is about."""
+    anchor = prompt.index('"target_address"')
+    marker = '"hex": "'
+    start = prompt.index(marker, anchor) + len(marker)
+    return prompt[start : prompt.index('"', start)]
 
 
 class ConstBackend:
@@ -322,23 +327,42 @@ def test_bridge_landing_analyzed_on_destination_chain(tmp_path):
     assert addr(0xE8, "bsc") in by_addr  # trace continues on the far chain
 
 
-# --- checkpointing and resume ---------------------------------------------------
+# --- run journal and resume ------------------------------------------------------
+
+
+def journal_records(out_dir):
+    return [json.loads(line) for line in (out_dir / JOURNAL_NAME).read_text().splitlines()]
+
+
+def snapshot(state):
+    """Everything a finished trace carries, as comparable JSON text."""
+    return json.dumps(
+        {
+            "depth": state.depth,
+            "C_current": [a.to_json() for a in state.C_current],
+            "visited": [a.to_json() for a in sorted(state.visited)],
+            "R_final": [r.to_json() for r in state.R_final],
+            "L_all": [r.to_json() for r in state.L_all],
+            "diagnostics": state.diagnostics,
+        }
+    )
 
 
 def test_checkpoints_written_per_hop(tmp_path):
     ports = ports_for(star_txs(), star_backend(), out_dir=tmp_path)
     state = trace([S], "ethereum", TracerConfig(D=3), ports)
-    names = sorted(p.name for p in tmp_path.glob("checkpoint_*.json"))
-    assert names == ["checkpoint_1.json", "checkpoint_2.json", "checkpoint_3.json"]
-    loaded = TracerState.from_json(json.loads((tmp_path / "checkpoint_3.json").read_text()))
-    assert loaded.L_all == state.L_all
-    assert loaded.visited == state.visited
-
-
-def test_checkpoint_roundtrip_identity():
-    state = trace([S], "ethereum", TracerConfig(D=3), ports_for(star_txs(), star_backend()))
-    clone = TracerState.from_json(state.to_json())
-    assert clone.to_json() == state.to_json()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [JOURNAL_NAME]
+    records = journal_records(tmp_path)
+    assert [r["kind"] for r in records] == [
+        "header", "account", "hop_end", "account", "account", "hop_end", "account", "hop_end",
+    ]
+    assert records[0]["seeds"] == [S.to_json()]
+    journaled = [r["assessment"] for r in records if r["kind"] == "account"]
+    assert sorted(journaled, key=json.dumps) == sorted((a.to_json() for a in state.L_all), key=json.dumps)
+    hop_ends = [r for r in records if r["kind"] == "hop_end"]
+    assert [r["hop"] for r in hop_ends] == [0, 1, 2]
+    assert hop_ends[0]["frontier"] == [A.to_json(), B.to_json()]
+    assert hop_ends[-1]["counters"]["fetched"] == 4
 
 
 class AbortingBackend:
@@ -363,12 +387,11 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
 
     out = tmp_path / "interrupted"
     out.mkdir()
-    # dies on the first verdict of hop 1, after hop 0's checkpoint landed
+    # dies on the first verdict of hop 1, after hop 0 was journaled
     crashy = ports_for(star_txs(), AbortingBackend(star_backend(), allow=1), out_dir=out, strict=True)
     with pytest.raises(BackendFailure):
         trace([S], "ethereum", cfg, crashy)
-    assert (out / "checkpoint_1.json").exists()
-    assert not (out / "checkpoint_2.json").exists()
+    assert [r["kind"] for r in journal_records(out)] == ["header", "account", "hop_end"]
 
     resumed = trace([S], "ethereum", cfg, ports_for(star_txs(), star_backend(), out_dir=out), resume=True)
     assert resumed.L_all == full.L_all
@@ -380,12 +403,98 @@ def test_resume_without_checkpoint_starts_fresh(tmp_path):
     assert {a.target_address for a in state.L_all} == {S}
 
 
-def test_load_latest_checkpoint_picks_highest(tmp_path):
-    for depth in (1, 2, 10):
-        snap = TracerState(depth=depth)
-        (tmp_path / f"checkpoint_{depth}.json").write_text(json.dumps(snap.to_json()))
-    loaded = load_latest_checkpoint(tmp_path)
-    assert loaded.depth == 10
+def test_fresh_run_truncates_the_journal(tmp_path):
+    trace([S], "ethereum", TracerConfig(D=3), ports_for(star_txs(), star_backend(), out_dir=tmp_path))
+    trace([S], "ethereum", TracerConfig(D=1), ports_for(star_txs(), star_backend(), out_dir=tmp_path))
+    assert [r["kind"] for r in journal_records(tmp_path)] == ["header", "account", "hop_end"]
+
+
+def test_resume_refuses_a_journal_from_another_run(tmp_path):
+    trace([S], "ethereum", TracerConfig(D=3), ports_for(star_txs(), star_backend(), out_dir=tmp_path))
+    before = (tmp_path / JOURNAL_NAME).read_bytes()
+    ports = ports_for(star_txs(), star_backend(), out_dir=tmp_path)
+    with pytest.raises(CheckpointError, match=r"config\.tracer\.D"):
+        trace([S], "ethereum", TracerConfig(D=2), ports, resume=True)
+    assert (tmp_path / JOURNAL_NAME).read_bytes() == before
+
+
+@pytest.mark.parametrize("cut", ["hop_end", "account"])
+def test_resume_drops_a_torn_last_line(tmp_path, cut):
+    cfg = TracerConfig(D=3)
+    full = trace([S], "ethereum", cfg, ports_for(star_txs(), star_backend(), out_dir=tmp_path))
+    journal = tmp_path / JOURNAL_NAME
+    whole = journal.read_bytes()
+    lines = whole.splitlines(keepends=True)
+    # tear the last hop_end, or the last account line after dropping what follows it
+    keep = len(lines) - 1 if cut == "hop_end" else len(lines) - 2
+    journal.write_bytes(b"".join(lines[:keep]) + lines[keep][: len(lines[keep]) // 2])
+
+    backend = star_backend()
+    resumed = trace([S], "ethereum", cfg, ports_for(star_txs(), backend, out_dir=tmp_path), resume=True)
+    assert snapshot(resumed) == snapshot(full)
+    assert backend.calls == (0 if cut == "hop_end" else 1)
+    assert journal.read_bytes() == whole
+
+
+def test_resume_rejects_a_corrupt_middle_line(tmp_path):
+    trace([S], "ethereum", TracerConfig(D=3), ports_for(star_txs(), star_backend(), out_dir=tmp_path))
+    journal = tmp_path / JOURNAL_NAME
+    lines = journal.read_bytes().splitlines(keepends=True)
+    lines[2] = b"{not json\n"
+    journal.write_bytes(b"".join(lines))
+    with pytest.raises(CheckpointError, match="line 3"):
+        trace([S], "ethereum", TracerConfig(D=3), ports_for(star_txs(), star_backend(), out_dir=tmp_path), resume=True)
+
+
+class InterruptAfter:
+    """Thread-safe call budget; every call past it raises KeyboardInterrupt, as
+    Ctrl-C would. The `slow` account's call waits first, so with several
+    workers the accounts after it in frontier order finish before it."""
+
+    def __init__(self, inner, allow, slow=None):
+        self.inner = inner
+        self.name = inner.name
+        self.allow = allow
+        self.slow = slow
+        self.calls = 0
+        self.lock = threading.Lock()
+
+    def complete(self, prompt, temperature, max_tokens):
+        if self.slow is not None and target_of(prompt) == self.slow.hex:
+            time.sleep(0.2)
+        with self.lock:
+            if self.calls >= self.allow:
+                raise KeyboardInterrupt
+            self.calls += 1
+        return self.inner.complete(prompt, temperature, max_tokens)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_mid_hop_interrupt_keeps_every_finished_account(tmp_path, workers):
+    nodes, txs = random_graph(11, accounts=60, edges=180)  # hops of 1, 2, 5 and 13 accounts
+    cfg = TracerConfig(D=4)
+    counted = InterruptAfter(ConstBackend(), allow=10**9)
+    straight = trace([nodes[0]], "ethereum", cfg, ports_for(txs, counted, out_dir=tmp_path / "straight"))
+    sizes = [sum(1 for a in straight.L_all if a.hop_depth == d) for d in range(straight.depth)]
+    widest = max(range(len(sizes)), key=sizes.__getitem__)
+    budget = sum(sizes[:widest]) + sizes[widest] // 2
+    # the widest hop's first account in frontier order stalls until the budget is spent
+    hop_ends = [r for r in journal_records(tmp_path / "straight") if r["kind"] == "hop_end"]
+    first = Address.from_json(hop_ends[widest - 1]["frontier"][0])
+
+    out = tmp_path / "run"
+    interrupted = InterruptAfter(ConstBackend(), allow=budget, slow=first if workers > 1 else None)
+    with pytest.raises(KeyboardInterrupt):
+        trace([nodes[0]], "ethereum", cfg, ports_for(txs, interrupted, out_dir=out, workers=workers))
+    journaled = [r for r in journal_records(out) if r["kind"] == "account"]
+    assert len(journaled) == budget
+
+    again = InterruptAfter(ConstBackend(), allow=10**9)
+    resumed = trace(
+        [nodes[0]], "ethereum", cfg, ports_for(txs, again, out_dir=out, workers=workers), resume=True
+    )
+    assert snapshot(resumed) == snapshot(straight)
+    assert interrupted.calls + again.calls == counted.calls
 
 
 # --- determinism ----------------------------------------------------------------
@@ -411,21 +520,27 @@ def random_graph(seed, accounts=30, edges=70):
     return nodes, txs
 
 
-def test_identical_runs_byte_for_byte():
+def test_identical_runs_byte_for_byte(tmp_path):
     nodes, txs = random_graph(7)
     cfg = TracerConfig(D=4, frontier_cap=5)
     runs = [
-        trace([nodes[0]], "ethereum", cfg, ports_for(txs, ConstBackend())) for _ in range(2)
+        trace([nodes[0]], "ethereum", cfg, ports_for(txs, ConstBackend(), out_dir=tmp_path / name))
+        for name in ("a", "b")
     ]
-    assert json.dumps(runs[0].to_json()) == json.dumps(runs[1].to_json())
+    assert snapshot(runs[0]) == snapshot(runs[1])
+    assert (tmp_path / "a" / JOURNAL_NAME).read_bytes() == (tmp_path / "b" / JOURNAL_NAME).read_bytes()
 
 
-def test_workers_match_sequential():
+def test_workers_match_sequential(tmp_path):
     nodes, txs = random_graph(11)
     cfg = TracerConfig(D=4, frontier_cap=6)
-    seq = trace([nodes[0]], "ethereum", cfg, ports_for(txs, ConstBackend(), workers=1))
-    par = trace([nodes[0]], "ethereum", cfg, ports_for(txs, ConstBackend(), workers=4))
-    assert seq.to_json() == par.to_json()
+    seq = trace([nodes[0]], "ethereum", cfg, ports_for(txs, ConstBackend(), workers=1, out_dir=tmp_path / "1"))
+    journal = (tmp_path / "1" / JOURNAL_NAME).read_bytes()
+    for workers in (2, 4):
+        out = tmp_path / str(workers)
+        par = trace([nodes[0]], "ethereum", cfg, ports_for(txs, ConstBackend(), workers=workers, out_dir=out))
+        assert snapshot(seq) == snapshot(par)
+        assert (out / JOURNAL_NAME).read_bytes() == journal
 
 
 # --- oracle agreement -----------------------------------------------------------
