@@ -1,21 +1,19 @@
 """Chain data access: fixture replay, live REST adapter, cross-chain matching."""
 
 from .cache import FetchCache
-from .fetch import dedup_and_sort, fetch_account_graph
+from .fetch import dedup_and_sort
 from .fixtures import FIXTURE_COLUMNS, FixtureChainClient, FixtureStore, load_fixture
-from .crosschain import BridgeTable, BridgeMatcher, NullMatcher
+from .crosschain import BridgeTable, BridgeMatcher
 from .live import EtherscanClient
 
 __all__ = [
     "FetchCache",
     "dedup_and_sort",
-    "fetch_account_graph",
     "FIXTURE_COLUMNS",
     "FixtureChainClient",
     "FixtureStore",
     "load_fixture",
     "BridgeTable",
     "BridgeMatcher",
-    "NullMatcher",
     "EtherscanClient",
 ]

@@ -4,8 +4,8 @@ Detection is table-driven: a configured list of bridge endpoints per chain.
 A deposit (transfer from the traced account into a bridge endpoint, or a tx
 whose input carries a configured bridge marker) is matched against
 withdrawals sent by the same bridge's endpoints on other chains, by token,
-amount tolerance and time window. Matching is brute force over the candidate
-rows; data volumes here are per-account, not per-chain-history.
+amount tolerance and time window. Matching is brute force over the rows of
+those endpoints, fetched per address, so no whole chain is ever read.
 """
 
 from __future__ import annotations
@@ -84,18 +84,18 @@ def _within_tolerance(amount_src: int, amount_dst: int, tolerance: float) -> boo
 
 
 class BridgeMatcher:
-    """CrossChainMatcherPort over a per-chain record source (fixture or cache)."""
+    """CrossChainMatcherPort over a per-address record source (fixture or cache)."""
 
     def __init__(
         self,
         table: BridgeTable,
-        chain_records,  # callable: chain -> list[TransactionRecord]
+        records_for,  # callable: Address -> list[TransactionRecord] touching it
         amount_tolerance: float = DEFAULT_AMOUNT_TOLERANCE,
         time_window_s: int = DEFAULT_TIME_WINDOW_S,
         clock_skew_s: int = DEFAULT_CLOCK_SKEW_S,
     ):
         self.table = table
-        self.chain_records = chain_records
+        self.records_for = records_for
         self.amount_tolerance = amount_tolerance
         self.time_window_s = time_window_s
         self.clock_skew_s = clock_skew_s
@@ -129,13 +129,13 @@ class BridgeMatcher:
         for dst_chain in self.table.chains_of(bridge):
             if dst_chain == deposit.chain:
                 continue
-            endpoints = set(self.table.by_bridge_chain.get((bridge, dst_chain), []))
-            if not endpoints:
-                continue
+            # table order, so rows tied on (timeStamp, hash) keep one order
+            endpoints = dict.fromkeys(self.table.by_bridge_chain.get((bridge, dst_chain), []))
             candidates = [
                 r
-                for r in self.chain_records(dst_chain)
-                if r.from_addr in endpoints and not r.isError and r.tokenSymbol == deposit.tokenSymbol
+                for endpoint in endpoints
+                for r in self.records_for(endpoint)
+                if r.from_addr == endpoint and not r.isError and r.tokenSymbol == deposit.tokenSymbol
             ]
             candidates.sort(key=lambda r: (r.timeStamp, r.hash))
             for wd in candidates:
@@ -156,13 +156,3 @@ class BridgeMatcher:
                     )
                 )
         return out
-
-
-class NullMatcher:
-    """No bridge table configured: cross-chain expansion is a no-op."""
-
-    def __init__(self):
-        self.diagnostics: list[dict] = []
-
-    def expand(self, address: Address, txs: list[TransactionRecord]) -> list[CrossChainPair]:
-        return []

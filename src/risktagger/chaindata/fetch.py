@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..model import Address, TransactionRecord
+from ..model import TransactionRecord
 
 
 def dedup_and_sort(records: list[TransactionRecord]) -> list[TransactionRecord]:
@@ -28,18 +28,3 @@ def dedup_and_sort(records: list[TransactionRecord]) -> list[TransactionRecord]:
         out.append(rec)
     out.sort(key=lambda r: (r.blockNumber, r.hash))
     return out
-
-
-def fetch_account_graph(client, address: Address) -> list[TransactionRecord]:
-    """Fetch every transfer touching `address`, deduplicated and sorted.
-
-    Postcondition enforced here rather than trusted: every record references
-    the queried address as sender or receiver.
-    """
-    records = dedup_and_sort(client.fetch_transactions(address))
-    for rec in records:
-        if not rec.involves(address):
-            raise AssertionError(
-                f"adapter returned record {rec.hash} not involving {address.hex}"
-            )
-    return records

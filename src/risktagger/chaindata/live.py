@@ -11,13 +11,15 @@ from __future__ import annotations
 import json
 import os
 import time
-
-import requests
+from typing import TYPE_CHECKING
 
 from ..errors import ChainUnavailable, RateLimited, UnknownChain
 from ..model import Address, TransactionRecord, normalize_address
 from .cache import FetchCache
 from .fetch import dedup_and_sort
+
+if TYPE_CHECKING:
+    import requests
 
 API_KEY_ENV = "RISKTAGGER_CHAIN_API_KEY"
 
@@ -42,6 +44,8 @@ class EtherscanClient:
         backoff_base_s: float = BACKOFF_BASE_S,
         timeout_s: float = 30.0,
     ):
+        import requests  # deferred: runs on fixture data never load it
+
         self.base_url = base_url.rstrip("/")
         self.chain = chain
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
@@ -55,9 +59,6 @@ class EtherscanClient:
         self.timeout_s = timeout_s
         self.diagnostics: list[dict] = []
         self._last_request_at = 0.0
-
-    def supported_chains(self) -> list[str]:
-        return [self.chain]
 
     def fetch_transactions(self, address: Address) -> list[TransactionRecord]:
         if address.chain != self.chain:
@@ -117,6 +118,8 @@ class EtherscanClient:
         return rows
 
     def _http_get(self, params: dict) -> bytes:
+        import requests
+
         last_err: Exception | None = None
         for attempt in range(self.retry_attempts):
             if attempt:

@@ -33,7 +33,7 @@ from .reasoner.backends import HttpLlmBackend
 from .reasoner.blacklist import Blacklist
 from .reasoner.prompts import template_hashes
 from .reasoner.rules import RuleBackend
-from .tracer import TracerPorts, trace, write_outputs
+from .tracer import JOURNAL_NAME, TracerPorts, journal_clock, trace, write_outputs
 
 log = logging.getLogger(__name__)
 
@@ -68,15 +68,24 @@ def _llm_backend(config: RunConfig) -> HttpLlmBackend:
     return HttpLlmBackend(config.llm_endpoint, model=config.llm_model)
 
 
-def _build_ports(config: RunConfig, out_dir: Path) -> TracerPorts:
+def _clock(config: RunConfig, out_dir: Path, resume: bool) -> int:
+    """The configured clock; else, on resume, the one the journal was written
+    with, so the remaining hops rank against the same clock; else now."""
+    if config.now is not None:
+        return config.now
+    journaled = journal_clock(out_dir / JOURNAL_NAME) if resume else None
+    return journaled if journaled is not None else int(time.time())
+
+
+def _build_ports(config: RunConfig, out_dir: Path, resume: bool) -> TracerPorts:
     if config.adapter == "fixture":
         store = FixtureStore.load_dir(config.fixture_dir)
         client = FixtureChainClient(store)
-        chain_records = store.chain_records
+        records_for = store.records_for
     else:
         cache = FetchCache(config.cache_dir) if config.cache_dir else None
         client = EtherscanClient(config.api_base_url, config.chain, cache=cache)
-        chain_records = None
+        records_for = None
     blacklist = Blacklist.load(config.blacklist_path) if config.blacklist_path else Blacklist()
     if config.backend == "rules":
         backend = RuleBackend(blacklist)
@@ -84,23 +93,28 @@ def _build_ports(config: RunConfig, out_dir: Path) -> TracerPorts:
         backend = _llm_backend(config)
     matcher = None
     if config.bridges_path:
-        if chain_records is None:
+        if records_for is None:
             log.warning("bridge matching needs fixture data for the far chain; skipping")
         else:
-            matcher = BridgeMatcher(BridgeTable.load(config.bridges_path), chain_records)
+            matcher = BridgeMatcher(BridgeTable.load(config.bridges_path), records_for)
+    now = _clock(config, out_dir, resume)
     return TracerPorts(
         client_for=lambda chain: client,
         backend=backend,
         blacklist=blacklist,
-        now=config.now if config.now is not None else int(time.time()),
+        now=now,
         matcher=matcher,
         reflection_rounds=config.reflection_rounds,
         temperature=config.llm_temperature,
         out_dir=out_dir,
         strict=config.strict,
         workers=config.workers,
-        # neither changes what a run computes, so a resume may alter them
-        run_config={k: v for k, v in config.to_json().items() if k not in ("workers", "out_dir")},
+        # neither workers nor out_dir changes what a run computes, so a resume
+        # may alter them; the clock is the resolved one, so a resume keeps it
+        run_config={
+            **{k: v for k, v in config.to_json().items() if k not in ("workers", "out_dir")},
+            "now": now,
+        },
     )
 
 
@@ -148,7 +162,7 @@ def _do_trace(config: RunConfig, out_dir: Path, clues: CaseClues, seed_victims: 
         seeds += [a for a in clues.victim_addresses if a not in seeds]
     if not seeds:
         return None
-    ports = _build_ports(config, out_dir)
+    ports = _build_ports(config, out_dir, resume)
     state = trace(seeds, config.chain, config.tracer, ports, resume=resume)
     write_outputs(state, out_dir)
     return state

@@ -162,6 +162,14 @@ class TransactionRecord:
         if self.contractAddress is not None and self.contractAddress.chain != self.from_addr.chain:
             raise ValueError("contractAddress must live on the record's chain")
 
+    @classmethod
+    def prechecked(cls, **fields) -> "TransactionRecord":
+        """A record from all of its fields, already in the canonical form
+        __post_init__ would produce and check; that check is not repeated."""
+        record = object.__new__(cls)
+        record.__dict__.update(fields)
+        return record
+
     @property
     def chain(self) -> str:
         return self.from_addr.chain

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Protocol, runtime_checkable
-
-import requests
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from ..errors import BackendFailure
+
+if TYPE_CHECKING:
+    import requests
 
 LLM_ENDPOINT_ENV = "RISKTAGGER_LLM_ENDPOINT"
 LLM_KEY_ENV = "RISKTAGGER_LLM_KEY"
@@ -49,6 +50,8 @@ class HttpLlmBackend:
         self.api_key = api_key if api_key is not None else os.environ.get(LLM_KEY_ENV, "")
         if not self.endpoint:
             raise BackendFailure(f"no LLM endpoint configured (flag, config, or {LLM_ENDPOINT_ENV})")
+        import requests  # deferred: runs on the rules backend never load it
+
         self.model = model
         self.session = session or requests.Session()
         self.retry_attempts = retry_attempts
@@ -56,6 +59,8 @@ class HttpLlmBackend:
         self.timeout_s = timeout_s
 
     def complete(self, prompt: str, temperature: float, max_tokens: int) -> str:
+        import requests
+
         body = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],

@@ -28,9 +28,11 @@ compact JSON object per line:
     {"kind": "hop_end", "hop", "frontier", "counters"}         per finished hop
 
 The fingerprint is the sha256 of the effective config, the seed list and the
-prompt template hashes. Account lines follow frontier order; `funding` holds
-[value as a decimal string, latest ts] for each of the assessment's
-out_neighbors, so a half-finished hop's frontier rebuilds without refetching.
+prompt template hashes. The config holds the clock the run ranked against
+(`now`) even when none was configured, so a resume can reuse it. Account
+lines follow frontier order; `funding` holds [value as a decimal string,
+latest ts] for each of the assessment's out_neighbors, so a half-finished
+hop's frontier rebuilds without refetching.
 resume=True replays the journal, drops a torn last line, and analyzes only
 the accounts it lacks; a fresh run truncates it.
 """
@@ -333,6 +335,16 @@ def _read_journal(path: Path) -> tuple[list[dict], int]:
             raise CheckpointError(f"{path}: unreadable line {number}: {err}") from err
         good_bytes += len(line) + 1
     return records, good_bytes
+
+
+def journal_clock(path: Path) -> int | None:
+    """The clock (`config.now`) in the header of the journal at path, or None
+    when there is no readable header."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.loads(fh.readline())["config"]["now"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
 
 
 def _journal_header(seeds: list[Address], chain: str, cfg: TracerConfig, ports: TracerPorts) -> dict:

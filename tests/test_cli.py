@@ -1,11 +1,16 @@
 """Command behavior end to end: exit codes, artifacts, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
+from types import SimpleNamespace
 
 import pytest
 
-from conftest import FIXTURES, GOLDEN
+from conftest import FIXTURES, GOLDEN, REPO_ROOT
+from risktagger import cli
 from risktagger.cli import main
 from risktagger.config import load_config
 from risktagger.errors import ParseError
@@ -255,6 +260,29 @@ def test_mid_hop_interrupt_with_workers_resumes_to_the_straight_run(tmp_path, mo
     assert interrupted.calls + resumed.calls == counted.calls
 
 
+def test_resume_without_a_clock_reuses_the_journaled_one(tmp_path, capsys, monkeypatch):
+    clues = extract_clues(tmp_path)
+    cfg = write_config(tmp_path, now=None)
+    monkeypatch.setattr(cli, "time", SimpleNamespace(time=lambda: NOW))
+    straight = tmp_path / "straight"
+    assert run_cli("trace", clues, "--config", cfg, "--out", straight) == 0
+
+    out = tmp_path / "resumed"
+    with monkeypatch.context() as patch:
+        InterruptingRules(patch, budget=70)
+        assert run_cli("trace", clues, "--config", cfg, "--out", out) == 130
+    journal = (out / JOURNAL_NAME).read_bytes()
+    assert json.loads(journal.splitlines()[0])["config"]["now"] == NOW
+    monkeypatch.setattr(cli, "time", SimpleNamespace(time=lambda: NOW + 30 * 86_400))
+    capsys.readouterr()
+    assert run_cli("trace", clues, "--config", cfg, "--out", out, "--resume", "--now", NOW + 1) == 1
+    assert "config.now" in capsys.readouterr().err
+    assert (out / JOURNAL_NAME).read_bytes() == journal
+    assert run_cli("trace", clues, "--config", cfg, "--out", out, "--resume") == 0
+    for name in ("labels.jsonl", "risky.jsonl", "diagnostics.json"):
+        assert (out / name).read_bytes() == (straight / name).read_bytes(), name
+
+
 def test_trace_flag_overrides_config_depth(tmp_path):
     clues = extract_clues(tmp_path)
     cfg = write_config(tmp_path)
@@ -325,6 +353,19 @@ def test_run_stops_on_incomplete_extraction(tmp_path):
     doc.write_text(text.replace("$1.5 billion", "x").replace("1.5 billion US dollars", "y"))
     cfg = write_config(tmp_path)
     assert run_cli("run", doc, "--config", cfg) == 2
+    assert not (tmp_path / "out" / "labels.jsonl").exists()
+
+
+def test_bad_row_no_trace_reaches_still_fails_the_run_with_its_line(tmp_path, capsys):
+    fixture = tmp_path / "fixture"
+    fixture.mkdir()
+    lines = (FIXTURES / "synthetic" / "ethereum.csv").read_text().splitlines()
+    # addresses nothing else touches; timeStamp 0 is invalid
+    bad = f"0x{'e' * 64},0x{'d' * 40},0x{'c' * 40},5,0,1,,,0,0x,0,,21000,1,21000,1"
+    (fixture / "ethereum.csv").write_text("\n".join(lines + [bad]) + "\n")
+    cfg = write_config(tmp_path, fixture_dir=str(fixture))
+    assert run_cli("run", DOC, "--config", cfg, "--out", tmp_path / "out") == 1
+    assert f"ethereum.csv:{len(lines) + 1}: bad fixture row: timeStamp" in capsys.readouterr().err
     assert not (tmp_path / "out" / "labels.jsonl").exists()
 
 
@@ -422,6 +463,15 @@ def test_manifest_records_config_hash_and_prompt_hashes(tmp_path):
     assert len(manifest["config_sha256"]) == 64
     assert "cot_part1" in manifest["prompts"]
     assert manifest["versions"]["risktagger"]
+
+
+def test_importing_the_cli_leaves_requests_unloaded():
+    # only the live adapter and the llm backend need it; they import it when built
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    probe = "import sys, risktagger.cli; print('requests' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_missing_subcommand_is_a_usage_error():

@@ -9,7 +9,7 @@ from decimal import Decimal
 import pytest
 
 from conftest import addr, make_tx
-from risktagger.chaindata import BridgeMatcher, BridgeTable, NullMatcher
+from risktagger.chaindata import BridgeMatcher, BridgeTable
 from risktagger.model import CrossChainPair
 
 ACCOUNT = addr(0x100)
@@ -58,10 +58,13 @@ def build_table(tmp_path):
     return BridgeTable.load(path)
 
 
+def records_for(rows):
+    """Per-address lookup over `rows`, as a store's records_for answers it."""
+    return lambda address: [r for r in rows if r.involves(address)]
+
+
 def matcher_for(tmp_path, bsc_rows, **kw):
-    table = build_table(tmp_path)
-    side = {"bsc": bsc_rows, "ethereum": []}
-    return BridgeMatcher(table, lambda chain: side.get(chain, []), **kw)
+    return BridgeMatcher(build_table(tmp_path), records_for(bsc_rows), **kw)
 
 
 def test_single_pair_within_window_and_tolerance(tmp_path):
@@ -155,7 +158,7 @@ def test_input_marker_detects_router_deposit(tmp_path):
         input="0xdeadbeef0000",
     )
     wd = make_tx(2, BRIDGE_BSC, DST_USER, value=str(WITHDRAW_OK), ts=T0 + 30, token="RUNE")
-    matcher = BridgeMatcher(table, lambda chain: {"bsc": [wd]}.get(chain, []))
+    matcher = BridgeMatcher(table, records_for([wd]))
     pairs = matcher.expand(ACCOUNT, [deposit])
     assert len(pairs) == 1 and pairs[0].bridge_hint == "hoplink"
 
@@ -167,10 +170,3 @@ def test_pair_destination_carries_destination_chain(tmp_path):
     (pair,) = matcher.expand(ACCOUNT, [deposit])
     assert isinstance(pair, CrossChainPair)
     assert pair.dst_tx.to_addr.chain == "bsc"
-
-
-def test_null_matcher_is_noop():
-    deposit = make_tx(1, ACCOUNT, BRIDGE_ETH, value="5", ts=T0)
-    matcher = NullMatcher()
-    assert matcher.expand(ACCOUNT, [deposit]) == []
-    assert matcher.diagnostics == []

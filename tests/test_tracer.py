@@ -310,7 +310,7 @@ def test_bridge_landing_analyzed_on_destination_chain(tmp_path):
         make_tx(3, landing, addr(0xE8, "bsc"), value="4000", ts=NOW - 300),
     ]
     store = store_from(txs)
-    matcher = BridgeMatcher(BridgeTable.load(table_file), store.chain_records)
+    matcher = BridgeMatcher(BridgeTable.load(table_file), store.records_for)
     client = FixtureChainClient(store)
     ports = TracerPorts(
         client_for=lambda c: client,
