@@ -185,7 +185,7 @@ POOL = [addr(n).hex for n in (1, 2, 0xABC)]
 
 
 def reference_load(path, chain="ethereum"):
-    """The loader as it was: csv.reader and _row_to_record on every row."""
+    """The reference loader: csv.reader and _row_to_record on every row."""
     records = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -243,6 +243,7 @@ KINDS = {
     "hash": HEX_KINDS, "from": HEX_KINDS, "to": HEX_KINDS, "contractAddress": HEX_KINDS,
     "tokenSymbol": TEXT_KINDS, "isError": TEXT_KINDS, "input": TEXT_KINDS, "blockHash": TEXT_KINDS,
 }
+QUOTED_KINDS = ("quote", "comma", "break")
 MUTATION_SITES = [
     (FIXTURE_COLUMNS.index(column), kind) for column in FIXTURE_COLUMNS for kind in KINDS.get(column, INT_KINDS)
 ]
@@ -257,7 +258,7 @@ def fixture_line(draw):
     quoted = set()
     for index, kind in draw(st.lists(st.sampled_from(MUTATION_SITES), max_size=2)):
         values[index] = MUTATIONS[kind](values[index])
-        if kind in ("quote", "comma", "break"):
+        if kind in QUOTED_KINDS:
             quoted.add(index)
     return ",".join(f'"{v}"' if i in quoted else v for i, v in enumerate(values))
 
@@ -286,7 +287,7 @@ def test_every_mutation_agrees_with_the_reference(tmp_path):
     for index, kind in MUTATION_SITES:
         mutated = list(values)
         mutated[index] = MUTATIONS[kind](mutated[index])
-        if kind in ("quote", "comma", "break"):
+        if kind in QUOTED_KINDS:
             mutated[index] = f'"{mutated[index]}"'
         lines = [",".join(values), ",".join(mutated)]
         assert_loader_agrees(tmp_path, lines + [",".join(values)])
