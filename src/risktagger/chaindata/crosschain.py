@@ -59,11 +59,6 @@ class BridgeTable:
             table.by_bridge_chain.setdefault((bridge, chain), []).append(address)
         return table
 
-    def bridges(self) -> set[str]:
-        return set(self.endpoint_bridge.values()) | {
-            b for markers in self.input_markers.values() for _, b in markers
-        }
-
     def chains_of(self, bridge: str) -> list[str]:
         return sorted({chain for (b, chain) in self.by_bridge_chain if b == bridge})
 

@@ -3,13 +3,16 @@
 Covers module=account action=txlist (native) and action=tokentx (token
 transfers), with page-level caching, a fixed retry budget and client-side
 rate limiting. Every successful page body is cached verbatim, so a warm
-cache answers a repeat run without any upstream request.
+cache answers a repeat run without any upstream request. The rate limit
+holds across all threads that share one client, and a retry after a 429
+waits at least as long as its Retry-After header asks.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 from typing import TYPE_CHECKING
 
@@ -58,7 +61,8 @@ class EtherscanClient:
         self.backoff_base_s = backoff_base_s
         self.timeout_s = timeout_s
         self.diagnostics: list[dict] = []
-        self._last_request_at = 0.0
+        self._throttle_lock = threading.Lock()
+        self._last_slot = 0.0  # monotonic time of the latest reserved request slot
 
     def fetch_transactions(self, address: Address) -> list[TransactionRecord]:
         if address.chain != self.chain:
@@ -123,7 +127,8 @@ class EtherscanClient:
         last_err: Exception | None = None
         for attempt in range(self.retry_attempts):
             if attempt:
-                time.sleep(self.backoff_base_s * (2 ** (attempt - 1)))
+                backoff = self.backoff_base_s * (2 ** (attempt - 1))
+                time.sleep(max(backoff, getattr(last_err, "retry_after_s", 0.0)))
             self._throttle()
             try:
                 resp = self.session.get(self.base_url, params=params, timeout=self.timeout_s)
@@ -131,8 +136,7 @@ class EtherscanClient:
                 last_err = exc
                 continue
             if resp.status_code == 429:
-                retry_after = float(resp.headers.get("Retry-After", "0") or 0)
-                last_err = RateLimited("upstream returned 429", retry_after)
+                last_err = RateLimited("upstream returned 429", _retry_after_s(resp.headers))
                 continue
             if resp.status_code >= 500:
                 last_err = ChainUnavailable(f"upstream returned {resp.status_code}")
@@ -145,12 +149,15 @@ class EtherscanClient:
         raise ChainUnavailable(f"chain API unreachable after {self.retry_attempts} attempts: {last_err}")
 
     def _throttle(self) -> None:
+        """Reserves the next request slot, min_interval_s after the previous
+        one, under the lock, then sleeps until it outside the lock."""
         if self.min_interval_s <= 0:
             return
-        wait = self._last_request_at + self.min_interval_s - time.monotonic()
-        if wait > 0:
-            time.sleep(wait)
-        self._last_request_at = time.monotonic()
+        with self._throttle_lock:
+            now = time.monotonic()
+            slot = max(now, self._last_slot + self.min_interval_s)
+            self._last_slot = slot
+        time.sleep(slot - now)
 
     def _parse_body(self, body: bytes, allow_rate_limit_error: bool) -> list[dict]:
         try:
@@ -198,3 +205,10 @@ class EtherscanClient:
                 {"kind": "dropped_row", "chain": self.chain, "reason": str(exc)[:200]}
             )
             return None
+
+
+def _retry_after_s(headers) -> float:
+    """Seconds a Retry-After header asks for in its delay-seconds form; 0 when
+    it is absent or an HTTP date, which is not honoured."""
+    value = (headers.get("Retry-After") or "").strip()
+    return float(value) if value.isdecimal() else 0.0

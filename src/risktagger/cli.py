@@ -291,7 +291,12 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", dest="out_dir", help="output directory")
     parser.add_argument("--seed", type=int, help="random seed for control sampling")
     parser.add_argument("--now", type=int, help="fixed epoch clock for reproducible runs")
-    parser.add_argument("--workers", type=int, help="concurrent account analyses per hop")
+    parser.add_argument(
+        "--workers",
+        type=int,
+        help="concurrent account analyses per hop for a network-bound backend (llm); "
+        "the rules backend analyzes one account at a time whatever this is",
+    )
     parser.add_argument(
         "--strict",
         action="store_const",

@@ -39,10 +39,6 @@ class Address:
     hex: str
     chain: str
 
-    def short(self) -> str:
-        # 0x + first 4 hex digits, the shortened form reports may use
-        return self.hex[:6]
-
     def to_json(self) -> dict:
         return {"hex": self.hex, "chain": self.chain}
 
@@ -109,11 +105,6 @@ _LEVEL_RANK = {
     SuspicionLevel.MEDIUM: 2,
     SuspicionLevel.HIGH: 3,
 }
-
-
-def compare_suspicion(a: SuspicionLevel, b: SuspicionLevel) -> int:
-    """Total order High > Medium > Low > NoSuspicion; returns -1/0/1."""
-    return (a.rank > b.rank) - (a.rank < b.rank)
 
 
 def _require_digits(name: str, value: str) -> None:
@@ -291,9 +282,6 @@ class RiskDimension:
         return RiskDimension(result=obj.get("result", ""), evidence=obj.get("evidence", ""))
 
 
-DIMENSION_FIELDS = ("transaction_patterns", "fund_flows", "associated_addresses", "temporal_signs")
-
-
 @dataclass
 class RiskAssessment:
     """Verdict for one account at one hop of the trace."""
@@ -321,12 +309,6 @@ class RiskAssessment:
             if n in seen:
                 raise ValueError(f"duplicate out_neighbor {n.hex} on {n.chain}")
             seen.add(n)
-
-    def dimensions(self) -> dict[str, RiskDimension]:
-        return {name: getattr(self, name) for name in DIMENSION_FIELDS}
-
-    def risk_dimension_count(self) -> int:
-        return sum(1 for d in self.dimensions().values() if d.indicates_risk())
 
     def to_json(self) -> dict:
         return {

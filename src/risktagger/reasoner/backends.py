@@ -1,9 +1,11 @@
 """Reasoning backend port and the live chat-completions adapter.
 
 A backend is anything with complete(prompt, temperature, max_tokens) -> str
-and a stable `name` tag that ends up in every assessment it produced. The
-deterministic rule engine lives in rules.py; this module holds the protocol
-and the HTTP adapter for a hosted model.
+and a stable `name` tag that ends up in every assessment it produced. One
+whose complete() is pure computation sets `in_process = True`, and the tracer
+then keeps its calls off worker threads. The deterministic rule engine lives
+in rules.py; this module holds the protocol and the HTTP adapter for a
+hosted model.
 """
 
 from __future__ import annotations
@@ -12,12 +14,12 @@ import os
 import time
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
+from ..config import LLM_ENDPOINT_ENV
 from ..errors import BackendFailure
 
 if TYPE_CHECKING:
     import requests
 
-LLM_ENDPOINT_ENV = "RISKTAGGER_LLM_ENDPOINT"
 LLM_KEY_ENV = "RISKTAGGER_LLM_KEY"
 
 DEFAULT_TEMPERATURE = 0.3

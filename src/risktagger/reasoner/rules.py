@@ -206,6 +206,9 @@ class RuleBackend:
     """BackendPort over the rule table; a pure function of the prompt text."""
 
     name = "rules"
+    # complete() is pure computation, so worker threads cannot overlap it;
+    # the tracer analyzes accounts in its own thread for such a backend
+    in_process = True
 
     def __init__(self, blacklist: Blacklist | None = None, thresholds: RuleThresholds | None = None):
         self.blacklist = blacklist or Blacklist()

@@ -2,10 +2,14 @@
 
 The loop walks the transaction graph outward from the seed accounts one hop
 at a time, bounded by cfg.D. Each hop is a barrier: its frontier is fixed
-before any account in it is analyzed, accounts may then be processed by a
-worker pool, and a single coordinator folds completed assessments back into
-the state in (hop_depth, address) order so sequential and concurrent runs
-produce identical output bytes.
+before any account in it is analyzed, and a single coordinator folds
+completed assessments back into the state in (hop_depth, address) order so
+sequential and concurrent runs produce identical output bytes. With
+workers > 1 the hop's accounts run on a thread pool, but only when the
+backend blocks on the network. A backend that marks itself `in_process`
+(pure computation, such as the rule engine) gains nothing from threads that
+take turns on the interpreter lock, so its accounts are analyzed one after
+another in the coordinator.
 
 Frontier admission happens at the end of every hop: duplicates collapse
 (first mention wins), already-visited accounts break cycles, candidates
@@ -114,7 +118,7 @@ class TracerPorts:
     max_tokens: int = DEFAULT_MAX_TOKENS
     out_dir: Path | None = None  # the run journal lives here when set
     strict: bool = False
-    workers: int = 1
+    workers: int = 1  # concurrent analyses per hop, unless the backend is in_process
     # settings the journal fingerprint covers; None means chain, tracer config and clock
     run_config: dict | None = None
 
@@ -446,7 +450,7 @@ def _run_hop(state: TracerState, cfg: TracerConfig, ports: TracerPorts, journal,
         if journal is not None:
             journal.append(outcome.to_record())
 
-    if ports.workers <= 1 or len(todo) <= 1:
+    if ports.workers <= 1 or len(todo) <= 1 or getattr(ports.backend, "in_process", False):
         for account in todo:
             accept(_analyze_account(account, depth, cfg, ports))
         return

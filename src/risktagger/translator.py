@@ -261,6 +261,79 @@ def to_reasoner_payload(sub: AccountSubgraph, decimals=None, natives=None) -> di
     }
 
 
+# the string encoder json.dumps(ensure_ascii=False) uses, in C where available
+_str = json.encoder.encode_basestring
+
+
 def payload_json(payload: dict) -> str:
-    # insertion order is the canonical order; never sort_keys here
-    return json.dumps(payload, indent=2, ensure_ascii=False)
+    """The text of json.dumps(payload, indent=2, ensure_ascii=False), byte for
+    byte, for a payload of to_reasoner_payload. indent=2 would put json on its
+    pure-Python encoder; the fixed schema lets each object be one
+    concatenation instead. Key order is the canonical order."""
+    target, stats = payload["target_address"], payload["statistics"]
+    return (
+        '{\n  "payload_version": ' + repr(payload["payload_version"])
+        + ',\n  "target_address": {\n    "hex": ' + _str(target["hex"])
+        + ',\n    "chain": ' + _str(target["chain"])
+        + '\n  },\n  "statistics": {\n    "in_count": ' + repr(stats["in_count"])
+        + ',\n    "out_count": ' + repr(stats["out_count"])
+        + ',\n    "in_total": ' + _totals_json(stats["in_total"])
+        + ',\n    "out_total": ' + _totals_json(stats["out_total"])
+        + ',\n    "first_seen": ' + _opt_str(stats["first_seen"])
+        + ',\n    "last_seen": ' + _opt_str(stats["last_seen"])
+        + ',\n    "distinct_counterparties_in": ' + repr(stats["distinct_counterparties_in"])
+        + ',\n    "distinct_counterparties_out": ' + repr(stats["distinct_counterparties_out"])
+        + ',\n    "tx_per_day_mean": ' + json.dumps(stats["tx_per_day_mean"])
+        + ',\n    "max_burst_1h": ' + repr(stats["max_burst_1h"])
+        + ',\n    "total_tx_count": ' + repr(stats["total_tx_count"])
+        + ',\n    "retained_tx_count": ' + repr(stats["retained_tx_count"])
+        + ',\n    "truncated": ' + ("true" if stats["truncated"] else "false")
+        + '\n  },\n  "transactions": ' + _rows_json(payload["transactions"], _tx_json)
+        + ',\n  "cross_chain": ' + _rows_json(payload["cross_chain"], _pair_json)
+        + "\n}"
+    )
+
+
+def _opt_str(value: str | None) -> str:
+    return "null" if value is None else _str(value)
+
+
+def _totals_json(totals: dict) -> str:
+    if not totals:
+        return "{}"
+    return "{\n" + ",\n".join(f"      {_str(k)}: {_str(v)}" for k, v in totals.items()) + "\n    }"
+
+
+def _rows_json(rows: list, row_json) -> str:
+    if not rows:
+        return "[]"
+    return "[\n" + ",\n".join(map(row_json, rows)) + "\n  ]"
+
+
+def _tx_json(row: dict) -> str:
+    return (
+        '    {\n      "hash": ' + _str(row["hash"])
+        + ',\n      "from": ' + _str(row["from"])
+        + ',\n      "to": ' + _str(row["to"])
+        + ',\n      "value": ' + _str(row["value"])
+        + ',\n      "tokenSymbol": ' + _str(row["tokenSymbol"])
+        + ',\n      "timeStamp": ' + _str(row["timeStamp"])
+        + ',\n      "isError": ' + ("true" if row["isError"] else "false")
+        + "\n    }"
+    )
+
+
+def _pair_json(row: dict) -> str:
+    return (
+        '    {\n      "src_hash": ' + _str(row["src_hash"])
+        + ',\n      "dst_hash": ' + _str(row["dst_hash"])
+        + ',\n      "src_chain": ' + _str(row["src_chain"])
+        + ',\n      "dst_chain": ' + _str(row["dst_chain"])
+        + ',\n      "dst_to": ' + _str(row["dst_to"])
+        + ',\n      "token": ' + _str(row["token"])
+        + ',\n      "amount_src": ' + _str(row["amount_src"])
+        + ',\n      "amount_dst": ' + _str(row["amount_dst"])
+        + ',\n      "time_delta_s": ' + repr(row["time_delta_s"])
+        + ',\n      "bridge_hint": ' + _str(row["bridge_hint"])
+        + "\n    }"
+    )

@@ -1,7 +1,8 @@
 """In-process HTTP stub speaking the account-endpoint REST dialect.
 
-Serves canned rows keyed by (address, action, page), counts every request it
-answers, and can be scripted to fail first. Used by the adapter tests and the
+Serves canned rows keyed by (address, action, page), counts and timestamps
+every request it answers, and can be scripted to fail first, with a
+Retry-After header on its 429s. Used by the adapter tests and the
 cache-soundness acceptance check.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
@@ -44,12 +46,14 @@ def token_row(n, src_hex, dst_hex, symbol, value, ts=1_740_000_000, block=100, c
 
 
 class StubChainServer:
-    def __init__(self, pages: dict | None = None, fail_first: list | None = None):
+    def __init__(self, pages: dict | None = None, fail_first: list | None = None, retry_after: str | None = None):
         # pages: (address_hex, action, page_number) -> list of row dicts
         self.pages = pages or {}
         self.fail_first = list(fail_first or [])  # queue of status codes to emit before serving
+        self.retry_after = retry_after  # Retry-After header value for scripted 429s
         self.request_count = 0
         self.requests: list[dict] = []
+        self.request_times: list[float] = []  # time.monotonic() at each arrival
         self._lock = threading.Lock()
         outer = self
 
@@ -58,14 +62,18 @@ class StubChainServer:
                 pass
 
             def do_GET(self):
+                arrived = time.monotonic()
                 parsed = urlparse(self.path)
                 params = {k: v[0] for k, v in parse_qs(parsed.query).items()}
                 with outer._lock:
                     outer.request_count += 1
                     outer.requests.append(params)
+                    outer.request_times.append(arrived)
                     pending_failure = outer.fail_first.pop(0) if outer.fail_first else None
                 if pending_failure is not None:
                     self.send_response(pending_failure)
+                    if pending_failure == 429 and outer.retry_after is not None:
+                        self.send_header("Retry-After", outer.retry_after)
                     self.end_headers()
                     self.wfile.write(b"scripted failure")
                     return

@@ -140,6 +140,39 @@ def test_http_429_raises_rate_limited():
             client_for(srv).fetch_transactions(CENTER)
 
 
+def test_throttle_spaces_requests_across_threads():
+    pages = {(peer.hex, "txlist", 1): five_rows() for peer in PEERS}
+    threads = 8
+    start = threading.Barrier(threads)
+    with StubChainServer(pages) as srv:
+        client = client_for(srv, rate_limit_per_s=10.0)
+
+        def fetch(i):
+            start.wait()
+            client.fetch_transactions(PEERS[i % len(PEERS)])
+
+        workers = [threading.Thread(target=fetch, args=(i,)) for i in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+        times = sorted(srv.request_times)
+    assert not any(worker.is_alive() for worker in workers)
+    assert len(times) == threads * 2  # txlist and tokentx per fetch
+    gaps = [later - earlier for earlier, later in zip(times, times[1:])]
+    # the tolerance absorbs scheduling jitter between a request's slot and its arrival
+    assert min(gaps) >= client.min_interval_s - 0.03, gaps
+
+
+def test_http_429_waits_for_retry_after():
+    pages = {(CENTER.hex, "txlist", 1): five_rows()}
+    with StubChainServer(pages, fail_first=[429], retry_after="1") as srv:
+        records = client_for(srv, backoff_base_s=0.01).fetch_transactions(CENTER)
+        times = srv.request_times
+    assert len(records) == 5
+    assert times[1] - times[0] >= 1.0
+
+
 def test_wrong_chain_rejected():
     with StubChainServer({}) as srv:
         with pytest.raises(UnknownChain):

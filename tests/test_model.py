@@ -14,7 +14,6 @@ from risktagger.model import (
     SuspicionLevel,
     TracerConfig,
     TransactionRecord,
-    compare_suspicion,
     normalize_address,
     normalize_tx_hash,
 )
@@ -74,19 +73,6 @@ def test_tx_hash_normalization():
     assert normalize_tx_hash(raw) == "0x" + "ab" * 32
     with pytest.raises(MalformedAddress):
         normalize_tx_hash("0x" + "ab" * 16)
-
-
-# Rank oracle written independently of the enum implementation.
-RANKS = {"High": 3, "Medium": 2, "Low": 1, "No Suspicion": 0}
-
-
-def test_suspicion_total_order_exhaustive():
-    levels = list(SuspicionLevel)
-    assert len(levels) == 4
-    for a in levels:
-        for b in levels:
-            expected = (RANKS[a.value] > RANKS[b.value]) - (RANKS[a.value] < RANKS[b.value])
-            assert compare_suspicion(a, b) == expected
 
 
 def test_suspicion_from_label_tolerates_case():

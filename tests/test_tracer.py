@@ -4,6 +4,7 @@ import json
 import random
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -12,13 +13,14 @@ from oracle_bfs import bfs_oracle
 from risktagger.chaindata import BridgeTable, BridgeMatcher, FixtureChainClient, FixtureStore
 from risktagger.errors import BackendFailure, ChainUnavailable, CheckpointError
 from risktagger.model import Address, SuspicionLevel, TracerConfig
-from risktagger.reasoner import Blacklist
+from risktagger.reasoner import Blacklist, RuleBackend
 from risktagger.tracer import (
     JOURNAL_NAME,
     FrontierContext,
     TracerPorts,
     filter_frontier,
     trace,
+    write_outputs,
 )
 
 NOW = 1_750_000_000
@@ -531,16 +533,54 @@ def test_identical_runs_byte_for_byte(tmp_path):
     assert (tmp_path / "a" / JOURNAL_NAME).read_bytes() == (tmp_path / "b" / JOURNAL_NAME).read_bytes()
 
 
+class NetworkBoundBackend(ConstBackend):
+    """Blocks briefly per call, as a remote model would, and records the
+    threads its calls ran on. It does not claim `in_process`."""
+
+    def __init__(self):
+        self.threads = set()
+
+    def complete(self, prompt, temperature, max_tokens):
+        self.threads.add(threading.get_ident())
+        time.sleep(0.005)
+        return super().complete(prompt, temperature, max_tokens)
+
+
+OUTPUT_FILES = ("labels.jsonl", "risky.jsonl", "diagnostics.json", JOURNAL_NAME)
+
+
 def test_workers_match_sequential(tmp_path):
     nodes, txs = random_graph(11)
     cfg = TracerConfig(D=4, frontier_cap=6)
-    seq = trace([nodes[0]], "ethereum", cfg, ports_for(txs, ConstBackend(), workers=1, out_dir=tmp_path / "1"))
-    journal = (tmp_path / "1" / JOURNAL_NAME).read_bytes()
+
+    def run(workers):
+        backend, out = NetworkBoundBackend(), tmp_path / str(workers)
+        state = trace([nodes[0]], "ethereum", cfg, ports_for(txs, backend, workers=workers, out_dir=out))
+        write_outputs(state, out)
+        return state, backend.threads, {name: (out / name).read_bytes() for name in OUTPUT_FILES}
+
+    seq, _, seq_files = run(1)
     for workers in (2, 4):
-        out = tmp_path / str(workers)
-        par = trace([nodes[0]], "ethereum", cfg, ports_for(txs, ConstBackend(), workers=workers, out_dir=out))
+        par, threads, files = run(workers)
         assert snapshot(seq) == snapshot(par)
-        assert (out / JOURNAL_NAME).read_bytes() == journal
+        assert files == seq_files
+        assert len(threads - {threading.get_ident()}) >= 2  # pool threads took the wide hops
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_in_process_backend_runs_in_the_calling_thread(monkeypatch, workers):
+    nodes, txs = random_graph(11)
+    threads = []
+    complete = RuleBackend.complete
+
+    def recording(backend, prompt, temperature, max_tokens):
+        threads.append(threading.get_ident())
+        return complete(backend, prompt, temperature, max_tokens)
+
+    monkeypatch.setattr(RuleBackend, "complete", recording)
+    state = trace([nodes[0]], "ethereum", TracerConfig(D=4), ports_for(txs, RuleBackend(), workers=workers))
+    assert max(Counter(a.hop_depth for a in state.L_all).values()) > 1  # a hop the pool could take
+    assert set(threads) == {threading.get_ident()}
 
 
 # --- oracle agreement -----------------------------------------------------------

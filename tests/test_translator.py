@@ -11,11 +11,14 @@ import json
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import addr, make_tx
+from conftest import FIXTURES, addr, make_tx
+from risktagger.chaindata import FixtureChainClient, FixtureStore
 from risktagger.model import TracerConfig
+from risktagger.reasoner import Blacklist, RuleBackend, infer
+from risktagger.tracer import TracerPorts, trace
 from risktagger.translator import (
     AccountSubgraph,
     build_subgraph,
@@ -192,3 +195,77 @@ def test_payload_json_deterministic():
     b = payload_json(to_reasoner_payload(build_subgraph(CENTER, list(reversed(txs)), [], CFG, NOW)))
     assert a == b
     json.loads(a)  # stays valid JSON
+
+
+def reference_json(payload):
+    return json.dumps(payload, indent=2, ensure_ascii=False)
+
+
+def test_payload_json_equals_json_dumps_on_every_demo_payload(monkeypatch):
+    payloads = []
+
+    def recording(*args, **kwargs):
+        payloads.append(to_reasoner_payload(*args, **kwargs))
+        return payloads[-1]
+
+    monkeypatch.setattr(infer, "to_reasoner_payload", recording)
+    config = json.loads((FIXTURES / "synthetic" / "config.json").read_text())
+    blacklist = Blacklist.load(FIXTURES / "blacklist.txt")
+    client = FixtureChainClient(FixtureStore.load_dir(FIXTURES / "synthetic"))
+    ports = TracerPorts(client_for=lambda chain: client, backend=RuleBackend(blacklist), blacklist=blacklist, now=config["now"])
+    trace(["0x47666fab8bd0ac7003bce3f5c3585383f09486e2"], "ethereum", TracerConfig.from_json(config["tracer"]), ports)
+    assert len(payloads) == 140
+    for payload in payloads:
+        assert payload_json(payload) == reference_json(payload)
+
+
+# every class of character the string encoder treats differently: the control
+# characters it escapes, quote and backslash, and ASCII and non-ASCII text it keeps
+TEXT = st.text(st.sampled_from([chr(c) for c in range(0x20)] + list('"\\/\x7f aZ0é€\u2028😀')), max_size=8)
+COUNT = st.integers(min_value=0, max_value=10**30)
+TOTALS = st.dictionaries(TEXT, TEXT, max_size=3)
+
+
+def ordered(fields: dict):
+    """A dict strategy whose keys come in the order of `fields`, as in the
+    canonical payload (fixed_dictionaries does not keep it)."""
+    return st.fixed_dictionaries(fields).map(lambda d: {key: d[key] for key in fields})
+
+
+TX_ROW = ordered(
+    {
+        "hash": TEXT, "from": TEXT, "to": TEXT, "value": TEXT,
+        "tokenSymbol": TEXT, "timeStamp": TEXT, "isError": st.booleans(),
+    }
+)
+PAIR_ROW = ordered(
+    {
+        "src_hash": TEXT, "dst_hash": TEXT, "src_chain": TEXT, "dst_chain": TEXT,
+        "dst_to": TEXT, "token": TEXT, "amount_src": TEXT, "amount_dst": TEXT,
+        "time_delta_s": COUNT, "bridge_hint": TEXT,
+    }
+)
+STATISTICS = ordered(
+    {
+        "in_count": COUNT, "out_count": COUNT, "in_total": TOTALS, "out_total": TOTALS,
+        "first_seen": st.none() | TEXT, "last_seen": st.none() | TEXT,
+        "distinct_counterparties_in": COUNT, "distinct_counterparties_out": COUNT,
+        "tx_per_day_mean": st.floats(), "max_burst_1h": COUNT,
+        "total_tx_count": COUNT, "retained_tx_count": COUNT, "truncated": st.booleans(),
+    }
+)
+PAYLOAD = ordered(
+    {
+        "payload_version": COUNT,
+        "target_address": ordered({"hex": TEXT, "chain": TEXT}),
+        "statistics": STATISTICS,
+        "transactions": st.lists(TX_ROW, max_size=3),
+        "cross_chain": st.lists(PAIR_ROW, max_size=2),
+    }
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PAYLOAD)
+def test_payload_json_equals_json_dumps_on_any_schema_payload(payload):
+    assert payload_json(payload) == reference_json(payload)
