@@ -1,8 +1,8 @@
 """Chain data access: fixture replay, live REST adapter, cross-chain matching."""
 
 from .cache import FetchCache
-from .fetch import dedup_and_sort
-from .fixtures import FIXTURE_COLUMNS, FixtureChainClient, FixtureStore, load_fixture
+from .fetch import FIXTURE_COLUMNS, dedup_and_sort
+from .fixtures import FixtureChainClient, FixtureStore, load_fixture
 from .crosschain import BridgeTable, BridgeMatcher
 from .live import EtherscanClient
 

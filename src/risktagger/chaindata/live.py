@@ -4,8 +4,9 @@ Covers module=account action=txlist (native) and action=tokentx (token
 transfers), with page-level caching, a fixed retry budget and client-side
 rate limiting. Every successful page body is cached verbatim, so a warm
 cache answers a repeat run without any upstream request. The rate limit
-holds across all threads that share one client, and a retry after a 429
-waits at least as long as its Retry-After header asks.
+holds across all threads that share one client, and a 429 pauses all of
+them for at least as long as its Retry-After header asks. Rows decode
+through the same builders as fixture rows (fetch.decode_row).
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import time
 from typing import TYPE_CHECKING
 
 from ..errors import ChainUnavailable, RateLimited, UnknownChain
-from ..model import Address, TransactionRecord, normalize_address
+from ..model import Address, TransactionRecord
 from .cache import FetchCache
-from .fetch import dedup_and_sort
+from .fetch import decode_row, dedup_and_sort
 
 if TYPE_CHECKING:
     import requests
@@ -63,6 +64,7 @@ class EtherscanClient:
         self.diagnostics: list[dict] = []
         self._throttle_lock = threading.Lock()
         self._last_slot = 0.0  # monotonic time of the latest reserved request slot
+        self._pause_until = 0.0  # monotonic end of the latest 429's pause
 
     def fetch_transactions(self, address: Address) -> list[TransactionRecord]:
         if address.chain != self.chain:
@@ -70,18 +72,26 @@ class EtherscanClient:
                 f"adapter serves chain {self.chain!r}, got address on {address.chain!r}"
             )
         records = []
+        addresses: dict[str, Address] = {}  # interned for this fetch only
         for action in ("txlist", "tokentx"):
-            records.extend(self._fetch_action(address, action))
+            records.extend(self._fetch_action(address, action, addresses))
         return dedup_and_sort(records)
 
-    def _fetch_action(self, address: Address, action: str) -> list[TransactionRecord]:
+    def _fetch_action(
+        self, address: Address, action: str, addresses: dict[str, Address]
+    ) -> list[TransactionRecord]:
         records = []
         for page in range(1, self.max_pages + 1):
             rows = self._fetch_page(address, action, page)
             for row in rows:
-                rec = self._row_to_record(row, action)
-                if rec is not None:
-                    records.append(rec)
+                try:
+                    records.append(decode_row(_row_values(row, action), self.chain, addresses))
+                except Exception as exc:
+                    # live data is messy (contract creations have empty `to`); drop
+                    # the row but leave a trace for the diagnostics file
+                    self.diagnostics.append(
+                        {"kind": "dropped_row", "chain": self.chain, "reason": str(exc)[:200]}
+                    )
             if len(rows) < self.page_size:
                 break
         else:
@@ -127,16 +137,19 @@ class EtherscanClient:
         last_err: Exception | None = None
         for attempt in range(self.retry_attempts):
             if attempt:
-                backoff = self.backoff_base_s * (2 ** (attempt - 1))
-                time.sleep(max(backoff, getattr(last_err, "retry_after_s", 0.0)))
-            self._throttle()
+                time.sleep(self.backoff_base_s * (2 ** (attempt - 1)))
+            self._throttle()  # holds the retry past a 429's pause
             try:
                 resp = self.session.get(self.base_url, params=params, timeout=self.timeout_s)
             except requests.RequestException as exc:
                 last_err = exc
                 continue
             if resp.status_code == 429:
-                last_err = RateLimited("upstream returned 429", _retry_after_s(resp.headers))
+                last_err = RateLimited.from_headers("upstream returned 429", resp.headers)
+                with self._throttle_lock:  # every thread's next request waits it out
+                    pause_end = time.monotonic() + last_err.retry_after_s
+                    self._pause_until = max(self._pause_until, pause_end)
+                    self._last_slot = max(self._last_slot, pause_end)
                 continue
             if resp.status_code >= 500:
                 last_err = ChainUnavailable(f"upstream returned {resp.status_code}")
@@ -149,15 +162,18 @@ class EtherscanClient:
         raise ChainUnavailable(f"chain API unreachable after {self.retry_attempts} attempts: {last_err}")
 
     def _throttle(self) -> None:
-        """Reserves the next request slot, min_interval_s after the previous
-        one, under the lock, then sleeps until it outside the lock."""
-        if self.min_interval_s <= 0:
-            return
-        with self._throttle_lock:
-            now = time.monotonic()
-            slot = max(now, self._last_slot + self.min_interval_s)
-            self._last_slot = slot
-        time.sleep(slot - now)
+        """Reserves the next request slot under the lock, min_interval_s after
+        the previous one and not inside a 429's pause, then sleeps until it
+        outside the lock. A slot that a pause begun meanwhile covers is
+        reserved again."""
+        while True:
+            with self._throttle_lock:
+                now = time.monotonic()
+                slot = max(now, self._last_slot + self.min_interval_s)
+                self._last_slot = slot
+            time.sleep(slot - now)
+            if slot >= self._pause_until:
+                return
 
     def _parse_body(self, body: bytes, allow_rate_limit_error: bool) -> list[dict]:
         try:
@@ -177,38 +193,32 @@ class EtherscanClient:
             return []
         raise ChainUnavailable(f"upstream error: {message.strip()[:200]}")
 
-    def _row_to_record(self, row: dict, action: str) -> TransactionRecord | None:
-        try:
-            contract = (row.get("contractAddress") or "").strip()
-            return TransactionRecord(
-                hash=row["hash"],
-                from_addr=normalize_address(row["from"], self.chain),
-                to_addr=normalize_address(row["to"], self.chain),
-                value=str(row.get("value", "0")).strip(),
-                timeStamp=int(row["timeStamp"]),
-                blockNumber=int(row["blockNumber"]),
-                tokenSymbol=(row.get("tokenSymbol") or "").strip() if action == "tokentx" else "",
-                contractAddress=normalize_address(contract, self.chain) if contract else None,
-                isError=str(row.get("isError", "0")).strip() == "1",
-                input=(row.get("input") or "0x").strip() or "0x",
-                nonce=int(row.get("nonce", 0) or 0),
-                blockHash=(row.get("blockHash") or "").strip(),
-                gas=str(row.get("gas", "0") or "0").strip(),
-                gasPrice=str(row.get("gasPrice", "0") or "0").strip(),
-                gasUsed=str(row.get("gasUsed", "0") or "0").strip(),
-                confirmations=int(row.get("confirmations", 0) or 0),
-            )
-        except Exception as exc:
-            # live data is messy (contract creations have empty `to`); drop the
-            # row but leave a trace for the diagnostics file
-            self.diagnostics.append(
-                {"kind": "dropped_row", "chain": self.chain, "reason": str(exc)[:200]}
-            )
-            return None
+
+def _row_values(row: dict, action: str) -> list:
+    """An explorer's JSON row as the 16 strings of a row, with the adapter's
+    defaults for absent and empty fields. A non-string where text is due is
+    passed through for decode_row's join to refuse, so the row drops."""
+    get = row.get
+    return [
+        row["hash"],
+        row["from"],
+        row["to"],
+        str(get("value", "0")),
+        _int_text(row["timeStamp"]),
+        _int_text(row["blockNumber"]),
+        (get("tokenSymbol") or "") if action == "tokentx" else "",
+        get("contractAddress") or "",
+        str(get("isError", "0")),
+        get("input") or "",
+        _int_text(get("nonce") or 0),
+        get("blockHash") or "",
+        str(get("gas") or "0"),
+        str(get("gasPrice") or "0"),
+        str(get("gasUsed") or "0"),
+        _int_text(get("confirmations") or 0),
+    ]
 
 
-def _retry_after_s(headers) -> float:
-    """Seconds a Retry-After header asks for in its delay-seconds form; 0 when
-    it is absent or an HTTP date, which is not honoured."""
-    value = (headers.get("Retry-After") or "").strip()
-    return float(value) if value.isdecimal() else 0.0
+def _int_text(value) -> str:
+    # JSON numbers and booleans are read with int(): a float truncates, true is 1
+    return value if isinstance(value, str) else str(int(value))

@@ -22,11 +22,19 @@ class ChainUnavailable(RiskTaggerError):
 
 
 class RateLimited(RiskTaggerError):
-    """Upstream chain API refused the request rate."""
+    """An upstream API refused the request rate; retry_after_s is the wait it
+    asked for."""
 
     def __init__(self, message: str, retry_after_s: float = 0.0):
         super().__init__(message)
         self.retry_after_s = retry_after_s
+
+    @classmethod
+    def from_headers(cls, message: str, headers) -> "RateLimited":
+        """The error of a 429 response: its Retry-After header in the
+        delay-seconds form; 0 when absent or an HTTP date, which is not honoured."""
+        value = (headers.get("Retry-After") or "").strip()
+        return cls(message, float(value) if value.isdecimal() else 0.0)
 
 
 class SchemaMismatch(RiskTaggerError):

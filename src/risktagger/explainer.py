@@ -510,7 +510,6 @@ def generate_report(
     dataset: tuple,
     backend=None,
     fallback: bool = True,
-    prompts_dir=None,
     temperature: float = 0.0,
     max_tokens: int = 4096,
 ) -> str:
@@ -526,7 +525,7 @@ def generate_report(
         raise ValueError("trace outputs are empty; nothing to report")
     stats = _statistics(r_final, l_all)
     if backend is not None:
-        prompt = build_explainer_prompt(_analysis_json(clues, stats, r_final, l_all), prompts_dir)
+        prompt = build_explainer_prompt(_analysis_json(clues, stats, r_final, l_all))
         try:
             reply = backend.complete(prompt, temperature=temperature, max_tokens=max_tokens)
         except BackendFailure as exc:

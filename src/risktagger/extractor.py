@@ -385,17 +385,16 @@ class LlmExtractor:
 
     name = "llm"
 
-    def __init__(self, port, temperature: float = 0.1, max_tokens: int = 2048, prompts_dir=None):
+    def __init__(self, port, temperature: float = 0.1, max_tokens: int = 2048):
         self.port = port
         self.temperature = temperature
         self.max_tokens = max_tokens
-        self.prompts_dir = prompts_dir
 
     def _complete_json(self, template_id: str, values: dict):
         from .reasoner.parsing import extract_json_fragment
         from .errors import UnparseableVerdict
 
-        template = get_template(template_id, self.prompts_dir)
+        template = get_template(template_id)
         prompt = render(template, values)
         raw = self.port.complete(prompt, self.temperature, self.max_tokens)
         try:

@@ -118,7 +118,7 @@ class TransactionRecord:
 
     Field names mirror the upstream API (hence timeStamp's capitalization).
     `from`/`to` are reserved in Python, so the attributes are from_addr and
-    to_addr; serialization uses the exact wire keys.
+    to_addr.
     """
 
     hash: str
@@ -172,50 +172,6 @@ class TransactionRecord:
     def involves(self, addr: Address) -> bool:
         return self.from_addr == addr or self.to_addr == addr
 
-    def to_json(self) -> dict:
-        return {
-            "hash": self.hash,
-            "from": self.from_addr.hex,
-            "to": self.to_addr.hex,
-            "value": self.value,
-            "timeStamp": self.timeStamp,
-            "blockNumber": self.blockNumber,
-            "tokenSymbol": self.tokenSymbol,
-            "contractAddress": self.contractAddress.hex if self.contractAddress else "",
-            "isError": self.isError,
-            "input": self.input,
-            "nonce": self.nonce,
-            "blockHash": self.blockHash,
-            "gas": self.gas,
-            "gasPrice": self.gasPrice,
-            "gasUsed": self.gasUsed,
-            "confirmations": self.confirmations,
-            "chain": self.chain,
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "TransactionRecord":
-        chain = obj["chain"]
-        contract = obj.get("contractAddress") or ""
-        return TransactionRecord(
-            hash=obj["hash"],
-            from_addr=normalize_address(obj["from"], chain),
-            to_addr=normalize_address(obj["to"], chain),
-            value=obj["value"],
-            timeStamp=int(obj["timeStamp"]),
-            blockNumber=int(obj["blockNumber"]),
-            tokenSymbol=obj.get("tokenSymbol", ""),
-            contractAddress=normalize_address(contract, chain) if contract else None,
-            isError=bool(obj.get("isError", False)),
-            input=obj.get("input", "0x"),
-            nonce=int(obj.get("nonce", 0)),
-            blockHash=obj.get("blockHash", ""),
-            gas=str(obj.get("gas", "0")),
-            gasPrice=str(obj.get("gasPrice", "0")),
-            gasUsed=str(obj.get("gasUsed", "0")),
-            confirmations=int(obj.get("confirmations", 0)),
-        )
-
 
 @dataclass(frozen=True)
 class CrossChainPair:
@@ -234,29 +190,6 @@ class CrossChainPair:
             raise ValueError("cross-chain pair must span two different chains")
         _require_digits("amount_src", self.amount_src)
         _require_digits("amount_dst", self.amount_dst)
-
-    def to_json(self) -> dict:
-        return {
-            "src_tx": self.src_tx.to_json(),
-            "dst_tx": self.dst_tx.to_json(),
-            "token": self.token,
-            "amount_src": self.amount_src,
-            "amount_dst": self.amount_dst,
-            "time_delta_s": self.time_delta_s,
-            "bridge_hint": self.bridge_hint,
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "CrossChainPair":
-        return CrossChainPair(
-            src_tx=TransactionRecord.from_json(obj["src_tx"]),
-            dst_tx=TransactionRecord.from_json(obj["dst_tx"]),
-            token=obj["token"],
-            amount_src=obj["amount_src"],
-            amount_dst=obj["amount_dst"],
-            time_delta_s=int(obj["time_delta_s"]),
-            bridge_hint=obj.get("bridge_hint", ""),
-        )
 
 
 _NO_RISK_RE = re.compile(r"^\s*(no\b|none\b|not\b|n/?a\b|normal\b|clean\b|negative\b)", re.IGNORECASE)

@@ -15,7 +15,7 @@ import time
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from ..config import LLM_ENDPOINT_ENV
-from ..errors import BackendFailure
+from ..errors import BackendFailure, RateLimited
 
 if TYPE_CHECKING:
     import requests
@@ -34,7 +34,9 @@ class BackendPort(Protocol):
 
 
 class HttpLlmBackend:
-    """Chat-completions adapter; the endpoint must accept an OpenAI-style POST."""
+    """Chat-completions adapter; the endpoint must accept an OpenAI-style POST.
+    A 429 or 5xx is retried after exponential backoff, a 429 no sooner than
+    its Retry-After header asks."""
 
     name = "llm"
 
@@ -75,7 +77,8 @@ class HttpLlmBackend:
         last_err = None
         for attempt in range(self.retry_attempts):
             if attempt:
-                time.sleep(self.backoff_base_s * (2 ** (attempt - 1)))
+                backoff = self.backoff_base_s * (2 ** (attempt - 1))
+                time.sleep(max(backoff, getattr(last_err, "retry_after_s", 0.0)))
             try:
                 resp = self.session.post(
                     self.endpoint, json=body, headers=headers, timeout=self.timeout_s
@@ -83,7 +86,10 @@ class HttpLlmBackend:
             except requests.RequestException as exc:
                 last_err = exc
                 continue
-            if resp.status_code in (429,) or resp.status_code >= 500:
+            if resp.status_code == 429:
+                last_err = RateLimited.from_headers("LLM endpoint returned 429", resp.headers)
+                continue
+            if resp.status_code >= 500:
                 last_err = BackendFailure(f"LLM endpoint returned {resp.status_code}")
                 continue
             if resp.status_code != 200:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import re
 
-from ..model import Address, RiskAssessment, SuspicionLevel
+from ..model import RiskAssessment, SuspicionLevel
 from ..translator import AccountSubgraph, to_reasoner_payload
 from .backends import DEFAULT_MAX_TOKENS, DEFAULT_TEMPERATURE, BackendPort
 from .blacklist import Blacklist
@@ -48,22 +48,6 @@ def parse_reflection(text: str) -> list[str]:
     return [flat[:300]] if flat else []
 
 
-def collect_out_neighbors(sub: AccountSubgraph) -> list[Address]:
-    """Distinct receivers of outgoing retained txs, then cross-chain landings."""
-    neighbors: list[Address] = []
-    seen = set()
-    for tx in sub.retained_txs:
-        if tx.from_addr == sub.center and tx.to_addr != sub.center and tx.to_addr not in seen:
-            seen.add(tx.to_addr)
-            neighbors.append(tx.to_addr)
-    for pair in sub.cross_chain:
-        dst = pair.dst_tx.to_addr
-        if dst != sub.center and dst not in seen:
-            seen.add(dst)
-            neighbors.append(dst)
-    return neighbors
-
-
 def infer_risk(
     sub: AccountSubgraph,
     blacklist: Blacklist,
@@ -72,10 +56,9 @@ def infer_risk(
     reflection_rounds: int = 1,
     temperature: float = DEFAULT_TEMPERATURE,
     max_tokens: int = DEFAULT_MAX_TOKENS,
-    prompts_dir=None,
 ) -> RiskAssessment:
     payload = to_reasoner_payload(sub)
-    prompt = build_cot_prompt(payload, sub.center, prompts_dir=prompts_dir)
+    prompt = build_cot_prompt(payload, sub.center)
     raw = backend.complete(prompt, temperature, max_tokens)
     fragment = parse_verdict(raw)
 
@@ -87,7 +70,6 @@ def infer_risk(
         reflection_prompt = build_reflection_prompt(
             sub.center,
             json.dumps(fragment.raw, indent=2, ensure_ascii=False),
-            prompts_dir=prompts_dir,
         )
         review = backend.complete(reflection_prompt, temperature, max_tokens)
         round_issues = parse_reflection(review)
@@ -113,7 +95,7 @@ def infer_risk(
         temporal_signs=dims["temporal_signs"],
         justification=fragment.justification,
         gaps=fragment.gaps,
-        out_neighbors=collect_out_neighbors(sub),
+        out_neighbors=list(sub.out_flows),
         hop_depth=hop_depth,
         reflection_issues=issues,
         reasoner_backend=backend.name,

@@ -6,8 +6,8 @@ long-lived transcriptions and must never be edited casually, which is why
 their hashes go into run.json and bind the run journal. The extractor
 templates are original to this project (origin "original" below).
 
-Renderers go through get_template, which reads each (id, directory) pair from
-disk once per process.
+Renderers go through get_template, which reads each template from disk once
+per process.
 """
 
 from __future__ import annotations
@@ -53,22 +53,21 @@ def _prompts_dir() -> Path:
     return Path(resources.files("risktagger") / "prompts")
 
 
-def load_template(template_id: str, prompts_dir: str | Path | None = None) -> PromptTemplate:
+def load_template(template_id: str) -> PromptTemplate:
     """Reads one template from disk."""
     if template_id not in REGISTRY:
         raise KeyError(f"unknown prompt template {template_id!r}")
     placeholders, origin = REGISTRY[template_id]
-    base = Path(prompts_dir) if prompts_dir else _prompts_dir()
-    text = (base / f"{template_id}.txt").read_text(encoding="utf-8").rstrip("\n")
+    text = (_prompts_dir() / f"{template_id}.txt").read_text(encoding="utf-8").rstrip("\n")
     return PromptTemplate(
         id=template_id, text=text, placeholders=frozenset(placeholders), origin=origin
     )
 
 
 @functools.lru_cache(maxsize=None)
-def get_template(template_id: str, prompts_dir: str | Path | None = None) -> PromptTemplate:
-    """load_template, read once per process for each (id, directory) pair."""
-    return load_template(template_id, prompts_dir)
+def get_template(template_id: str) -> PromptTemplate:
+    """load_template, read once per process for each id."""
+    return load_template(template_id)
 
 
 def render(template: PromptTemplate, values: dict) -> str:
@@ -95,11 +94,11 @@ def render(template: PromptTemplate, values: dict) -> str:
     return text
 
 
-def template_hashes(prompts_dir: str | Path | None = None) -> dict:
-    return {tid: get_template(tid, prompts_dir).sha256 for tid in sorted(REGISTRY)}
+def template_hashes() -> dict:
+    return {tid: get_template(tid).sha256 for tid in sorted(REGISTRY)}
 
 
-def build_cot_prompt(payload: dict, target: Address | str, prompts_dir=None) -> str:
+def build_cot_prompt(payload: dict, target: Address | str) -> str:
     """Part 1 (rendered) + part 2, one analyst prompt for one account."""
     from ..translator import payload_json
 
@@ -110,22 +109,22 @@ def build_cot_prompt(payload: dict, target: Address | str, prompts_dir=None) -> 
             f"payload target {embedded!r} does not match requested target {target_hex!r}"
         )
     part1 = render(
-        get_template("cot_part1", prompts_dir),
+        get_template("cot_part1"),
         {"target_address": target_hex, "formatted_analysis": payload_json(payload)},
     )
-    part2 = get_template("cot_part2", prompts_dir).text
+    part2 = get_template("cot_part2").text
     return part1 + "\n\n" + part2
 
 
-def build_reflection_prompt(target: Address | str, analysis_result: str, prompts_dir=None) -> str:
+def build_reflection_prompt(target: Address | str, analysis_result: str) -> str:
     target_hex = target.hex if isinstance(target, Address) else str(target)
     return render(
-        get_template("reflection", prompts_dir),
+        get_template("reflection"),
         {"target_address": target_hex, "analysis_result": analysis_result},
     )
 
 
-def build_explainer_prompt(analysis_result: str, prompts_dir=None) -> str:
-    part1 = render(get_template("explainer_part1", prompts_dir), {"analysis_result": analysis_result})
-    part2 = get_template("explainer_part2", prompts_dir).text
+def build_explainer_prompt(analysis_result: str) -> str:
+    part1 = render(get_template("explainer_part1"), {"analysis_result": analysis_result})
+    part2 = get_template("explainer_part2").text
     return part1 + "\n\n" + part2

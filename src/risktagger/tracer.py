@@ -65,7 +65,7 @@ from .model import Address, RiskAssessment, SuspicionLevel, TracerConfig, normal
 from .reasoner import Blacklist, infer_risk
 from .reasoner.backends import DEFAULT_MAX_TOKENS, DEFAULT_TEMPERATURE
 from .reasoner.prompts import template_hashes
-from .translator import AccountSubgraph, build_subgraph
+from .translator import build_subgraph
 
 logger = logging.getLogger(__name__)
 
@@ -223,24 +223,6 @@ def filter_frontier(
     return survivors
 
 
-def out_funding(sub: AccountSubgraph, neighbors: list[Address], now: int) -> list[tuple[int, int]]:
-    """(value moved, latest ts) from the center to each neighbor, in order."""
-    funding: dict[Address, tuple[int, int]] = {}
-    for tx in sub.retained_txs:
-        if tx.from_addr != sub.center or tx.to_addr == sub.center:
-            continue
-        moved = 0 if tx.isError else tx.value_int
-        value, ts = funding.get(tx.to_addr, (0, tx.timeStamp))
-        funding[tx.to_addr] = (value + moved, max(ts, tx.timeStamp))
-    for pair in sub.cross_chain:
-        dst = pair.dst_tx.to_addr
-        if dst == sub.center:
-            continue
-        value, ts = funding.get(dst, (0, pair.dst_tx.timeStamp))
-        funding[dst] = (value + int(pair.amount_dst), max(ts, pair.dst_tx.timeStamp))
-    return [funding.get(neighbor, (0, now)) for neighbor in neighbors]
-
-
 def collect_frontier(
     analyzed: list[tuple[RiskAssessment, list]], cfg: TracerConfig, now: int
 ) -> tuple[list[Address], FrontierContext]:
@@ -279,7 +261,7 @@ def _analyze_account(account: Address, depth: int, cfg: TracerConfig, ports: Tra
             temperature=ports.temperature,
             max_tokens=ports.max_tokens,
         )
-        return Outcome(account, assessment, out_funding(sub, assessment.out_neighbors, ports.now))
+        return Outcome(account, assessment, list(sub.out_flows.values()))
     except SKIPPABLE_ERRORS as err:
         if ports.strict:
             raise

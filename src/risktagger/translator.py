@@ -56,6 +56,9 @@ class AccountSubgraph:
     truncated: bool
     total_tx_count: int
     now: int
+    # receiver -> (value moved, latest ts): outgoing retained transfers in
+    # retained order, then cross-chain landings; the center itself never
+    out_flows: dict[Address, tuple[int, int]]
 
 
 def _token_key(tx: TransactionRecord) -> str:
@@ -122,32 +125,27 @@ def max_burst(sorted_timestamps: list[int], window_s: int) -> int:
 
 def score_transactions(
     txs: list[TransactionRecord], now: int, value_weight: float, recency_weight: float
-) -> dict[str, float]:
-    """score(tx) = value_weight * vnorm + recency_weight * rnorm, per tx hash+key.
+) -> list[float]:
+    """score(tx) = value_weight * vnorm + recency_weight * rnorm, one per tx in order.
 
     vnorm normalizes against the max value of the same token in the full set;
     rnorm is linear recency against the oldest tx (degenerate spans score 1.0).
     """
     if not txs:
-        return {}
+        return []
     max_by_token: dict[str, int] = {}
     for tx in txs:
         key = _token_key(tx)
         max_by_token[key] = max(max_by_token.get(key, 0), tx.value_int)
     oldest = min(t.timeStamp for t in txs)
     span = now - oldest
-    scores = {}
+    scores = []
     for tx in txs:
         token_max = max_by_token[_token_key(tx)]
         vnorm = tx.value_int / token_max if token_max > 0 else 0.0
         rnorm = 1.0 if span <= 0 else 1.0 - (now - tx.timeStamp) / span
-        scores[_score_key(tx)] = value_weight * vnorm + recency_weight * rnorm
+        scores.append(value_weight * vnorm + recency_weight * rnorm)
     return scores
-
-
-def _score_key(tx: TransactionRecord) -> str:
-    # hash alone can repeat across native/token rows; direction disambiguates
-    return f"{tx.hash}/{tx.from_addr.hex}/{tx.to_addr.hex}/{tx.tokenSymbol}"
 
 
 def build_subgraph(
@@ -159,8 +157,20 @@ def build_subgraph(
 ) -> AccountSubgraph:
     stats = compute_stats(center, txs)
     scores = score_transactions(txs, now, cfg.value_weight, cfg.recency_weight)
-    ranked = sorted(txs, key=lambda t: (-scores[_score_key(t)], t.hash))
-    retained = ranked[: cfg.k]
+    ranked = sorted(range(len(txs)), key=lambda i: (-scores[i], txs[i].hash))
+    retained = [txs[i] for i in ranked[: cfg.k]]
+    out_flows: dict[Address, tuple[int, int]] = {}
+    for tx in retained:
+        if tx.from_addr == center and tx.to_addr != center:
+            # a failed transfer still names its receiver but moves no value
+            value, ts = out_flows.get(tx.to_addr, (0, tx.timeStamp))
+            moved = 0 if tx.isError else tx.value_int
+            out_flows[tx.to_addr] = (value + moved, max(ts, tx.timeStamp))
+    for pair in pairs:
+        dst = pair.dst_tx.to_addr
+        if dst != center:
+            value, ts = out_flows.get(dst, (0, pair.dst_tx.timeStamp))
+            out_flows[dst] = (value + int(pair.amount_dst), max(ts, pair.dst_tx.timeStamp))
     return AccountSubgraph(
         center=center,
         retained_txs=retained,
@@ -169,6 +179,7 @@ def build_subgraph(
         truncated=len(txs) > cfg.k,
         total_tx_count=len(txs),
         now=now,
+        out_flows=out_flows,
     )
 
 

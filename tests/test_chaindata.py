@@ -16,8 +16,8 @@ from risktagger.chaindata import (
     dedup_and_sort,
     load_fixture,
 )
-from risktagger.chaindata.fixtures import _row_to_record
-from risktagger.errors import ParseError, SchemaMismatch, UnknownChain
+from risktagger.chaindata.fetch import _row_to_record
+from risktagger.errors import MalformedAddress, ParseError, SchemaMismatch, UnknownChain
 from risktagger.model import TransactionRecord
 
 HEADER = ",".join(FIXTURE_COLUMNS)
@@ -195,7 +195,10 @@ def reference_load(path, chain="ethereum"):
                 continue
             if len(values) != len(FIXTURE_COLUMNS):
                 raise ParseError(f"{path}:{line_no}: expected 16 columns, got {len(values)}")
-            records.append(_row_to_record(dict(zip(FIXTURE_COLUMNS, values)), chain, path, line_no))
+            try:
+                records.append(_row_to_record(values, chain))
+            except (ValueError, ArithmeticError, MalformedAddress) as exc:
+                raise ParseError(f"{path}:{line_no}: bad fixture row: {exc}") from exc
     return records
 
 

@@ -1,14 +1,20 @@
-"""Live REST adapter against an in-process stub: paging, cache, retries."""
+"""Live REST adapter against an in-process stub: paging, cache, retries, and
+its rows decoded by the shared decoder exactly as its own builder did."""
 
+import json
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import addr
-from risktagger.chaindata import EtherscanClient, FetchCache
+from risktagger.chaindata import FIXTURE_COLUMNS, EtherscanClient, FetchCache
 from risktagger.errors import ChainUnavailable, RateLimited, UnknownChain
+from risktagger.model import TransactionRecord, normalize_address
 from stub_chain_server import StubChainServer, native_row, token_row
 
 CENTER = addr(0x500)
@@ -173,6 +179,28 @@ def test_http_429_waits_for_retry_after():
     assert times[1] - times[0] >= 1.0
 
 
+def test_http_429_pauses_every_thread_sharing_the_client():
+    pages = {(peer.hex, "txlist", 1): five_rows() for peer in PEERS[:2]}
+    start = threading.Barrier(2)
+    with StubChainServer(pages, fail_first=[429], retry_after="1") as srv:
+        client = client_for(srv, rate_limit_per_s=5.0)
+
+        def fetch(peer):
+            start.wait()
+            client.fetch_transactions(peer)
+
+        workers = [threading.Thread(target=fetch, args=(peer,)) for peer in PEERS[:2]]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+        times = list(srv.request_times)  # arrival order; the first drew the 429
+    assert not any(worker.is_alive() for worker in workers)
+    assert len(times) == 5  # txlist and tokentx per thread, plus the retry
+    offsets = [t - times[0] for t in times[1:]]
+    assert min(offsets) >= 1.0, offsets
+
+
 def test_wrong_chain_rejected():
     with StubChainServer({}) as srv:
         with pytest.raises(UnknownChain):
@@ -200,3 +228,128 @@ def test_truncation_diagnostic_at_page_cap():
         client = client_for(srv, page_size=2, max_pages=2)
         client.fetch_transactions(CENTER)
     assert any(d["kind"] == "truncated_fetch" for d in client.diagnostics)
+
+
+def test_explorer_rows_take_the_canonical_path(monkeypatch):
+    def refuse(values, chain):
+        raise AssertionError(f"checked builder used for {values}")
+
+    monkeypatch.setattr("risktagger.chaindata.fetch._row_to_record", refuse)
+    pages = {
+        (CENTER.hex, "txlist", 1): five_rows(),
+        (CENTER.hex, "tokentx", 1): [token_row(9, PEERS[0].hex, CENTER.hex, "USDT", "500")],
+    }
+    with StubChainServer(pages) as srv:
+        client = client_for(srv)
+        records = client.fetch_transactions(CENTER)
+    assert len(records) == 6 and client.diagnostics == []
+
+
+# --- the shared decoder against the adapter's former row builder ----------------
+
+
+class FormerRowBuilder:
+    """The live adapter's own row builder before rows went through the shared
+    decoder, kept verbatim as the reference."""
+
+    def __init__(self, chain):
+        self.chain = chain
+        self.diagnostics = []
+
+    def _row_to_record(self, row: dict, action: str) -> TransactionRecord | None:
+        try:
+            contract = (row.get("contractAddress") or "").strip()
+            return TransactionRecord(
+                hash=row["hash"],
+                from_addr=normalize_address(row["from"], self.chain),
+                to_addr=normalize_address(row["to"], self.chain),
+                value=str(row.get("value", "0")).strip(),
+                timeStamp=int(row["timeStamp"]),
+                blockNumber=int(row["blockNumber"]),
+                tokenSymbol=(row.get("tokenSymbol") or "").strip() if action == "tokentx" else "",
+                contractAddress=normalize_address(contract, self.chain) if contract else None,
+                isError=str(row.get("isError", "0")).strip() == "1",
+                input=(row.get("input") or "0x").strip() or "0x",
+                nonce=int(row.get("nonce", 0) or 0),
+                blockHash=(row.get("blockHash") or "").strip(),
+                gas=str(row.get("gas", "0") or "0").strip(),
+                gasPrice=str(row.get("gasPrice", "0") or "0").strip(),
+                gasUsed=str(row.get("gasUsed", "0") or "0").strip(),
+                confirmations=int(row.get("confirmations", 0) or 0),
+            )
+        except Exception as exc:
+            # live data is messy (contract creations have empty `to`); drop the
+            # row but leave a trace for the diagnostics file
+            self.diagnostics.append(
+                {"kind": "dropped_row", "chain": self.chain, "reason": str(exc)[:200]}
+            )
+            return None
+
+
+class OnePageSession:
+    """A session answering each action's first page with canned rows, as JSON."""
+
+    def __init__(self, rows_by_action):
+        self.rows_by_action = rows_by_action
+
+    def get(self, url, params, timeout):
+        rows = self.rows_by_action.get(params["action"], [])
+        body = {"status": "1", "message": "OK", "result": rows} if rows else {
+            "status": "0", "message": "No transactions found", "result": []
+        }
+        return SimpleNamespace(status_code=200, content=json.dumps(body).encode(), headers={}, text="")
+
+
+# every column filled, with letters in the hex so that case matters
+FULL_ROW = token_row(0xBEEF, addr(0xABCDEF).hex, addr(0xFEDCBA).hex, "USDT", "123",
+                     contract=addr(0xC0FFEE).hex)
+FULL_ROW.update(isError="0", input="0xa9059cbb")
+NATIVE_ROW = {k: v for k, v in FULL_ROW.items() if k not in ("tokenSymbol", "tokenName", "tokenDecimal")}
+NATIVE_ROW.update(contractAddress="", input="0x")
+MUTATE = {
+    "empty": lambda v: "",
+    "lead": lambda v: " " + v,
+    "trail": lambda v: v + "\n",
+    "comma": lambda v: v + ",x",
+    "quote": lambda v: '"' + v + '"',
+    "upper": str.upper,
+    "upper_digits": lambda v: v[:2] + v[2:].upper(),
+    "zeros": lambda v: "00" + v,
+}
+ODD_VALUES = st.one_of(
+    st.sampled_from([None, True, False, 0, 1, -1, 2.5, 1.74e9, float("nan")]), st.integers(-2, 2**70)
+)
+
+
+@st.composite
+def explorer_row(draw):
+    """A txlist or tokentx row with up to three fields missing, None, a JSON
+    number or boolean, or mutated: empty, edge whitespace, a comma, quotes,
+    uppercase hex."""
+    action = draw(st.sampled_from(["txlist", "tokentx"]))
+    row = dict(draw(st.sampled_from([FULL_ROW, NATIVE_ROW])))
+    for _ in range(draw(st.integers(0, 3))):
+        column = draw(st.sampled_from(FIXTURE_COLUMNS))
+        kind = draw(st.sampled_from(["missing", "odd"] + list(MUTATE)))
+        if kind == "missing":
+            row.pop(column, None)
+        elif kind == "odd":
+            row[column] = draw(ODD_VALUES)
+        else:
+            row[column] = MUTATE[kind](FULL_ROW[column])
+    return action, row
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=explorer_row())
+def test_live_rows_decode_as_the_former_builder_did(case):
+    action, row = case
+    former = FormerRowBuilder("ethereum")
+    expected = former._row_to_record(row, action)
+    client = EtherscanClient(
+        "http://explorer.test/api", "ethereum", api_key="k",
+        session=OnePageSession({action: [row]}), rate_limit_per_s=0.0,
+    )
+    assert client.fetch_transactions(CENTER) == ([] if expected is None else [expected])
+    dropped = [d for d in client.diagnostics if d["kind"] == "dropped_row"]
+    assert len(dropped) == len(former.diagnostics)

@@ -83,20 +83,6 @@ def test_suspicion_from_label_tolerates_case():
         SuspicionLevel.from_label("severe")
 
 
-def test_transaction_round_trip():
-    t = make_tx(1, addr(10), addr(11), value="401000000000000000000000", token="ETH")
-    assert TransactionRecord.from_json(t.to_json()) == t
-
-
-def test_transaction_json_uses_wire_keys():
-    t = make_tx(2, addr(10), addr(11))
-    obj = t.to_json()
-    assert obj["from"] == addr(10).hex
-    assert obj["to"] == addr(11).hex
-    assert "timeStamp" in obj and "from_addr" not in obj
-    assert obj["contractAddress"] == ""
-
-
 def test_transaction_rejects_bad_values():
     with pytest.raises(ValueError):
         make_tx(3, addr(1), addr(2), value="-5")
@@ -122,8 +108,7 @@ def test_cross_chain_pair_requires_two_chains():
     with pytest.raises(ValueError):
         CrossChainPair(src, dst_same, "ETH", "100", "100", 10)
     dst = make_tx(6, addr(3, "bsc"), addr(4, "bsc"))
-    pair = CrossChainPair(src, dst, "ETH", "100", "99", 300)
-    assert CrossChainPair.from_json(pair.to_json()) == pair
+    CrossChainPair(src, dst, "ETH", "100", "99", 300)
 
 
 @pytest.mark.parametrize(

@@ -102,9 +102,9 @@ def test_templates_hash_stable_across_loads():
 def test_each_template_is_read_once_per_process(monkeypatch):
     reads = []
 
-    def counting(template_id, prompts_dir=None):
+    def counting(template_id):
         reads.append(template_id)
-        return load_template(template_id, prompts_dir)
+        return load_template(template_id)
 
     prompts.get_template.cache_clear()
     monkeypatch.setattr(prompts, "load_template", counting)

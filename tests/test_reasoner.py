@@ -3,6 +3,7 @@
 import itertools
 import json
 from datetime import datetime, timezone
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,6 +18,7 @@ from risktagger.reasoner import (
     parse_verdict,
     rule_backend_assess,
 )
+from risktagger.reasoner import backends
 from risktagger.reasoner.infer import consistency_trigger, parse_reflection
 from risktagger.translator import build_subgraph, to_reasoner_payload
 
@@ -301,14 +303,17 @@ class CountingBackend:
         return self.verdicts.pop(0)
 
 
-def star_subgraph():
-    txs = [
+def star_txs():
+    return [
         make_tx(1, addr(0x5), CENTER, value="100", ts=NOW - 500),
         make_tx(2, CENTER, addr(0x6), value="60", ts=NOW - 300),
         make_tx(3, CENTER, addr(0x7), value="40", ts=NOW - 200),
         make_tx(4, CENTER, addr(0x6), value="10", ts=NOW - 100),  # repeat receiver
     ]
-    return build_subgraph(CENTER, txs, [], TracerConfig(), NOW)
+
+
+def star_subgraph(pairs=()):
+    return build_subgraph(CENTER, star_txs(), list(pairs), TracerConfig(), NOW)
 
 
 def test_infer_risk_happy_path_single_call():
@@ -327,14 +332,11 @@ def test_infer_risk_happy_path_single_call():
 def test_infer_risk_out_neighbors_include_cross_chain():
     from risktagger.model import CrossChainPair
 
-    sub = star_subgraph()
     dst = make_tx(9, addr(0xB0, "bsc"), addr(0xB1, "bsc"), value="99", ts=NOW - 50)
-    src = sub.retained_txs[0]
-    out_src = next(t for t in sub.retained_txs if t.from_addr == CENTER)
+    out_src = next(t for t in star_txs() if t.from_addr == CENTER)
     pair = CrossChainPair(out_src, dst, "native", out_src.value, "99", 10)
-    sub.cross_chain.append(pair)
     backend = CountingBackend([verdict_json("Low", a="x")])
-    result = infer_risk(sub, Blacklist(), backend)
+    result = infer_risk(star_subgraph([pair]), Blacklist(), backend)
     assert addr(0xB1, "bsc") in result.out_neighbors
 
 
@@ -415,3 +417,30 @@ def test_infer_with_rule_backend_is_pure():
     assert first == second
     assert first.suspicion_level is SuspicionLevel.MEDIUM
     assert first.reasoner_backend == "rules"
+
+
+# --- the hosted-model adapter ------------------------------------------------
+
+
+class ScriptedSession:
+    """A session whose POSTs get the scripted responses in turn."""
+
+    def __init__(self, responses):
+        self.responses = list(responses)
+
+    def post(self, url, json, headers, timeout):
+        return self.responses.pop(0)
+
+
+def reply(status, content="", headers=None):
+    body = {"choices": [{"message": {"content": content}}]}
+    return SimpleNamespace(status_code=status, headers=headers or {}, text="", json=lambda: body)
+
+
+def test_llm_backend_waits_out_retry_after_on_429(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(backends.time, "sleep", sleeps.append)
+    session = ScriptedSession([reply(429, headers={"Retry-After": "2"}), reply(503), reply(200, "ok")])
+    backend = backends.HttpLlmBackend("http://llm.test/v1", session=session, backoff_base_s=0.01)
+    assert backend.complete("prompt", 0.0, 16) == "ok"
+    assert sleeps == [2.0, 0.02]  # the 429's Retry-After, then plain backoff after the 503

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES, addr, make_tx
-from risktagger.chaindata import FixtureChainClient, FixtureStore
+from risktagger.chaindata import FixtureChainClient, FixtureStore, dedup_and_sort
 from risktagger.model import TracerConfig
 from risktagger.reasoner import Blacklist, RuleBackend, infer
 from risktagger.tracer import TracerPorts, trace
@@ -77,6 +77,18 @@ def test_score_ties_break_by_hash():
     b = make_tx(0xBB, addr(2), CENTER, value="5", ts=500)
     sub = build_subgraph(CENTER, [b, a], [], TracerConfig(k=1), NOW)
     assert sub.retained_txs[0].hash == min(a.hash, b.hash)
+
+
+def test_rows_differing_only_in_contract_score_apart():
+    # a real USDT transfer and a fake one share hash, sender and receiver; dedup
+    # keeps both, and each must keep its own score (0.80 and about 0.30)
+    real = make_tx(1, CENTER, addr(1), value=str(10**12), ts=NOW, token="USDT", contractAddress=addr(0xC1))
+    fake = make_tx(1, CENTER, addr(1), value="1", ts=NOW, token="USDT", contractAddress=addr(0xC2))
+    half = make_tx(2, CENTER, addr(2), value=str(5 * 10**11), ts=NOW, token="USDT", contractAddress=addr(0xC1))
+    txs = dedup_and_sort([real, fake, half])
+    assert len(txs) == 3
+    sub = build_subgraph(CENTER, txs, [], TracerConfig(k=1), NOW)
+    assert sub.retained_txs == [real]
 
 
 def test_stats_in_out_totals_hand_example():
