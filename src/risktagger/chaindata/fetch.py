@@ -1,17 +1,13 @@
-"""Row decoding and account-graph assembly shared by all adapters.
+"""Row decoding and record ordering shared by all adapters.
 
-A row is the 16 strings of one transfer in FIXTURE_COLUMNS order, whether it
-comes from a fixture CSV or an explorer's JSON. A row already in canonical
-form is built without checking its fields again; any other row goes through
-the checked builder, which normalizes or refuses each field.
+A row is the 16 fields of one transfer in FIXTURE_COLUMNS order, whether it
+comes from a fixture CSV or an explorer's JSON; _row_to_record normalizes or
+refuses each field.
 """
 
 from __future__ import annotations
 
-import csv
-import re
-
-from ..model import Address, TransactionRecord, normalize_address
+from ..model import TransactionRecord, normalize_address
 
 # Canonical header, exact names and order. Header drift is a hard error:
 # silently remapping columns is how value/gas swaps slip into datasets.
@@ -34,55 +30,8 @@ FIXTURE_COLUMNS = (
     "confirmations",
 )
 
-# Fields no longer than csv allows; longer ones take the checked path, where
-# the fixture loader's csv reader refuses them.
-_LIMIT = csv.field_size_limit()
-# Free text that strip() leaves as is and csv reads verbatim: no edge
-# whitespace and no quote, comma or line break.
-_TEXT = r'(?:[^\s",](?:[^",\r\n]{0,%d}[^\s",])?)?' % (_LIMIT - 2)
-_DIGITS = "[0-9]{1,%d}" % _LIMIT
-_INT = "[0-9]{1,18}"  # within int()'s digit limit; longer numbers take the checked path
-# A comma-joined row that _row_to_record accepts without changing a field:
-# lowercase hex, bare digits, a positive timeStamp, no quotes. Hash and
-# addresses have fixed widths, so the sender and receiver sit at fixed
-# offsets (_FROM, _TO).
-_CANONICAL_ROW = re.compile(
-    ",".join(
-        [
-            "0x[0-9a-f]{64}",  # hash
-            "0x[0-9a-f]{40}",  # from
-            "0x[0-9a-f]{40}",  # to
-            _DIGITS,  # value
-            "[1-9][0-9]{0,17}",  # timeStamp
-            _INT,  # blockNumber
-            _TEXT,  # tokenSymbol
-            "(?:0x[0-9a-f]{40})?",  # contractAddress
-            _TEXT,  # isError
-            _TEXT,  # input
-            _INT,  # nonce
-            _TEXT,  # blockHash
-            _DIGITS,  # gas
-            _DIGITS,  # gasPrice
-            _DIGITS,  # gasUsed
-            _INT,  # confirmations
-        ]
-    )
-    + r"(?:\r\n|\r|\n)?"
-)
-_FROM = slice(67, 109)
-_TO = slice(110, 152)
 
-
-def decode_row(values: list[str], chain: str, addresses: dict[str, Address]) -> TransactionRecord:
-    """The record of one row, through the canonical path when the joined row
-    matches _CANONICAL_ROW, else the checked one, whose error propagates."""
-    line = ",".join(values)
-    if _CANONICAL_ROW.fullmatch(line):
-        return _canonical_to_record(line, chain, addresses)
-    return _row_to_record(values, chain)
-
-
-def _row_to_record(values: list[str], chain: str) -> TransactionRecord:
+def _row_to_record(values: list, chain: str) -> TransactionRecord:
     """The checked builder: strips, normalizes and validates every field."""
     (tx_hash, src, dst, value, ts, block, token, contract, is_error,
      data, nonce, block_hash, gas, gas_price, gas_used, confirmations) = values
@@ -104,37 +53,6 @@ def _row_to_record(values: list[str], chain: str) -> TransactionRecord:
         gasPrice=gas_price.strip(),
         gasUsed=gas_used.strip(),
         confirmations=int(confirmations),
-    )
-
-
-def _canonical_to_record(line: str, chain: str, addresses: dict[str, Address]) -> TransactionRecord:
-    """The record of a line that matched _CANONICAL_ROW, equal to what
-    _row_to_record builds from it, without checking its fields again.
-    `addresses` interns each hex to one Address."""
-    (tx_hash, src, dst, value, ts, block, token, contract, is_error,
-     data, nonce, block_hash, gas, gas_price, gas_used, confirmations) = line.split(",")
-
-    def address(hex_: str) -> Address:
-        found = addresses.get(hex_)
-        return found if found is not None else addresses.setdefault(hex_, Address(hex_, chain))
-
-    return TransactionRecord.prechecked(
-        hash=tx_hash,
-        from_addr=address(src),
-        to_addr=address(dst),
-        value=value,
-        timeStamp=int(ts),
-        blockNumber=int(block),
-        tokenSymbol=token,
-        contractAddress=address(contract) if contract else None,
-        isError=is_error == "1",
-        input=data or "0x",
-        nonce=int(nonce),
-        blockHash=block_hash,
-        gas=gas,
-        gasPrice=gas_price,
-        gasUsed=gas_used,
-        confirmations=int(confirmations),  # int() drops the line ending
     )
 
 

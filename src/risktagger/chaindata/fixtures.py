@@ -11,19 +11,79 @@ from __future__ import annotations
 
 import csv
 import itertools
+import re
 from pathlib import Path
 
 from ..errors import MalformedAddress, ParseError, SchemaMismatch, UnknownChain
 from ..model import Address, TransactionRecord, normalize_chain
-from .fetch import (
-    _CANONICAL_ROW,
-    _FROM,
-    _TO,
-    FIXTURE_COLUMNS,
-    _canonical_to_record,
-    _row_to_record,
-    dedup_and_sort,
+from .fetch import FIXTURE_COLUMNS, _row_to_record, dedup_and_sort
+
+# Fields no longer than csv allows; longer ones take the checked path, where
+# csv refuses them as before.
+_LIMIT = csv.field_size_limit()
+# Free text that strip() leaves as is and csv reads verbatim: no edge
+# whitespace and no quote, comma or line break.
+_TEXT = r'(?:[^\s",](?:[^",\r\n]{0,%d}[^\s",])?)?' % (_LIMIT - 2)
+_DIGITS = "[0-9]{1,%d}" % _LIMIT
+_INT = "[0-9]{1,18}"  # within int()'s digit limit; longer numbers take the checked path
+# A line that _row_to_record accepts without changing a field: lowercase hex,
+# bare digits, a positive timeStamp, no quotes. Hash and addresses have fixed
+# widths, so the sender and receiver sit at fixed offsets (_FROM, _TO).
+_CANONICAL_ROW = re.compile(
+    ",".join(
+        [
+            "0x[0-9a-f]{64}",  # hash
+            "0x[0-9a-f]{40}",  # from
+            "0x[0-9a-f]{40}",  # to
+            _DIGITS,  # value
+            "[1-9][0-9]{0,17}",  # timeStamp
+            _INT,  # blockNumber
+            _TEXT,  # tokenSymbol
+            "(?:0x[0-9a-f]{40})?",  # contractAddress
+            _TEXT,  # isError
+            _TEXT,  # input
+            _INT,  # nonce
+            _TEXT,  # blockHash
+            _DIGITS,  # gas
+            _DIGITS,  # gasPrice
+            _DIGITS,  # gasUsed
+            _INT,  # confirmations
+        ]
+    )
+    + r"(?:\r\n|\r|\n)?"
 )
+_FROM = slice(67, 109)
+_TO = slice(110, 152)
+
+
+def _canonical_to_record(line: str, chain: str, addresses: dict[str, Address]) -> TransactionRecord:
+    """The record of a line that matched _CANONICAL_ROW, equal to what
+    _row_to_record builds from it, without checking its fields again."""
+    (tx_hash, src, dst, value, ts, block, token, contract, is_error,
+     data, nonce, block_hash, gas, gas_price, gas_used, confirmations) = line.split(",")
+
+    def address(hex_: str) -> Address:
+        found = addresses.get(hex_)
+        return found if found is not None else addresses.setdefault(hex_, Address(hex_, chain))
+
+    return TransactionRecord.prechecked(
+        hash=tx_hash,
+        from_addr=address(src),
+        to_addr=address(dst),
+        value=value,
+        timeStamp=int(ts),
+        blockNumber=int(block),
+        tokenSymbol=token,
+        contractAddress=address(contract) if contract else None,
+        isError=is_error == "1",
+        input=data or "0x",
+        nonce=int(nonce),
+        blockHash=block_hash,
+        gas=gas,
+        gasPrice=gas_price,
+        gasUsed=gas_used,
+        confirmations=int(confirmations),  # int() drops the line ending
+    )
 
 
 def load_rows(path: str | Path, chain: str) -> list:

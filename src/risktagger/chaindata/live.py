@@ -5,8 +5,9 @@ transfers), with page-level caching, a fixed retry budget and client-side
 rate limiting. Every successful page body is cached verbatim, so a warm
 cache answers a repeat run without any upstream request. The rate limit
 holds across all threads that share one client, and a 429 pauses all of
-them for at least as long as its Retry-After header asks. Rows decode
-through the same builders as fixture rows (fetch.decode_row).
+them for at least as long as its Retry-After header asks; a 429 asking for
+more than the retry budget fails the fetch at once. Rows are built by the
+same checked builder as fixture rows (fetch._row_to_record).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import TYPE_CHECKING
 from ..errors import ChainUnavailable, RateLimited, UnknownChain
 from ..model import Address, TransactionRecord
 from .cache import FetchCache
-from .fetch import decode_row, dedup_and_sort
+from .fetch import _row_to_record, dedup_and_sort
 
 if TYPE_CHECKING:
     import requests
@@ -72,20 +73,17 @@ class EtherscanClient:
                 f"adapter serves chain {self.chain!r}, got address on {address.chain!r}"
             )
         records = []
-        addresses: dict[str, Address] = {}  # interned for this fetch only
         for action in ("txlist", "tokentx"):
-            records.extend(self._fetch_action(address, action, addresses))
+            records.extend(self._fetch_action(address, action))
         return dedup_and_sort(records)
 
-    def _fetch_action(
-        self, address: Address, action: str, addresses: dict[str, Address]
-    ) -> list[TransactionRecord]:
+    def _fetch_action(self, address: Address, action: str) -> list[TransactionRecord]:
         records = []
         for page in range(1, self.max_pages + 1):
             rows = self._fetch_page(address, action, page)
             for row in rows:
                 try:
-                    records.append(decode_row(_row_values(row, action), self.chain, addresses))
+                    records.append(_row_to_record(_row_values(row, action), self.chain))
                 except Exception as exc:
                     # live data is messy (contract creations have empty `to`); drop
                     # the row but leave a trace for the diagnostics file
@@ -146,6 +144,11 @@ class EtherscanClient:
                 continue
             if resp.status_code == 429:
                 last_err = RateLimited.from_headers("upstream returned 429", resp.headers)
+                if last_err.retry_after_s > self.timeout_s * self.retry_attempts:
+                    raise ChainUnavailable(
+                        f"upstream returned 429 asking to retry after {last_err.retry_after_s:g} s,"
+                        " beyond the retry budget"
+                    )
                 with self._throttle_lock:  # every thread's next request waits it out
                     pause_end = time.monotonic() + last_err.retry_after_s
                     self._pause_until = max(self._pause_until, pause_end)
@@ -195,30 +198,24 @@ class EtherscanClient:
 
 
 def _row_values(row: dict, action: str) -> list:
-    """An explorer's JSON row as the 16 strings of a row, with the adapter's
-    defaults for absent and empty fields. A non-string where text is due is
-    passed through for decode_row's join to refuse, so the row drops."""
+    """An explorer's JSON row as the 16 fields of a row, with the adapter's
+    defaults for absent and empty fields."""
     get = row.get
     return [
         row["hash"],
         row["from"],
         row["to"],
         str(get("value", "0")),
-        _int_text(row["timeStamp"]),
-        _int_text(row["blockNumber"]),
+        row["timeStamp"],
+        row["blockNumber"],
         (get("tokenSymbol") or "") if action == "tokentx" else "",
         get("contractAddress") or "",
         str(get("isError", "0")),
         get("input") or "",
-        _int_text(get("nonce") or 0),
+        get("nonce") or 0,
         get("blockHash") or "",
         str(get("gas") or "0"),
         str(get("gasPrice") or "0"),
         str(get("gasUsed") or "0"),
-        _int_text(get("confirmations") or 0),
+        get("confirmations") or 0,
     ]
-
-
-def _int_text(value) -> str:
-    # JSON numbers and booleans are read with int(): a float truncates, true is 1
-    return value if isinstance(value, str) else str(int(value))

@@ -36,7 +36,8 @@ class BackendPort(Protocol):
 class HttpLlmBackend:
     """Chat-completions adapter; the endpoint must accept an OpenAI-style POST.
     A 429 or 5xx is retried after exponential backoff, a 429 no sooner than
-    its Retry-After header asks."""
+    its Retry-After header asks; a 429 asking for more than the retry budget
+    (timeout_s * retry_attempts) fails at once."""
 
     name = "llm"
 
@@ -88,6 +89,11 @@ class HttpLlmBackend:
                 continue
             if resp.status_code == 429:
                 last_err = RateLimited.from_headers("LLM endpoint returned 429", resp.headers)
+                if last_err.retry_after_s > self.timeout_s * self.retry_attempts:
+                    raise BackendFailure(
+                        f"LLM endpoint returned 429 asking to retry after {last_err.retry_after_s:g} s,"
+                        " beyond the retry budget"
+                    )
                 continue
             if resp.status_code >= 500:
                 last_err = BackendFailure(f"LLM endpoint returned {resp.status_code}")

@@ -1,5 +1,5 @@
 """Live REST adapter against an in-process stub: paging, cache, retries, and
-its rows decoded by the shared decoder exactly as its own builder did."""
+its rows built by the shared checked builder exactly as its own builder did."""
 
 import json
 import sys
@@ -201,6 +201,18 @@ def test_http_429_pauses_every_thread_sharing_the_client():
     assert min(offsets) >= 1.0, offsets
 
 
+def test_http_429_beyond_the_retry_budget_fails_at_once(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    pages = {(CENTER.hex, "txlist", 1): five_rows()}
+    with StubChainServer(pages, fail_first=[429], retry_after="86400") as srv:
+        client = client_for(srv, timeout_s=5.0)
+        with pytest.raises(ChainUnavailable, match="86400"):
+            client.fetch_transactions(CENTER)
+        assert len(srv.request_times) == 1
+    assert sum(sleeps) == 0  # the unthrottled client's zero wait before its one request
+
+
 def test_wrong_chain_rejected():
     with StubChainServer({}) as srv:
         with pytest.raises(UnknownChain):
@@ -230,27 +242,12 @@ def test_truncation_diagnostic_at_page_cap():
     assert any(d["kind"] == "truncated_fetch" for d in client.diagnostics)
 
 
-def test_explorer_rows_take_the_canonical_path(monkeypatch):
-    def refuse(values, chain):
-        raise AssertionError(f"checked builder used for {values}")
-
-    monkeypatch.setattr("risktagger.chaindata.fetch._row_to_record", refuse)
-    pages = {
-        (CENTER.hex, "txlist", 1): five_rows(),
-        (CENTER.hex, "tokentx", 1): [token_row(9, PEERS[0].hex, CENTER.hex, "USDT", "500")],
-    }
-    with StubChainServer(pages) as srv:
-        client = client_for(srv)
-        records = client.fetch_transactions(CENTER)
-    assert len(records) == 6 and client.diagnostics == []
-
-
-# --- the shared decoder against the adapter's former row builder ----------------
+# --- the shared builder against the adapter's former row builder ----------------
 
 
 class FormerRowBuilder:
     """The live adapter's own row builder before rows went through the shared
-    decoder, kept verbatim as the reference."""
+    builder, kept verbatim as the reference."""
 
     def __init__(self, chain):
         self.chain = chain

@@ -444,3 +444,13 @@ def test_llm_backend_waits_out_retry_after_on_429(monkeypatch):
     backend = backends.HttpLlmBackend("http://llm.test/v1", session=session, backoff_base_s=0.01)
     assert backend.complete("prompt", 0.0, 16) == "ok"
     assert sleeps == [2.0, 0.02]  # the 429's Retry-After, then plain backoff after the 503
+
+
+def test_llm_backend_fails_at_once_on_retry_after_beyond_budget(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(backends.time, "sleep", sleeps.append)
+    session = ScriptedSession([reply(429, headers={"Retry-After": "86400"}), reply(200, "ok")])
+    backend = backends.HttpLlmBackend("http://llm.test/v1", session=session, timeout_s=5.0)
+    with pytest.raises(BackendFailure, match="86400"):
+        backend.complete("prompt", 0.0, 16)
+    assert sleeps == [] and len(session.responses) == 1
