@@ -161,10 +161,14 @@ class FixtureStore:
                     index.setdefault(dst, []).append(position)
 
     @staticmethod
+    def files(fixture_dir: str | Path) -> list[Path]:
+        """The <chain>.csv files load_dir reads, in the order it reads them."""
+        return sorted(Path(fixture_dir).glob("*.csv"))
+
+    @staticmethod
     def load_dir(fixture_dir: str | Path) -> "FixtureStore":
-        fixture_dir = Path(fixture_dir)
         by_chain = {}
-        for csv_path in sorted(fixture_dir.glob("*.csv")):
+        for csv_path in FixtureStore.files(fixture_dir):
             chain = normalize_chain(csv_path.stem)
             by_chain[chain] = load_rows(csv_path, chain)
         if not by_chain:

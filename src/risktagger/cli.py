@@ -4,13 +4,14 @@ Exit codes are stable for scripting: 0 success, 1 infrastructure failure
 (I/O, parsing, adapters, backends), 2 domain incompleteness (mandatory clue
 fields missing, no seed addresses, nothing to report). Ctrl-C exits 130; every
 finished account is already in the run journal, so `trace --resume` redoes
-only the unfinished ones. Resuming with another config, seed list or prompt
-template exits 1 and names what changed.
+only the unfinished ones. Resuming with another config, seed list, prompt
+template or input file exits 1 and names what changed.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import logging
 import platform
@@ -51,17 +52,34 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
 
 
-def _write_manifest(out_dir: Path, config: RunConfig) -> None:
+def _write_manifest(out_dir: Path, config: RunConfig, inputs: dict | None = None) -> None:
     # Auditability: enough to reproduce the run (keys excluded by design).
-    _write_json(
-        out_dir / "run.json",
-        {
-            "config": config.to_json(),
-            "config_sha256": config.sha256(),
-            "prompts": template_hashes(),
-            "versions": {"risktagger": __version__, "python": platform.python_version()},
-        },
-    )
+    manifest = {"config": config.to_json(), "config_sha256": config.sha256()}
+    if inputs is not None:
+        manifest["inputs"] = inputs
+    manifest["prompts"] = template_hashes()
+    manifest["versions"] = {"risktagger": __version__, "python": platform.python_version()}
+    _write_json(out_dir / "run.json", manifest)
+
+
+def _file_sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:  # in chunks: a fixture CSV can run to tens of MB
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _input_digests(config: RunConfig) -> dict:
+    """sha256 of each input file a trace reads: fixture CSVs, blacklist, bridge table."""
+    inputs = {}
+    if config.adapter == "fixture":
+        inputs["fixtures"] = {p.name: _file_sha256(p) for p in FixtureStore.files(config.fixture_dir)}
+    if config.blacklist_path:
+        inputs["blacklist"] = _file_sha256(config.blacklist_path)
+    if config.bridges_path:
+        inputs["bridges"] = _file_sha256(config.bridges_path)
+    return inputs
 
 
 def _llm_backend(config: RunConfig) -> HttpLlmBackend:
@@ -77,7 +95,7 @@ def _clock(config: RunConfig, out_dir: Path, resume: bool) -> int:
     return journaled if journaled is not None else int(time.time())
 
 
-def _build_ports(config: RunConfig, out_dir: Path, resume: bool) -> TracerPorts:
+def _build_ports(config: RunConfig, out_dir: Path, resume: bool, inputs: dict) -> TracerPorts:
     if config.adapter == "fixture":
         store = FixtureStore.load_dir(config.fixture_dir)
         client = FixtureChainClient(store)
@@ -110,10 +128,12 @@ def _build_ports(config: RunConfig, out_dir: Path, resume: bool) -> TracerPorts:
         strict=config.strict,
         workers=config.workers,
         # neither workers nor out_dir changes what a run computes, so a resume
-        # may alter them; the clock is the resolved one, so a resume keeps it
+        # may alter them; the clock is the resolved one, so a resume keeps it;
+        # the input digests make a resume onto edited input files fail
         run_config={
             **{k: v for k, v in config.to_json().items() if k not in ("workers", "out_dir")},
             "now": now,
+            "inputs": inputs,
         },
     )
 
@@ -156,13 +176,15 @@ def cmd_extract(args) -> int:
     return rc
 
 
-def _do_trace(config: RunConfig, out_dir: Path, clues: CaseClues, seed_victims: bool, resume: bool):
+def _do_trace(
+    config: RunConfig, out_dir: Path, clues: CaseClues, seed_victims: bool, resume: bool, inputs: dict
+):
     seeds = list(clues.attacker_addresses)
     if seed_victims:
         seeds += [a for a in clues.victim_addresses if a not in seeds]
     if not seeds:
         return None
-    ports = _build_ports(config, out_dir, resume)
+    ports = _build_ports(config, out_dir, resume, inputs)
     state = trace(seeds, config.chain, config.tracer, ports, resume=resume)
     write_outputs(state, out_dir)
     return state
@@ -172,15 +194,14 @@ def cmd_trace(args) -> int:
     config = load_config(args.config, _overrides(args))
     out_dir = _prepare_out(config)
     clues = _load_clues(args.clues)
-    state = _do_trace(config, out_dir, clues, args.seed_victims, args.resume)
+    inputs = _input_digests(config)
+    state = _do_trace(config, out_dir, clues, args.seed_victims, args.resume, inputs)
     if state is None:
         print("no seeds: clues contain no attacker addresses", file=sys.stderr)
         return 2
-    _write_manifest(out_dir, config)
-    print(
-        f"analyzed {len(state.L_all)} accounts over {state.depth} hop(s); "
-        f"{len(state.R_final)} rated high-risk"
-    )
+    _write_manifest(out_dir, config, inputs)
+    high = sum(a.suspicion_level is SuspicionLevel.HIGH for a in state.L_all)
+    print(f"analyzed {len(state.L_all)} accounts over {state.depth} hop(s); {high} rated high-risk")
     return 0
 
 
@@ -217,10 +238,11 @@ def cmd_run(args) -> int:
     config = load_config(args.config, _overrides(args))
     out_dir = _prepare_out(config)
     clues, rc = _do_extract(config, out_dir, args.doc)
-    _write_manifest(out_dir, config)
+    inputs = _input_digests(config)
+    _write_manifest(out_dir, config, inputs)
     if rc != 0:
         return rc
-    state = _do_trace(config, out_dir, clues, args.seed_victims, resume=False)
+    state = _do_trace(config, out_dir, clues, args.seed_victims, resume=False, inputs=inputs)
     if state is None:
         print("no seeds: clues contain no attacker addresses", file=sys.stderr)
         return 2

@@ -64,6 +64,7 @@ ENTITY_COUNTING_NOTE = (
 
 EXAMPLES_PER_SECTION = 3
 HIGH_RISK_EXAMPLES = 5
+REPORT_MAX_TOKENS = 4096
 
 
 @dataclass(frozen=True)
@@ -511,7 +512,6 @@ def generate_report(
     backend=None,
     fallback: bool = True,
     temperature: float = 0.0,
-    max_tokens: int = 4096,
 ) -> str:
     """Render the eight-section audit report for one trace.
 
@@ -527,7 +527,7 @@ def generate_report(
     if backend is not None:
         prompt = build_explainer_prompt(_analysis_json(clues, stats, r_final, l_all))
         try:
-            reply = backend.complete(prompt, temperature=temperature, max_tokens=max_tokens)
+            reply = backend.complete(prompt, temperature=temperature, max_tokens=REPORT_MAX_TOKENS)
         except BackendFailure as exc:
             if not fallback:
                 raise

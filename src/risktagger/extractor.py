@@ -35,6 +35,8 @@ logger = logging.getLogger(__name__)
 DEFAULT_CHUNK_CHARS = 4000
 MIN_CHUNK_CHARS = 200
 SNIPPET_CAP = 240
+EXTRACT_TEMPERATURE = 0.1
+EXTRACT_MAX_TOKENS = 2048
 
 MANDATORY_FIELDS = (
     "chain",
@@ -385,10 +387,8 @@ class LlmExtractor:
 
     name = "llm"
 
-    def __init__(self, port, temperature: float = 0.1, max_tokens: int = 2048):
+    def __init__(self, port):
         self.port = port
-        self.temperature = temperature
-        self.max_tokens = max_tokens
 
     def _complete_json(self, template_id: str, values: dict):
         from .reasoner.parsing import extract_json_fragment
@@ -396,7 +396,7 @@ class LlmExtractor:
 
         template = get_template(template_id)
         prompt = render(template, values)
-        raw = self.port.complete(prompt, self.temperature, self.max_tokens)
+        raw = self.port.complete(prompt, EXTRACT_TEMPERATURE, EXTRACT_MAX_TOKENS)
         try:
             obj, _ = extract_json_fragment(raw)
             return obj

@@ -11,9 +11,10 @@ backend blocks on the network. A backend that marks itself `in_process`
 take turns on the interpreter lock, so its accounts are analyzed one after
 another in the coordinator.
 
-Frontier admission happens at the end of every hop: duplicates collapse
-(first mention wins), already-visited accounts break cycles, candidates
-funded below min_value_threshold drop out, and the survivors are ranked by
+Frontier admission happens at the end of every hop: repeat nominations
+collapse into one candidate (first mention wins), already-visited accounts
+break cycles, candidates funded below min_value_threshold drop out, and the
+survivors are ranked by
 
     priority = value_weight*vnorm + recency_weight*rnorm + flag_weight*flag
 
@@ -29,16 +30,17 @@ compact JSON object per line:
     {"kind": "header", "fingerprint", "config", "seeds", "prompts"}
     {"kind": "account", "address", "assessment", "funding"}   or
     {"kind": "account", "address", "fetched", "error"}        per attempted account
-    {"kind": "hop_end", "hop", "frontier", "counters"}         per finished hop
 
 The fingerprint is the sha256 of the effective config, the seed list and the
 prompt template hashes. The config holds the clock the run ranked against
 (`now`) even when none was configured, so a resume can reuse it. Account
 lines follow frontier order; `funding` holds [value as a decimal string,
-latest ts] for each of the assessment's out_neighbors, so a half-finished
-hop's frontier rebuilds without refetching.
-resume=True replays the journal, drops a torn last line, and analyzes only
-the accounts it lacks; a fresh run truncates it.
+latest ts] for each of the assessment's out_neighbors, so a frontier
+rebuilds without refetching.
+resume=True drops a torn last line and runs the same hop loop as a fresh
+run, except that a frontier account with a journaled outcome takes it
+instead of being analyzed; merge, frontier ranking and counters are
+recomputed. A fresh run truncates the journal.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from .errors import (
 )
 from .model import Address, RiskAssessment, SuspicionLevel, TracerConfig, normalize_address
 from .reasoner import Blacklist, infer_risk
-from .reasoner.backends import DEFAULT_MAX_TOKENS, DEFAULT_TEMPERATURE
+from .reasoner.backends import DEFAULT_TEMPERATURE
 from .reasoner.prompts import template_hashes
 from .translator import build_subgraph
 
@@ -99,7 +101,6 @@ class TracerState:
     depth: int = 0
     C_current: list[Address] = field(default_factory=list)
     visited: set[Address] = field(default_factory=set)
-    R_final: list[RiskAssessment] = field(default_factory=list)
     L_all: list[RiskAssessment] = field(default_factory=list)
     diagnostics: dict = field(default_factory=_fresh_diagnostics)
 
@@ -115,7 +116,6 @@ class TracerPorts:
     matcher: object = None  # cross-chain matcher; None disables bridge expansion
     reflection_rounds: int = 1
     temperature: float = DEFAULT_TEMPERATURE
-    max_tokens: int = DEFAULT_MAX_TOKENS
     out_dir: Path | None = None  # the run journal lives here when set
     strict: bool = False
     workers: int = 1  # concurrent analyses per hop, unless the backend is in_process
@@ -128,6 +128,7 @@ class Outcome:
     """One attempted account: its assessment, or the diagnostics entry of its skip."""
 
     account: Address
+    hop_depth: int
     assessment: RiskAssessment | None = None
     funding: list = field(default_factory=list)  # (value, latest ts) per out-neighbor
     error: dict | None = None
@@ -148,72 +149,61 @@ class Outcome:
     def from_record(record: dict) -> "Outcome":
         account = Address.from_json(record["address"])
         if "error" in record:
-            return Outcome(account, error=record["error"], fetched=record["fetched"])
-        return Outcome(
-            account,
-            assessment=RiskAssessment.from_json(record["assessment"]),
-            funding=[(int(value), ts) for value, ts in record["funding"]],
-        )
+            error = record["error"]
+            return Outcome(account, error["hop_depth"], error=error, fetched=record["fetched"])
+        assessment = RiskAssessment.from_json(record["assessment"])
+        funding = [(int(value), ts) for value, ts in record["funding"]]
+        return Outcome(account, assessment.hop_depth, assessment, funding)
 
 
-@dataclass
-class FrontierContext:
-    """Aggregated funding facts per frontier candidate, for filter scoring."""
-
-    now: int
-    value_of: dict = field(default_factory=dict)  # Address -> raw int sum
-    latest_ts: dict = field(default_factory=dict)  # Address -> newest funding ts
-    flagged: set = field(default_factory=set)  # funded by a High/Medium account
-
-    def add(self, address: Address, value: int, ts: int, sender_flagged: bool) -> None:
-        if address not in self.value_of:
-            self.value_of[address] = 0
-            self.latest_ts[address] = ts
-        self.value_of[address] += value
-        self.latest_ts[address] = max(self.latest_ts[address], ts)
-        if sender_flagged:
-            self.flagged.add(address)
+def collect_frontier(
+    analyzed: list[tuple[RiskAssessment, list]], cfg: TracerConfig, counters: dict
+) -> dict:
+    """Out-neighbor nominations in analysis order, one entry per candidate:
+    candidate -> [funding value sum, latest funding ts, funded by High/Medium].
+    A repeat nomination adds to its entry and counts as pruned_dup."""
+    candidates: dict = {}
+    for assessment, funding in analyzed:
+        if assessment.suspicion_level not in cfg.expand_levels:
+            continue
+        flagged = assessment.suspicion_level in (SuspicionLevel.HIGH, SuspicionLevel.MEDIUM)
+        for neighbor, (value, ts) in zip(assessment.out_neighbors, funding):
+            entry = candidates.get(neighbor)
+            if entry is None:
+                candidates[neighbor] = [value, ts, flagged]
+                continue
+            counters["pruned_dup"] += 1
+            entry[0] += value
+            entry[1] = max(entry[1], ts)
+            entry[2] = entry[2] or flagged
+    return candidates
 
 
 def filter_frontier(
-    c_next: list[Address],
-    visited: set,
-    context: FrontierContext,
-    cfg: TracerConfig,
-    counters: dict,
+    candidates: dict, visited: set, now: int, cfg: TracerConfig, counters: dict
 ) -> list[Address]:
-    """Dedup, break cycles, prune dust, rank, cap. Returns the next frontier."""
-    seen = set()
-    deduped = []
-    for address in c_next:
-        if address in seen:
-            counters["pruned_dup"] += 1
-            continue
-        seen.add(address)
-        deduped.append(address)
-
+    """Break cycles, prune dust, rank, cap. Returns the next frontier."""
     threshold = int(cfg.min_value_threshold)
     survivors = []
-    for address in deduped:
+    for address, (value, _ts, _flagged) in candidates.items():
         if address in visited:
             counters["pruned_visited"] += 1
-            continue
-        if context.value_of.get(address, 0) < threshold:
+        elif value < threshold:
             counters["pruned_low_value"] += 1
-            continue
-        survivors.append(address)
+        else:
+            survivors.append(address)
     if not survivors:
         return []
 
-    max_value = max(context.value_of[a] for a in survivors)
-    oldest = min(context.latest_ts[a] for a in survivors)
-    span = context.now - oldest
+    max_value = max(candidates[a][0] for a in survivors)
+    oldest = min(candidates[a][1] for a in survivors)
+    span = now - oldest
 
     def priority(address: Address) -> float:
-        vnorm = context.value_of[address] / max_value if max_value > 0 else 0.0
-        ts = context.latest_ts[address]
-        rnorm = 1.0 if span <= 0 else 1.0 - (context.now - ts) / span
-        flag = 1.0 if address in context.flagged else 0.0
+        value, ts, flagged = candidates[address]
+        vnorm = value / max_value if max_value > 0 else 0.0
+        rnorm = 1.0 if span <= 0 else 1.0 - (now - ts) / span
+        flag = 1.0 if flagged else 0.0
         return cfg.value_weight * vnorm + cfg.recency_weight * rnorm + cfg.flag_weight * flag
 
     survivors.sort(key=lambda a: (-priority(a), a))
@@ -221,25 +211,6 @@ def filter_frontier(
         counters["pruned_cap"] += len(survivors) - cfg.frontier_cap
         survivors = survivors[: cfg.frontier_cap]
     return survivors
-
-
-def collect_frontier(
-    analyzed: list[tuple[RiskAssessment, list]], cfg: TracerConfig, now: int
-) -> tuple[list[Address], FrontierContext]:
-    """Out-neighbor nominations plus their funding context, in analysis order."""
-    context = FrontierContext(now=now)
-    c_next: list[Address] = []
-    for assessment, funding in analyzed:
-        if assessment.suspicion_level not in cfg.expand_levels:
-            continue
-        sender_flagged = assessment.suspicion_level in (
-            SuspicionLevel.HIGH,
-            SuspicionLevel.MEDIUM,
-        )
-        for neighbor, (value, ts) in zip(assessment.out_neighbors, funding):
-            context.add(neighbor, value, ts, sender_flagged)
-            c_next.append(neighbor)
-    return c_next, context
 
 
 def _analyze_account(account: Address, depth: int, cfg: TracerConfig, ports: TracerPorts) -> Outcome:
@@ -259,9 +230,8 @@ def _analyze_account(account: Address, depth: int, cfg: TracerConfig, ports: Tra
             hop_depth=depth,
             reflection_rounds=ports.reflection_rounds,
             temperature=ports.temperature,
-            max_tokens=ports.max_tokens,
         )
-        return Outcome(account, assessment, list(sub.out_flows.values()))
+        return Outcome(account, depth, assessment, list(sub.out_flows.values()))
     except SKIPPABLE_ERRORS as err:
         if ports.strict:
             raise
@@ -273,7 +243,7 @@ def _analyze_account(account: Address, depth: int, cfg: TracerConfig, ports: Tra
             "error": type(err).__name__,
             "detail": str(err),
         }
-        return Outcome(account, error=error, fetched=fetched)
+        return Outcome(account, depth, error=error, fetched=fetched)
 
 
 class Journal:
@@ -283,20 +253,19 @@ class Journal:
         self._fh = fh
 
     @staticmethod
-    def open(path: Path, header: dict, resume: bool) -> tuple["Journal", list[dict]]:
+    def open(path: Path, header: dict, resume: bool) -> tuple["Journal", dict]:
         """Starts a fresh journal, or with resume=True continues the one at
-        path; returns the writer and the records to replay after the header."""
-        records, good_bytes = _read_journal(path) if resume and path.exists() else ([], 0)
-        if records:
-            _check_header(records[0], header, path)
+        path; returns the writer and the journaled outcomes keyed by account."""
+        done, good_bytes = _read_journal(path, header) if resume and path.exists() else (None, 0)
+        if done is not None:
             if good_bytes < path.stat().st_size:
                 logger.warning("dropping the torn last line of %s", path)
                 os.truncate(path, good_bytes)
-            return Journal(open(path, "a", encoding="utf-8")), records[1:]
+            return Journal(open(path, "a", encoding="utf-8")), done
         path.parent.mkdir(parents=True, exist_ok=True)
         journal = Journal(open(path, "w", encoding="utf-8"))
         journal.append(header)
-        return journal, []
+        return journal, {}
 
     def append(self, record: dict) -> None:
         # compact separators keep json on its C encoder
@@ -307,20 +276,43 @@ class Journal:
         self._fh.close()
 
 
-def _read_journal(path: Path) -> tuple[list[dict], int]:
-    """Records of every complete line, and the byte length they span. A last
-    line that is unterminated or unparseable was torn by a crash and is left out."""
-    lines = path.read_bytes().split(b"\n")
-    records, good_bytes = [], 0
-    for number, line in enumerate(lines[:-1], start=1):
-        try:
-            records.append(json.loads(line))
-        except ValueError as err:
-            if number == len(lines) - 1:
+def _read_journal(path: Path, header: dict) -> tuple[dict | None, int]:
+    """Checks the header line against `header`, then returns each account
+    line's outcome keyed by account (None without a complete header line) and
+    the byte length of the lines read. A last line that is unterminated or
+    unparseable was torn by a crash and is left out."""
+    done, good_bytes = None, 0
+    with open(path, "rb") as fh:  # line by line, so the file is never held whole
+        for number, line in enumerate(fh, start=1):
+            if not line.endswith(b"\n"):
                 break
-            raise CheckpointError(f"{path}: unreadable line {number}: {err}") from err
-        good_bytes += len(line) + 1
-    return records, good_bytes
+            try:
+                record = json.loads(line)
+            except ValueError as err:
+                if fh.read(1):
+                    raise CheckpointError(f"{path}: unreadable line {number}: {err}") from err
+                break
+            if done is None:
+                _check_header(record if isinstance(record, dict) else {}, header, path)
+                done = {}
+            else:
+                _add_outcome(done, record, number, path)
+            good_bytes += len(line)
+    return done, good_bytes
+
+
+def _add_outcome(done: dict, record: dict, number: int, path: Path) -> None:
+    """Adds the outcome an account line holds to `done`; a line of any other
+    kind, or a second line for one account, is refused."""
+    try:
+        outcome = Outcome.from_record(record) if record["kind"] == "account" else None
+    except (KeyError, TypeError, ValueError) as err:
+        raise CheckpointError(f"{path}: malformed line {number}: {err!r}") from err
+    if outcome is None:
+        raise CheckpointError(f"{path}: line {number} is a {record['kind']!r} line, not an account line")
+    if outcome.account in done:
+        raise CheckpointError(f"{path}: line {number} journals account {outcome.account.hex} again")
+    done[outcome.account] = outcome
 
 
 def journal_clock(path: Path) -> int | None:
@@ -389,34 +381,24 @@ def _merge(state: TracerState, outcomes: dict) -> list[tuple[RiskAssessment, lis
             continue
         analyzed.append((outcome.assessment, outcome.funding))
     analyzed.sort(key=lambda pair: (pair[0].hop_depth, pair[0].target_address))
-    for assessment, _funding in analyzed:
-        state.L_all.append(assessment)
-        if assessment.suspicion_level is SuspicionLevel.HIGH:
-            state.R_final.append(assessment)
+    state.L_all.extend(assessment for assessment, _funding in analyzed)
     return analyzed
 
 
-def _replay(records: list[dict], state: TracerState, path: Path) -> dict:
-    """Folds every journaled hop into the state; returns the outcomes already
-    recorded for the open hop, keyed by account."""
-    outcomes: dict = {}
-    members = set(state.C_current)
-    for number, record in enumerate(records, start=2):
-        try:
-            if record["kind"] == "hop_end" and record["hop"] == state.depth:
-                _merge(state, outcomes)
-                state.C_current = [Address.from_json(a) for a in record["frontier"]]
-                state.diagnostics.update(record["counters"])
-                state.depth += 1
-                outcomes, members = {}, set(state.C_current)
-                continue
-            outcome = Outcome.from_record(record) if record["kind"] == "account" else None
-        except (KeyError, TypeError, ValueError) as err:
-            raise CheckpointError(f"{path}: malformed line {number}: {err!r}") from err
-        if outcome is None or outcome.account not in members:
-            raise CheckpointError(f"{path}: line {number} does not belong to hop {state.depth}")
-        outcomes[outcome.account] = outcome
+def _take_journaled(done: dict, state: TracerState, path: Path) -> dict:
+    """Moves the open hop's journaled outcomes out of `done`, refusing an
+    account journaled at another hop than the one whose frontier holds it."""
+    outcomes = {a: done.pop(a) for a in state.C_current if a in done}
+    for outcome in (*outcomes.values(), *done.values()):
+        if (outcome.account in outcomes) != (outcome.hop_depth == state.depth):
+            raise _misplaced(outcome, path)
     return outcomes
+
+
+def _misplaced(outcome: Outcome, path: Path) -> CheckpointError:
+    return CheckpointError(
+        f"{path}: journaled account {outcome.account.hex} is not in the frontier of hop {outcome.hop_depth}"
+    )
 
 
 def _run_hop(state: TracerState, cfg: TracerConfig, ports: TracerPorts, journal, outcomes: dict) -> None:
@@ -464,9 +446,10 @@ def trace(
     """Runs the trace to depth cfg.D and returns the final state.
 
     Seeds may be Address objects or bare hex strings; strings are placed on
-    `chain`. With resume=True the run journal under ports.out_dir is replayed
-    and the trace continues where it stopped; a journal written with other
-    settings, seeds or prompt templates raises CheckpointError.
+    `chain`. With resume=True each frontier account journaled under
+    ports.out_dir takes its journaled outcome instead of being analyzed; a
+    journal written with other settings, seeds or prompt templates, or whose
+    accounts the trace does not reach at their hop, raises CheckpointError.
     """
     if not seeds:
         raise ValueError("at least one seed address is required")
@@ -477,37 +460,23 @@ def trace(
             frontier.append(address)
     state = TracerState(C_current=frontier)
 
-    journal, records, outcomes = None, [], {}
+    journal, done, path = None, {}, None
     if ports.out_dir is not None:
         path = Path(ports.out_dir) / JOURNAL_NAME
-        journal, records = Journal.open(path, _journal_header(frontier, chain, cfg, ports), resume)
+        journal, done = Journal.open(path, _journal_header(frontier, chain, cfg, ports), resume)
     try:
-        if records:
-            outcomes = _replay(records, state, path)
-            logger.info(
-                "resuming at hop %d (%d analyzed, %d of the open hop journaled)",
-                state.depth, len(state.L_all), len(outcomes),
-            )
         while state.C_current and state.depth < cfg.D:
-            logger.info("hop %d: %d account(s)", state.depth, len(state.C_current))
+            outcomes = _take_journaled(done, state, path)
+            logger.info("hop %d: %d account(s), %d journaled", state.depth, len(state.C_current), len(outcomes))
             _run_hop(state, cfg, ports, journal, outcomes)
             analyzed = _merge(state, outcomes)
-            c_next, context = collect_frontier(analyzed, cfg, ports.now)
+            candidates = collect_frontier(analyzed, cfg, state.diagnostics)
             state.C_current = filter_frontier(
-                c_next, state.visited, context, cfg, state.diagnostics
+                candidates, state.visited, ports.now, cfg, state.diagnostics
             )
-            if journal is not None:
-                counters = {k: v for k, v in state.diagnostics.items() if k != "errors"}
-                journal.append(
-                    {
-                        "kind": "hop_end",
-                        "hop": state.depth,
-                        "frontier": [a.to_json() for a in state.C_current],
-                        "counters": counters,
-                    }
-                )
             state.depth += 1
-            outcomes = {}
+        for outcome in done.values():
+            raise _misplaced(outcome, path)  # journaled, yet never reached
     finally:
         if journal is not None:
             journal.close()
@@ -522,8 +491,9 @@ def write_outputs(state: TracerState, out_dir: str | Path) -> None:
         for assessment in state.L_all:
             fh.write(json.dumps(assessment.to_json(), ensure_ascii=False) + "\n")
     with open(out_dir / "risky.jsonl", "w", encoding="utf-8") as fh:
-        for assessment in state.R_final:
-            fh.write(json.dumps(assessment.to_json(), ensure_ascii=False) + "\n")
+        for assessment in state.L_all:
+            if assessment.suspicion_level is SuspicionLevel.HIGH:
+                fh.write(json.dumps(assessment.to_json(), ensure_ascii=False) + "\n")
     (out_dir / "diagnostics.json").write_text(
         json.dumps(state.diagnostics, indent=2, ensure_ascii=False) + "\n"
     )

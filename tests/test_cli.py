@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -148,28 +149,25 @@ def test_trace_deterministic_across_runs(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def journal_through_hop(src, dst, hops):
-    """Copies the run journal up to and including its hops-th hop_end line."""
-    kept = []
-    for line in (src / JOURNAL_NAME).read_text().splitlines(keepends=True):
-        kept.append(line)
-        if json.loads(line)["kind"] == "hop_end":
-            hops -= 1
-            if hops == 0:
-                break
+def journal_through_hop(src, dst, hop):
+    """Copies the run journal through the last account line of the given hop."""
+    lines = (src / JOURNAL_NAME).read_text().splitlines(keepends=True)
+    depths = [json.loads(line)["assessment"]["hop_depth"] for line in lines[1:]]
     dst.mkdir()
-    (dst / JOURNAL_NAME).write_text("".join(kept))
+    (dst / JOURNAL_NAME).write_text("".join(lines[: 1 + sum(1 for d in depths if d <= hop)]))
 
 
-def test_trace_resume_from_checkpoint_matches_straight_run(tmp_path):
+def test_trace_resume_from_checkpoint_matches_straight_run(tmp_path, monkeypatch):
     clues = extract_clues(tmp_path)
     cfg = write_config(tmp_path)
     straight = tmp_path / "straight"
     assert run_cli("trace", clues, "--config", cfg, "--out", straight) == 0
 
     resumed = tmp_path / "resumed"
-    journal_through_hop(straight, resumed, 3)
+    journal_through_hop(straight, resumed, 2)
+    counted = InterruptingRules(monkeypatch)
     assert run_cli("trace", clues, "--config", cfg, "--out", resumed, "--resume") == 0
+    assert counted.calls > 0
     for name in ("labels.jsonl", "risky.jsonl"):
         assert (resumed / name).read_bytes() == (straight / name).read_bytes()
 
@@ -212,6 +210,73 @@ def test_resume_of_another_run_exits_one_naming_the_change(
         monkeypatch.setattr(tracer, "template_hashes", lambda: edited)
     capsys.readouterr()
     assert run_cli("trace", clues, "--config", cfg, "--out", out, "--resume", *extra) == 1
+    err = capsys.readouterr().err
+    assert named in err and "--resume" in err
+    assert (out / JOURNAL_NAME).read_bytes() == journal
+
+
+def test_resume_refuses_a_journal_with_hop_end_lines(tmp_path, capsys):
+    clues = extract_clues(tmp_path)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "trace"
+    assert run_cli("trace", clues, "--config", cfg, "--out", out, "--max-depth", 3) == 0
+    journal = out / JOURNAL_NAME
+    lines = journal.read_text().splitlines(keepends=True)
+    accounts = [(line, json.loads(line)) for line in lines[1:]]
+    accounts = [(line, r) for line, r in accounts if r["kind"] == "account"]
+    hop_0 = [line for line, r in accounts if r["assessment"]["hop_depth"] == 0]
+    # an older journal format closed each hop with its frontier and counters
+    hop_end = {
+        "kind": "hop_end",
+        "hop": 0,
+        "frontier": [r["address"] for _, r in accounts if r["assessment"]["hop_depth"] == 1],
+        "counters": {"fetched": len(hop_0), "pruned_dup": 0, "pruned_visited": 0,
+                     "pruned_low_value": 0, "pruned_cap": 0},
+    }
+    journal.write_text(lines[0] + "".join(hop_0) + json.dumps(hop_end) + "\n")
+    before = journal.read_bytes()
+    capsys.readouterr()
+    assert run_cli("trace", clues, "--config", cfg, "--out", out, "--max-depth", 3, "--resume") == 1
+    assert f"line {2 + len(hop_0)}" in capsys.readouterr().err
+    assert journal.read_bytes() == before
+
+
+def drop_a_blacklist_entry(inputs):
+    path = inputs / "blacklist.txt"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(line for line in lines if "Bybit exploiter" not in line))
+
+
+def change_a_fixture_byte(inputs):
+    path = inputs / "synthetic" / "ethereum.csv"
+    data = path.read_bytes()
+    at = data.index(b",320000000000000000000,") + len(b",32000000000000000000")
+    path.write_bytes(data[:at] + b"1" + data[at + 1 :])
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (drop_a_blacklist_entry, "config.inputs.blacklist"),
+        (change_a_fixture_byte, "config.inputs.fixtures.ethereum.csv"),
+    ],
+)
+def test_resume_after_an_input_edit_exits_one_naming_it(tmp_path, capsys, monkeypatch, edit, named):
+    inputs = tmp_path / "inputs"
+    shutil.copytree(FIXTURES / "synthetic", inputs / "synthetic")
+    shutil.copy(FIXTURES / "blacklist.txt", inputs / "blacklist.txt")
+    clues = extract_clues(tmp_path)
+    cfg = write_config(
+        tmp_path, fixture_dir=str(inputs / "synthetic"), blacklist_path=str(inputs / "blacklist.txt")
+    )
+    out = tmp_path / "trace"
+    with monkeypatch.context() as patch:
+        InterruptingRules(patch, budget=60)
+        assert run_cli("trace", clues, "--config", cfg, "--out", out) == 130
+    journal = (out / JOURNAL_NAME).read_bytes()
+    edit(inputs)
+    capsys.readouterr()
+    assert run_cli("trace", clues, "--config", cfg, "--out", out, "--resume") == 1
     err = capsys.readouterr().err
     assert named in err and "--resume" in err
     assert (out / JOURNAL_NAME).read_bytes() == journal

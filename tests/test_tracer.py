@@ -12,12 +12,12 @@ from conftest import addr, make_tx, tx_hash
 from oracle_bfs import bfs_oracle
 from risktagger.chaindata import BridgeTable, BridgeMatcher, FixtureChainClient, FixtureStore
 from risktagger.errors import BackendFailure, ChainUnavailable, CheckpointError
-from risktagger.model import Address, SuspicionLevel, TracerConfig
+from risktagger.model import Address, RiskAssessment, RiskDimension, SuspicionLevel, TracerConfig
 from risktagger.reasoner import Blacklist, RuleBackend
 from risktagger.tracer import (
     JOURNAL_NAME,
-    FrontierContext,
     TracerPorts,
+    collect_frontier,
     filter_frontier,
     trace,
     write_outputs,
@@ -103,6 +103,11 @@ def star_backend():
     return ScriptedBackend({S: "Medium", A: "High", B: "Low", C: "No Suspicion"})
 
 
+def high(state):
+    """The High-rated subset of a trace's labels, in label order."""
+    return [a for a in state.L_all if a.suspicion_level is SuspicionLevel.HIGH]
+
+
 # --- trace over the star fixture ---------------------------------------------
 
 
@@ -110,14 +115,13 @@ def test_star_graph_labels_and_risky_set():
     state = trace([S], "ethereum", TracerConfig(D=3), ports_for(star_txs(), star_backend()))
     by_addr = {a.target_address: a for a in state.L_all}
     assert set(by_addr) == {S, A, B, C}
-    assert [r.target_address for r in state.R_final] == [A]
+    assert [r.target_address for r in high(state)] == [A]
     assert by_addr[S].hop_depth == 0
     assert by_addr[A].hop_depth == 1
     assert by_addr[B].hop_depth == 1
     assert by_addr[C].hop_depth == 2
     assert by_addr[A].suspicion_level is SuspicionLevel.HIGH
     # state invariants at rest
-    assert all(r in state.L_all for r in state.R_final)
     assert len({a.target_address for a in state.L_all}) == len(state.L_all)
 
 
@@ -131,7 +135,7 @@ def test_seed_with_no_outgoing_txs():
     txs = [make_tx(1, A, S, value="5", ts=NOW - 10)]  # only inbound to the seed
     state = trace([S], "ethereum", TracerConfig(D=5), ports_for(txs, ConstBackend()))
     assert [a.target_address for a in state.L_all] == [S]
-    assert state.R_final == []
+    assert high(state) == []
 
 
 def test_depth_zero_rejected_at_config():
@@ -186,11 +190,24 @@ def test_failed_tx_still_yields_neighbor_but_no_value():
 # --- filter_frontier ----------------------------------------------------------
 
 
-def ctx_with(entries, now=NOW):
-    ctx = FrontierContext(now=now)
-    for address, value, ts, flagged in entries:
-        ctx.add(address, value, ts, flagged)
-    return ctx
+def table(entries):
+    """A frontier candidate table: address -> [value, latest ts, flagged]."""
+    return {address: [value, ts, flagged] for address, value, ts, flagged in entries}
+
+
+def nominating(target, neighbors, level=SuspicionLevel.LOW):
+    return RiskAssessment(
+        target_address=target,
+        suspicion_level=level,
+        transaction_patterns=RiskDimension(),
+        fund_flows=RiskDimension(),
+        associated_addresses=RiskDimension(),
+        temporal_signs=RiskDimension(),
+        justification="",
+        gaps="",
+        out_neighbors=neighbors,
+        hop_depth=0,
+    )
 
 
 def counters():
@@ -199,9 +216,15 @@ def counters():
 
 def test_filter_dedup_and_visited():
     x, y = addr(0x10), addr(0x20)
-    ctx = ctx_with([(x, 5, NOW - 10, False), (y, 5, NOW - 10, False)])
+    # nominations x, x, y: the repeat folds into x's entry
+    analyzed = [
+        (nominating(S, [x]), [(5, NOW - 10)]),
+        (nominating(A, [x, y]), [(5, NOW - 20), (5, NOW - 10)]),
+    ]
     diag = counters()
-    out = filter_frontier([x, x, y], {y}, ctx, TracerConfig(), diag)
+    candidates = collect_frontier(analyzed, TracerConfig(), diag)
+    assert candidates == table([(x, 10, NOW - 10, False), (y, 5, NOW - 10, False)])
+    out = filter_frontier(candidates, {y}, NOW, TracerConfig(), diag)
     assert out == [x]
     assert diag["pruned_dup"] == 1
     assert diag["pruned_visited"] == 1
@@ -209,9 +232,8 @@ def test_filter_dedup_and_visited():
 
 def test_filter_zero_value_pruned_with_threshold():
     x = addr(0x10)
-    ctx = ctx_with([(x, 0, NOW - 10, False)])
     diag = counters()
-    out = filter_frontier([x], set(), ctx, TracerConfig(min_value_threshold="1"), diag)
+    out = filter_frontier(table([(x, 0, NOW - 10, False)]), set(), NOW, TracerConfig(min_value_threshold="1"), diag)
     assert out == []
     assert diag["pruned_low_value"] == 1
 
@@ -226,35 +248,34 @@ def test_filter_cap_keeps_top_three_by_priority():
     #   c5: v=0   ts=1000 flagged -> 0.3*1.0 + 0.2              = 0.50
     # c4/c5 tie resolved by ascending address, so c4 takes the third slot
     c1, c2, c3, c4, c5 = (addr(n) for n in (1, 2, 3, 4, 5))
-    ctx = ctx_with(
+    candidates = table(
         [
             (c1, 100, 900, False),
             (c2, 50, 1000, False),
             (c3, 10, 500, True),
             (c4, 100, 500, False),
             (c5, 0, 1000, True),
-        ],
-        now=1000,
+        ]
     )
     diag = counters()
     cfg = TracerConfig(frontier_cap=3)
-    out = filter_frontier([c1, c2, c3, c4, c5], set(), ctx, cfg, diag)
+    out = filter_frontier(candidates, set(), 1000, cfg, diag)
     assert out == [c1, c2, c4]
     assert diag["pruned_cap"] == 2
 
 
 def test_filter_unbounded_keeps_all():
     cands = [addr(n) for n in range(1, 6)]
-    ctx = ctx_with([(a, 10, NOW - 10, False) for a in cands])
-    out = filter_frontier(list(cands), set(), ctx, TracerConfig(frontier_cap=None), counters())
+    candidates = table([(a, 10, NOW - 10, False) for a in cands])
+    out = filter_frontier(candidates, set(), NOW, TracerConfig(frontier_cap=None), counters())
     assert sorted(out) == sorted(cands)
 
 
 def test_filter_degenerate_recency_scores_one():
     # all candidates share now as timestamp: rnorm must be 1.0, not a crash
     x, y = addr(0x10), addr(0x20)
-    ctx = ctx_with([(x, 5, NOW, False), (y, 9, NOW, False)], now=NOW)
-    out = filter_frontier([x, y], set(), ctx, TracerConfig(frontier_cap=1), counters())
+    candidates = table([(x, 5, NOW, False), (y, 9, NOW, False)])
+    out = filter_frontier(candidates, set(), NOW, TracerConfig(frontier_cap=1), counters())
     assert out == [y]
 
 
@@ -280,6 +301,21 @@ def test_account_error_skips_and_records():
     assert reached == {S, B}  # A skipped, so C stays unreachable
     assert len(state.diagnostics["errors"]) == 1
     assert state.diagnostics["errors"][0]["address"] == A.hex
+
+
+def test_resume_keeps_a_journaled_skip(tmp_path):
+    client = FlakyClient(FixtureChainClient(store_from(star_txs())), {A})
+    ports = TracerPorts(
+        client_for=lambda c: client, backend=star_backend(), blacklist=Blacklist(), now=NOW, out_dir=tmp_path
+    )
+    skipped = trace([S], "ethereum", TracerConfig(D=5), ports)
+    # a healthy client on resume: A's journaled skip stands and nothing is redone
+    backend = star_backend()
+    resumed = trace(
+        [S], "ethereum", TracerConfig(D=5), ports_for(star_txs(), backend, out_dir=tmp_path), resume=True
+    )
+    assert snapshot(resumed) == snapshot(skipped)
+    assert backend.calls == 0
 
 
 def test_strict_mode_aborts_on_account_error():
@@ -336,6 +372,15 @@ def journal_records(out_dir):
     return [json.loads(line) for line in (out_dir / JOURNAL_NAME).read_text().splitlines()]
 
 
+def first_of_hop(out_dir, depth):
+    """The first account of a hop's frontier, read from a sequential run's journal."""
+    return next(
+        Address.from_json(r["address"])
+        for r in journal_records(out_dir)[1:]
+        if r["assessment"]["hop_depth"] == depth
+    )
+
+
 def snapshot(state):
     """Everything a finished trace carries, as comparable JSON text."""
     return json.dumps(
@@ -343,7 +388,7 @@ def snapshot(state):
             "depth": state.depth,
             "C_current": [a.to_json() for a in state.C_current],
             "visited": [a.to_json() for a in sorted(state.visited)],
-            "R_final": [r.to_json() for r in state.R_final],
+            "high": [r.to_json() for r in high(state)],
             "L_all": [r.to_json() for r in state.L_all],
             "diagnostics": state.diagnostics,
         }
@@ -355,16 +400,15 @@ def test_checkpoints_written_per_hop(tmp_path):
     state = trace([S], "ethereum", TracerConfig(D=3), ports)
     assert sorted(p.name for p in tmp_path.iterdir()) == [JOURNAL_NAME]
     records = journal_records(tmp_path)
-    assert [r["kind"] for r in records] == [
-        "header", "account", "hop_end", "account", "account", "hop_end", "account", "hop_end",
-    ]
+    assert [r["kind"] for r in records] == ["header", "account", "account", "account", "account"]
     assert records[0]["seeds"] == [S.to_json()]
     journaled = [r["assessment"] for r in records if r["kind"] == "account"]
     assert sorted(journaled, key=json.dumps) == sorted((a.to_json() for a in state.L_all), key=json.dumps)
-    hop_ends = [r for r in records if r["kind"] == "hop_end"]
-    assert [r["hop"] for r in hop_ends] == [0, 1, 2]
-    assert hop_ends[0]["frontier"] == [A.to_json(), B.to_json()]
-    assert hop_ends[-1]["counters"]["fetched"] == 4
+    # hop by hop, each hop's account lines in its frontier order
+    assert [(r["assessment"]["hop_depth"], r["address"]) for r in records[1:]] == [
+        (0, S.to_json()), (1, A.to_json()), (1, B.to_json()), (2, C.to_json()),
+    ]
+    assert state.diagnostics["fetched"] == 4
 
 
 class AbortingBackend:
@@ -393,11 +437,11 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
     crashy = ports_for(star_txs(), AbortingBackend(star_backend(), allow=1), out_dir=out, strict=True)
     with pytest.raises(BackendFailure):
         trace([S], "ethereum", cfg, crashy)
-    assert [r["kind"] for r in journal_records(out)] == ["header", "account", "hop_end"]
+    assert [r["kind"] for r in journal_records(out)] == ["header", "account"]
 
     resumed = trace([S], "ethereum", cfg, ports_for(star_txs(), star_backend(), out_dir=out), resume=True)
     assert resumed.L_all == full.L_all
-    assert resumed.R_final == full.R_final
+    assert high(resumed) == high(full)
 
 
 def test_resume_without_checkpoint_starts_fresh(tmp_path):
@@ -408,7 +452,7 @@ def test_resume_without_checkpoint_starts_fresh(tmp_path):
 def test_fresh_run_truncates_the_journal(tmp_path):
     trace([S], "ethereum", TracerConfig(D=3), ports_for(star_txs(), star_backend(), out_dir=tmp_path))
     trace([S], "ethereum", TracerConfig(D=1), ports_for(star_txs(), star_backend(), out_dir=tmp_path))
-    assert [r["kind"] for r in journal_records(tmp_path)] == ["header", "account", "hop_end"]
+    assert [r["kind"] for r in journal_records(tmp_path)] == ["header", "account"]
 
 
 def test_resume_refuses_a_journal_from_another_run(tmp_path):
@@ -420,22 +464,30 @@ def test_resume_refuses_a_journal_from_another_run(tmp_path):
     assert (tmp_path / JOURNAL_NAME).read_bytes() == before
 
 
-@pytest.mark.parametrize("cut", ["hop_end", "account"])
+@pytest.mark.parametrize("cut", ["boundary", "account"])
 def test_resume_drops_a_torn_last_line(tmp_path, cut):
     cfg = TracerConfig(D=3)
     full = trace([S], "ethereum", cfg, ports_for(star_txs(), star_backend(), out_dir=tmp_path))
     journal = tmp_path / JOURNAL_NAME
     whole = journal.read_bytes()
-    lines = whole.splitlines(keepends=True)
-    # tear the last hop_end, or the last account line after dropping what follows it
-    keep = len(lines) - 1 if cut == "hop_end" else len(lines) - 2
-    journal.write_bytes(b"".join(lines[:keep]) + lines[keep][: len(lines[keep]) // 2])
+    last = whole.splitlines(keepends=True)[-1]
+    # cut before the last account line, or tear that line in half
+    torn = last[: len(last) // 2] if cut == "account" else b""
+    journal.write_bytes(whole[: -len(last)] + torn)
 
     backend = star_backend()
     resumed = trace([S], "ethereum", cfg, ports_for(star_txs(), backend, out_dir=tmp_path), resume=True)
     assert snapshot(resumed) == snapshot(full)
-    assert backend.calls == (0 if cut == "hop_end" else 1)
+    assert backend.calls == 1
     assert journal.read_bytes() == whole
+
+
+def test_resume_refuses_a_header_line_that_is_not_an_object(tmp_path):
+    journal = tmp_path / JOURNAL_NAME
+    journal.write_text("null\n")
+    with pytest.raises(CheckpointError, match="different run"):
+        trace([S], "ethereum", TracerConfig(D=3), ports_for(star_txs(), star_backend(), out_dir=tmp_path), resume=True)
+    assert journal.read_text() == "null\n"
 
 
 def test_resume_rejects_a_corrupt_middle_line(tmp_path):
@@ -481,8 +533,7 @@ def test_mid_hop_interrupt_keeps_every_finished_account(tmp_path, workers):
     widest = max(range(len(sizes)), key=sizes.__getitem__)
     budget = sum(sizes[:widest]) + sizes[widest] // 2
     # the widest hop's first account in frontier order stalls until the budget is spent
-    hop_ends = [r for r in journal_records(tmp_path / "straight") if r["kind"] == "hop_end"]
-    first = Address.from_json(hop_ends[widest - 1]["frontier"][0])
+    first = first_of_hop(tmp_path / "straight", widest)
 
     out = tmp_path / "run"
     interrupted = InterruptAfter(ConstBackend(), allow=budget, slow=first if workers > 1 else None)
@@ -497,6 +548,93 @@ def test_mid_hop_interrupt_keeps_every_finished_account(tmp_path, workers):
     )
     assert snapshot(resumed) == snapshot(straight)
     assert interrupted.calls + again.calls == counted.calls
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_a_resume_interrupted_again_resumes_to_the_straight_run(tmp_path, workers):
+    nodes, txs = random_graph(11, accounts=60, edges=180)  # hops of 1, 2, 5 and 13 accounts
+    cfg = TracerConfig(D=4)
+    counted = InterruptAfter(ConstBackend(), allow=10**9)
+    straight = trace([nodes[0]], "ethereum", cfg, ports_for(txs, counted, out_dir=tmp_path / "straight"))
+
+    out = tmp_path / "run"
+    calls = 0
+    # Ctrl-C 2 accounts into hop 2, then, resumed, 3 accounts into hop 3; with
+    # several workers each hop's first account stalls, so later ones finish first
+    for allow, depth, resume in ((5, 2, False), (6, 3, True)):
+        slow = first_of_hop(tmp_path / "straight", depth) if workers > 1 else None
+        interrupted = InterruptAfter(ConstBackend(), allow=allow, slow=slow)
+        ports = ports_for(txs, interrupted, out_dir=out, workers=workers)
+        with pytest.raises(KeyboardInterrupt):
+            trace([nodes[0]], "ethereum", cfg, ports, resume=resume)
+        calls += interrupted.calls
+    last = InterruptAfter(ConstBackend(), allow=10**9)
+    resumed = trace(
+        [nodes[0]], "ethereum", cfg, ports_for(txs, last, out_dir=out, workers=workers), resume=True
+    )
+    assert snapshot(resumed) == snapshot(straight)
+    assert calls + last.calls == counted.calls
+    journaled = Counter(r["address"]["hex"] for r in journal_records(out)[1:])
+    assert journaled == Counter(a.target_address.hex for a in straight.L_all)
+    if workers == 1:
+        assert (out / JOURNAL_NAME).read_bytes() == (tmp_path / "straight" / JOURNAL_NAME).read_bytes()
+
+
+def edit_hop(address, depth):
+    """Journal edit: the account's line claims another hop."""
+
+    def edit(records):
+        for record in records[1:]:
+            if record["address"] == address.to_json():
+                record["assessment"]["hop_depth"] = depth
+        return records
+
+    return edit
+
+
+def add_stray(address, depth):
+    """Journal edit: C's line copied for another address at the given hop."""
+
+    def edit(records):
+        line = next(r for r in records[1:] if r["address"] == C.to_json())
+        assessment = dict(line["assessment"], target_address=address.to_json(), hop_depth=depth)
+        return records + [dict(line, address=address.to_json(), assessment=assessment)]
+
+    return edit
+
+
+def repeat(address):
+    """Journal edit: the account's line appears a second time."""
+
+    def edit(records):
+        return records + [r for r in records[1:] if r["address"] == address.to_json()]
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (edit_hop(B, 2), B),  # reached at hop 1, journaled at hop 2
+        (edit_hop(C, 1), C),  # journaled at hop 1, reached at hop 2
+        (add_stray(D_ADDR, 2), D_ADDR),  # never reached, journaled within the trace's depth
+        (add_stray(D_ADDR, 7), D_ADDR),  # never reached, journaled past the trace's depth
+        (repeat(B), B),
+    ],
+    ids=["reached-earlier", "reached-later", "unreached", "past-depth", "repeated"],
+)
+def test_resume_refuses_a_misplaced_account(tmp_path, edit, named):
+    cfg = TracerConfig(D=3)
+    trace([S], "ethereum", cfg, ports_for(star_txs(), star_backend(), out_dir=tmp_path))
+    journal = tmp_path / JOURNAL_NAME
+    journal.write_text("".join(json.dumps(r) + "\n" for r in edit(journal_records(tmp_path))))
+    before = journal.read_bytes()
+
+    backend = star_backend()
+    with pytest.raises(CheckpointError, match=f"account {named.hex} "):
+        trace([S], "ethereum", cfg, ports_for(star_txs(), backend, out_dir=tmp_path), resume=True)
+    assert backend.calls == 0
+    assert journal.read_bytes() == before
 
 
 # --- determinism ----------------------------------------------------------------
