@@ -82,6 +82,16 @@ def _input_digests(config: RunConfig) -> dict:
     return inputs
 
 
+def _manifest_inputs(out_dir: Path) -> dict | None:
+    """The input digests of the run.json already in out_dir, which describe the
+    trace whose labels an explain there reports on; None when there are none."""
+    try:
+        manifest = json.loads((out_dir / "run.json").read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return None
+    return manifest.get("inputs") if isinstance(manifest, dict) else None
+
+
 def _llm_backend(config: RunConfig) -> HttpLlmBackend:
     return HttpLlmBackend(config.llm_endpoint, model=config.llm_model)
 
@@ -117,9 +127,8 @@ def _build_ports(config: RunConfig, out_dir: Path, resume: bool, inputs: dict) -
             matcher = BridgeMatcher(BridgeTable.load(config.bridges_path), records_for)
     now = _clock(config, out_dir, resume)
     return TracerPorts(
-        client_for=lambda chain: client,
+        client=client,
         backend=backend,
-        blacklist=blacklist,
         now=now,
         matcher=matcher,
         reflection_rounds=config.reflection_rounds,
@@ -206,11 +215,8 @@ def cmd_trace(args) -> int:
 
 
 def _do_explain(config: RunConfig, out_dir: Path, clues: CaseClues, l_all: list) -> float:
-    r_final = [a for a in l_all if a.suspicion_level is SuspicionLevel.HIGH]
     backend = _llm_backend(config) if config.backend == "llm" else None
-    report = generate_report(
-        clues, (r_final, l_all), backend=backend, temperature=config.llm_temperature
-    )
+    report = generate_report(clues, l_all, backend=backend, temperature=config.llm_temperature)
     scored = coverage(report, build_checklist(clues))
     (out_dir / "report.md").write_text(report, encoding="utf-8")
     _write_json(out_dir / "coverage.json", scored.to_json())
@@ -230,7 +236,7 @@ def cmd_explain(args) -> int:
         print("labels are empty; nothing to report", file=sys.stderr)
         return 2
     _do_explain(config, out_dir, clues, l_all)
-    _write_manifest(out_dir, config)
+    _write_manifest(out_dir, config, _manifest_inputs(out_dir))
     return 0
 
 
@@ -413,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("report", help="report markdown file")
     p.add_argument("clues", help="case_clues.json the checklist derives from")
     p.add_argument("--out-file", help="write coverage JSON here instead of stdout")
-    _add_config_flags(p)
     p.set_defaults(func=cmd_score_coverage)
 
     return parser

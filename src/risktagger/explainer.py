@@ -2,9 +2,11 @@
 
 Two responsibilities live here. ``generate_report`` turns extracted case
 clues plus trace outputs into a markdown document with a fixed eight-section
-outline; a narrative backend may write the prose, but a deterministic
-template renders the same sections from computed statistics whenever the
-backend is absent, fails, or returns a document missing sections.
+outline. Both renderers work from one analysis dict: the case clues, the
+label statistics, the first High accounts and a few evidence lines per
+dimension. A narrative backend may write the prose from its JSON, but a
+deterministic template renders the same sections from the same dict whenever
+the backend is absent, fails, or returns a document missing sections.
 
 ``coverage`` grades how much of a checklist the report actually mentions.
 Each checklist entity is graded full, partial, or missing under rules that
@@ -74,14 +76,6 @@ class ChecklistEntity:
     weight_class: str  # address | number | token | text
 
 
-@dataclass
-class ReportChecklist:
-    entities: list
-
-    def __len__(self) -> int:
-        return len(self.entities)
-
-
 @dataclass(frozen=True)
 class EntityStatus:
     field_name: str
@@ -122,7 +116,7 @@ class CoverageReport:
 # --- checklist derivation ----------------------------------------------------
 
 
-def build_checklist(clues) -> ReportChecklist:
+def build_checklist(clues) -> list[ChecklistEntity]:
     entities = []
 
     def add(field_name: str, value: str, weight_class: str) -> None:
@@ -145,7 +139,7 @@ def build_checklist(clues) -> ReportChecklist:
     for method in clues.laundering_methods:
         add("laundering_methods", method, "text")
     add("laundering_path", clues.laundering_path, "text")
-    return ReportChecklist(entities)
+    return entities
 
 
 # --- matching ----------------------------------------------------------------
@@ -255,13 +249,12 @@ _GRADERS = {
 }
 
 
-def coverage(report: str, checklist: ReportChecklist) -> CoverageReport:
-    if not checklist.entities:
+def coverage(report: str, checklist: list[ChecklistEntity]) -> CoverageReport:
+    if not checklist:
         raise EmptyChecklist("coverage requires a non-empty entity checklist")
     statuses = []
-    for entity in checklist.entities:
-        grader = _GRADERS.get(entity.weight_class, _grade_text)
-        status, matched = grader(entity.value, report)
+    for entity in checklist:
+        status, matched = _GRADERS[entity.weight_class](entity.value, report)
         statuses.append(
             EntityStatus(entity.field_name, entity.value, entity.weight_class, status, matched)
         )
@@ -287,7 +280,7 @@ def _percentages(counts: list[int]) -> list[str]:
     return [f"{t // 10}.{t % 10}%" for t in tenths]
 
 
-def _statistics(r_final: list, l_all: list) -> dict:
+def _statistics(l_all: list) -> dict:
     level_counts = {level: 0 for level in LEVEL_ORDER}
     layer_counts: dict[int, int] = {}
     high_layers: dict[int, int] = {}
@@ -301,7 +294,7 @@ def _statistics(r_final: list, l_all: list) -> dict:
     layer_pcts = _percentages([layer_counts[h] for h in layers])
     return {
         "total_labeled": len(l_all),
-        "risky_flagged": len(r_final),
+        "risky_flagged": level_counts[SuspicionLevel.HIGH],
         "levels": [
             {"level": lv.value, "count": level_counts[lv], "share": pct}
             for lv, pct in zip(LEVEL_ORDER, level_pcts)
@@ -315,15 +308,19 @@ def _statistics(r_final: list, l_all: list) -> dict:
 
 # --- report generation -------------------------------------------------------
 
+# dimension -> the line a report section shows when no account flagged it
+NOTHING_FLAGGED = {
+    "transaction_patterns": "No burst or round-number transfer patterns were flagged in this trace.",
+    "fund_flows": "No aggregation-dispersion fund-flow patterns were flagged in this trace.",
+    "associated_addresses": "No blacklisted counterparties were encountered.",
+    "temporal_signs": "No suspicious night-hour concentration was flagged in this trace.",
+}
 
-def _sorted_assessments(l_all: list) -> list:
-    return sorted(l_all, key=lambda a: (a.hop_depth, a.target_address))
 
-
-def _evidence_lines(l_all: list, pick) -> list[str]:
+def _evidence_lines(ordered: list, name: str) -> list[str]:
     lines = []
-    for assessment in _sorted_assessments(l_all):
-        dimension = pick(assessment)
+    for assessment in ordered:
+        dimension = getattr(assessment, name)
         if not dimension.indicates_risk():
             continue
         entry = f"- `{assessment.target_address.hex}` (layer {assessment.hop_depth}): {dimension.result}"
@@ -335,31 +332,19 @@ def _evidence_lines(l_all: list, pick) -> list[str]:
     return lines
 
 
-def _analysis_json(clues, stats: dict, r_final: list, l_all: list) -> str:
-    examples = [
-        {
-            "address": a.target_address.hex,
-            "layer": a.hop_depth,
-            "justification": a.justification,
-        }
-        for a in _sorted_assessments(r_final)[:HIGH_RISK_EXAMPLES]
-    ]
-    evidence = {
-        name: _evidence_lines(l_all, pick)
-        for name, pick in (
-            ("transaction_patterns", lambda a: a.transaction_patterns),
-            ("fund_flows", lambda a: a.fund_flows),
-            ("associated_addresses", lambda a: a.associated_addresses),
-            ("temporal_signs", lambda a: a.temporal_signs),
-        )
-    }
-    payload = {
+def _analysis(clues, l_all: list) -> dict:
+    """The facts both renderers report, with accounts in (layer, address) order."""
+    ordered = sorted(l_all, key=lambda a: (a.hop_depth, a.target_address))
+    high = [a for a in ordered if a.suspicion_level is SuspicionLevel.HIGH]
+    return {
         "case_clues": clues.to_json(),
-        "statistics": stats,
-        "high_risk_examples": examples,
-        "dimension_evidence": evidence,
+        "statistics": _statistics(l_all),
+        "high_risk_examples": [
+            {"address": a.target_address.hex, "layer": a.hop_depth, "justification": a.justification}
+            for a in high[:HIGH_RISK_EXAMPLES]
+        ],
+        "dimension_evidence": {name: _evidence_lines(ordered, name) for name in NOTHING_FLAGGED},
     }
-    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def _has_all_sections(text: str) -> bool:
@@ -428,16 +413,16 @@ def _section_statistics(stats: dict) -> list[str]:
     return lines
 
 
-def _section_risk_accounts(stats: dict, r_final: list) -> list[str]:
-    if not r_final:
+def _section_risk_accounts(stats: dict, examples: list) -> list[str]:
+    if not examples:
         lines = [
             "The trace surfaced no high-risk accounts; every reached account "
             "was rated Medium or below."
         ]
     else:
         lines = ["Representative high-risk accounts:"]
-        for a in _sorted_assessments(r_final)[:HIGH_RISK_EXAMPLES]:
-            lines.append(f"- `{a.target_address.hex}` (layer {a.hop_depth}): {a.justification}")
+        for ex in examples:
+            lines.append(f"- `{ex['address']}` (layer {ex['layer']}): {ex['justification']}")
     counts = {row["level"]: row["count"] for row in stats["levels"]}
     lines += [
         "",
@@ -450,9 +435,8 @@ def _section_risk_accounts(stats: dict, r_final: list) -> list[str]:
     return lines
 
 
-def _pattern_section(l_all: list, pick, empty_note: str) -> list[str]:
-    lines = _evidence_lines(l_all, pick)
-    return lines or [empty_note]
+def _dimension_section(evidence: dict, *names: str) -> list[str]:
+    return [line for name in names for line in evidence[name] or [NOTHING_FLAGGED[name]]]
 
 
 def _section_conclusion(stats: dict) -> list[str]:
@@ -471,32 +455,16 @@ def _section_conclusion(stats: dict) -> list[str]:
     ]
 
 
-def _render_template(clues, stats: dict, r_final: list, l_all: list) -> str:
+def _render_template(clues, analysis: dict) -> str:
+    stats, evidence = analysis["statistics"], analysis["dimension_evidence"]
     bodies = [
         _section_introduction(clues, stats),
         _section_overview(clues),
         _section_statistics(stats),
-        _section_risk_accounts(stats, r_final),
-        _pattern_section(
-            l_all,
-            lambda a: a.transaction_patterns,
-            "No burst or round-number transfer patterns were flagged in this trace.",
-        ),
-        _pattern_section(
-            l_all,
-            lambda a: a.fund_flows,
-            "No aggregation-dispersion fund-flow patterns were flagged in this trace.",
-        )
-        + _pattern_section(
-            l_all,
-            lambda a: a.associated_addresses,
-            "No blacklisted counterparties were encountered.",
-        ),
-        _pattern_section(
-            l_all,
-            lambda a: a.temporal_signs,
-            "No suspicious night-hour concentration was flagged in this trace.",
-        ),
+        _section_risk_accounts(stats, analysis["high_risk_examples"]),
+        _dimension_section(evidence, "transaction_patterns"),
+        _dimension_section(evidence, "fund_flows", "associated_addresses"),
+        _dimension_section(evidence, "temporal_signs"),
         _section_conclusion(stats),
     ]
     parts = ["# Fund Flow Audit Report"]
@@ -506,36 +474,25 @@ def _render_template(clues, stats: dict, r_final: list, l_all: list) -> str:
     return "\n\n".join(parts) + "\n"
 
 
-def generate_report(
-    clues,
-    dataset: tuple,
-    backend=None,
-    fallback: bool = True,
-    temperature: float = 0.0,
-) -> str:
-    """Render the eight-section audit report for one trace.
+def generate_report(clues, l_all: list, backend=None, temperature: float = 0.0) -> str:
+    """Render the eight-section audit report for one trace's labels.
 
     With a backend, the narrative comes from the explainer prompt; the reply
-    is accepted only when it carries all eight section headings. Otherwise
-    (or on failure, unless fallback is disabled) the deterministic template
-    fills the same sections from computed statistics.
+    is accepted only when it carries all eight section headings. Otherwise,
+    or when the backend fails, the deterministic template fills the same
+    sections from the same analysis.
     """
-    r_final, l_all = dataset
     if not l_all:
         raise ValueError("trace outputs are empty; nothing to report")
-    stats = _statistics(r_final, l_all)
+    analysis = _analysis(clues, l_all)
     if backend is not None:
-        prompt = build_explainer_prompt(_analysis_json(clues, stats, r_final, l_all))
+        prompt = build_explainer_prompt(json.dumps(analysis, indent=2, sort_keys=True))
         try:
             reply = backend.complete(prompt, temperature=temperature, max_tokens=REPORT_MAX_TOKENS)
         except BackendFailure as exc:
-            if not fallback:
-                raise
             log.warning("narrative backend failed (%s); using the template renderer", exc)
         else:
             if _has_all_sections(reply):
                 return reply
-            if not fallback:
-                raise BackendFailure("backend reply lacks the eight required report sections")
             log.warning("backend reply missing required sections; using the template renderer")
-    return _render_template(clues, stats, r_final, l_all)
+    return _render_template(clues, analysis)

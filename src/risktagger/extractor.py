@@ -575,9 +575,9 @@ def consolidate(summaries: list, backend=None):
     return clues, audit
 
 
-def extract_case_clues(text: str, backend=None, max_chunk_chars: int = DEFAULT_CHUNK_CHARS):
+def extract_case_clues(text: str, backend=None):
     """Full pipeline: split, per-chunk extraction, consolidation."""
     backend = backend if backend is not None else PatternExtractor()
-    chunks = split_document(text, max_chunk_chars)
+    chunks = split_document(text)
     summaries = [summarize_chunk(chunk, backend) for chunk in chunks]
     return consolidate(summaries, backend)

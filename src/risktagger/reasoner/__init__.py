@@ -13,7 +13,7 @@ from .prompts import (
     render,
     template_hashes,
 )
-from .rules import RuleBackend, RuleThresholds, decide_level, rule_backend_assess
+from .rules import RuleBackend, decide_level, rule_backend_assess
 
 __all__ = [
     "BackendPort",
@@ -30,7 +30,6 @@ __all__ = [
     "render",
     "template_hashes",
     "RuleBackend",
-    "RuleThresholds",
     "decide_level",
     "rule_backend_assess",
 ]

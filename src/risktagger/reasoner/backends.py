@@ -22,7 +22,6 @@ if TYPE_CHECKING:
 
 LLM_KEY_ENV = "RISKTAGGER_LLM_KEY"
 
-DEFAULT_TEMPERATURE = 0.3
 DEFAULT_MAX_TOKENS = 2048
 
 

@@ -12,8 +12,7 @@ import re
 
 from ..model import RiskAssessment, SuspicionLevel
 from ..translator import AccountSubgraph, to_reasoner_payload
-from .backends import DEFAULT_MAX_TOKENS, DEFAULT_TEMPERATURE, BackendPort
-from .blacklist import Blacklist
+from .backends import DEFAULT_MAX_TOKENS, BackendPort
 from .parsing import VerdictFragment, parse_verdict
 from .prompts import build_cot_prompt, build_reflection_prompt
 
@@ -50,11 +49,10 @@ def parse_reflection(text: str) -> list[str]:
 
 def infer_risk(
     sub: AccountSubgraph,
-    blacklist: Blacklist,
     backend: BackendPort,
     hop_depth: int = 0,
     reflection_rounds: int = 1,
-    temperature: float = DEFAULT_TEMPERATURE,
+    temperature: float = 0.0,
 ) -> RiskAssessment:
     payload = to_reasoner_payload(sub)
     prompt = build_cot_prompt(payload, sub.center)

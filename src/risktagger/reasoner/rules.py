@@ -21,7 +21,6 @@ the level (monotonicity is exercised in the tests).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from datetime import datetime
 from decimal import Decimal
 
@@ -31,17 +30,13 @@ from .blacklist import Blacklist
 
 ROUND_UNIT_RAW = 10**21
 ROUND_UNIT_DISPLAY = Decimal(1000)
-
-
-@dataclass(frozen=True)
-class RuleThresholds:
-    fan_in_min: int = 10
-    dispersal_receivers_min: int = 2
-    dispersal_window_s: int = 3600
-    burst_tx_min: int = 20
-    night_start_hour: int = 2
-    night_end_hour: int = 4
-    night_fraction: float = 0.5
+FAN_IN_MIN = 10
+DISPERSAL_RECEIVERS_MIN = 2
+DISPERSAL_WINDOW_S = 3600
+BURST_TX_MIN = 20
+NIGHT_START_HOUR = 2
+NIGHT_END_HOUR = 4
+NIGHT_FRACTION = 0.5
 
 
 def decide_level(fired: set) -> SuspicionLevel:
@@ -78,9 +73,8 @@ def _hour_utc(iso_ts: str) -> int:
     return datetime.fromisoformat(iso_ts).hour  # payload timestamps are UTC
 
 
-def rule_backend_assess(payload: dict, blacklist: Blacklist, thresholds: RuleThresholds | None = None) -> dict:
+def rule_backend_assess(payload: dict, blacklist: Blacklist) -> dict:
     """Apply the rule table to one reasoner payload; returns the verdict dict."""
-    th = thresholds or RuleThresholds()
     target = payload.get("target_address", {}).get("hex", "")
     stats = payload.get("statistics", {})
     rows = payload.get("transactions", [])
@@ -103,12 +97,12 @@ def rule_backend_assess(payload: dict, blacklist: Blacklist, thresholds: RuleThr
     # a) burst over the full fetched set, or any round-number transfer
     burst = int(stats.get("max_burst_1h", 0))
     round_rows = [r for r in ok_rows if _is_round(r.get("value", "0"))]
-    a_fired = burst >= th.burst_tx_min or bool(round_rows)
+    a_fired = burst >= BURST_TX_MIN or bool(round_rows)
 
     # b) fan-in (full-set counterparties) plus quick dispersal among outgoing rows
     fan_in = int(stats.get("distinct_counterparties_in", 0))
-    dispersal, dispersal_span = _max_dispersal(out_rows, th.dispersal_window_s)
-    b_fired = fan_in >= th.fan_in_min and dispersal >= th.dispersal_receivers_min
+    dispersal = _max_dispersal(out_rows)
+    b_fired = fan_in >= FAN_IN_MIN and dispersal >= DISPERSAL_RECEIVERS_MIN
 
     # c) blacklist counterparties
     hits = {}
@@ -123,10 +117,10 @@ def rule_backend_assess(payload: dict, blacklist: Blacklist, thresholds: RuleThr
     night = [
         r
         for r in rows
-        if th.night_start_hour <= _hour_utc(r["timeStamp"]) < th.night_end_hour
+        if NIGHT_START_HOUR <= _hour_utc(r["timeStamp"]) < NIGHT_END_HOUR
     ]
     night_share = len(night) / len(rows)
-    d_fired = night_share >= th.night_fraction
+    d_fired = night_share >= NIGHT_FRACTION
 
     fired = {letter for letter, flag in (("a", a_fired), ("b", b_fired), ("c", c_fired), ("d", d_fired)) if flag}
     level = decide_level(fired)
@@ -136,7 +130,7 @@ def rule_backend_assess(payload: dict, blacklist: Blacklist, thresholds: RuleThr
 
     if a_fired:
         parts = []
-        if burst >= th.burst_tx_min:
+        if burst >= BURST_TX_MIN:
             parts.append(f"burst of {burst} transfers inside one hour")
         if round_rows:
             parts.append(f"round-number transfers ({len(round_rows)} rows)")
@@ -148,7 +142,7 @@ def rule_backend_assess(payload: dict, blacklist: Blacklist, thresholds: RuleThr
         b_dim = {
             "result": (
                 f"Aggregation-dispersion pattern: funds pooled from {fan_in} distinct senders, "
-                f"then dispersed to {dispersal} receivers within {dispersal_span} s"
+                f"then dispersed to {dispersal} receivers within {DISPERSAL_WINDOW_S} s"
             ),
             "evidence": cite(out_rows),
         }
@@ -165,7 +159,7 @@ def rule_backend_assess(payload: dict, blacklist: Blacklist, thresholds: RuleThr
         d_dim = {
             "result": (
                 f"Night-hour concentration: {night_share:.0%} of transfers between "
-                f"{th.night_start_hour:02d}:00 and {th.night_end_hour:02d}:00 UTC"
+                f"{NIGHT_START_HOUR:02d}:00 and {NIGHT_END_HOUR:02d}:00 UTC"
             ),
             "evidence": cite(night),
         }
@@ -190,16 +184,14 @@ def rule_backend_assess(payload: dict, blacklist: Blacklist, thresholds: RuleThr
     }
 
 
-def _max_dispersal(out_rows: list, window_s: int) -> tuple[int, int]:
-    """Max distinct receivers inside any time window among outgoing rows."""
-    if not out_rows:
-        return 0, window_s
+def _max_dispersal(out_rows: list) -> int:
+    """Max distinct receivers inside any DISPERSAL_WINDOW_S window among outgoing rows."""
     events = sorted((_epoch(r["timeStamp"]), r["to"]) for r in out_rows)
     best = 0
     for i, (t0, _) in enumerate(events):
-        receivers = {to for t, to in events[i:] if t - t0 <= window_s}
+        receivers = {to for t, to in events[i:] if t - t0 <= DISPERSAL_WINDOW_S}
         best = max(best, len(receivers))
-    return best, window_s
+    return best
 
 
 class RuleBackend:
@@ -210,9 +202,8 @@ class RuleBackend:
     # the tracer analyzes accounts in its own thread for such a backend
     in_process = True
 
-    def __init__(self, blacklist: Blacklist | None = None, thresholds: RuleThresholds | None = None):
+    def __init__(self, blacklist: Blacklist | None = None):
         self.blacklist = blacklist or Blacklist()
-        self.thresholds = thresholds or RuleThresholds()
 
     def complete(self, prompt: str, temperature: float, max_tokens: int) -> str:
         if "blockchain security auditor" in prompt[:200]:
@@ -221,7 +212,7 @@ class RuleBackend:
                 "account statistics; every fired dimension cites transaction rows."
             )
         payload = self._payload_from_prompt(prompt)
-        verdict = rule_backend_assess(payload, self.blacklist, self.thresholds)
+        verdict = rule_backend_assess(payload, self.blacklist)
         return json.dumps(verdict, indent=2, ensure_ascii=False)
 
     @staticmethod

@@ -64,8 +64,7 @@ from .errors import (
     UnparseableVerdict,
 )
 from .model import Address, RiskAssessment, SuspicionLevel, TracerConfig, normalize_address
-from .reasoner import Blacklist, infer_risk
-from .reasoner.backends import DEFAULT_TEMPERATURE
+from .reasoner import infer_risk
 from .reasoner.prompts import template_hashes
 from .translator import build_subgraph
 
@@ -109,13 +108,12 @@ class TracerState:
 class TracerPorts:
     """Everything the loop talks to, injected so tests can swap any piece."""
 
-    client_for: object  # chain id -> adapter with fetch_transactions(Address)
+    client: object  # chain adapter with fetch_transactions(Address)
     backend: object  # BackendPort
-    blacklist: Blacklist
     now: int
     matcher: object = None  # cross-chain matcher; None disables bridge expansion
     reflection_rounds: int = 1
-    temperature: float = DEFAULT_TEMPERATURE
+    temperature: float = 0.0
     out_dir: Path | None = None  # the run journal lives here when set
     strict: bool = False
     workers: int = 1  # concurrent analyses per hop, unless the backend is in_process
@@ -218,14 +216,12 @@ def _analyze_account(account: Address, depth: int, cfg: TracerConfig, ports: Tra
     a skip outcome, except under ports.strict, where it propagates."""
     fetched = False
     try:
-        client = ports.client_for(account.chain)
-        txs = client.fetch_transactions(account)
+        txs = ports.client.fetch_transactions(account)
         fetched = True
         pairs = ports.matcher.expand(account, txs) if ports.matcher is not None else []
         sub = build_subgraph(account, txs, pairs, cfg, ports.now)
         assessment = infer_risk(
             sub,
-            ports.blacklist,
             ports.backend,
             hop_depth=depth,
             reflection_rounds=ports.reflection_rounds,

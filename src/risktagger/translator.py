@@ -193,11 +193,9 @@ def scaled_amount(value: str, decimals: int) -> str:
     return f"{whole}.{frac}"
 
 
-def display_amount(value: str, token_symbol: str, chain: str, decimals=None, natives=None) -> str:
-    decimals = DEFAULT_DECIMALS if decimals is None else decimals
-    natives = NATIVE_SYMBOLS if natives is None else natives
-    label = token_symbol or natives.get(chain, NATIVE_KEY)
-    d = decimals.get(label)
+def display_amount(value: str, token_symbol: str, chain: str) -> str:
+    label = token_symbol or NATIVE_SYMBOLS.get(chain, NATIVE_KEY)
+    d = DEFAULT_DECIMALS.get(label)
     if d is None:
         return f"{value} (raw) {label}"
     return f"{scaled_amount(value, d)} {label}"
@@ -207,17 +205,16 @@ def _iso(ts: int) -> str:
     return datetime.fromtimestamp(ts, tz=timezone.utc).isoformat()
 
 
-def to_reasoner_payload(sub: AccountSubgraph, decimals=None, natives=None) -> dict:
+def to_reasoner_payload(sub: AccountSubgraph) -> dict:
     """Canonical dict the prompt embeds; key order is part of the contract."""
-    natives = NATIVE_SYMBOLS if natives is None else natives
     chain = sub.center.chain
 
     def totals_display(totals: dict) -> dict:
         out = {}
         for key, raw in totals.items():
             symbol = "" if key == NATIVE_KEY else key
-            out[key if key != NATIVE_KEY else natives.get(chain, NATIVE_KEY)] = display_amount(
-                raw, symbol, chain, decimals, natives
+            out[key if key != NATIVE_KEY else NATIVE_SYMBOLS.get(chain, NATIVE_KEY)] = display_amount(
+                raw, symbol, chain
             )
         return out
 
@@ -241,8 +238,8 @@ def to_reasoner_payload(sub: AccountSubgraph, decimals=None, natives=None) -> di
             "hash": tx.hash,
             "from": tx.from_addr.hex,
             "to": tx.to_addr.hex,
-            "value": display_amount(tx.value, tx.tokenSymbol, tx.chain, decimals, natives),
-            "tokenSymbol": tx.tokenSymbol or natives.get(tx.chain, NATIVE_KEY),
+            "value": display_amount(tx.value, tx.tokenSymbol, tx.chain),
+            "tokenSymbol": tx.tokenSymbol or NATIVE_SYMBOLS.get(tx.chain, NATIVE_KEY),
             "timeStamp": _iso(tx.timeStamp),
             "isError": tx.isError,
         }
@@ -256,8 +253,8 @@ def to_reasoner_payload(sub: AccountSubgraph, decimals=None, natives=None) -> di
             "dst_chain": p.dst_tx.chain,
             "dst_to": p.dst_tx.to_addr.hex,
             "token": p.token,
-            "amount_src": display_amount(p.amount_src, p.src_tx.tokenSymbol, p.src_tx.chain, decimals, natives),
-            "amount_dst": display_amount(p.amount_dst, p.dst_tx.tokenSymbol, p.dst_tx.chain, decimals, natives),
+            "amount_src": display_amount(p.amount_src, p.src_tx.tokenSymbol, p.src_tx.chain),
+            "amount_dst": display_amount(p.amount_dst, p.dst_tx.tokenSymbol, p.dst_tx.chain),
             "time_delta_s": p.time_delta_s,
             "bridge_hint": p.bridge_hint,
         }

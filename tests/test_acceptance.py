@@ -18,7 +18,7 @@ from oracle_bfs import bfs_oracle, read_rows
 from risktagger.chaindata import EtherscanClient, FetchCache, FixtureChainClient, FixtureStore
 from risktagger.cli import main
 from risktagger.errors import BackendFailure
-from risktagger.explainer import ChecklistEntity, ReportChecklist, coverage
+from risktagger.explainer import ChecklistEntity, coverage
 from risktagger.extractor import extract_case_clues
 from risktagger.model import SuspicionLevel, TracerConfig
 from risktagger.reasoner import Blacklist, RuleBackend, decide_level, load_template, render
@@ -41,9 +41,8 @@ def synthetic_ports(**overrides):
     client = FixtureChainClient(FixtureStore.load_dir(SYNTHETIC))
     blacklist = Blacklist.load(FIXTURES / "blacklist.txt")
     kwargs = dict(
-        client_for=lambda chain: client,
+        client=client,
         backend=RuleBackend(blacklist),
-        blacklist=blacklist,
         now=NOW,
     )
     kwargs.update(overrides)
@@ -134,7 +133,7 @@ def _scored(e_full: int, e_part: int, e_all: int) -> float:
             lines.append(f"Account {ent.value} moved funds onward.")
         elif status == "partial":
             lines.append(f"Account {ent.value[:6]}… moved funds onward.")
-    report = coverage("\n".join(lines), ReportChecklist(entities))
+    report = coverage("\n".join(lines), entities)
     assert (report.e_full, report.e_part, report.e_all) == (e_full, e_part, e_all)
     return report.r_coverage
 
@@ -272,7 +271,7 @@ def test_criterion_6_warm_cache_live_rerun_issues_zero_upstream_requests(tmp_pat
             cache=FetchCache(cache_dir),
             rate_limit_per_s=0.0, backoff_base_s=0.01,
         )
-        state = trace([SEED], "ethereum", cfg, synthetic_ports(client_for=lambda chain: client))
+        state = trace([SEED], "ethereum", cfg, synthetic_ports(client=client))
         return [a.to_json() for a in state.L_all]
 
     with StubChainServer(_pages_from_fixture()) as server:

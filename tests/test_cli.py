@@ -391,6 +391,17 @@ def test_explain_writes_report_with_full_fallback_coverage(tmp_path):
     assert "entity_counting" in scored["metadata"]
 
 
+def test_explain_into_the_trace_directory_keeps_its_input_digests(tmp_path):
+    clues = extract_clues(tmp_path)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli("trace", clues, "--config", cfg, "--max-depth", 2) == 0
+    inputs = json.loads((out / "run.json").read_text())["inputs"]
+    assert set(inputs) == {"fixtures", "blacklist"}
+    assert run_cli("explain", clues, out, "--config", cfg) == 0
+    assert json.loads((out / "run.json").read_text())["inputs"] == inputs
+
+
 def test_explain_empty_labels_exits_two(tmp_path, capsys):
     clues = extract_clues(tmp_path)
     cfg = write_config(tmp_path)
@@ -474,6 +485,16 @@ def test_score_coverage_agrees_with_explain(tmp_path):
     direct = json.loads(scored_file.read_text())
     via_explain = json.loads((out / "coverage.json").read_text())
     assert direct == via_explain
+
+
+def test_score_coverage_rejects_the_config_flags_it_never_reads(tmp_path, capsys):
+    clues = extract_clues(tmp_path)
+    report = tmp_path / "report.md"
+    report.write_text("report")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("score-coverage", report, clues, "--config", "x")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config x" in capsys.readouterr().err
 
 
 # --- config loading -----------------------------------------------------------

@@ -1,5 +1,6 @@
 """Report rendering and information-coverage scoring."""
 
+import json
 import random
 
 import pytest
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 from conftest import FIXTURES, addr
 from risktagger.errors import BackendFailure, EmptyChecklist
 from risktagger.explainer import (
+    NOTHING_FLAGGED,
     SECTION_TITLES,
     ChecklistEntity,
-    ReportChecklist,
     build_checklist,
     coverage,
     generate_report,
@@ -40,7 +41,7 @@ def report_for(entities, statuses) -> str:
 def scored(e_full: int, e_part: int, e_all: int) -> float:
     entities = [entity(i) for i in range(e_all)]
     statuses = ["full"] * e_full + ["partial"] * e_part + ["missing"] * (e_all - e_full - e_part)
-    rep = coverage(report_for(entities, statuses), ReportChecklist(entities))
+    rep = coverage(report_for(entities, statuses), entities)
     assert rep.e_full == e_full and rep.e_part == e_part and rep.e_all == e_all
     return rep.r_coverage
 
@@ -83,17 +84,16 @@ def test_upgrading_one_entity_never_lowers_coverage(data):
     if not upgradable:
         return
     entities = [entity(i) for i in range(e_all)]
-    checklist = ReportChecklist(entities)
-    before = coverage(report_for(entities, statuses), checklist).r_coverage
+    before = coverage(report_for(entities, statuses), entities).r_coverage
     i = rng.choice(upgradable)
     statuses[i] = "partial" if statuses[i] == "missing" else "full"
-    after = coverage(report_for(entities, statuses), checklist).r_coverage
+    after = coverage(report_for(entities, statuses), entities).r_coverage
     assert after >= before
 
 
 def test_empty_checklist_rejected():
     with pytest.raises(EmptyChecklist):
-        coverage("anything", ReportChecklist([]))
+        coverage("anything", [])
 
 
 # --- per-class matching rules -----------------------------------------------
@@ -112,7 +112,7 @@ ADDR = "0x47666fab8bd0ac7003bce3f5c3585383f09486e2"
     ],
 )
 def test_address_matching(text, status):
-    rep = coverage(text, ReportChecklist([ChecklistEntity("attacker_addresses", ADDR, "address")]))
+    rep = coverage(text, [ChecklistEntity("attacker_addresses", ADDR, "address")])
     assert rep.entities[0].status == status
 
 
@@ -128,7 +128,7 @@ def test_address_matching(text, status):
     ],
 )
 def test_number_matching(value, text, status):
-    rep = coverage(text, ReportChecklist([ChecklistEntity("stolen_usd", value, "number")]))
+    rep = coverage(text, [ChecklistEntity("stolen_usd", value, "number")])
     assert rep.entities[0].status == status
 
 
@@ -144,7 +144,7 @@ def test_number_matching(value, text, status):
     ],
 )
 def test_token_matching(value, text, status):
-    rep = coverage(text, ReportChecklist([ChecklistEntity("stolen_token", value, "token")]))
+    rep = coverage(text, [ChecklistEntity("stolen_token", value, "token")])
     assert rep.entities[0].status == status
 
 
@@ -158,14 +158,14 @@ def test_token_matching(value, text, status):
     ],
 )
 def test_text_matching(value, text, status):
-    rep = coverage(text, ReportChecklist([ChecklistEntity("laundering_methods", value, "text")]))
+    rep = coverage(text, [ChecklistEntity("laundering_methods", value, "text")])
     assert rep.entities[0].status == status
 
 
 def test_matched_snippet_recorded_for_full_hits():
-    rep = coverage(f"seen at {ADDR} today", ReportChecklist([ChecklistEntity("a", ADDR, "address")]))
+    rep = coverage(f"seen at {ADDR} today", [ChecklistEntity("a", ADDR, "address")])
     assert rep.entities[0].matched.lower() == ADDR
-    missing = coverage("nothing", ReportChecklist([ChecklistEntity("a", ADDR, "address")]))
+    missing = coverage("nothing", [ChecklistEntity("a", ADDR, "address")])
     assert missing.entities[0].matched == ""
 
 
@@ -193,7 +193,7 @@ def sample_clues(**overrides) -> CaseClues:
 def test_checklist_one_entity_per_list_element_and_token_symbol():
     checklist = build_checklist(sample_clues())
     by_field = {}
-    for ent in checklist.entities:
+    for ent in checklist:
         by_field.setdefault(ent.field_name, []).append(ent)
     assert len(by_field["contract_address"]) == 2
     assert len(by_field["attacker_addresses"]) == 1
@@ -219,7 +219,7 @@ def test_checklist_one_entity_per_list_element_and_token_symbol():
 
 
 def test_checklist_weight_classes():
-    classes = {e.field_name: e.weight_class for e in build_checklist(sample_clues()).entities}
+    classes = {e.field_name: e.weight_class for e in build_checklist(sample_clues())}
     assert classes["attacker_addresses"] == "address"
     assert classes["stolen_usd"] == "number"
     assert classes["stolen_token"] == "token"
@@ -228,7 +228,7 @@ def test_checklist_weight_classes():
 
 def test_checklist_skips_empty_fields():
     clues = sample_clues(laundering_methods=[], laundering_path="", attack_vector="")
-    fields = {e.field_name for e in build_checklist(clues).entities}
+    fields = {e.field_name for e in build_checklist(clues)}
     assert "laundering_methods" not in fields
     assert "laundering_path" not in fields
     assert "attack_vector" not in fields
@@ -276,8 +276,7 @@ def fixture_dataset():
         )
         for i, level in enumerate(levels)
     ]
-    r_final = [a for a in l_all if a.suspicion_level is SuspicionLevel.HIGH]
-    return r_final, l_all
+    return l_all
 
 
 def section_bodies(report: str) -> dict:
@@ -310,7 +309,7 @@ def test_percentages_sum_to_one_hundred_with_awkward_thirds():
     # 1/3 each rounds to 33.3; naive rounding would total 99.9.
     levels = [SuspicionLevel.HIGH, SuspicionLevel.MEDIUM, SuspicionLevel.LOW]
     l_all = [assessment(0xF0 + i, levels[i], hop=0) for i in range(3)]
-    report = generate_report(sample_clues(), ([l_all[0]], l_all))
+    report = generate_report(sample_clues(), l_all)
     stats = section_bodies(report)["Dataset Statistical Summary"]
     shown = [float(tok.strip("|").rstrip("%")) for tok in stats.split() if tok.rstrip("|").endswith("%")]
     level_pcts = [p for p in shown if p in (33.3, 33.4)]
@@ -324,9 +323,8 @@ def test_hop_layer_distribution_present():
 
 
 def test_empty_r_final_states_no_high_risk_accounts():
-    _, l_all = fixture_dataset()
-    calm = [a for a in l_all if a.suspicion_level is not SuspicionLevel.HIGH]
-    report = generate_report(sample_clues(), ([], calm))
+    calm = [a for a in fixture_dataset() if a.suspicion_level is not SuspicionLevel.HIGH]
+    report = generate_report(sample_clues(), calm)
     assert "no high-risk accounts" in section_bodies(report)["Risk Account Analysis"].lower()
     assert len([l for l in report.splitlines() if l.startswith("## ")]) == 8
 
@@ -338,7 +336,7 @@ def test_overview_mentions_grouped_stolen_value():
 
 def test_empty_trace_rejected():
     with pytest.raises(ValueError):
-        generate_report(sample_clues(), ([], []))
+        generate_report(sample_clues(), [])
 
 
 def test_fallback_report_fully_covers_its_own_checklist():
@@ -405,11 +403,23 @@ def test_backend_missing_sections_falls_back_to_template():
     assert "1,500,000,000 USD" in report
 
 
+def test_prompt_and_template_report_one_analysis():
+    backend = ScriptedBackend("a reply without the section headings")
+    report = generate_report(sample_clues(), fixture_dataset(), backend=backend)
+    prompt = backend.prompts[0]
+    analysis, _ = json.JSONDecoder().raw_decode(prompt, prompt.index('{\n  "case_clues"'))
+    evidence = analysis["dimension_evidence"]
+    assert set(evidence) == set(NOTHING_FLAGGED)
+    assert evidence["associated_addresses"] == []  # the fixture flags no counterparty
+    for name, lines in evidence.items():
+        for line in lines or [NOTHING_FLAGGED[name]]:
+            assert line in report, (name, line)
+    assert len(analysis["high_risk_examples"]) == 2
+    for example in analysis["high_risk_examples"]:
+        assert example["address"] in report
+
+
 def test_backend_failure_falls_back_by_default():
     report = generate_report(sample_clues(), fixture_dataset(), backend=FailingBackend())
     assert len([l for l in report.splitlines() if l.startswith("## ")]) == 8
 
-
-def test_backend_failure_without_fallback_raises():
-    with pytest.raises(BackendFailure):
-        generate_report(sample_clues(), fixture_dataset(), backend=FailingBackend(), fallback=False)

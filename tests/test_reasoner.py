@@ -318,7 +318,7 @@ def star_subgraph(pairs=()):
 
 def test_infer_risk_happy_path_single_call():
     backend = CountingBackend([verdict_json("High", a="burst", justification="j", gaps="g")])
-    result = infer_risk(star_subgraph(), Blacklist(), backend, hop_depth=2)
+    result = infer_risk(star_subgraph(), backend, hop_depth=2)
     assert result.suspicion_level is SuspicionLevel.HIGH
     assert result.hop_depth == 2
     assert result.justification == "j"
@@ -336,7 +336,7 @@ def test_infer_risk_out_neighbors_include_cross_chain():
     out_src = next(t for t in star_txs() if t.from_addr == CENTER)
     pair = CrossChainPair(out_src, dst, "native", out_src.value, "99", 10)
     backend = CountingBackend([verdict_json("Low", a="x")])
-    result = infer_risk(star_subgraph([pair]), Blacklist(), backend)
+    result = infer_risk(star_subgraph([pair]), backend)
     assert addr(0xB1, "bsc") in result.out_neighbors
 
 
@@ -345,7 +345,7 @@ def test_reflection_triggered_by_high_without_risky_dims():
     review = "Critical Issues Identified:\n- Level High but no dimension indicates risk\n- Evidence missing"
     fixed = verdict_json("Medium", c="blacklist-linked counterparty")
     backend = CountingBackend([first, fixed], [review])
-    result = infer_risk(star_subgraph(), Blacklist(), backend, reflection_rounds=1)
+    result = infer_risk(star_subgraph(), backend, reflection_rounds=1)
     assert result.suspicion_level is SuspicionLevel.MEDIUM
     assert len(result.reflection_issues) == 2
     assert backend.verdict_calls == 2 and backend.reflection_calls == 1
@@ -354,7 +354,7 @@ def test_reflection_triggered_by_high_without_risky_dims():
 def test_reflection_no_flaw_keeps_verdict():
     first = verdict_json("No Suspicion", a="odd burst", b="dispersal")  # trigger (ii)
     backend = CountingBackend([first], ["No flaw. The低 level is justified because ..."])
-    result = infer_risk(star_subgraph(), Blacklist(), backend, reflection_rounds=1)
+    result = infer_risk(star_subgraph(), backend, reflection_rounds=1)
     assert result.suspicion_level is SuspicionLevel.NO_SUSPICION
     assert result.reflection_issues == []
     assert backend.verdict_calls == 1 and backend.reflection_calls == 1
@@ -364,7 +364,7 @@ def test_reflection_triggered_by_repair():
     parts = verdict_json("Low", a="pattern").rsplit(",", 1)
     mangled = parts[0] + ",\n```\n" + parts[1]
     backend = CountingBackend([mangled, verdict_json("Low", a="pattern")], ["- cite the specific rows"])
-    result = infer_risk(star_subgraph(), Blacklist(), backend, reflection_rounds=1)
+    result = infer_risk(star_subgraph(), backend, reflection_rounds=1)
     assert backend.reflection_calls == 1
     assert backend.verdict_calls == 2
     assert result.reflection_issues == ["cite the specific rows"]
@@ -375,7 +375,7 @@ def test_reflection_budget_bounded():
     bad = verdict_json("High")
     review = "- still no evidence"
     backend = CountingBackend([bad, bad, bad], [review, review])
-    result = infer_risk(star_subgraph(), Blacklist(), backend, reflection_rounds=2)
+    result = infer_risk(star_subgraph(), backend, reflection_rounds=2)
     assert backend.verdict_calls == 3
     assert backend.reflection_calls == 2
     assert result.suspicion_level is SuspicionLevel.HIGH
@@ -384,7 +384,7 @@ def test_reflection_budget_bounded():
 
 def test_reflection_rounds_zero_never_reflects():
     backend = CountingBackend([verdict_json("High")])
-    result = infer_risk(star_subgraph(), Blacklist(), backend, reflection_rounds=0)
+    result = infer_risk(star_subgraph(), backend, reflection_rounds=0)
     assert backend.reflection_calls == 0
     assert result.suspicion_level is SuspicionLevel.HIGH
 
@@ -412,8 +412,8 @@ def test_infer_with_rule_backend_is_pure():
     txs = [make_tx(1, bad, CENTER, value="999", ts=ts_at(12))]
     sub = build_subgraph(CENTER, txs, [], TracerConfig(), NOW)
     backend = RuleBackend(Blacklist({bad.hex: "exploit"}))
-    first = infer_risk(sub, Blacklist(), backend)
-    second = infer_risk(sub, Blacklist(), backend)
+    first = infer_risk(sub, backend)
+    second = infer_risk(sub, backend)
     assert first == second
     assert first.suspicion_level is SuspicionLevel.MEDIUM
     assert first.reasoner_backend == "rules"

@@ -13,7 +13,7 @@ from oracle_bfs import bfs_oracle
 from risktagger.chaindata import BridgeTable, BridgeMatcher, FixtureChainClient, FixtureStore
 from risktagger.errors import BackendFailure, ChainUnavailable, CheckpointError
 from risktagger.model import Address, RiskAssessment, RiskDimension, SuspicionLevel, TracerConfig
-from risktagger.reasoner import Blacklist, RuleBackend
+from risktagger.reasoner import RuleBackend
 from risktagger.tracer import (
     JOURNAL_NAME,
     TracerPorts,
@@ -86,7 +86,7 @@ def store_from(txs):
 
 def ports_for(txs, backend, **overrides):
     client = FixtureChainClient(store_from(txs))
-    kwargs = dict(client_for=lambda chain: client, backend=backend, blacklist=Blacklist(), now=NOW)
+    kwargs = dict(client=client, backend=backend, now=NOW)
     kwargs.update(overrides)
     return TracerPorts(**kwargs)
 
@@ -295,7 +295,7 @@ class FlakyClient:
 
 def test_account_error_skips_and_records():
     client = FlakyClient(FixtureChainClient(store_from(star_txs())), {A})
-    ports = TracerPorts(client_for=lambda c: client, backend=star_backend(), blacklist=Blacklist(), now=NOW)
+    ports = TracerPorts(client=client, backend=star_backend(), now=NOW)
     state = trace([S], "ethereum", TracerConfig(D=5), ports)
     reached = {a.target_address for a in state.L_all}
     assert reached == {S, B}  # A skipped, so C stays unreachable
@@ -306,7 +306,7 @@ def test_account_error_skips_and_records():
 def test_resume_keeps_a_journaled_skip(tmp_path):
     client = FlakyClient(FixtureChainClient(store_from(star_txs())), {A})
     ports = TracerPorts(
-        client_for=lambda c: client, backend=star_backend(), blacklist=Blacklist(), now=NOW, out_dir=tmp_path
+        client=client, backend=star_backend(), now=NOW, out_dir=tmp_path
     )
     skipped = trace([S], "ethereum", TracerConfig(D=5), ports)
     # a healthy client on resume: A's journaled skip stands and nothing is redone
@@ -321,9 +321,8 @@ def test_resume_keeps_a_journaled_skip(tmp_path):
 def test_strict_mode_aborts_on_account_error():
     client = FlakyClient(FixtureChainClient(store_from(star_txs())), {A})
     ports = TracerPorts(
-        client_for=lambda c: client,
+        client=client,
         backend=star_backend(),
-        blacklist=Blacklist(),
         now=NOW,
         strict=True,
     )
@@ -351,9 +350,8 @@ def test_bridge_landing_analyzed_on_destination_chain(tmp_path):
     matcher = BridgeMatcher(BridgeTable.load(table_file), store.records_for)
     client = FixtureChainClient(store)
     ports = TracerPorts(
-        client_for=lambda c: client,
+        client=client,
         backend=ConstBackend(),
-        blacklist=Blacklist(),
         matcher=matcher,
         now=NOW,
     )

@@ -224,7 +224,7 @@ def test_payload_json_equals_json_dumps_on_every_demo_payload(monkeypatch):
     config = json.loads((FIXTURES / "synthetic" / "config.json").read_text())
     blacklist = Blacklist.load(FIXTURES / "blacklist.txt")
     client = FixtureChainClient(FixtureStore.load_dir(FIXTURES / "synthetic"))
-    ports = TracerPorts(client_for=lambda chain: client, backend=RuleBackend(blacklist), blacklist=blacklist, now=config["now"])
+    ports = TracerPorts(client=client, backend=RuleBackend(blacklist), now=config["now"])
     trace(["0x47666fab8bd0ac7003bce3f5c3585383f09486e2"], "ethereum", TracerConfig.from_json(config["tracer"]), ports)
     assert len(payloads) == 140
     for payload in payloads:
