@@ -3,11 +3,13 @@
 Covers module=account action=txlist (native) and action=tokentx (token
 transfers), with page-level caching, a fixed retry budget and client-side
 rate limiting. Every successful page body is cached verbatim, so a warm
-cache answers a repeat run without any upstream request. The rate limit
-holds across all threads that share one client, and a 429 pauses all of
-them for at least as long as its Retry-After header asks; a 429 asking for
-more than the retry budget fails the fetch at once. Rows are built by the
-same checked builder as fixture rows (fetch._row_to_record).
+cache answers a repeat run without any upstream request and without an HTTP
+client: `requests` is imported and the session built only when a page first
+misses the cache. The rate limit holds across all threads that share one
+client, and a 429 pauses all of them for at least as long as its Retry-After
+header asks; a 429 asking for more than the retry budget fails the fetch at
+once. Rows are built by the same checked builder as fixture rows
+(fetch._row_to_record).
 """
 
 from __future__ import annotations
@@ -49,13 +51,11 @@ class EtherscanClient:
         backoff_base_s: float = BACKOFF_BASE_S,
         timeout_s: float = 30.0,
     ):
-        import requests  # deferred: runs on fixture data never load it
-
         self.base_url = base_url.rstrip("/")
         self.chain = chain
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
         self.cache = cache
-        self.session = session or requests.Session()
+        self.session = session  # built on the first cache miss unless injected
         self.page_size = page_size
         self.max_pages = max_pages
         self.min_interval_s = 1.0 / rate_limit_per_s if rate_limit_per_s > 0 else 0.0
@@ -130,8 +130,11 @@ class EtherscanClient:
         return rows
 
     def _http_get(self, params: dict) -> bytes:
-        import requests
+        import requests  # deferred: a run the cache answers in full never loads it
 
+        with self._throttle_lock:  # threads that miss together share one session
+            if self.session is None:
+                self.session = requests.Session()
         last_err: Exception | None = None
         for attempt in range(self.retry_attempts):
             if attempt:

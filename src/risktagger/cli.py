@@ -36,8 +36,6 @@ from .reasoner.prompts import template_hashes
 from .reasoner.rules import RuleBackend
 from .tracer import JOURNAL_NAME, TracerPorts, journal_clock, trace, write_outputs
 
-log = logging.getLogger(__name__)
-
 
 # --- shared plumbing ---------------------------------------------------------
 
@@ -106,25 +104,20 @@ def _clock(config: RunConfig, out_dir: Path, resume: bool) -> int:
 
 
 def _build_ports(config: RunConfig, out_dir: Path, resume: bool, inputs: dict) -> TracerPorts:
+    matcher = None
     if config.adapter == "fixture":
         store = FixtureStore.load_dir(config.fixture_dir)
         client = FixtureChainClient(store)
-        records_for = store.records_for
+        if config.bridges_path:  # validated: only the fixture adapter takes a bridge table
+            matcher = BridgeMatcher(BridgeTable.load(config.bridges_path), store.records_for)
     else:
         cache = FetchCache(config.cache_dir) if config.cache_dir else None
         client = EtherscanClient(config.api_base_url, config.chain, cache=cache)
-        records_for = None
     blacklist = Blacklist.load(config.blacklist_path) if config.blacklist_path else Blacklist()
     if config.backend == "rules":
         backend = RuleBackend(blacklist)
     else:
         backend = _llm_backend(config)
-    matcher = None
-    if config.bridges_path:
-        if records_for is None:
-            log.warning("bridge matching needs fixture data for the far chain; skipping")
-        else:
-            matcher = BridgeMatcher(BridgeTable.load(config.bridges_path), records_for)
     now = _clock(config, out_dir, resume)
     return TracerPorts(
         client=client,
@@ -216,10 +209,10 @@ def cmd_trace(args) -> int:
 
 def _do_explain(config: RunConfig, out_dir: Path, clues: CaseClues, l_all: list) -> float:
     backend = _llm_backend(config) if config.backend == "llm" else None
-    report = generate_report(clues, l_all, backend=backend, temperature=config.llm_temperature)
+    report, source = generate_report(clues, l_all, backend=backend, temperature=config.llm_temperature)
     scored = coverage(report, build_checklist(clues))
     (out_dir / "report.md").write_text(report, encoding="utf-8")
-    _write_json(out_dir / "coverage.json", scored.to_json())
+    _write_json(out_dir / "coverage.json", {**scored.to_json(), **source})
     print(
         f"coverage {scored.r_coverage:.3f} "
         f"({scored.e_full} full + {scored.e_part} partial of {scored.e_all} entities)"

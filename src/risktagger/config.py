@@ -52,6 +52,9 @@ class RunConfig:
             raise ParseError(f"backend must be 'rules' or 'llm', got {self.backend!r}")
         if need_adapter and self.adapter == "fixture" and not self.fixture_dir:
             raise ParseError("fixture adapter requires fixture_dir")
+        if need_adapter and self.adapter == "live" and self.bridges_path:
+            # the matcher reads the far chain's transfers from fixture data
+            raise ParseError("bridges_path needs the fixture adapter; the live adapter cannot match bridges")
         if self.backend == "llm" and not self.llm_endpoint:
             raise ParseError(f"llm backend requires an endpoint (config, flag, or {LLM_ENDPOINT_ENV})")
         if self.workers < 1:

@@ -347,8 +347,8 @@ def _analysis(clues, l_all: list) -> dict:
     }
 
 
-def _has_all_sections(text: str) -> bool:
-    return all(f"## {i}. {title}" in text for i, title in enumerate(SECTION_TITLES, 1))
+def _missing_sections(text: str) -> list[str]:
+    return [str(i) for i, title in enumerate(SECTION_TITLES, 1) if f"## {i}. {title}" not in text]
 
 
 def _section_introduction(clues, stats: dict) -> list[str]:
@@ -474,25 +474,30 @@ def _render_template(clues, analysis: dict) -> str:
     return "\n\n".join(parts) + "\n"
 
 
-def generate_report(clues, l_all: list, backend=None, temperature: float = 0.0) -> str:
-    """Render the eight-section audit report for one trace's labels.
+def generate_report(clues, l_all: list, backend=None, temperature: float = 0.0) -> tuple[str, dict]:
+    """Render the eight-section audit report for one trace's labels, and say
+    where it came from: {"report_source": "model" | "template", "fallback_reason"}.
 
     With a backend, the narrative comes from the explainer prompt; the reply
     is accepted only when it carries all eight section headings. Otherwise,
     or when the backend fails, the deterministic template fills the same
-    sections from the same analysis.
+    sections from the same analysis and fallback_reason says why; the reason
+    is None when no backend was given.
     """
     if not l_all:
         raise ValueError("trace outputs are empty; nothing to report")
     analysis = _analysis(clues, l_all)
+    reason = None
     if backend is not None:
         prompt = build_explainer_prompt(json.dumps(analysis, indent=2, sort_keys=True))
         try:
             reply = backend.complete(prompt, temperature=temperature, max_tokens=REPORT_MAX_TOKENS)
         except BackendFailure as exc:
-            log.warning("narrative backend failed (%s); using the template renderer", exc)
+            reason = f"backend failed: {exc}"
         else:
-            if _has_all_sections(reply):
-                return reply
-            log.warning("backend reply missing required sections; using the template renderer")
-    return _render_template(clues, analysis)
+            missing = _missing_sections(reply)
+            if not missing:
+                return reply, {"report_source": "model", "fallback_reason": None}
+            reason = f"backend reply missing section(s) {', '.join(missing)}"
+        log.warning("%s; using the template renderer", reason)
+    return _render_template(clues, analysis), {"report_source": "template", "fallback_reason": reason}

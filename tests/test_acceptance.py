@@ -12,6 +12,7 @@ import random
 import time
 
 import pytest
+import requests
 
 from conftest import FIXTURES, GOLDEN, REPO_ROOT
 from oracle_bfs import bfs_oracle, read_rows
@@ -281,6 +282,46 @@ def test_criterion_6_warm_cache_live_rerun_issues_zero_upstream_requests(tmp_pat
         warm = live_trace(server)
         assert server.request_count == cold_requests, "warm run hit the network"
     assert warm == cold
+
+
+class PooledRules(RuleBackend):
+    """The rule engine without `in_process`, so the tracer runs each hop on its pool."""
+
+    in_process = False
+
+
+def test_cold_misses_on_a_worker_pool_fetch_every_page_through_one_session(tmp_path, monkeypatch):
+    sessions = []
+
+    class CountedSession(requests.Session):
+        def __init__(self):
+            super().__init__()
+            sessions.append(self)
+
+    monkeypatch.setattr(requests, "Session", CountedSession)
+    # the first two hops' accounts as seeds, analyzed alone: one hop of 16 that
+    # the pool's threads start on together, every fetch a miss on a fresh client
+    seeds = [a.target_address.hex for a in trace([SEED], "ethereum", synthetic_cfg(D=2), synthetic_ports()).L_all]
+    cfg = synthetic_cfg(D=1)
+    cache = FetchCache(tmp_path / "cache")
+    with StubChainServer(_pages_from_fixture()) as server:
+        client = EtherscanClient(
+            server.url, "ethereum", api_key="test", cache=cache, rate_limit_per_s=20.0, backoff_base_s=0.01
+        )
+        backend = PooledRules(Blacklist.load(FIXTURES / "blacklist.txt"))
+        state = trace(seeds, "ethereum", cfg, synthetic_ports(client=client, backend=backend, workers=4))
+        asked = [(r["address"], r["action"], r["page"]) for r in server.requests]
+        times = sorted(server.request_times)
+    expected = trace(seeds, "ethereum", cfg, synthetic_ports())
+    assert [a.to_json() for a in state.L_all] == [a.to_json() for a in expected.L_all]
+    assert len(state.L_all) == len(seeds) == 16
+    assert len(sessions) == 1 and client.session is sessions[0]
+    assert len(asked) == len(set(asked)) == cache.misses == 2 * len(state.L_all)
+    cached = {(p.parent.name, p.stem) for p in (tmp_path / "cache" / "ethereum").glob("*/*.json")}
+    assert cached == {(address, f"{action}_p{page}") for address, action, page in asked}
+    gaps = [later - earlier for earlier, later in zip(times, times[1:])]
+    # the tolerance absorbs scheduling jitter between a request's slot and its arrival
+    assert min(gaps) >= client.min_interval_s - 0.03, gaps
 
 
 # --- 7. rule decision table --------------------------------------------------------

@@ -1,8 +1,10 @@
 """Command behavior end to end: exit codes, artifacts, determinism."""
 
+import csv
 import json
 import os
 import shutil
+import socket
 import subprocess
 import sys
 import threading
@@ -12,6 +14,7 @@ import pytest
 
 from conftest import FIXTURES, GOLDEN, REPO_ROOT
 from risktagger import cli
+from risktagger.chaindata.cache import FetchCache
 from risktagger.cli import main
 from risktagger.config import load_config
 from risktagger.errors import ParseError
@@ -389,6 +392,7 @@ def test_explain_writes_report_with_full_fallback_coverage(tmp_path):
     assert scored["R_coverage"] == 1.0
     assert scored["E_full"] == scored["E_All"]
     assert "entity_counting" in scored["metadata"]
+    assert (scored["report_source"], scored["fallback_reason"]) == ("template", None)
 
 
 def test_explain_into_the_trace_directory_keeps_its_input_digests(tmp_path):
@@ -484,6 +488,9 @@ def test_score_coverage_agrees_with_explain(tmp_path):
     assert run_cli("score-coverage", out / "report.md", clues, "--out-file", scored_file) == 0
     direct = json.loads(scored_file.read_text())
     via_explain = json.loads((out / "coverage.json").read_text())
+    # only explain knows where the report came from
+    assert via_explain.pop("report_source") == "template"
+    assert via_explain.pop("fallback_reason") is None
     assert direct == via_explain
 
 
@@ -552,12 +559,92 @@ def test_manifest_records_config_hash_and_prompt_hashes(tmp_path):
 
 
 def test_importing_the_cli_leaves_requests_unloaded():
-    # only the live adapter and the llm backend need it; they import it when built
+    # only a live fetch that misses the cache and the llm backend need it; they import it then
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     probe = "import sys, risktagger.cli; print('requests' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def warm_cache_from_fixture(root):
+    """One txlist and one tokentx page for every synthetic fixture account, as
+    the live adapter caches them."""
+    pages = {}
+    with open(FIXTURES / "synthetic" / "ethereum.csv", newline="") as fh:
+        for row in csv.DictReader(fh):
+            for account in {row["from"], row["to"]}:
+                kinds = pages.setdefault(account, ([], []))
+                kinds[1 if row["tokenSymbol"] else 0].append(row)
+    cache = FetchCache(root)
+    for account, kinds in pages.items():
+        for action, rows in zip(("txlist", "tokentx"), kinds):
+            body = {"status": "1", "message": "OK", "result": rows} if rows else {
+                "status": "0", "message": "No transactions found", "result": []
+            }
+            cache.put("ethereum", account, f"{action}_p1", json.dumps(body).encode())
+
+
+WARM_TRACE_PROBE = """
+import json, sys
+from risktagger import cli
+from risktagger.chaindata.cache import FetchCache
+
+caches = []
+build = FetchCache.__init__
+
+def recording(self, root):
+    build(self, root)
+    caches.append(self)
+
+FetchCache.__init__ = recording
+rc = cli.main(sys.argv[1:])
+print(json.dumps({
+    "rc": rc,
+    "hits": sum(c.hits for c in caches),
+    "misses": sum(c.misses for c in caches),
+    "loaded": sorted(m for m in ("requests", "urllib3") if m in sys.modules),
+}))
+"""
+
+
+@pytest.fixture
+def refused_api_url():
+    holder = socket.socket()  # bound, never listening: any request there is refused
+    holder.bind(("127.0.0.1", 0))
+    yield f"http://127.0.0.1:{holder.getsockname()[1]}/api"
+    holder.close()
+
+
+def test_a_warm_cache_live_trace_never_loads_the_http_stack(tmp_path, refused_api_url):
+    clues = extract_clues(tmp_path)
+    warm_cache_from_fixture(tmp_path / "cache")
+    cfg = write_config(tmp_path, adapter="live", cache_dir=str(tmp_path / "cache"), api_base_url=refused_api_url)
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    argv = [sys.executable, "-c", WARM_TRACE_PROBE, "trace", str(clues), "--config", cfg, "--out", str(out)]
+    result = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    probe = json.loads(result.stdout.splitlines()[-1])
+    assert probe["rc"] == 0
+    assert probe["misses"] == 0 and probe["hits"] > 0
+    assert probe["loaded"] == []
+    assert json.loads((out / "diagnostics.json").read_text())["errors"] == []
+    assert (out / "labels.jsonl").read_bytes() == (GOLDEN / "synthetic_labels.golden.jsonl").read_bytes()
+
+
+def test_live_adapter_with_a_bridge_table_exits_one_naming_both(tmp_path, capsys, refused_api_url):
+    clues = extract_clues(tmp_path)
+    bridges = tmp_path / "bridges.txt"
+    bridges.write_text("")
+    cfg = write_config(
+        tmp_path, adapter="live", bridges_path=str(bridges), cache_dir=str(tmp_path / "cache"),
+        api_base_url=refused_api_url,
+    )
+    assert run_cli("trace", clues, "--config", cfg, "--max-depth", 1) == 1
+    err = capsys.readouterr().err
+    assert "bridges_path" in err and "live adapter" in err
+    assert not (tmp_path / "out" / "labels.jsonl").exists()
 
 
 def test_missing_subcommand_is_a_usage_error():

@@ -291,14 +291,14 @@ def section_bodies(report: str) -> dict:
 
 
 def test_report_has_exactly_the_eight_sections_in_order():
-    report = generate_report(sample_clues(), fixture_dataset())
+    report, _ = generate_report(sample_clues(), fixture_dataset())
     headings = [l for l in report.splitlines() if l.startswith("## ")]
     assert [h[3:].split(". ", 1)[-1] for h in headings] == list(SECTION_TITLES)
     assert len(SECTION_TITLES) == 8
 
 
 def test_statistics_section_counts_and_percentages():
-    report = generate_report(sample_clues(), fixture_dataset())
+    report, _ = generate_report(sample_clues(), fixture_dataset())
     stats = section_bodies(report)["Dataset Statistical Summary"]
     assert "High" in stats and "| 2 |" in stats and "20.0%" in stats
     assert "| 3 |" in stats and "30.0%" in stats  # Low
@@ -309,7 +309,7 @@ def test_percentages_sum_to_one_hundred_with_awkward_thirds():
     # 1/3 each rounds to 33.3; naive rounding would total 99.9.
     levels = [SuspicionLevel.HIGH, SuspicionLevel.MEDIUM, SuspicionLevel.LOW]
     l_all = [assessment(0xF0 + i, levels[i], hop=0) for i in range(3)]
-    report = generate_report(sample_clues(), l_all)
+    report, _ = generate_report(sample_clues(), l_all)
     stats = section_bodies(report)["Dataset Statistical Summary"]
     shown = [float(tok.strip("|").rstrip("%")) for tok in stats.split() if tok.rstrip("|").endswith("%")]
     level_pcts = [p for p in shown if p in (33.3, 33.4)]
@@ -317,20 +317,20 @@ def test_percentages_sum_to_one_hundred_with_awkward_thirds():
 
 
 def test_hop_layer_distribution_present():
-    report = generate_report(sample_clues(), fixture_dataset())
+    report, _ = generate_report(sample_clues(), fixture_dataset())
     stats = section_bodies(report)["Dataset Statistical Summary"]
     assert "Layer 0" in stats and "Layer 3" in stats
 
 
 def test_empty_r_final_states_no_high_risk_accounts():
     calm = [a for a in fixture_dataset() if a.suspicion_level is not SuspicionLevel.HIGH]
-    report = generate_report(sample_clues(), calm)
+    report, _ = generate_report(sample_clues(), calm)
     assert "no high-risk accounts" in section_bodies(report)["Risk Account Analysis"].lower()
     assert len([l for l in report.splitlines() if l.startswith("## ")]) == 8
 
 
 def test_overview_mentions_grouped_stolen_value():
-    report = generate_report(sample_clues(), fixture_dataset())
+    report, _ = generate_report(sample_clues(), fixture_dataset())
     assert "1,500,000,000 USD" in section_bodies(report)["Incident Overview"]
 
 
@@ -341,7 +341,7 @@ def test_empty_trace_rejected():
 
 def test_fallback_report_fully_covers_its_own_checklist():
     clues = sample_clues()
-    report = generate_report(clues, fixture_dataset())
+    report, _ = generate_report(clues, fixture_dataset())
     rep = coverage(report, build_checklist(clues))
     assert rep.e_full == rep.e_all
     assert rep.r_coverage == 1.0
@@ -350,7 +350,7 @@ def test_fallback_report_fully_covers_its_own_checklist():
 def test_fallback_covers_checklist_from_real_incident_document():
     text = (FIXTURES / "bybit_incident.txt").read_text()
     clues, _ = extract_case_clues(text)
-    report = generate_report(clues, fixture_dataset())
+    report, _ = generate_report(clues, fixture_dataset())
     rep = coverage(report, build_checklist(clues))
     assert rep.e_full == rep.e_all and rep.r_coverage == 1.0
 
@@ -389,7 +389,7 @@ def canned_document() -> str:
 
 def test_backend_document_with_all_sections_is_used_verbatim():
     backend = ScriptedBackend(canned_document())
-    report = generate_report(sample_clues(), fixture_dataset(), backend=backend)
+    report, _ = generate_report(sample_clues(), fixture_dataset(), backend=backend)
     assert report == canned_document()
     assert len(backend.prompts) == 1
     assert "financial crime investigation expert" in backend.prompts[0]
@@ -398,14 +398,14 @@ def test_backend_document_with_all_sections_is_used_verbatim():
 
 def test_backend_missing_sections_falls_back_to_template():
     backend = ScriptedBackend("## 1. Introduction\n\nonly one section")
-    report = generate_report(sample_clues(), fixture_dataset(), backend=backend)
+    report, _ = generate_report(sample_clues(), fixture_dataset(), backend=backend)
     assert len([l for l in report.splitlines() if l.startswith("## ")]) == 8
     assert "1,500,000,000 USD" in report
 
 
 def test_prompt_and_template_report_one_analysis():
     backend = ScriptedBackend("a reply without the section headings")
-    report = generate_report(sample_clues(), fixture_dataset(), backend=backend)
+    report, _ = generate_report(sample_clues(), fixture_dataset(), backend=backend)
     prompt = backend.prompts[0]
     analysis, _ = json.JSONDecoder().raw_decode(prompt, prompt.index('{\n  "case_clues"'))
     evidence = analysis["dimension_evidence"]
@@ -420,6 +420,27 @@ def test_prompt_and_template_report_one_analysis():
 
 
 def test_backend_failure_falls_back_by_default():
-    report = generate_report(sample_clues(), fixture_dataset(), backend=FailingBackend())
+    report, _ = generate_report(sample_clues(), fixture_dataset(), backend=FailingBackend())
     assert len([l for l in report.splitlines() if l.startswith("## ")]) == 8
 
+
+
+@pytest.mark.parametrize(
+    "backend, source, reason",
+    [
+        (None, "template", None),
+        (ScriptedBackend(canned_document()), "model", None),
+        (FailingBackend(), "template", "backend failed: backend down"),
+        (
+            ScriptedBackend(canned_document().replace("## 3. ", "## Three. ")),
+            "template",
+            "backend reply missing section(s) 3",
+        ),
+    ],
+    ids=["no-backend", "model-reply", "backend-failure", "missing-sections"],
+)
+def test_report_says_whether_the_model_or_the_template_wrote_it(backend, source, reason):
+    report, provenance = generate_report(sample_clues(), fixture_dataset(), backend=backend)
+    assert provenance == {"report_source": source, "fallback_reason": reason}
+    template, _ = generate_report(sample_clues(), fixture_dataset())
+    assert report == (canned_document() if source == "model" else template)

@@ -2,6 +2,7 @@
 its rows built by the shared checked builder exactly as its own builder did."""
 
 import json
+import os
 import sys
 import threading
 import time
@@ -80,6 +81,26 @@ def test_cache_layout_on_disk(tmp_path):
         client_for(srv, cache=cache).fetch_transactions(CENTER)
     expected = tmp_path / "cache" / "ethereum" / CENTER.hex / "txlist_p1.json"
     assert expected.is_file()
+
+
+def test_a_write_racing_another_instance_on_the_same_root_keeps_a_whole_page(tmp_path, monkeypatch):
+    first, second = FetchCache(tmp_path / "cache"), FetchCache(tmp_path / "cache")
+    replace = os.replace
+    raced = []
+
+    def interleaved(src, dst):
+        # the other instance writes the same key between this write and its rename
+        if not raced:
+            raced.append(src)
+            second.put("ethereum", CENTER.hex, "txlist_p1", b'{"writer": "second"}')
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", interleaved)
+    first.put("ethereum", CENTER.hex, "txlist_p1", b'{"writer": "first"}')
+    assert raced
+    page = first.get("ethereum", CENTER.hex, "txlist_p1")
+    assert page in (b'{"writer": "first"}', b'{"writer": "second"}')
+    assert [p.name for p in (tmp_path / "cache" / "ethereum" / CENTER.hex).iterdir()] == ["txlist_p1.json"]
 
 
 class YieldingCount(int):
@@ -288,8 +309,10 @@ class OnePageSession:
 
     def __init__(self, rows_by_action):
         self.rows_by_action = rows_by_action
+        self.actions = []  # the action of each request, in order
 
     def get(self, url, params, timeout):
+        self.actions.append(params["action"])
         rows = self.rows_by_action.get(params["action"], [])
         body = {"status": "1", "message": "OK", "result": rows} if rows else {
             "status": "0", "message": "No transactions found", "result": []
@@ -350,3 +373,13 @@ def test_live_rows_decode_as_the_former_builder_did(case):
     assert client.fetch_transactions(CENTER) == ([] if expected is None else [expected])
     dropped = [d for d in client.diagnostics if d["kind"] == "dropped_row"]
     assert len(dropped) == len(former.diagnostics)
+
+
+def test_an_injected_session_is_the_one_used():
+    session = OnePageSession({"txlist": five_rows()})
+    client = EtherscanClient(
+        "http://explorer.test/api", "ethereum", api_key="k", session=session, rate_limit_per_s=0.0
+    )
+    assert len(client.fetch_transactions(CENTER)) == 5
+    assert client.session is session
+    assert session.actions == ["txlist", "tokentx"]
