@@ -1,17 +1,23 @@
 """CSV fixture replay: one `<chain>.csv` per chain, crawler column schema.
 
-Loading checks every row but builds nothing: a row already in canonical form
-is kept as its raw line and becomes a TransactionRecord only when an account
-touching it is first fetched. Any other row is checked and built at load, so
-a bad row fails the load with its line number whether or not a trace would
-ever reach it.
+Loading checks every row and keeps no row's text. A row already in canonical
+form is kept as its byte span in the file, which stays open; the row is read
+back from there, matched again and built into a TransactionRecord only when
+an account touching it is first fetched. Any other row is checked and built
+at load, so a bad row fails the load with its line number whether or not a
+trace would ever reach it. A fixture file whose size or mtime changed since
+the load fails the next fetch with ParseError, so no row that was not checked
+ever becomes a record.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
+import os
 import re
+from array import array
+from collections import defaultdict
 from pathlib import Path
 
 from ..errors import MalformedAddress, ParseError, SchemaMismatch, UnknownChain
@@ -86,79 +92,92 @@ def _canonical_to_record(line: str, chain: str, addresses: dict[str, Address]) -
     )
 
 
-def load_rows(path: str | Path, chain: str) -> list:
-    """Every row of one per-chain fixture CSV, checked: the raw line of a
-    canonical row, the TransactionRecord of any other. Line numbers in errors
-    count CSV records, the header being line 1."""
-    path = Path(path)
-    try:
-        fh = path.open(newline="", encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot open fixture {path}: {exc}") from exc
-    with fh:
-        header = next(csv.reader(fh), None)
-        if header is None:
-            raise SchemaMismatch(f"{path}: empty fixture file, expected header row")
-        if tuple(h.strip() for h in header) != FIXTURE_COLUMNS:
-            raise SchemaMismatch(
-                f"{path}: header mismatch: got {header!r}, expected {list(FIXTURE_COLUMNS)!r}"
-            )
-        rows = []
-        canonical = _CANONICAL_ROW.fullmatch
-        # A canonical line is one whole record. Any other line starts a record
-        # that csv reads from here, taking more lines if a quoted field spans them.
-        for line_no, line in enumerate(fh, start=2):
-            if canonical(line):
-                rows.append(line)
-                continue
-            values = next(csv.reader(itertools.chain([line], fh)))
-            if not values or (len(values) == 1 and not values[0].strip()):
-                continue  # blank line
-            if len(values) != len(FIXTURE_COLUMNS):
-                raise ParseError(
-                    f"{path}:{line_no}: expected {len(FIXTURE_COLUMNS)} columns, got {len(values)}"
-                )
-            try:
-                rows.append(_row_to_record(values, chain))
-            except (ValueError, ArithmeticError, MalformedAddress) as exc:
-                raise ParseError(f"{path}:{line_no}: bad fixture row: {exc}") from exc
-    return rows
+def _nbytes(line: str) -> int:
+    """The size of a line in the file: UTF-8, ending kept (newline="")."""
+    return len(line) if line.isascii() else len(line.encode("utf-8"))
+
+
+def _noting(lines, taken: list):
+    """Yields from `lines`, appending each line it yields to `taken`."""
+    for line in lines:
+        taken.append(line)
+        yield line
+
+
+class _FixtureFile:
+    """One open fixture CSV, its size and mtime at load, and the byte span of
+    each canonical row in it (by row position; other rows hold 0, 0)."""
+
+    def __init__(self, path: Path, chain: str):
+        try:
+            self.fh = path.open(newline="", encoding="utf-8")
+        except OSError as exc:
+            raise ParseError(f"cannot open fixture {path}: {exc}") from exc
+        self.path = path
+        self.chain = chain
+        self.stamp = self._stamp()
+        self.starts = array("q")
+        self.lengths = array("I")  # a canonical row is under 2**32 bytes
+
+    def _stamp(self) -> tuple[int, int]:
+        stat = os.fstat(self.fh.fileno())
+        return stat.st_size, stat.st_mtime_ns
+
+    def check_unchanged(self) -> None:
+        if self._stamp() != self.stamp:
+            raise ParseError(f"{self.path}: fixture changed since it was loaded")
+
+    def record(self, position: int, addresses: dict[str, Address]) -> TransactionRecord:
+        """The record of a canonical row, read back from the file and matched
+        again. pread leaves the file position alone, so threads need no lock."""
+        data = os.pread(self.fh.fileno(), self.lengths[position], self.starts[position])
+        try:
+            line = data.decode("utf-8")
+        except UnicodeDecodeError:
+            line = ""
+        if not _CANONICAL_ROW.fullmatch(line):
+            raise ParseError(f"{self.path}: fixture row changed since it was loaded")
+        return _canonical_to_record(line, self.chain, addresses)
 
 
 def load_fixture(path: str | Path, chain: str | None = None) -> list[TransactionRecord]:
     """Load one per-chain fixture CSV; the chain defaults to the file stem."""
     path = Path(path)
     chain = normalize_chain(chain or path.stem)
-    addresses: dict[str, Address] = {}
-    return [
-        _canonical_to_record(row, chain, addresses) if type(row) is str else row
-        for row in load_rows(path, chain)
-    ]
+    with FixtureStore({}) as store:
+        store._add_file(path, chain)
+        return store._rows_at(chain, range(len(store.records_by_chain[chain])))
 
 
 class FixtureStore:
-    """All fixture chains loaded into memory, indexed by chain and address.
+    """All fixture chains, indexed by chain and address.
 
-    `records_by_chain` maps each chain to its rows, each a TransactionRecord
-    or a canonical fixture line (as load_rows returns them); a line is
-    replaced by its record the first time it is fetched.
+    `records_by_chain` maps each chain to its rows in file order, one entry
+    per row: a TransactionRecord, or None for a canonical row not yet fetched,
+    which its record replaces the first time it is. A store from load_dir
+    holds its fixture files open until close().
     """
 
-    def __init__(self, records_by_chain: dict[str, list]):
-        self.records_by_chain = records_by_chain
+    def __init__(self, records_by_chain: dict[str, list[TransactionRecord]]):
+        self.records_by_chain: dict[str, list] = {}
         self._index: dict[str, dict[str, list[int]]] = {}  # chain -> hex -> row positions
         self._addresses: dict[str, dict[str, Address]] = {}  # chain -> hex -> interned
-        for chain, rows in records_by_chain.items():
-            index = self._index[chain] = {}
-            self._addresses[chain] = {}
-            for position, row in enumerate(rows):
-                if type(row) is str:
-                    src, dst = row[_FROM], row[_TO]
-                else:
-                    src, dst = row.from_addr.hex, row.to_addr.hex
-                index.setdefault(src, []).append(position)
-                if dst != src:
-                    index.setdefault(dst, []).append(position)
+        self._files: dict[str, _FixtureFile] = {}
+        for chain, records in records_by_chain.items():
+            rows, index = self._start_chain(chain)
+            for record in records:
+                self._add_record(rows, index, record)
+
+    def __enter__(self) -> "FixtureStore":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close every fixture file the store holds open."""
+        for source in self._files.values():
+            source.fh.close()
 
     @staticmethod
     def files(fixture_dir: str | Path) -> list[Path]:
@@ -167,31 +186,110 @@ class FixtureStore:
 
     @staticmethod
     def load_dir(fixture_dir: str | Path) -> "FixtureStore":
-        by_chain = {}
-        for csv_path in FixtureStore.files(fixture_dir):
-            chain = normalize_chain(csv_path.stem)
-            by_chain[chain] = load_rows(csv_path, chain)
-        if not by_chain:
+        store = FixtureStore({})
+        try:
+            for csv_path in FixtureStore.files(fixture_dir):
+                store._add_file(csv_path, normalize_chain(csv_path.stem))
+        except BaseException:
+            store.close()
+            raise
+        if not store.records_by_chain:
             raise ParseError(f"no <chain>.csv fixture files under {fixture_dir}")
-        return FixtureStore(by_chain)
+        return store
+
+    def _start_chain(self, chain: str) -> tuple[list, dict[str, list[int]]]:
+        """An empty row list and index for the chain, replacing any before."""
+        replaced = self._files.pop(chain, None)
+        if replaced is not None:
+            replaced.fh.close()
+        self._addresses[chain] = {}
+        rows = self.records_by_chain[chain] = []
+        index = self._index[chain] = defaultdict(list)
+        return rows, index
+
+    @staticmethod
+    def _add_record(rows: list, index: dict[str, list[int]], record: TransactionRecord) -> None:
+        position = len(rows)
+        rows.append(record)
+        src, dst = record.from_addr.hex, record.to_addr.hex
+        index[src].append(position)
+        if dst != src:
+            index[dst].append(position)
+
+    def _add_file(self, path: Path, chain: str) -> None:
+        """Check every row of one per-chain fixture CSV and index it, keeping
+        no row text. Line numbers in errors count CSV records, the header
+        being line 1."""
+        rows, index = self._start_chain(chain)
+        source = self._files[chain] = _FixtureFile(path, chain)
+        fh, starts, lengths = source.fh, source.starts, source.lengths
+        taken: list[str] = []
+        header = next(csv.reader(_noting(fh, taken)), None)
+        if header is None:
+            raise SchemaMismatch(f"{path}: empty fixture file, expected header row")
+        if tuple(h.strip() for h in header) != FIXTURE_COLUMNS:
+            raise SchemaMismatch(
+                f"{path}: header mismatch: got {header!r}, expected {list(FIXTURE_COLUMNS)!r}"
+            )
+        offset = sum(map(_nbytes, taken))
+        canonical = _CANONICAL_ROW.fullmatch
+        # A canonical line is one whole record. Any other line starts a record
+        # that csv reads from here, taking more lines if a quoted field spans them.
+        for line_no, line in enumerate(fh, start=2):
+            start = offset
+            offset += len(line) if line.isascii() else len(line.encode("utf-8"))  # _nbytes, inlined
+            if canonical(line):
+                position = len(rows)
+                rows.append(None)
+                starts.append(start)
+                lengths.append(offset - start)
+                src, dst = line[_FROM], line[_TO]
+                index[src].append(position)
+                if dst != src:
+                    index[dst].append(position)
+                continue
+            taken = []
+            values = next(csv.reader(itertools.chain([line], _noting(fh, taken))))
+            offset += sum(map(_nbytes, taken))
+            if not values or (len(values) == 1 and not values[0].strip()):
+                continue  # blank line
+            if len(values) != len(FIXTURE_COLUMNS):
+                raise ParseError(
+                    f"{path}:{line_no}: expected {len(FIXTURE_COLUMNS)} columns, got {len(values)}"
+                )
+            try:
+                record = _row_to_record(values, chain)
+            except (ValueError, ArithmeticError, MalformedAddress) as exc:
+                raise ParseError(f"{path}:{line_no}: bad fixture row: {exc}") from exc
+            self._add_record(rows, index, record)
+            starts.append(0)
+            lengths.append(0)
 
     def _index_of(self, chain: str) -> dict[str, list[int]]:
         if chain not in self._index:
             raise UnknownChain(f"no fixture data for chain {chain!r}")
         return self._index[chain]
 
-    def records_for(self, address: Address) -> list[TransactionRecord]:
-        """Every row touching the address, in file order."""
-        positions = self._index_of(address.chain).get(address.hex, ())
-        rows = self.records_by_chain[address.chain]
-        addresses = self._addresses[address.chain]
+    def _rows_at(self, chain: str, positions) -> list[TransactionRecord]:
+        """The records at these row positions, building the rows not yet
+        built. A fixture file edited since the load raises ParseError."""
+        rows = self.records_by_chain[chain]
+        source = self._files.get(chain)
+        if source is not None:
+            source.check_unchanged()
+        addresses = self._addresses[chain]
         out = []
         for position in positions:
             row = rows[position]
-            if type(row) is str:
-                row = rows[position] = _canonical_to_record(row, address.chain, addresses)
+            if row is None:  # threads racing here build equal records; either may stay
+                row = rows[position] = source.record(position, addresses)
             out.append(row)
         return out
+
+    def records_for(self, address: Address) -> list[TransactionRecord]:
+        """Every row touching the address, in file order."""
+        positions = self._index_of(address.chain).get(address.hex, ())
+        return self._rows_at(address.chain, positions)
 
     def all_addresses(self, chain: str) -> list[Address]:
         """Every distinct address appearing on a chain, sorted by hex."""

@@ -34,6 +34,8 @@ REGISTRY = {
 }
 
 _ALL_PLACEHOLDERS = set().union(*(spec[0] for spec in REGISTRY.values()))
+# A {name} slot for any registered placeholder name.
+_SLOT = re.compile(r"\{(" + "|".join(sorted(_ALL_PLACEHOLDERS)) + r")\}")
 
 
 @dataclass(frozen=True)
@@ -54,11 +56,15 @@ def _prompts_dir() -> Path:
 
 
 def load_template(template_id: str) -> PromptTemplate:
-    """Reads one template from disk."""
+    """Reads one template from disk. A slot for a placeholder the template
+    does not take could never be bound, so it fails the load."""
     if template_id not in REGISTRY:
         raise KeyError(f"unknown prompt template {template_id!r}")
     placeholders, origin = REGISTRY[template_id]
     text = (_prompts_dir() / f"{template_id}.txt").read_text(encoding="utf-8").rstrip("\n")
+    unbound = {slot.group(1) for slot in _SLOT.finditer(text)} - placeholders
+    if unbound:
+        raise MissingPlaceholder(f"template {template_id!r} has slots it never binds: {sorted(unbound)}")
     return PromptTemplate(
         id=template_id, text=text, placeholders=frozenset(placeholders), origin=origin
     )
@@ -74,24 +80,17 @@ def render(template: PromptTemplate, values: dict) -> str:
     """Substitute {name} slots; every required slot must be bound.
 
     str.format would choke on the literal JSON braces inside the templates,
-    so substitution is plain token replacement for the known slot names only.
+    so substitution is token replacement for the known slot names only, in
+    one pass over the template text: a value is inserted verbatim, even one
+    that holds a {name} token itself.
     """
     missing = template.placeholders - set(values)
     if missing:
         raise MissingPlaceholder(
             f"template {template.id!r} missing values for {sorted(missing)}"
         )
-    text = template.text
-    for name in template.placeholders:
-        text = text.replace("{" + name + "}", str(values[name]))
-    leftover = [
-        name
-        for name in _ALL_PLACEHOLDERS
-        if re.search(r"\{" + re.escape(name) + r"\}", text)
-    ]
-    if leftover:
-        raise MissingPlaceholder(f"unbound placeholders survive rendering: {sorted(leftover)}")
-    return text
+    bound = {name: str(values[name]) for name in template.placeholders}
+    return _SLOT.sub(lambda slot: bound[slot.group(1)], template.text)
 
 
 def template_hashes() -> dict:

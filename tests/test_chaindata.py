@@ -1,7 +1,12 @@
 """Fixture replay contracts: schema strictness, dedup, ordering, indexing."""
 
 import csv
+import gc
+import os
+import sys
 import tempfile
+import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -139,17 +144,131 @@ def test_fetch_touches_only_queried_address(tmp_path):
     assert all(r.involves(addr(2)) for r in records)
 
 
+def reachable_strings(root):
+    """Every str the garbage collector can reach from `root`."""
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, str):
+            found.append(obj)
+        elif not isinstance(obj, type):
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
 def test_rows_are_built_only_when_fetched(tmp_path):
     lines = [row(1, addr(1), addr(2)), row(2, addr(2), addr(3)), row(3, addr(4), addr(5))]
     write_fixture(tmp_path, "ethereum.csv", lines)
-    store = FixtureStore.load_dir(tmp_path)
-    rows = store.records_by_chain["ethereum"]
-    assert len(rows) == 3 and all(isinstance(r, str) for r in rows)
-    first = store.records_for(addr(2))
-    assert [type(r) for r in rows] == [TransactionRecord, TransactionRecord, str]
-    again = store.records_for(addr(2))
-    assert again == first and all(a is b for a, b in zip(again, first))
-    assert first[0].to_addr is first[1].from_addr  # one Address object per hex
+    with FixtureStore.load_dir(tmp_path) as store:
+        rows = store.records_by_chain["ethereum"]
+        assert rows == [None, None, None]
+        assert not any(tx_hash(n) in s for n in (1, 2, 3) for s in reachable_strings(store))
+        first = store.records_for(addr(2))
+        assert [type(r) for r in rows] == [TransactionRecord, TransactionRecord, type(None)]
+        again = store.records_for(addr(2))
+        assert again == first and all(a is b for a, b in zip(again, first))
+        assert first[0].to_addr is first[1].from_addr  # one Address object per hex
+        assert not any(tx_hash(3) in s for s in reachable_strings(store))
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+def test_rows_read_back_by_byte_span_equal_the_checked_build(tmp_path, ending):
+    """Spans stay exact after multi-byte UTF-8 text, a blank line and a quoted
+    record spanning two lines, whatever the line ending."""
+    spanning = row(5, addr(2), addr(1)).split(",")
+    spanning[FIXTURE_COLUMNS.index("input")] = '"0xab\ncd"'
+    lines = [
+        row(1, addr(1), addr(2), token="ÜSD₮"),
+        row(2, addr(2), addr(0xABC), token="稳定币", contract=addr(0xABC).hex),
+        "",
+        ",".join(spanning),
+        row(3, addr(0xABC), addr(1), token="€"),
+        row(4, addr(1), addr(1), token="USDT"),
+    ]
+    assert_loader_agrees(tmp_path, lines, ending)
+    with FixtureStore.load_dir(tmp_path) as store:
+        assert [r is None for r in store.records_by_chain["ethereum"]] == [True, True, False, True, True]
+
+
+def append_a_row(path):
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write(row(9, addr(2), addr(1)) + "\n")
+
+
+def truncate_the_last_row(path):
+    os.truncate(path, path.stat().st_size - 10)
+
+
+def uppercase_a_row_keeping_size_and_mtime(path):
+    stat = path.stat()
+    path.write_bytes(path.read_bytes().replace(addr(3).hex.encode(), addr(3).hex.upper().encode()))
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+
+
+@pytest.mark.parametrize("edit", [append_a_row, truncate_the_last_row, uppercase_a_row_keeping_size_and_mtime])
+def test_a_fixture_edited_after_the_load_fails_the_fetch_naming_it(tmp_path, edit):
+    path = write_fixture(tmp_path, "ethereum.csv", [row(1, addr(1), addr(2)), row(2, addr(2), addr(3))])
+    with FixtureStore.load_dir(tmp_path) as store:
+        edit(path)
+        with pytest.raises(ParseError) as err:
+            store.records_for(addr(2))
+    assert str(path) in str(err.value)
+
+
+def test_threads_fetching_together_read_back_every_row_right(tmp_path):
+    accounts = [addr(n) for n in range(1, 41)]
+    lines = [row(n, accounts[n % 40], accounts[(3 * n + 1) % 40], token="稳定币") for n in range(400)]
+    path = write_fixture(tmp_path, "ethereum.csv", lines)
+    expected = reference_load(path)
+    results: dict = {}
+
+    def fetch_all(worker):
+        results[worker] = {a: store.records_for(a) for a in accounts[worker % 4 :] + accounts[: worker % 4]}
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with FixtureStore.load_dir(tmp_path) as store:
+            threads = [threading.Thread(target=fetch_all, args=(worker,)) for worker in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert store.records_by_chain["ethereum"] == expected
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(results) == 8
+    for fetched in results.values():
+        assert fetched == {a: [r for r in expected if r.involves(a)] for a in accounts}
+
+
+def test_a_loaded_row_costs_its_span_and_index_entries_not_its_text(tmp_path):
+    """A 20k-row fixture, ten rows per address as in the scaled benchmark
+    graph: a line is ~230 bytes of text, and the store keeps under 100 bytes
+    per row (span, position, index entries, each address once)."""
+    rows_n, addresses_n = 20_000, 2_000
+    lines = [
+        row(n, addr(n % addresses_n + 1), addr((7 * n + 1) % addresses_n + 1),
+            value=str(10**18 + n), ts=1_700_000_000 + n, block=18_000_000 + n, token="USDT")
+        for n in range(rows_n)
+    ]
+    write_fixture(tmp_path, "ethereum.csv", lines)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        store = FixtureStore.load_dir(tmp_path)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    with store:
+        assert len(store.records_by_chain["ethereum"]) == rows_n
+        assert retained / rows_n < 100
 
 
 def test_unknown_chain(tmp_path):

@@ -427,6 +427,16 @@ def test_run_composes_and_rerun_is_byte_identical(tmp_path):
     assert {name: (out / name).read_bytes() for name in names} == first
 
 
+def test_run_leaves_no_file_open(tmp_path):
+    cfg = write_config(tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    argv = [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "risktagger", "run", DOC, "--config", cfg]
+    result = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert "ResourceWarning" not in result.stderr
+    assert (tmp_path / "out" / "labels.jsonl").read_bytes() == (GOLDEN / "synthetic_labels.golden.jsonl").read_bytes()
+
+
 def test_run_stops_on_incomplete_extraction(tmp_path):
     text = (FIXTURES / "bybit_incident.txt").read_text()
     doc = tmp_path / "no_usd.txt"

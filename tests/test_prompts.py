@@ -5,11 +5,15 @@ and explainer prompt texts with placeholder slots blanked; the templates on
 disk must render to those bytes exactly.
 """
 
+import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
-from conftest import GOLDEN, addr, make_tx
+from conftest import GOLDEN, REPO_ROOT, addr, make_tx
 from risktagger.errors import MissingPlaceholder
 from risktagger.model import TracerConfig
 from risktagger.reasoner import (
@@ -74,6 +78,37 @@ def test_render_missing_placeholder():
     template = load_template("cot_part1")
     with pytest.raises(MissingPlaceholder):
         render(template, {"target_address": "0xabc"})  # formatted_analysis absent
+
+
+RENDER_PROBE = """
+import json
+from risktagger.reasoner.prompts import get_template, render
+print(json.dumps([
+    render(get_template("extractor_chunk"), {"chunk_id": "c7", "chunk_text": "wrote {chunk_id} here"}),
+    render(get_template("reflection"), {"target_address": "{analysis_result}", "analysis_result": "{target_address}"}),
+]))
+"""
+
+
+def test_a_value_holding_a_slot_token_renders_verbatim_whatever_the_hash_seed():
+    chunk, reflection = load_template("extractor_chunk").text, load_template("reflection").text
+    expected = [
+        chunk.replace("{chunk_id}", "c7").replace("{chunk_text}", "wrote {chunk_id} here"),
+        reflection.replace("{target_address}", "\0").replace("{analysis_result}", "{target_address}")
+        .replace("\0", "{analysis_result}"),
+    ]
+    for seed in ("0", "1", "2", "3", "4", "5"):
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"), PYTHONHASHSEED=seed)
+        result = subprocess.run([sys.executable, "-c", RENDER_PROBE], env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == expected
+
+
+def test_a_template_slot_it_never_binds_fails_the_load(tmp_path, monkeypatch):
+    (tmp_path / "cot_part2.txt").write_text("Answer for {target_address}.\n", encoding="utf-8")
+    monkeypatch.setattr(prompts, "_prompts_dir", lambda: tmp_path)
+    with pytest.raises(MissingPlaceholder, match="target_address"):
+        load_template("cot_part2")
 
 
 def test_reflection_prompt_carries_analysis():
