@@ -16,9 +16,11 @@ from pathlib import Path
 from ..errors import ParseError
 from ..model import Address, CrossChainPair, TransactionRecord, normalize_address, normalize_chain
 
-DEFAULT_AMOUNT_TOLERANCE = 0.01  # fraction of the deposited amount
-DEFAULT_TIME_WINDOW_S = 3600
-DEFAULT_CLOCK_SKEW_S = 0
+# A withdrawal pairs with a deposit when it is within 1% of the deposited
+# amount (Decimal keeps the product exact for 10^24-scale smallest-unit
+# amounts) and sent no earlier than the deposit, at most an hour after it.
+AMOUNT_TOLERANCE = Decimal("0.01")
+TIME_WINDOW_S = 3600
 
 
 class BridgeTable:
@@ -73,27 +75,12 @@ class BridgeTable:
         return None
 
 
-def _within_tolerance(amount_src: int, amount_dst: int, tolerance: float) -> bool:
-    # Decimal keeps the product exact for 10^24-scale smallest-unit amounts.
-    return abs(amount_dst - amount_src) <= Decimal(str(tolerance)) * amount_src
-
-
 class BridgeMatcher:
     """CrossChainMatcherPort over a per-address record source (fixture or cache)."""
 
-    def __init__(
-        self,
-        table: BridgeTable,
-        records_for,  # callable: Address -> list[TransactionRecord] touching it
-        amount_tolerance: float = DEFAULT_AMOUNT_TOLERANCE,
-        time_window_s: int = DEFAULT_TIME_WINDOW_S,
-        clock_skew_s: int = DEFAULT_CLOCK_SKEW_S,
-    ):
+    def __init__(self, table: BridgeTable, records_for):
         self.table = table
-        self.records_for = records_for
-        self.amount_tolerance = amount_tolerance
-        self.time_window_s = time_window_s
-        self.clock_skew_s = clock_skew_s
+        self.records_for = records_for  # callable: Address -> list[TransactionRecord] touching it
         self.diagnostics: list[dict] = []
 
     def expand(self, address: Address, txs: list[TransactionRecord]) -> list[CrossChainPair]:
@@ -135,9 +122,9 @@ class BridgeMatcher:
             candidates.sort(key=lambda r: (r.timeStamp, r.hash))
             for wd in candidates:
                 delta = wd.timeStamp - deposit.timeStamp
-                if delta < -self.clock_skew_s or delta > self.time_window_s:
+                if not 0 <= delta <= TIME_WINDOW_S:
                     continue
-                if not _within_tolerance(deposit.value_int, wd.value_int, self.amount_tolerance):
+                if abs(wd.value_int - deposit.value_int) > AMOUNT_TOLERANCE * deposit.value_int:
                     continue
                 out.append(
                     CrossChainPair(

@@ -1,13 +1,14 @@
 """CSV fixture replay: one `<chain>.csv` per chain, crawler column schema.
 
-Loading checks every row and keeps no row's text. A row already in canonical
-form is kept as its byte span in the file, which stays open; the row is read
-back from there, matched again and built into a TransactionRecord only when
-an account touching it is first fetched. Any other row is checked and built
-at load, so a bad row fails the load with its line number whether or not a
-trace would ever reach it. A fixture file whose size or mtime changed since
-the load fails the next fetch with ParseError, so no row that was not checked
-ever becomes a record.
+Loading checks every row and keeps no row's text, and no file stays open
+after it. A row already in canonical form is kept as its byte span in the
+file; the row is read back from there, matched again and built into a
+TransactionRecord only when an account touching it is first fetched. Any
+other row is checked and built at load, so a bad row fails the load with its
+line number whether or not a trace would ever reach it. Each fetch reopens
+the file, and a file that is not the one loaded (another device, inode, size
+or mtime) fails it with ParseError, so no row that was not checked ever
+becomes a record.
 """
 
 from __future__ import annotations
@@ -104,33 +105,43 @@ def _noting(lines, taken: list):
         yield line
 
 
-class _FixtureFile:
-    """One open fixture CSV, its size and mtime at load, and the byte span of
-    each canonical row in it (by row position; other rows hold 0, 0)."""
+def _stamp(fd: int) -> tuple[int, int, int, int]:
+    """What tells one file's state from another's: a fixture replaced by
+    rename has another device or inode even with equal size and mtime."""
+    stat = os.fstat(fd)
+    return stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns
 
-    def __init__(self, path: Path, chain: str):
-        try:
-            self.fh = path.open(newline="", encoding="utf-8")
-        except OSError as exc:
-            raise ParseError(f"cannot open fixture {path}: {exc}") from exc
-        self.path = path
+
+class _FixtureFile:
+    """One fixture CSV: its absolute path, its stamp at load, and the byte
+    span of each canonical row in it (by row position; other rows hold 0, 0)."""
+
+    def __init__(self, path: Path, chain: str, stamp: tuple[int, int, int, int]):
+        self.path = path.absolute()
         self.chain = chain
-        self.stamp = self._stamp()
+        self.stamp = stamp
         self.starts = array("q")
         self.lengths = array("I")  # a canonical row is under 2**32 bytes
 
-    def _stamp(self) -> tuple[int, int]:
-        stat = os.fstat(self.fh.fileno())
-        return stat.st_size, stat.st_mtime_ns
+    def build(self, rows: list, positions, addresses: dict[str, Address]) -> None:
+        """Builds each row at these positions not built yet, reading its span
+        from the reopened file, whose stamp must still be the load's, and
+        matching it again."""
+        try:
+            fh = self.path.open("rb", buffering=0)
+        except OSError as exc:
+            raise ParseError(f"{self.path}: cannot reopen fixture: {exc}") from exc
+        with fh:
+            fd = fh.fileno()
+            if _stamp(fd) != self.stamp:
+                raise ParseError(f"{self.path}: fixture changed since it was loaded")
+            # Threads racing here build equal records; either may stay.
+            for position in positions:
+                if rows[position] is None:
+                    rows[position] = self._record(fd, position, addresses)
 
-    def check_unchanged(self) -> None:
-        if self._stamp() != self.stamp:
-            raise ParseError(f"{self.path}: fixture changed since it was loaded")
-
-    def record(self, position: int, addresses: dict[str, Address]) -> TransactionRecord:
-        """The record of a canonical row, read back from the file and matched
-        again. pread leaves the file position alone, so threads need no lock."""
-        data = os.pread(self.fh.fileno(), self.lengths[position], self.starts[position])
+    def _record(self, fd: int, position: int, addresses: dict[str, Address]) -> TransactionRecord:
+        data = os.pread(fd, self.lengths[position], self.starts[position])
         try:
             line = data.decode("utf-8")
         except UnicodeDecodeError:
@@ -144,9 +155,9 @@ def load_fixture(path: str | Path, chain: str | None = None) -> list[Transaction
     """Load one per-chain fixture CSV; the chain defaults to the file stem."""
     path = Path(path)
     chain = normalize_chain(chain or path.stem)
-    with FixtureStore({}) as store:
-        store._add_file(path, chain)
-        return store._rows_at(chain, range(len(store.records_by_chain[chain])))
+    store = FixtureStore({})
+    store._add_file(path, chain)
+    return store._rows_at(chain, range(len(store.records_by_chain[chain])))
 
 
 class FixtureStore:
@@ -154,8 +165,7 @@ class FixtureStore:
 
     `records_by_chain` maps each chain to its rows in file order, one entry
     per row: a TransactionRecord, or None for a canonical row not yet fetched,
-    which its record replaces the first time it is. A store from load_dir
-    holds its fixture files open until close().
+    which its record replaces the first time it is.
     """
 
     def __init__(self, records_by_chain: dict[str, list[TransactionRecord]]):
@@ -168,17 +178,6 @@ class FixtureStore:
             for record in records:
                 self._add_record(rows, index, record)
 
-    def __enter__(self) -> "FixtureStore":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Close every fixture file the store holds open."""
-        for source in self._files.values():
-            source.fh.close()
-
     @staticmethod
     def files(fixture_dir: str | Path) -> list[Path]:
         """The <chain>.csv files load_dir reads, in the order it reads them."""
@@ -187,21 +186,14 @@ class FixtureStore:
     @staticmethod
     def load_dir(fixture_dir: str | Path) -> "FixtureStore":
         store = FixtureStore({})
-        try:
-            for csv_path in FixtureStore.files(fixture_dir):
-                store._add_file(csv_path, normalize_chain(csv_path.stem))
-        except BaseException:
-            store.close()
-            raise
+        for csv_path in FixtureStore.files(fixture_dir):
+            store._add_file(csv_path, normalize_chain(csv_path.stem))
         if not store.records_by_chain:
             raise ParseError(f"no <chain>.csv fixture files under {fixture_dir}")
         return store
 
     def _start_chain(self, chain: str) -> tuple[list, dict[str, list[int]]]:
         """An empty row list and index for the chain, replacing any before."""
-        replaced = self._files.pop(chain, None)
-        if replaced is not None:
-            replaced.fh.close()
         self._addresses[chain] = {}
         rows = self.records_by_chain[chain] = []
         index = self._index[chain] = defaultdict(list)
@@ -221,49 +213,54 @@ class FixtureStore:
         no row text. Line numbers in errors count CSV records, the header
         being line 1."""
         rows, index = self._start_chain(chain)
-        source = self._files[chain] = _FixtureFile(path, chain)
-        fh, starts, lengths = source.fh, source.starts, source.lengths
-        taken: list[str] = []
-        header = next(csv.reader(_noting(fh, taken)), None)
-        if header is None:
-            raise SchemaMismatch(f"{path}: empty fixture file, expected header row")
-        if tuple(h.strip() for h in header) != FIXTURE_COLUMNS:
-            raise SchemaMismatch(
-                f"{path}: header mismatch: got {header!r}, expected {list(FIXTURE_COLUMNS)!r}"
-            )
-        offset = sum(map(_nbytes, taken))
-        canonical = _CANONICAL_ROW.fullmatch
-        # A canonical line is one whole record. Any other line starts a record
-        # that csv reads from here, taking more lines if a quoted field spans them.
-        for line_no, line in enumerate(fh, start=2):
-            start = offset
-            offset += len(line) if line.isascii() else len(line.encode("utf-8"))  # _nbytes, inlined
-            if canonical(line):
-                position = len(rows)
-                rows.append(None)
-                starts.append(start)
-                lengths.append(offset - start)
-                src, dst = line[_FROM], line[_TO]
-                index[src].append(position)
-                if dst != src:
-                    index[dst].append(position)
-                continue
-            taken = []
-            values = next(csv.reader(itertools.chain([line], _noting(fh, taken))))
-            offset += sum(map(_nbytes, taken))
-            if not values or (len(values) == 1 and not values[0].strip()):
-                continue  # blank line
-            if len(values) != len(FIXTURE_COLUMNS):
-                raise ParseError(
-                    f"{path}:{line_no}: expected {len(FIXTURE_COLUMNS)} columns, got {len(values)}"
+        try:
+            fh = path.open(newline="", encoding="utf-8")
+        except OSError as exc:
+            raise ParseError(f"cannot open fixture {path}: {exc}") from exc
+        with fh:
+            source = self._files[chain] = _FixtureFile(path, chain, _stamp(fh.fileno()))
+            starts, lengths = source.starts, source.lengths
+            taken: list[str] = []
+            header = next(csv.reader(_noting(fh, taken)), None)
+            if header is None:
+                raise SchemaMismatch(f"{path}: empty fixture file, expected header row")
+            if tuple(h.strip() for h in header) != FIXTURE_COLUMNS:
+                raise SchemaMismatch(
+                    f"{path}: header mismatch: got {header!r}, expected {list(FIXTURE_COLUMNS)!r}"
                 )
-            try:
-                record = _row_to_record(values, chain)
-            except (ValueError, ArithmeticError, MalformedAddress) as exc:
-                raise ParseError(f"{path}:{line_no}: bad fixture row: {exc}") from exc
-            self._add_record(rows, index, record)
-            starts.append(0)
-            lengths.append(0)
+            offset = sum(map(_nbytes, taken))
+            canonical = _CANONICAL_ROW.fullmatch
+            # A canonical line is one whole record. Any other line starts a record
+            # that csv reads from here, taking more lines if a quoted field spans them.
+            for line_no, line in enumerate(fh, start=2):
+                start = offset
+                offset += len(line) if line.isascii() else len(line.encode("utf-8"))  # _nbytes, inlined
+                if canonical(line):
+                    position = len(rows)
+                    rows.append(None)
+                    starts.append(start)
+                    lengths.append(offset - start)
+                    src, dst = line[_FROM], line[_TO]
+                    index[src].append(position)
+                    if dst != src:
+                        index[dst].append(position)
+                    continue
+                taken = []
+                values = next(csv.reader(itertools.chain([line], _noting(fh, taken))))
+                offset += sum(map(_nbytes, taken))
+                if not values or (len(values) == 1 and not values[0].strip()):
+                    continue  # blank line
+                if len(values) != len(FIXTURE_COLUMNS):
+                    raise ParseError(
+                        f"{path}:{line_no}: expected {len(FIXTURE_COLUMNS)} columns, got {len(values)}"
+                    )
+                try:
+                    record = _row_to_record(values, chain)
+                except (ValueError, ArithmeticError, MalformedAddress) as exc:
+                    raise ParseError(f"{path}:{line_no}: bad fixture row: {exc}") from exc
+                self._add_record(rows, index, record)
+                starts.append(0)
+                lengths.append(0)
 
     def _index_of(self, chain: str) -> dict[str, list[int]]:
         if chain not in self._index:
@@ -276,15 +273,8 @@ class FixtureStore:
         rows = self.records_by_chain[chain]
         source = self._files.get(chain)
         if source is not None:
-            source.check_unchanged()
-        addresses = self._addresses[chain]
-        out = []
-        for position in positions:
-            row = rows[position]
-            if row is None:  # threads racing here build equal records; either may stay
-                row = rows[position] = source.record(position, addresses)
-            out.append(row)
-        return out
+            source.build(rows, positions, self._addresses[chain])
+        return [rows[position] for position in positions]
 
     def records_for(self, address: Address) -> list[TransactionRecord]:
         """Every row touching the address, in file order."""

@@ -11,7 +11,6 @@ template or input file exits 1 and names what changed.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
 import json
 import logging
@@ -104,13 +103,10 @@ def _clock(config: RunConfig, out_dir: Path, resume: bool) -> int:
     return journaled if journaled is not None else int(time.time())
 
 
-def _build_ports(
-    config: RunConfig, out_dir: Path, resume: bool, inputs: dict, resources: contextlib.ExitStack
-) -> TracerPorts:
-    """The trace's ports; what they hold open closes with `resources`."""
+def _build_ports(config: RunConfig, out_dir: Path, resume: bool, inputs: dict) -> TracerPorts:
     matcher = None
     if config.adapter == "fixture":
-        store = resources.enter_context(FixtureStore.load_dir(config.fixture_dir))
+        store = FixtureStore.load_dir(config.fixture_dir)
         client = FixtureChainClient(store)
         if config.bridges_path:  # validated: only the fixture adapter takes a bridge table
             matcher = BridgeMatcher(BridgeTable.load(config.bridges_path), store.records_for)
@@ -190,9 +186,8 @@ def _do_trace(
         seeds += [a for a in clues.victim_addresses if a not in seeds]
     if not seeds:
         return None
-    with contextlib.ExitStack() as resources:
-        ports = _build_ports(config, out_dir, resume, inputs, resources)
-        state = trace(seeds, config.chain, config.tracer, ports, resume=resume)
+    ports = _build_ports(config, out_dir, resume, inputs)
+    state = trace(seeds, config.chain, config.tracer, ports, resume=resume)
     write_outputs(state, out_dir)
     return state
 
@@ -262,9 +257,9 @@ def cmd_sample_controls(args) -> int:
     if config.adapter != "fixture":
         print("sample-controls needs the fixture adapter (the candidate pool)", file=sys.stderr)
         return 1
-    with FixtureStore.load_dir(config.fixture_dir) as store:
-        labeled = {a.target_address.hex for a in _load_labels(args.labels)}
-        candidates = [a.hex for a in store.all_addresses(config.chain) if a.hex not in labeled]
+    store = FixtureStore.load_dir(config.fixture_dir)
+    labeled = {a.target_address.hex for a in _load_labels(args.labels)}
+    candidates = [a.hex for a in store.all_addresses(config.chain) if a.hex not in labeled]
     if not candidates:
         print("every fixture address was labeled; no controls to sample", file=sys.stderr)
         return 2

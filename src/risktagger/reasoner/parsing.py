@@ -60,8 +60,10 @@ def _first_json_object(text: str):
 
 def extract_json_fragment(raw: str) -> tuple[dict, bool]:
     """Returns (fragment, repaired). Raises UnparseableVerdict when hopeless."""
-    candidates = []  # (obj, repaired) in pass order
     obj = _first_json_object(raw)
+    if obj is not None and "suspicion_level" in obj:
+        return obj, False  # no repair pass can win over it
+    candidates = []  # (obj, repaired) in pass order
     if obj is not None:
         candidates.append((obj, False))
     # repair 1: drop code fence lines, they sometimes truncate oddly

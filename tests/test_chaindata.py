@@ -162,16 +162,16 @@ def reachable_strings(root):
 def test_rows_are_built_only_when_fetched(tmp_path):
     lines = [row(1, addr(1), addr(2)), row(2, addr(2), addr(3)), row(3, addr(4), addr(5))]
     write_fixture(tmp_path, "ethereum.csv", lines)
-    with FixtureStore.load_dir(tmp_path) as store:
-        rows = store.records_by_chain["ethereum"]
-        assert rows == [None, None, None]
-        assert not any(tx_hash(n) in s for n in (1, 2, 3) for s in reachable_strings(store))
-        first = store.records_for(addr(2))
-        assert [type(r) for r in rows] == [TransactionRecord, TransactionRecord, type(None)]
-        again = store.records_for(addr(2))
-        assert again == first and all(a is b for a, b in zip(again, first))
-        assert first[0].to_addr is first[1].from_addr  # one Address object per hex
-        assert not any(tx_hash(3) in s for s in reachable_strings(store))
+    store = FixtureStore.load_dir(tmp_path)
+    rows = store.records_by_chain["ethereum"]
+    assert rows == [None, None, None]
+    assert not any(tx_hash(n) in s for n in (1, 2, 3) for s in reachable_strings(store))
+    first = store.records_for(addr(2))
+    assert [type(r) for r in rows] == [TransactionRecord, TransactionRecord, type(None)]
+    again = store.records_for(addr(2))
+    assert again == first and all(a is b for a, b in zip(again, first))
+    assert first[0].to_addr is first[1].from_addr  # one Address object per hex
+    assert not any(tx_hash(3) in s for s in reachable_strings(store))
 
 
 @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
@@ -189,8 +189,8 @@ def test_rows_read_back_by_byte_span_equal_the_checked_build(tmp_path, ending):
         row(4, addr(1), addr(1), token="USDT"),
     ]
     assert_loader_agrees(tmp_path, lines, ending)
-    with FixtureStore.load_dir(tmp_path) as store:
-        assert [r is None for r in store.records_by_chain["ethereum"]] == [True, True, False, True, True]
+    store = FixtureStore.load_dir(tmp_path)
+    assert [r is None for r in store.records_by_chain["ethereum"]] == [True, True, False, True, True]
 
 
 def append_a_row(path):
@@ -208,14 +208,45 @@ def uppercase_a_row_keeping_size_and_mtime(path):
     os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
 
 
-@pytest.mark.parametrize("edit", [append_a_row, truncate_the_last_row, uppercase_a_row_keeping_size_and_mtime])
+def replace_by_rename_keeping_size_and_mtime(path):
+    """Another address of equal width: the copy is as long as the original
+    and every row in it is still canonical."""
+    stat = path.stat()
+    copy = path.with_name(path.name + ".new")
+    copy.write_bytes(path.read_bytes().replace(addr(3).hex.encode(), addr(4).hex.encode()))
+    os.utime(copy, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert copy.stat().st_size == stat.st_size
+    os.replace(copy, path)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        append_a_row,
+        truncate_the_last_row,
+        uppercase_a_row_keeping_size_and_mtime,
+        replace_by_rename_keeping_size_and_mtime,
+        Path.unlink,
+    ],
+)
 def test_a_fixture_edited_after_the_load_fails_the_fetch_naming_it(tmp_path, edit):
     path = write_fixture(tmp_path, "ethereum.csv", [row(1, addr(1), addr(2)), row(2, addr(2), addr(3))])
-    with FixtureStore.load_dir(tmp_path) as store:
-        edit(path)
-        with pytest.raises(ParseError) as err:
-            store.records_for(addr(2))
+    store = FixtureStore.load_dir(tmp_path)
+    edit(path)
+    with pytest.raises(ParseError) as err:
+        store.records_for(addr(2))
     assert str(path) in str(err.value)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_the_store_holds_no_file_open(tmp_path):
+    write_fixture(tmp_path, "ethereum.csv", [row(1, addr(1), addr(2)), row(2, addr(2), addr(3))])
+    write_fixture(tmp_path, "bsc.csv", [row(3, addr(1, "bsc"), addr(2, "bsc"))])
+    before = len(os.listdir("/proc/self/fd"))
+    store = FixtureStore.load_dir(tmp_path)
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert len(store.records_for(addr(2))) == 2
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 def test_threads_fetching_together_read_back_every_row_right(tmp_path):
@@ -231,14 +262,14 @@ def test_threads_fetching_together_read_back_every_row_right(tmp_path):
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with FixtureStore.load_dir(tmp_path) as store:
-            threads = [threading.Thread(target=fetch_all, args=(worker,)) for worker in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-            assert not any(thread.is_alive() for thread in threads)
-            assert store.records_by_chain["ethereum"] == expected
+        store = FixtureStore.load_dir(tmp_path)
+        threads = [threading.Thread(target=fetch_all, args=(worker,)) for worker in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert store.records_by_chain["ethereum"] == expected
     finally:
         sys.setswitchinterval(switch)
     assert len(results) == 8
@@ -266,9 +297,8 @@ def test_a_loaded_row_costs_its_span_and_index_entries_not_its_text(tmp_path):
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    with store:
-        assert len(store.records_by_chain["ethereum"]) == rows_n
-        assert retained / rows_n < 100
+    assert len(store.records_by_chain["ethereum"]) == rows_n
+    assert retained / rows_n < 100
 
 
 def test_unknown_chain(tmp_path):

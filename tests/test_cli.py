@@ -475,7 +475,8 @@ def test_sample_controls_seeded_and_disjoint(tmp_path):
         picks.append(json.loads(out_file.read_text())["addresses"])
     assert picks[0] == picks[1]
     assert len(picks[0]) == 1000
-    labeled = {json.loads(l)["target_address"]["hex"] for l in (trace_out / "labels.jsonl").open()}
+    labels = (trace_out / "labels.jsonl").read_text().splitlines()
+    labeled = {json.loads(l)["target_address"]["hex"] for l in labels}
     assert not set(picks[0]) & labeled
 
 

@@ -63,8 +63,8 @@ def records_for(rows):
     return lambda address: [r for r in rows if r.involves(address)]
 
 
-def matcher_for(tmp_path, bsc_rows, **kw):
-    return BridgeMatcher(build_table(tmp_path), records_for(bsc_rows), **kw)
+def matcher_for(tmp_path, bsc_rows):
+    return BridgeMatcher(build_table(tmp_path), records_for(bsc_rows))
 
 
 def test_single_pair_within_window_and_tolerance(tmp_path):
@@ -113,16 +113,12 @@ def test_token_must_match(tmp_path):
     assert matcher.expand(ACCOUNT, [deposit]) == []
 
 
-def test_withdrawal_before_deposit_needs_skew(tmp_path):
+def test_withdrawal_before_deposit_never_matches(tmp_path):
     deposit = make_tx(1, ACCOUNT, BRIDGE_ETH, value=str(DEPOSIT_AMOUNT), ts=T0, token="RUNE")
     early = make_tx(2, BRIDGE_BSC, DST_USER, value=str(WITHDRAW_OK), ts=T0 - 60, token="RUNE")
 
-    strict = matcher_for(tmp_path, [early])
-    assert strict.expand(ACCOUNT, [deposit]) == []
-
-    lenient = matcher_for(tmp_path, [early], clock_skew_s=120)
-    pairs = lenient.expand(ACCOUNT, [deposit])
-    assert len(pairs) == 1 and pairs[0].time_delta_s == -60
+    matcher = matcher_for(tmp_path, [early])
+    assert matcher.expand(ACCOUNT, [deposit]) == []
 
 
 def test_all_candidate_withdrawals_kept(tmp_path):
