@@ -151,10 +151,10 @@ class _FixtureFile:
         return _canonical_to_record(line, self.chain, addresses)
 
 
-def load_fixture(path: str | Path, chain: str | None = None) -> list[TransactionRecord]:
-    """Load one per-chain fixture CSV; the chain defaults to the file stem."""
+def load_fixture(path: str | Path) -> list[TransactionRecord]:
+    """Load one per-chain fixture CSV; the chain is the file stem."""
     path = Path(path)
-    chain = normalize_chain(chain or path.stem)
+    chain = normalize_chain(path.stem)
     store = FixtureStore({})
     store._add_file(path, chain)
     return store._rows_at(chain, range(len(store.records_by_chain[chain])))

@@ -110,7 +110,7 @@ class EtherscanClient:
         if self.cache is not None:
             cached = self.cache.get(self.chain, address.hex, page_token)
             if cached is not None:
-                return self._parse_body(cached, allow_rate_limit_error=False)
+                return self._parse_body(cached)
         body = self._http_get(
             {
                 "module": "account",
@@ -124,7 +124,7 @@ class EtherscanClient:
                 "apikey": self.api_key,
             }
         )
-        rows = self._parse_body(body, allow_rate_limit_error=True)
+        rows = self._parse_body(body)
         if self.cache is not None:
             self.cache.put(self.chain, address.hex, page_token, body)
         return rows
@@ -181,7 +181,7 @@ class EtherscanClient:
             if slot >= self._pause_until:
                 return
 
-    def _parse_body(self, body: bytes, allow_rate_limit_error: bool) -> list[dict]:
+    def _parse_body(self, body: bytes) -> list[dict]:
         try:
             payload = json.loads(body)
         except json.JSONDecodeError as exc:
@@ -194,9 +194,7 @@ class EtherscanClient:
         if isinstance(result, list) and not result:
             return []  # "No transactions found"
         if "rate limit" in message.lower():
-            if allow_rate_limit_error:
-                raise RateLimited(f"upstream rate limit: {message.strip()}")
-            return []
+            raise RateLimited(f"upstream rate limit: {message.strip()}")
         raise ChainUnavailable(f"upstream error: {message.strip()[:200]}")
 
 

@@ -18,6 +18,7 @@ import platform
 import random
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -26,7 +27,7 @@ from .chaindata.crosschain import BridgeMatcher, BridgeTable
 from .chaindata.fixtures import FixtureChainClient, FixtureStore
 from .chaindata.live import EtherscanClient
 from .config import RunConfig, load_config
-from .errors import EmptyChecklist, RiskTaggerError
+from .errors import EmptyChecklist, ParseError, RiskTaggerError
 from .explainer import build_checklist, coverage, generate_report
 from .extractor import MANDATORY_FIELDS, CaseClues, LlmExtractor, extract_case_clues
 from .model import RiskAssessment, SuspicionLevel
@@ -124,8 +125,6 @@ def _build_ports(config: RunConfig, out_dir: Path, resume: bool, inputs: dict) -
         backend=backend,
         now=now,
         matcher=matcher,
-        reflection_rounds=config.reflection_rounds,
-        temperature=config.llm_temperature,
         out_dir=out_dir,
         strict=config.strict,
         workers=config.workers,
@@ -140,16 +139,29 @@ def _build_ports(config: RunConfig, out_dir: Path, resume: bool, inputs: dict) -
     )
 
 
+# what from_json raises on a document that is not JSON or has the wrong shape
+_BAD_DOCUMENT = (AttributeError, KeyError, TypeError, ValueError, RiskTaggerError)
+
+
 def _load_clues(path: str) -> CaseClues:
-    return CaseClues.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+    try:
+        return CaseClues.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+    except _BAD_DOCUMENT as exc:
+        raise ParseError(f"{path}: bad case clues: {type(exc).__name__}: {exc}") from exc
 
 
 def _load_labels(path: str) -> list:
     labels_path = Path(path)
     if labels_path.is_dir():
         labels_path = labels_path / "labels.jsonl"
-    lines = labels_path.read_text(encoding="utf-8").splitlines()
-    return [RiskAssessment.from_json(json.loads(line)) for line in lines if line.strip()]
+    labels = []
+    for line_no, line in enumerate(labels_path.read_text(encoding="utf-8").splitlines(), start=1):
+        if line.strip():
+            try:
+                labels.append(RiskAssessment.from_json(json.loads(line)))
+            except _BAD_DOCUMENT as exc:
+                raise ParseError(f"{labels_path}:{line_no}: bad label: {type(exc).__name__}: {exc}") from exc
+    return labels
 
 
 # --- commands ----------------------------------------------------------------
@@ -209,7 +221,7 @@ def cmd_trace(args) -> int:
 
 def _do_explain(config: RunConfig, out_dir: Path, clues: CaseClues, l_all: list) -> float:
     backend = _llm_backend(config) if config.backend == "llm" else None
-    report, source = generate_report(clues, l_all, backend=backend, temperature=config.llm_temperature)
+    report, source = generate_report(clues, l_all, backend=backend)
     scored = coverage(report, build_checklist(clues))
     (out_dir / "report.md").write_text(report, encoding="utf-8")
     _write_json(out_dir / "coverage.json", {**scored.to_json(), **source})
@@ -333,26 +345,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-_CONFIG_FLAG_FIELDS = (
-    "chain",
-    "adapter",
-    "fixture_dir",
-    "bridges_path",
-    "cache_dir",
-    "blacklist_path",
-    "backend",
-    "llm_endpoint",
-    "llm_model",
-    "out_dir",
-    "seed",
-    "now",
-    "workers",
-    "strict",
-)
-
-
 def _overrides(args) -> dict:
-    overrides = {name: getattr(args, name, None) for name in _CONFIG_FLAG_FIELDS}
+    # each config flag's dest is its RunConfig field; a field with no flag reads None
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
     overrides["tracer.D"] = getattr(args, "max_depth", None)
     overrides["tracer.frontier_cap"] = getattr(args, "frontier_cap", None)
     return overrides

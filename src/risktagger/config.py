@@ -15,8 +15,8 @@ import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .errors import ParseError
-from .model import TracerConfig
+from .errors import MalformedAddress, ParseError
+from .model import TracerConfig, normalize_chain
 
 LLM_ENDPOINT_ENV = "RISKTAGGER_LLM_ENDPOINT"
 CACHE_DIR_ENV = "RISKTAGGER_CACHE_DIR"
@@ -36,16 +36,18 @@ class RunConfig:
     backend: str = "rules"  # rules | llm
     llm_endpoint: str | None = None
     llm_model: str = "default"
-    llm_temperature: float = 0.0
     api_base_url: str = DEFAULT_API_BASE_URL
     out_dir: str = "out"
     seed: int = 0
     now: int | None = None  # fixed clock; unset means wall time (not reproducible)
-    reflection_rounds: int = 1
     workers: int = 1
     strict: bool = False
 
     def validate(self, need_adapter: bool = True) -> None:
+        try:
+            self.chain = normalize_chain(self.chain)
+        except (AttributeError, MalformedAddress):
+            raise ParseError(f"chain must be a non-empty alphanumeric id, got {self.chain!r}") from None
         if self.adapter not in ("fixture", "live"):
             raise ParseError(f"adapter must be 'fixture' or 'live', got {self.adapter!r}")
         if self.backend not in ("rules", "llm"):

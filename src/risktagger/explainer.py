@@ -474,7 +474,7 @@ def _render_template(clues, analysis: dict) -> str:
     return "\n\n".join(parts) + "\n"
 
 
-def generate_report(clues, l_all: list, backend=None, temperature: float = 0.0) -> tuple[str, dict]:
+def generate_report(clues, l_all: list, backend=None) -> tuple[str, dict]:
     """Render the eight-section audit report for one trace's labels, and say
     where it came from: {"report_source": "model" | "template", "fallback_reason"}.
 
@@ -491,7 +491,7 @@ def generate_report(clues, l_all: list, backend=None, temperature: float = 0.0) 
     if backend is not None:
         prompt = build_explainer_prompt(json.dumps(analysis, indent=2, sort_keys=True))
         try:
-            reply = backend.complete(prompt, temperature=temperature, max_tokens=REPORT_MAX_TOKENS)
+            reply = backend.complete(prompt, temperature=0.0, max_tokens=REPORT_MAX_TOKENS)
         except BackendFailure as exc:
             reason = f"backend failed: {exc}"
         else:

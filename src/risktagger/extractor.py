@@ -63,7 +63,6 @@ _LIST_FIELDS = {
 @dataclass
 class DocumentChunk:
     chunk_id: int  # consecutive from 1
-    page_range: tuple  # (first paragraph index, last), 1-based
     text: str  # exact slice of the source document
 
 
@@ -161,41 +160,35 @@ def split_document(text: str, max_chunk_chars: int = DEFAULT_CHUNK_CHARS) -> lis
 
     # packing units: one per paragraph, except oversized paragraphs which
     # contribute one unit per sentence group
-    units = []  # (start, end, paragraph index)
-    paragraphs = _paragraph_spans(text)
-    for idx, (p_start, p_end) in enumerate(paragraphs, start=1):
+    units = []  # (start, end)
+    for p_start, p_end in _paragraph_spans(text):
         if p_end - p_start > max_chunk_chars:
             unit_start = p_start
             for cut in _sentence_cuts(text, p_start, p_end):
                 if unit_start < cut < p_end:
-                    units.append((unit_start, cut, idx))
+                    units.append((unit_start, cut))
                     unit_start = cut
             if unit_start < p_end:
-                units.append((unit_start, p_end, idx))
+                units.append((unit_start, p_end))
         else:
-            units.append((p_start, p_end, idx))
+            units.append((p_start, p_end))
 
     # greedy fill; a chunk closes at the end of its last unit, so separator
     # whitespace rides with the chunk that follows it
-    bounds = []  # (slice end, first para, last para)
+    ends = []  # slice end of each chunk
     chunk_start = 0
-    first_para = last_para = None
     prev_unit_end = 0
-    for u_start, u_end, idx in units:
-        if first_para is not None and u_end - chunk_start > max_chunk_chars:
-            bounds.append((prev_unit_end, first_para, last_para))
+    for u_start, u_end in units:
+        if prev_unit_end > chunk_start and u_end - chunk_start > max_chunk_chars:
+            ends.append(prev_unit_end)
             chunk_start = prev_unit_end
-            first_para = None
-        if first_para is None:
-            first_para = idx
-        last_para = idx
         prev_unit_end = u_end
-    bounds.append((len(text), first_para, last_para))
+    ends.append(len(text))
 
     chunks = []
     start = 0
-    for chunk_id, (end, para_a, para_b) in enumerate(bounds, start=1):
-        chunks.append(DocumentChunk(chunk_id, (para_a, para_b), text[start:end]))
+    for chunk_id, end in enumerate(ends, start=1):
+        chunks.append(DocumentChunk(chunk_id, text[start:end]))
         start = end
     return chunks
 

@@ -40,9 +40,6 @@ class Blacklist:
             labels[hex_part] = label.strip()
         return Blacklist(labels)
 
-    def __len__(self) -> int:
-        return len(self._labels)
-
     def __contains__(self, address) -> bool:
         hex_part = address.hex if isinstance(address, Address) else str(address).lower()
         return hex_part in self._labels
@@ -50,6 +47,3 @@ class Blacklist:
     def label_of(self, address) -> str | None:
         hex_part = address.hex if isinstance(address, Address) else str(address).lower()
         return self._labels.get(hex_part)
-
-    def entries(self) -> list[tuple[str, str]]:
-        return sorted(self._labels.items())

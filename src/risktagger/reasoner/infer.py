@@ -52,11 +52,10 @@ def infer_risk(
     backend: BackendPort,
     hop_depth: int = 0,
     reflection_rounds: int = 1,
-    temperature: float = 0.0,
 ) -> RiskAssessment:
     payload = to_reasoner_payload(sub)
     prompt = build_cot_prompt(payload, sub.center)
-    raw = backend.complete(prompt, temperature, DEFAULT_MAX_TOKENS)
+    raw = backend.complete(prompt, 0.0, DEFAULT_MAX_TOKENS)
     fragment = parse_verdict(raw)
 
     issues: list[str] = []
@@ -68,7 +67,7 @@ def infer_risk(
             sub.center,
             json.dumps(fragment.raw, indent=2, ensure_ascii=False),
         )
-        review = backend.complete(reflection_prompt, temperature, DEFAULT_MAX_TOKENS)
+        review = backend.complete(reflection_prompt, 0.0, DEFAULT_MAX_TOKENS)
         round_issues = parse_reflection(review)
         if not round_issues:
             break  # auditor found no flaw; the verdict stands as issued
@@ -79,7 +78,7 @@ def infer_risk(
             + "address each one and re-issue the full output JSON:\n"
             + "\n".join(f"- {issue}" for issue in round_issues)
         )
-        raw = backend.complete(addenda, temperature, DEFAULT_MAX_TOKENS)
+        raw = backend.complete(addenda, 0.0, DEFAULT_MAX_TOKENS)
         fragment = parse_verdict(raw)
 
     dims = fragment.dimensions

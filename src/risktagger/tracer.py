@@ -112,8 +112,6 @@ class TracerPorts:
     backend: object  # BackendPort
     now: int
     matcher: object = None  # cross-chain matcher; None disables bridge expansion
-    reflection_rounds: int = 1
-    temperature: float = 0.0
     out_dir: Path | None = None  # the run journal lives here when set
     strict: bool = False
     workers: int = 1  # concurrent analyses per hop, unless the backend is in_process
@@ -220,13 +218,7 @@ def _analyze_account(account: Address, depth: int, cfg: TracerConfig, ports: Tra
         fetched = True
         pairs = ports.matcher.expand(account, txs) if ports.matcher is not None else []
         sub = build_subgraph(account, txs, pairs, cfg, ports.now)
-        assessment = infer_risk(
-            sub,
-            ports.backend,
-            hop_depth=depth,
-            reflection_rounds=ports.reflection_rounds,
-            temperature=ports.temperature,
-        )
+        assessment = infer_risk(sub, ports.backend, hop_depth=depth)
         return Outcome(account, depth, assessment, list(sub.out_flows.values()))
     except SKIPPABLE_ERRORS as err:
         if ports.strict:

@@ -55,7 +55,6 @@ class AccountSubgraph:
     stats: AccountStats
     truncated: bool
     total_tx_count: int
-    now: int
     # receiver -> (value moved, latest ts): outgoing retained transfers in
     # retained order, then cross-chain landings; the center itself never
     out_flows: dict[Address, tuple[int, int]]
@@ -178,7 +177,6 @@ def build_subgraph(
         stats=stats,
         truncated=len(txs) > cfg.k,
         total_tx_count=len(txs),
-        now=now,
         out_flows=out_flows,
     )
 

@@ -30,6 +30,7 @@ def read_rows(csv_path):
                     "value": int(cells["value"]),
                     "ts": int(cells["timeStamp"]),
                     "failed": cells["isError"] == "1",
+                    "token": cells["tokenSymbol"],
                 }
             )
     return rows

@@ -1,5 +1,6 @@
 """Command behavior end to end: exit codes, artifacts, determinism."""
 
+import argparse
 import csv
 import json
 import os
@@ -8,6 +9,7 @@ import socket
 import subprocess
 import sys
 import threading
+from dataclasses import fields
 from types import SimpleNamespace
 
 import pytest
@@ -16,7 +18,7 @@ from conftest import FIXTURES, GOLDEN, REPO_ROOT
 from risktagger import cli
 from risktagger.chaindata.cache import FetchCache
 from risktagger.cli import main
-from risktagger.config import load_config
+from risktagger.config import RunConfig, load_config
 from risktagger.errors import ParseError
 from risktagger.reasoner.rules import RuleBackend
 from risktagger.tracer import JOURNAL_NAME
@@ -116,6 +118,32 @@ def test_trace_without_seeds_exits_two(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert run_cli("trace", clues, "--config", cfg) == 2
     assert "no seeds" in capsys.readouterr().err
+
+
+def test_trace_on_clues_that_are_not_an_object_exits_one_naming_the_file(tmp_path, capsys):
+    clues = tmp_path / "clues.json"
+    clues.write_text("[]")
+    cfg = write_config(tmp_path)
+    assert run_cli("trace", clues, "--config", cfg) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {clues}: bad case clues")
+    assert "Traceback" not in err
+
+
+def test_a_cached_rate_limit_page_is_a_recorded_skip(tmp_path, refused_api_url):
+    clues = extract_clues(tmp_path)
+    warm_cache_from_fixture(tmp_path / "cache")
+    golden = [json.loads(l) for l in (GOLDEN / "synthetic_labels.golden.jsonl").read_text().splitlines()]
+    victim = next(l["target_address"]["hex"] for l in golden if l["hop_depth"] == 1)
+    body = {"status": "0", "message": "NOTOK", "result": "Max rate limit reached"}
+    FetchCache(tmp_path / "cache").put("ethereum", victim, "txlist_p1", json.dumps(body).encode())
+    cfg = write_config(tmp_path, adapter="live", cache_dir=str(tmp_path / "cache"), api_base_url=refused_api_url)
+    out = tmp_path / "out"
+    assert run_cli("trace", clues, "--config", cfg, "--out", out, "--max-depth", 2) == 0
+    errors = json.loads((out / "diagnostics.json").read_text())["errors"]
+    assert [(e["address"], e["error"]) for e in errors] == [(victim, "RateLimited")]
+    labeled = {json.loads(l)["target_address"]["hex"] for l in (out / "labels.jsonl").read_text().splitlines()}
+    assert victim not in labeled
 
 
 def test_trace_writes_artifacts(tmp_path):
@@ -415,6 +443,27 @@ def test_explain_empty_labels_exits_two(tmp_path, capsys):
     assert "nothing to report" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "bad_line, named",
+    [
+        (lambda good: json.dumps({k: v for k, v in json.loads(good).items() if k != "transaction_patterns"}),
+         "KeyError: 'transaction_patterns'"),
+        (lambda good: "{not json", "JSONDecodeError"),
+    ],
+    ids=["missing-dimension", "not-json"],
+)
+def test_explain_on_a_malformed_label_line_exits_one_naming_it(tmp_path, capsys, bad_line, named):
+    clues = extract_clues(tmp_path)
+    cfg = write_config(tmp_path)
+    good = (GOLDEN / "synthetic_labels.golden.jsonl").read_text().splitlines()[0]
+    labels = tmp_path / "labels.jsonl"
+    labels.write_text(good + "\n" + bad_line(good) + "\n")
+    assert run_cli("explain", clues, labels, "--config", cfg, "--out", tmp_path / "x") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {labels}:2: bad label: {named}")
+    assert "Traceback" not in err
+
+
 def test_run_composes_and_rerun_is_byte_identical(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
@@ -491,6 +540,19 @@ def test_sample_controls_distinct_when_pool_sufficient(tmp_path):
     assert len(addresses) == len(set(addresses)) == 10
 
 
+def test_chain_ids_are_normalized(tmp_path):
+    _, cfg, trace_out = traced(tmp_path)
+    written = []
+    for chain in ("ethereum", " Ethereum"):
+        out_file = tmp_path / f"c{len(written)}.json"
+        assert run_cli(
+            "sample-controls", "--labels", trace_out, "-n", 10, "--seed", 3,
+            "--config", cfg, "--chain", chain, "--out-file", out_file,
+        ) == 0
+        written.append(out_file.read_bytes())
+    assert written[0] == written[1]
+
+
 def test_score_coverage_agrees_with_explain(tmp_path):
     clues, cfg, trace_out = traced(tmp_path)
     out = tmp_path / "explain"
@@ -558,6 +620,42 @@ def test_unknown_config_key_exits_one_via_cli(tmp_path, capsys):
     path.write_text(json.dumps({"not_a_key": 1}))
     assert run_cli("extract", DOC, "--config", path, "--out", tmp_path / "out") == 1
     assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("llm_temperature", 0.3), ("reflection_rounds", 2), ("chain", "eth-mainnet")])
+def test_a_removed_key_or_bad_chain_in_the_config_exits_one_naming_it(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, **{key: value})
+    assert run_cli("trace", extract_clues(tmp_path), "--config", cfg) == 1
+    assert key in capsys.readouterr().err
+
+
+def test_every_config_flag_reaches_load_config():
+    flags = argparse.ArgumentParser()
+    cli._add_config_flags(flags)
+    tracer_flags = {"max_depth": "tracer.D", "frontier_cap": "tracer.frontier_cap"}
+    field_names = {f.name for f in fields(RunConfig)}
+    checked = set()
+    for action in flags._actions:
+        if action.dest in ("help", "config"):
+            continue
+        if action.choices:
+            argv, value = [action.option_strings[0], action.choices[0]], action.choices[0]
+        elif action.nargs == 0:
+            argv, value = [action.option_strings[0]], action.const
+        elif action.type is int:
+            argv, value = [action.option_strings[0], "3"], 3
+        else:
+            argv, value = [action.option_strings[0], "abc"], "abc"
+        overrides = cli._overrides(flags.parse_args(argv))
+        if action.dest in tracer_flags:
+            assert overrides[tracer_flags[action.dest]] == value
+            continue
+        assert action.dest in field_names, action.option_strings
+        assert overrides[action.dest] == value, action.option_strings
+        config = load_config(None, overrides, need_adapter=False)
+        assert getattr(config, action.dest) == value, action.option_strings
+        checked.add(action.dest)
+    assert checked == field_names - {"tracer", "api_base_url"}
 
 
 def test_manifest_records_config_hash_and_prompt_hashes(tmp_path):

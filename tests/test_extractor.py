@@ -50,8 +50,6 @@ def test_three_paragraphs_pack_into_two_chunks():
     assert [c.chunk_id for c in chunks] == [1, 2]
     assert chunks[0].text == paragraphs[0] + "\n\n" + paragraphs[1]
     assert chunks[1].text == "\n\n" + paragraphs[2]
-    assert chunks[0].page_range == (1, 2)
-    assert chunks[1].page_range == (3, 3)
 
 
 def test_short_text_single_chunk():
@@ -79,7 +77,6 @@ def test_oversized_paragraph_splits_at_sentences():
     assert len(chunks) > 1
     assert "".join(c.text for c in chunks) == text
     assert all(len(c.text) <= 200 for c in chunks)
-    assert all(c.page_range == (1, 1) for c in chunks)
 
 
 @settings(max_examples=60)
@@ -103,7 +100,7 @@ def test_chunks_rebuild_source_exactly(paragraphs, sep, limit):
 
 
 def candidates(text):
-    chunk = DocumentChunk(1, (1, 1), text)
+    chunk = DocumentChunk(1, text)
     return summarize_chunk(chunk, PatternExtractor()).candidate_clues
 
 
@@ -208,7 +205,7 @@ def test_labeled_lines():
 
 
 def test_snippets_quote_the_chunk():
-    chunk = DocumentChunk(1, (1, 1), BYBIT_DOC[:2000])
+    chunk = DocumentChunk(1, BYBIT_DOC[:2000])
     summary = summarize_chunk(chunk, PatternExtractor())
     for entries in summary.candidate_clues.values():
         for _, snippet in entries:

@@ -161,6 +161,20 @@ def test_rate_limit_message_raises_typed_error():
             client_for(srv).fetch_transactions(CENTER)
 
 
+@pytest.mark.parametrize("action", ["txlist", "tokentx"])
+def test_a_cached_rate_limit_page_raises_like_a_fresh_one(tmp_path, action):
+    cache = FetchCache(tmp_path / "cache")
+    empty = {"status": "0", "message": "No transactions found", "result": []}
+    limited = {"status": "0", "message": "NOTOK", "result": "Max rate limit reached"}
+    for kind in ("txlist", "tokentx"):
+        cache.put("ethereum", CENTER.hex, f"{kind}_p1", json.dumps(limited if kind == action else empty).encode())
+    with StubChainServer({}) as srv:
+        with pytest.raises(RateLimited, match="Max rate limit reached"):
+            client_for(srv, cache=cache).fetch_transactions(CENTER)
+        assert srv.request_count == 0
+    assert cache.misses == 0
+
+
 def test_http_429_raises_rate_limited():
     with StubChainServer({}, fail_first=[429] * 10) as srv:
         with pytest.raises(RateLimited):
