@@ -10,6 +10,7 @@ those endpoints, fetched per address, so no whole chain is ever read.
 
 from __future__ import annotations
 
+import re
 from decimal import Decimal
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from ..model import Address, CrossChainPair, TransactionRecord, normalize_addres
 # amounts) and sent no earlier than the deposit, at most an hour after it.
 AMOUNT_TOLERANCE = Decimal("0.01")
 TIME_WINDOW_S = 3600
+_MARKER_RE = re.compile(r"0x[0-9a-f]{8,}")
 
 
 class BridgeTable:
@@ -28,7 +30,8 @@ class BridgeTable:
 
     An `input:0x...` marker in the address column tags deposits by calldata
     prefix instead of destination address (some routers take deposits at
-    per-user proxy addresses).
+    per-user proxy addresses). The prefix is at least a 4-byte function
+    selector: 0x and 8 or more hex digits.
     """
 
     def __init__(self):
@@ -48,12 +51,14 @@ class BridgeTable:
             if len(parts) != 3:
                 raise ParseError(f"{path}:{line_no}: expected 'chain,address,bridge_name'")
             chain, raw_addr, bridge = parts
-            chain = normalize_chain(chain)
-            if raw_addr.lower().startswith("input:"):
-                prefix = raw_addr[len("input:"):].lower()
-                table.input_markers.setdefault(chain, []).append((prefix, bridge))
-                continue
             try:
+                chain = normalize_chain(chain)
+                if raw_addr.lower().startswith("input:"):
+                    prefix = raw_addr[len("input:"):].lower()
+                    if not _MARKER_RE.fullmatch(prefix):
+                        raise ParseError(f"input marker {raw_addr!r} is not 0x and at least 8 hex digits")
+                    table.input_markers.setdefault(chain, []).append((prefix, bridge))
+                    continue
                 address = normalize_address(raw_addr, chain)
             except Exception as exc:
                 raise ParseError(f"{path}:{line_no}: {exc}") from exc

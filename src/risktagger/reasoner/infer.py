@@ -53,8 +53,7 @@ def infer_risk(
     hop_depth: int = 0,
     reflection_rounds: int = 1,
 ) -> RiskAssessment:
-    payload = to_reasoner_payload(sub)
-    prompt = build_cot_prompt(payload, sub.center)
+    prompt = build_cot_prompt(sub.center, to_reasoner_payload(sub))
     raw = backend.complete(prompt, 0.0, DEFAULT_MAX_TOKENS)
     fragment = parse_verdict(raw)
 

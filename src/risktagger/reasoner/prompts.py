@@ -97,29 +97,21 @@ def template_hashes() -> dict:
     return {tid: get_template(tid).sha256 for tid in sorted(REGISTRY)}
 
 
-def build_cot_prompt(payload: dict, target: Address | str) -> str:
-    """Part 1 (rendered) + part 2, one analyst prompt for one account."""
-    from ..translator import payload_json
-
-    target_hex = target.hex if isinstance(target, Address) else str(target)
-    embedded = payload.get("target_address", {}).get("hex")
-    if embedded != target_hex:
-        raise MissingPlaceholder(
-            f"payload target {embedded!r} does not match requested target {target_hex!r}"
-        )
+def build_cot_prompt(target: Address, payload: str) -> str:
+    """Part 1 (rendered) + part 2, one analyst prompt for one account; `payload`
+    is the JSON text of translator.to_reasoner_payload."""
     part1 = render(
         get_template("cot_part1"),
-        {"target_address": target_hex, "formatted_analysis": payload_json(payload)},
+        {"target_address": target.hex, "formatted_analysis": payload},
     )
     part2 = get_template("cot_part2").text
     return part1 + "\n\n" + part2
 
 
-def build_reflection_prompt(target: Address | str, analysis_result: str) -> str:
-    target_hex = target.hex if isinstance(target, Address) else str(target)
+def build_reflection_prompt(target: Address, analysis_result: str) -> str:
     return render(
         get_template("reflection"),
-        {"target_address": target_hex, "analysis_result": analysis_result},
+        {"target_address": target.hex, "analysis_result": analysis_result},
     )
 
 

@@ -10,9 +10,10 @@ Rule table (a dimension "fires" when its predicate holds):
                             transfer (exact positive multiple of 10^21
                             smallest units / 1000 display units)
   b  fund_flows             fan-in from >= 10 distinct senders AND dispersal
-                            to >= 2 distinct receivers within 3600 s
+                            to >= 2 distinct other receivers within 3600 s
   c  associated_addresses   any counterparty on the blacklist
-  d  temporal_signs         >= 50% of transfers between 02:00 and 04:00 UTC
+  d  temporal_signs         >= 50% of transfers from 02:00:00 up to, not
+                            including, 04:00:00 UTC
 Level: >=2 fired -> High; exactly one of {b,c} -> Medium; exactly one of
 {a,d} -> Low; none -> No Suspicion. Adding a blacklist hit can only raise
 the level (monotonicity is exercised in the tests).
@@ -92,7 +93,8 @@ def rule_backend_assess(payload: dict, blacklist: Blacklist) -> dict:
         }
 
     ok_rows = [r for r in rows if not r.get("isError")]
-    out_rows = [r for r in ok_rows if r.get("from") == target]
+    # a self-transfer disperses nothing, as compute_stats counts no receiver for it
+    out_rows = [r for r in ok_rows if r.get("from") == target and r.get("to") != target]
 
     # a) burst over the full fetched set, or any round-number transfer
     burst = int(stats.get("max_burst_1h", 0))

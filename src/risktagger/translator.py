@@ -203,111 +203,52 @@ def _iso(ts: int) -> str:
     return datetime.fromtimestamp(ts, tz=timezone.utc).isoformat()
 
 
-def to_reasoner_payload(sub: AccountSubgraph) -> dict:
-    """Canonical dict the prompt embeds; key order is part of the contract."""
-    chain = sub.center.chain
-
-    def totals_display(totals: dict) -> dict:
-        out = {}
-        for key, raw in totals.items():
-            symbol = "" if key == NATIVE_KEY else key
-            out[key if key != NATIVE_KEY else NATIVE_SYMBOLS.get(chain, NATIVE_KEY)] = display_amount(
-                raw, symbol, chain
-            )
-        return out
-
-    statistics = {
-        "in_count": sub.stats.in_count,
-        "out_count": sub.stats.out_count,
-        "in_total": totals_display(sub.stats.in_total),
-        "out_total": totals_display(sub.stats.out_total),
-        "first_seen": _iso(sub.stats.first_seen) if sub.stats.first_seen else None,
-        "last_seen": _iso(sub.stats.last_seen) if sub.stats.last_seen else None,
-        "distinct_counterparties_in": sub.stats.distinct_counterparties_in,
-        "distinct_counterparties_out": sub.stats.distinct_counterparties_out,
-        "tx_per_day_mean": round(sub.stats.tx_per_day_mean, 6),
-        "max_burst_1h": sub.stats.max_burst_1h,
-        "total_tx_count": sub.total_tx_count,
-        "retained_tx_count": len(sub.retained_txs),
-        "truncated": sub.truncated,
-    }
-    transactions = [
-        {
-            "hash": tx.hash,
-            "from": tx.from_addr.hex,
-            "to": tx.to_addr.hex,
-            "value": display_amount(tx.value, tx.tokenSymbol, tx.chain),
-            "tokenSymbol": tx.tokenSymbol or NATIVE_SYMBOLS.get(tx.chain, NATIVE_KEY),
-            "timeStamp": _iso(tx.timeStamp),
-            "isError": tx.isError,
-        }
-        for tx in sub.retained_txs
-    ]
-    cross_chain = [
-        {
-            "src_hash": p.src_tx.hash,
-            "dst_hash": p.dst_tx.hash,
-            "src_chain": p.src_tx.chain,
-            "dst_chain": p.dst_tx.chain,
-            "dst_to": p.dst_tx.to_addr.hex,
-            "token": p.token,
-            "amount_src": display_amount(p.amount_src, p.src_tx.tokenSymbol, p.src_tx.chain),
-            "amount_dst": display_amount(p.amount_dst, p.dst_tx.tokenSymbol, p.dst_tx.chain),
-            "time_delta_s": p.time_delta_s,
-            "bridge_hint": p.bridge_hint,
-        }
-        for p in sub.cross_chain
-    ]
-    return {
-        "payload_version": PAYLOAD_VERSION,
-        "target_address": {"hex": sub.center.hex, "chain": chain},
-        "statistics": statistics,
-        "transactions": transactions,
-        "cross_chain": cross_chain,
-    }
-
-
 # the string encoder json.dumps(ensure_ascii=False) uses, in C where available
 _str = json.encoder.encode_basestring
 
 
-def payload_json(payload: dict) -> str:
-    """The text of json.dumps(payload, indent=2, ensure_ascii=False), byte for
-    byte, for a payload of to_reasoner_payload. indent=2 would put json on its
-    pure-Python encoder; the fixed schema lets each object be one
-    concatenation instead. Key order is the canonical order."""
-    target, stats = payload["target_address"], payload["statistics"]
+def to_reasoner_payload(sub: AccountSubgraph) -> str:
+    """The payload the analyst prompt embeds, as JSON text.
+
+    The text is byte for byte what json.dumps(indent=2, ensure_ascii=False)
+    writes for these objects and keys, in this order; the key order is part
+    of the contract. indent=2 would put json on its pure-Python encoder, so
+    each object is one concatenation instead.
+    """
+    chain, stats = sub.center.chain, sub.stats
     return (
-        '{\n  "payload_version": ' + repr(payload["payload_version"])
-        + ',\n  "target_address": {\n    "hex": ' + _str(target["hex"])
-        + ',\n    "chain": ' + _str(target["chain"])
-        + '\n  },\n  "statistics": {\n    "in_count": ' + repr(stats["in_count"])
-        + ',\n    "out_count": ' + repr(stats["out_count"])
-        + ',\n    "in_total": ' + _totals_json(stats["in_total"])
-        + ',\n    "out_total": ' + _totals_json(stats["out_total"])
-        + ',\n    "first_seen": ' + _opt_str(stats["first_seen"])
-        + ',\n    "last_seen": ' + _opt_str(stats["last_seen"])
-        + ',\n    "distinct_counterparties_in": ' + repr(stats["distinct_counterparties_in"])
-        + ',\n    "distinct_counterparties_out": ' + repr(stats["distinct_counterparties_out"])
-        + ',\n    "tx_per_day_mean": ' + json.dumps(stats["tx_per_day_mean"])
-        + ',\n    "max_burst_1h": ' + repr(stats["max_burst_1h"])
-        + ',\n    "total_tx_count": ' + repr(stats["total_tx_count"])
-        + ',\n    "retained_tx_count": ' + repr(stats["retained_tx_count"])
-        + ',\n    "truncated": ' + ("true" if stats["truncated"] else "false")
-        + '\n  },\n  "transactions": ' + _rows_json(payload["transactions"], _tx_json)
-        + ',\n  "cross_chain": ' + _rows_json(payload["cross_chain"], _pair_json)
+        '{\n  "payload_version": ' + str(PAYLOAD_VERSION)
+        + ',\n  "target_address": {\n    "hex": ' + _str(sub.center.hex)
+        + ',\n    "chain": ' + _str(chain)
+        + '\n  },\n  "statistics": {\n    "in_count": ' + str(stats.in_count)
+        + ',\n    "out_count": ' + str(stats.out_count)
+        + ',\n    "in_total": ' + _totals_json(stats.in_total, chain)
+        + ',\n    "out_total": ' + _totals_json(stats.out_total, chain)
+        + ',\n    "first_seen": ' + (_str(_iso(stats.first_seen)) if stats.first_seen else "null")
+        + ',\n    "last_seen": ' + (_str(_iso(stats.last_seen)) if stats.last_seen else "null")
+        + ',\n    "distinct_counterparties_in": ' + str(stats.distinct_counterparties_in)
+        + ',\n    "distinct_counterparties_out": ' + str(stats.distinct_counterparties_out)
+        + ',\n    "tx_per_day_mean": ' + repr(round(stats.tx_per_day_mean, 6))
+        + ',\n    "max_burst_1h": ' + str(stats.max_burst_1h)
+        + ',\n    "total_tx_count": ' + str(sub.total_tx_count)
+        + ',\n    "retained_tx_count": ' + str(len(sub.retained_txs))
+        + ',\n    "truncated": ' + ("true" if sub.truncated else "false")
+        + '\n  },\n  "transactions": ' + _rows_json(sub.retained_txs, _tx_json)
+        + ',\n  "cross_chain": ' + _rows_json(sub.cross_chain, _pair_json)
         + "\n}"
     )
 
 
-def _opt_str(value: str | None) -> str:
-    return "null" if value is None else _str(value)
-
-
-def _totals_json(totals: dict) -> str:
-    if not totals:
+def _totals_json(totals: dict, chain: str) -> str:
+    """Totals keyed by display symbol; the native key takes the chain's symbol
+    (and, as a later key, wins over a token that shares it)."""
+    shown = {}
+    for key, raw in totals.items():
+        symbol = "" if key == NATIVE_KEY else key
+        shown[symbol or NATIVE_SYMBOLS.get(chain, NATIVE_KEY)] = display_amount(raw, symbol, chain)
+    if not shown:
         return "{}"
-    return "{\n" + ",\n".join(f"      {_str(k)}: {_str(v)}" for k, v in totals.items()) + "\n    }"
+    return "{\n" + ",\n".join(f"      {_str(k)}: {_str(v)}" for k, v in shown.items()) + "\n    }"
 
 
 def _rows_json(rows: list, row_json) -> str:
@@ -316,30 +257,31 @@ def _rows_json(rows: list, row_json) -> str:
     return "[\n" + ",\n".join(map(row_json, rows)) + "\n  ]"
 
 
-def _tx_json(row: dict) -> str:
+def _tx_json(tx: TransactionRecord) -> str:
     return (
-        '    {\n      "hash": ' + _str(row["hash"])
-        + ',\n      "from": ' + _str(row["from"])
-        + ',\n      "to": ' + _str(row["to"])
-        + ',\n      "value": ' + _str(row["value"])
-        + ',\n      "tokenSymbol": ' + _str(row["tokenSymbol"])
-        + ',\n      "timeStamp": ' + _str(row["timeStamp"])
-        + ',\n      "isError": ' + ("true" if row["isError"] else "false")
+        '    {\n      "hash": ' + _str(tx.hash)
+        + ',\n      "from": ' + _str(tx.from_addr.hex)
+        + ',\n      "to": ' + _str(tx.to_addr.hex)
+        + ',\n      "value": ' + _str(display_amount(tx.value, tx.tokenSymbol, tx.chain))
+        + ',\n      "tokenSymbol": ' + _str(tx.tokenSymbol or NATIVE_SYMBOLS.get(tx.chain, NATIVE_KEY))
+        + ',\n      "timeStamp": ' + _str(_iso(tx.timeStamp))
+        + ',\n      "isError": ' + ("true" if tx.isError else "false")
         + "\n    }"
     )
 
 
-def _pair_json(row: dict) -> str:
+def _pair_json(p: CrossChainPair) -> str:
+    src, dst = p.src_tx, p.dst_tx
     return (
-        '    {\n      "src_hash": ' + _str(row["src_hash"])
-        + ',\n      "dst_hash": ' + _str(row["dst_hash"])
-        + ',\n      "src_chain": ' + _str(row["src_chain"])
-        + ',\n      "dst_chain": ' + _str(row["dst_chain"])
-        + ',\n      "dst_to": ' + _str(row["dst_to"])
-        + ',\n      "token": ' + _str(row["token"])
-        + ',\n      "amount_src": ' + _str(row["amount_src"])
-        + ',\n      "amount_dst": ' + _str(row["amount_dst"])
-        + ',\n      "time_delta_s": ' + repr(row["time_delta_s"])
-        + ',\n      "bridge_hint": ' + _str(row["bridge_hint"])
+        '    {\n      "src_hash": ' + _str(src.hash)
+        + ',\n      "dst_hash": ' + _str(dst.hash)
+        + ',\n      "src_chain": ' + _str(src.chain)
+        + ',\n      "dst_chain": ' + _str(dst.chain)
+        + ',\n      "dst_to": ' + _str(dst.to_addr.hex)
+        + ',\n      "token": ' + _str(p.token)
+        + ',\n      "amount_src": ' + _str(display_amount(p.amount_src, src.tokenSymbol, src.chain))
+        + ',\n      "amount_dst": ' + _str(display_amount(p.amount_dst, dst.tokenSymbol, dst.chain))
+        + ',\n      "time_delta_s": ' + str(p.time_delta_s)
+        + ',\n      "bridge_hint": ' + _str(p.bridge_hint)
         + "\n    }"
     )

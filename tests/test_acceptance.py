@@ -9,6 +9,8 @@ regression in the package cannot hide behind a matching regression here.
 import csv
 import json
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -367,3 +369,12 @@ def test_criterion_8_labels_match_committed_golden_snapshot_with_all_levels(tmp_
 
     levels = {json.loads(line)["suspicion_level"] for line in got.decode().splitlines()}
     assert levels == {"High", "Medium", "Low", "No Suspicion"}
+
+
+def test_committed_fixture_is_what_its_generator_writes(tmp_path):
+    out = tmp_path / "ethereum.csv"
+    subprocess.run(
+        [sys.executable, str(REPO_ROOT / "tools" / "make_synthetic_fixture.py"), "--out", str(out)],
+        check=True, capture_output=True,
+    )
+    assert out.read_bytes() == (SYNTHETIC / "ethereum.csv").read_bytes()

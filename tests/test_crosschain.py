@@ -4,12 +4,14 @@ The oracle enumerates every (deposit, withdrawal) combination and applies the
 documented predicates directly; the matcher must agree exactly.
 """
 
+import re
 from decimal import Decimal
 
 import pytest
 
 from conftest import addr, make_tx
 from risktagger.chaindata import BridgeMatcher, BridgeTable
+from risktagger.errors import ParseError
 from risktagger.model import CrossChainPair
 
 ACCOUNT = addr(0x100)
@@ -157,6 +159,22 @@ def test_input_marker_detects_router_deposit(tmp_path):
     matcher = BridgeMatcher(table, records_for([wd]))
     pairs = matcher.expand(ACCOUNT, [deposit])
     assert len(pairs) == 1 and pairs[0].bridge_hint == "hoplink"
+
+
+@pytest.mark.parametrize("marker", ["input:", "input:zz", "input:0x", "input:0xdeadbe", "input:0xdeadbeeg"])
+def test_an_input_marker_short_of_a_selector_fails_the_load_naming_its_line(tmp_path, marker):
+    # an empty marker would tag every outgoing transfer on the chain as a deposit
+    path = tmp_path / "bridges.txt"
+    path.write_text(f"bsc,{BRIDGE_BSC.hex},hoplink\nethereum,{marker},demo\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="^" + re.escape(f"{path}:2: ")):
+        BridgeTable.load(path)
+
+
+def test_a_bad_chain_id_fails_the_load_naming_its_line(tmp_path):
+    path = tmp_path / "bridges.txt"
+    path.write_text(f"# bridges\neth-main,{BRIDGE_ETH.hex},hoplink\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="^" + re.escape(f"{path}:2: ") + ".*chain"):
+        BridgeTable.load(path)
 
 
 def test_pair_destination_carries_destination_chain(tmp_path):

@@ -1,19 +1,25 @@
-"""Every demo label against the independent rule oracle (tests/oracle_rules.py).
+"""Rule verdicts against the independent rule oracle (tests/oracle_rules.py):
+every demo label, and generated accounts.
 
 A verdict passes through the payload renderer (display amounts, ISO
 timestamps), the prompt, the rule engine's reading of the prompt, the verdict
-JSON and its parser; the oracle reads the raw fixture rows, so a fault in any
-of those steps that changes a level or a fired dimension fails here.
+JSON and its parser; the oracle reads the raw rows, so a fault in any of
+those steps that changes a level or a fired dimension fails here.
 """
 
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import FIXTURES, GOLDEN
+from conftest import FIXTURES, GOLDEN, addr, make_tx
 from oracle_bfs import read_rows
 from oracle_rules import assess, read_blacklist, rows_of
 from risktagger.cli import main
+from risktagger.model import TracerConfig
+from risktagger.reasoner import Blacklist, RuleBackend, infer_risk
+from risktagger.translator import build_subgraph
 
 DIMENSIONS = {
     "transaction_patterns": "a",
@@ -79,3 +85,70 @@ def test_the_demo_exercises_every_level_and_dimension(demo_labels):
     ]
     assert {level for level, _ in verdicts} == {"High", "Medium", "Low", "No Suspicion"}
     assert set().union(*(fired for _, fired in verdicts)) == set(DIMENSIONS.values())
+
+
+# --- generated accounts, each under k rows -----------------------------------
+
+CENTER = addr(0xCE)
+BAD = addr(0xBAD)
+HOUR = 3600
+DAY = 1_740_009_600  # 2025-02-20 00:00:00 UTC
+# the night window's edges on either side, and midday
+ANCHORS = [DAY + 2 * HOUR - 1, DAY + 2 * HOUR, DAY + 4 * HOUR - 1, DAY + 4 * HOUR, DAY + 12 * HOUR]
+# cluster offsets just inside, on and just outside one hour
+OFFSETS = [0, 1, HOUR - 1, HOUR, HOUR + 1]
+ROUND = 10**21  # 1000 ETH in wei, and the raw round unit of a token of unknown decimals
+AMOUNTS = st.sampled_from([0, 1, ROUND - 1, ROUND, ROUND + 1, 3 * ROUND, ROUND // 1000]) | st.integers(0, 10**24)
+TIMES = st.builds(lambda anchor, offset: anchor + offset, st.sampled_from(ANCHORS), st.sampled_from(OFFSETS))
+PEERS = st.sampled_from([CENTER, BAD] + [addr(n) for n in range(1, 4)])
+EDGES = st.tuples(st.just(CENTER), PEERS) | st.tuples(PEERS, st.just(CENTER))  # out, in or to itself
+TOKENS = st.sampled_from(["", "USDT"])  # native and USDT: the oracle's decimals scope
+
+
+def row(src, dst, value, ts, token="", failed=False):
+    return (src, dst, value, ts, token, failed)
+
+
+@st.composite
+def accounts(draw):
+    """(from, to, value, ts, token, failed) rows that all touch CENTER."""
+    fan_in = [
+        row(addr(0x100 + i), CENTER, draw(AMOUNTS), draw(TIMES), draw(TOKENS), draw(st.booleans()))
+        for i in range(draw(st.sampled_from([0, 9, 10, 11])))
+    ]
+    others = [
+        row(*draw(EDGES), draw(AMOUNTS), draw(TIMES), draw(TOKENS), draw(st.booleans()))
+        for _ in range(draw(st.integers(0, 12)))
+    ]
+    return fan_in + others
+
+
+SENDERS = [row(addr(0x100 + i), CENTER, 777, DAY + 9 * HOUR + 60 * i) for i in range(10)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(accounts())
+# a self-transfer and one transfer out inside the hour: one receiver, no dispersal
+@example(SENDERS + [row(CENTER, CENTER, 555, DAY + 11 * HOUR), row(CENTER, addr(1), 555, DAY + 11 * HOUR + 1800)])
+# two receivers exactly one hour apart: inside the closed window
+@example(SENDERS + [row(CENTER, addr(1), 555, DAY + 11 * HOUR), row(CENTER, addr(2), 555, DAY + 12 * HOUR)])
+def test_rules_agree_with_the_oracle_on_generated_accounts(rows):
+    txs = [
+        make_tx(n, src, dst, value=str(value), ts=ts, token=token, is_error=failed)
+        for n, (src, dst, value, ts, token, failed) in enumerate(rows, start=1)
+    ]
+    cfg = TracerConfig()
+    assert len(txs) < cfg.k  # the oracle ignores retention
+    sub = build_subgraph(CENTER, txs, [], cfg, DAY + 2 * 86400)
+    verdict = infer_risk(sub, RuleBackend(Blacklist({BAD.hex: "exploit"})))
+    dims = (verdict.transaction_patterns, verdict.fund_flows, verdict.associated_addresses, verdict.temporal_signs)
+    got = (
+        verdict.suspicion_level.value,
+        {letter for letter, dim in zip("abcd", dims) if not dim.result.lower().startswith("no ")},
+    )
+    oracle_rows = [
+        {"hash": tx.hash, "from": tx.from_addr.hex, "to": tx.to_addr.hex, "value": tx.value_int,
+         "ts": tx.timeStamp, "failed": tx.isError, "token": tx.tokenSymbol}
+        for tx in txs
+    ]
+    assert got == assess(oracle_rows, CENTER.hex, {BAD.hex: "exploit"})

@@ -50,7 +50,7 @@ def payload_for(center):
 
 def test_cot_prompt_contains_required_blocks():
     center = addr(1)
-    prompt = build_cot_prompt(payload_for(center), center)
+    prompt = build_cot_prompt(center, payload_for(center))
     assert "2. Risk Dimensions to Check" in prompt
     assert center.hex in prompt
     for heading in ("a) Transaction Patterns", "b) Fund Flows", "c) Associated Addresses", "d) Temporal & Behavioral Signs"):
@@ -65,13 +65,8 @@ def test_cot_prompt_contains_required_blocks():
 
 def test_cot_prompt_embeds_payload_json():
     center = addr(1)
-    prompt = build_cot_prompt(payload_for(center), center)
+    prompt = build_cot_prompt(center, payload_for(center))
     assert '"payload_version": 1' in prompt
-
-
-def test_cot_prompt_rejects_target_mismatch():
-    with pytest.raises(MissingPlaceholder):
-        build_cot_prompt(payload_for(addr(1)), addr(2))
 
 
 def test_render_missing_placeholder():

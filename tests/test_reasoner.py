@@ -144,7 +144,7 @@ def ts_at(hour, minute=0, day=21):
 
 def payload_from(txs, center=CENTER, k=100):
     sub = build_subgraph(center, txs, [], TracerConfig(k=k), NOW)
-    return to_reasoner_payload(sub)
+    return json.loads(to_reasoner_payload(sub))
 
 
 def assess(txs, blacklist=None, center=CENTER):
@@ -202,6 +202,24 @@ def test_rule_fan_in_without_dispersal_stays_quiet():
     assert verdict["b_fund_flows"]["result"].startswith("No aggregation-dispersion")
 
 
+def test_rule_self_transfer_is_no_dispersal_receiver():
+    # 10 senders, then a self-transfer and one transfer out inside the hour:
+    # one receiver, as distinct_counterparties_out also says
+    txs = [
+        make_tx(i, addr(0x300 + i), CENTER, value="777", ts=ts_at(9) + i * 60)
+        for i in range(10)
+    ]
+    txs += [
+        make_tx(50, CENTER, CENTER, value="555", ts=ts_at(11)),
+        make_tx(51, CENTER, addr(0x450), value="555", ts=ts_at(11, 30)),
+    ]
+    payload = payload_from(txs)
+    assert payload["statistics"]["distinct_counterparties_out"] == 1
+    verdict = rule_backend_assess(payload, Blacklist())
+    assert verdict["suspicion_level"] == "No Suspicion"
+    assert verdict["b_fund_flows"]["evidence"] == "10 distinct senders, max dispersal 1 receivers"
+
+
 def test_rule_burst_alone_is_low():
     txs = [
         make_tx(i, addr(0x300), CENTER, value="123", ts=ts_at(9) + i * 60)
@@ -242,6 +260,17 @@ def test_rule_night_concentration_is_low():
     assert "Night-hour concentration" in verdict["d_temporal_behavioral_signs"]["result"]
 
 
+@pytest.mark.parametrize(
+    "hour, minute, second, night",
+    [(1, 59, 59, False), (2, 0, 0, True), (3, 59, 59, True), (4, 0, 0, False)],
+)
+def test_rule_night_window_runs_from_two_up_to_but_not_including_four(hour, minute, second, night):
+    ts = int(datetime(2025, 2, 21, hour, minute, second, tzinfo=timezone.utc).timestamp())
+    verdict = assess([make_tx(1, addr(0x301), CENTER, value="5", ts=ts)])
+    assert verdict["d_temporal_behavioral_signs"]["result"].startswith("Night-hour") is night
+    assert verdict["suspicion_level"] == ("Low" if night else "No Suspicion")
+
+
 def test_rule_day_activity_not_nocturnal():
     txs = [
         make_tx(1, addr(0x301), CENTER, value="5", ts=ts_at(2, 30)),
@@ -260,8 +289,8 @@ def test_rule_backend_answers_cot_prompt():
 
     bad = addr(0xBAD)
     txs = [make_tx(1, bad, CENTER, value="999", ts=ts_at(12))]
-    payload = payload_from(txs)
-    prompt = build_cot_prompt(payload, CENTER)
+    sub = build_subgraph(CENTER, txs, [], TracerConfig(), NOW)
+    prompt = build_cot_prompt(CENTER, to_reasoner_payload(sub))
     backend = RuleBackend(Blacklist({bad.hex: "exploit"}))
     frag = parse_verdict(backend.complete(prompt, 0.3, 2048))
     assert frag.suspicion_level is SuspicionLevel.MEDIUM

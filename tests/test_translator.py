@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES, addr, make_tx
 from risktagger.chaindata import FixtureChainClient, FixtureStore, dedup_and_sort
-from risktagger.model import TracerConfig
+from risktagger.model import CrossChainPair, TracerConfig
 from risktagger.reasoner import Blacklist, RuleBackend, infer
 from risktagger.tracer import TracerPorts, trace
 from risktagger.translator import (
@@ -25,7 +25,6 @@ from risktagger.translator import (
     compute_stats,
     display_amount,
     max_burst,
-    payload_json,
     scaled_amount,
     to_reasoner_payload,
 )
@@ -174,15 +173,8 @@ def test_display_units_native_and_unknown():
 def test_payload_shape_and_units():
     txs = [make_tx(1, addr(1), CENTER, value=str(10**18), ts=1_740_000_000)]
     sub = build_subgraph(CENTER, txs, [], TracerConfig(), NOW + 1_740_000_000)
-    payload = to_reasoner_payload(sub)
+    payload = json.loads(to_reasoner_payload(sub))
     assert payload["payload_version"] == 1
-    assert list(payload) == [
-        "payload_version",
-        "target_address",
-        "statistics",
-        "transactions",
-        "cross_chain",
-    ]
     assert payload["target_address"] == {"hex": CENTER.hex, "chain": "ethereum"}
     row = payload["transactions"][0]
     assert row["value"] == "1.0 ETH"
@@ -190,10 +182,30 @@ def test_payload_shape_and_units():
     assert payload["statistics"]["in_total"] == {"ETH": "1.0 ETH"}
 
 
+def test_payload_key_order_is_the_canonical_order():
+    # a round trip through json cannot see key order, so it is spelled out here
+    src = make_tx(1, CENTER, addr(9), value="7", ts=1_740_000_000, token="RUNE")
+    dst = make_tx(2, addr(8, "bsc"), addr(7, "bsc"), value="7", ts=1_740_000_060, token="RUNE")
+    pair = CrossChainPair(src, dst, "RUNE", "7", "7", 60, "hoplink")
+    payload = json.loads(to_reasoner_payload(build_subgraph(CENTER, [src], [pair], TracerConfig(), NOW)))
+    assert list(payload) == ["payload_version", "target_address", "statistics", "transactions", "cross_chain"]
+    assert list(payload["target_address"]) == ["hex", "chain"]
+    assert list(payload["statistics"]) == [
+        "in_count", "out_count", "in_total", "out_total", "first_seen", "last_seen",
+        "distinct_counterparties_in", "distinct_counterparties_out", "tx_per_day_mean",
+        "max_burst_1h", "total_tx_count", "retained_tx_count", "truncated",
+    ]
+    assert list(payload["transactions"][0]) == ["hash", "from", "to", "value", "tokenSymbol", "timeStamp", "isError"]
+    assert list(payload["cross_chain"][0]) == [
+        "src_hash", "dst_hash", "src_chain", "dst_chain", "dst_to", "token",
+        "amount_src", "amount_dst", "time_delta_s", "bridge_hint",
+    ]
+
+
 def test_payload_stats_cover_full_set_when_truncated():
     txs = [make_tx(i, addr(i), CENTER, value=str(i), ts=100 + i) for i in range(1, 6)]
     sub = build_subgraph(CENTER, txs, [], TracerConfig(k=2), NOW)
-    payload = to_reasoner_payload(sub)
+    payload = json.loads(to_reasoner_payload(sub))
     assert payload["statistics"]["total_tx_count"] == 5
     assert payload["statistics"]["retained_tx_count"] == 2
     assert payload["statistics"]["truncated"] is True
@@ -202,23 +214,23 @@ def test_payload_stats_cover_full_set_when_truncated():
 
 def test_payload_json_deterministic():
     txs = three_txs()
-    sub = build_subgraph(CENTER, txs, [], CFG, NOW)
-    a = payload_json(to_reasoner_payload(sub))
-    b = payload_json(to_reasoner_payload(build_subgraph(CENTER, list(reversed(txs)), [], CFG, NOW)))
+    a = to_reasoner_payload(build_subgraph(CENTER, txs, [], CFG, NOW))
+    b = to_reasoner_payload(build_subgraph(CENTER, list(reversed(txs)), [], CFG, NOW))
     assert a == b
     json.loads(a)  # stays valid JSON
 
 
-def reference_json(payload):
-    return json.dumps(payload, indent=2, ensure_ascii=False)
+def round_trips(text):
+    """The text is what json.dumps(indent=2, ensure_ascii=False) writes for its own content."""
+    return json.dumps(json.loads(text), indent=2, ensure_ascii=False) == text
 
 
 def test_payload_json_equals_json_dumps_on_every_demo_payload(monkeypatch):
-    payloads = []
+    texts = []
 
     def recording(*args, **kwargs):
-        payloads.append(to_reasoner_payload(*args, **kwargs))
-        return payloads[-1]
+        texts.append(to_reasoner_payload(*args, **kwargs))
+        return texts[-1]
 
     monkeypatch.setattr(infer, "to_reasoner_payload", recording)
     config = json.loads((FIXTURES / "synthetic" / "config.json").read_text())
@@ -226,58 +238,46 @@ def test_payload_json_equals_json_dumps_on_every_demo_payload(monkeypatch):
     client = FixtureChainClient(FixtureStore.load_dir(FIXTURES / "synthetic"))
     ports = TracerPorts(client=client, backend=RuleBackend(blacklist), now=config["now"])
     trace(["0x47666fab8bd0ac7003bce3f5c3585383f09486e2"], "ethereum", TracerConfig.from_json(config["tracer"]), ports)
-    assert len(payloads) == 140
-    for payload in payloads:
-        assert payload_json(payload) == reference_json(payload)
+    assert len(texts) == 140
+    for text in texts:
+        assert round_trips(text)
 
 
 # every class of character the string encoder treats differently: the control
 # characters it escapes, quote and backslash, and ASCII and non-ASCII text it keeps
 TEXT = st.text(st.sampled_from([chr(c) for c in range(0x20)] + list('"\\/\x7f aZ0é€\u2028😀')), max_size=8)
-COUNT = st.integers(min_value=0, max_value=10**30)
-TOTALS = st.dictionaries(TEXT, TEXT, max_size=3)
+AMOUNT = st.integers(min_value=0, max_value=10**30).map(str)
+# the center's chain, the far chain of a bridge pair; "base" has no native symbol
+CHAINS = ["ethereum", "bsc", "base"]
+TIMESTAMP = st.integers(min_value=1, max_value=4 * 10**9)
 
 
-def ordered(fields: dict):
-    """A dict strategy whose keys come in the order of `fields`, as in the
-    canonical payload (fixed_dictionaries does not keep it)."""
-    return st.fixed_dictionaries(fields).map(lambda d: {key: d[key] for key in fields})
-
-
-TX_ROW = ordered(
-    {
-        "hash": TEXT, "from": TEXT, "to": TEXT, "value": TEXT,
-        "tokenSymbol": TEXT, "timeStamp": TEXT, "isError": st.booleans(),
-    }
-)
-PAIR_ROW = ordered(
-    {
-        "src_hash": TEXT, "dst_hash": TEXT, "src_chain": TEXT, "dst_chain": TEXT,
-        "dst_to": TEXT, "token": TEXT, "amount_src": TEXT, "amount_dst": TEXT,
-        "time_delta_s": COUNT, "bridge_hint": TEXT,
-    }
-)
-STATISTICS = ordered(
-    {
-        "in_count": COUNT, "out_count": COUNT, "in_total": TOTALS, "out_total": TOTALS,
-        "first_seen": st.none() | TEXT, "last_seen": st.none() | TEXT,
-        "distinct_counterparties_in": COUNT, "distinct_counterparties_out": COUNT,
-        "tx_per_day_mean": st.floats(), "max_burst_1h": COUNT,
-        "total_tx_count": COUNT, "retained_tx_count": COUNT, "truncated": st.booleans(),
-    }
-)
-PAYLOAD = ordered(
-    {
-        "payload_version": COUNT,
-        "target_address": ordered({"hex": TEXT, "chain": TEXT}),
-        "statistics": STATISTICS,
-        "transactions": st.lists(TX_ROW, max_size=3),
-        "cross_chain": st.lists(PAIR_ROW, max_size=2),
-    }
-)
+@st.composite
+def subgraphs(draw):
+    chain, far = draw(st.sampled_from([(a, b) for a in CHAINS for b in CHAINS if a != b]))
+    center = addr(0xC0, chain)
+    peers = st.sampled_from([center] + [addr(n, chain) for n in range(1, 4)])
+    txs = [
+        make_tx(
+            n, draw(peers), draw(peers), value=draw(AMOUNT), ts=draw(TIMESTAMP),
+            token=draw(st.sampled_from(["", "ETH", "USDT"]) | TEXT), is_error=draw(st.booleans()),
+        )
+        for n in range(draw(st.integers(0, 4)))
+    ]
+    pairs = [
+        CrossChainPair(
+            make_tx(100 + n, center, addr(9, chain), value=draw(AMOUNT), ts=draw(TIMESTAMP), token=draw(TEXT)),
+            make_tx(200 + n, addr(8, far), addr(7, far), value=draw(AMOUNT), ts=draw(TIMESTAMP), token=draw(TEXT)),
+            token=draw(TEXT), amount_src=draw(AMOUNT), amount_dst=draw(AMOUNT),
+            time_delta_s=draw(st.integers(0, 10**6)), bridge_hint=draw(TEXT),
+        )
+        for n in range(draw(st.integers(0, 2)))
+    ]
+    k = draw(st.integers(1, 5))
+    return build_subgraph(center, txs, pairs, TracerConfig(k=k), draw(TIMESTAMP))
 
 
 @settings(max_examples=300, deadline=None)
-@given(PAYLOAD)
-def test_payload_json_equals_json_dumps_on_any_schema_payload(payload):
-    assert payload_json(payload) == reference_json(payload)
+@given(subgraphs())
+def test_payload_json_equals_json_dumps_on_any_schema_payload(sub):
+    assert round_trips(to_reasoner_payload(sub))
