@@ -4,14 +4,17 @@ Detection is table-driven: a configured list of bridge endpoints per chain.
 A deposit (transfer from the traced account into a bridge endpoint, or a tx
 whose input carries a configured bridge marker) is matched against
 withdrawals sent by the same bridge's endpoints on other chains, by token,
-amount tolerance and time window. Matching is brute force over the rows of
-those endpoints, fetched per address, so no whole chain is ever read.
+amount tolerance and time window. The matcher reads each endpoint's rows
+once, when it is built, by address, so no whole chain is ever read; a deposit
+then bisects its token's withdrawals for the time window.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from decimal import Decimal
+from operator import attrgetter
 from pathlib import Path
 
 from ..errors import ParseError
@@ -23,6 +26,7 @@ from ..model import Address, CrossChainPair, TransactionRecord, normalize_addres
 AMOUNT_TOLERANCE = Decimal("0.01")
 TIME_WINDOW_S = 3600
 _MARKER_RE = re.compile(r"0x[0-9a-f]{8,}")
+_TIMESTAMP = attrgetter("timeStamp")
 
 
 class BridgeTable:
@@ -81,12 +85,27 @@ class BridgeTable:
 
 
 class BridgeMatcher:
-    """CrossChainMatcherPort over a per-address record source (fixture or cache)."""
+    """CrossChainMatcherPort over a per-address record source (fixture or cache).
+
+    `records_for` (Address -> the records touching it) is called once per
+    endpoint, here; matching reads only what this builds, so threads may
+    expand at once.
+    """
 
     def __init__(self, table: BridgeTable, records_for):
         self.table = table
-        self.records_for = records_for  # callable: Address -> list[TransactionRecord] touching it
         self.diagnostics: list[dict] = []
+        # (bridge, chain, tokenSymbol) -> successful withdrawals sent by the
+        # bridge's endpoints on the chain, sorted by (timeStamp, hash); rows
+        # tied on both keep table endpoint order
+        self._withdrawals: dict[tuple[str, str, str], list[TransactionRecord]] = {}
+        for (bridge, chain), endpoints in table.by_bridge_chain.items():
+            for endpoint in dict.fromkeys(endpoints):
+                for r in records_for(endpoint):
+                    if r.from_addr == endpoint and not r.isError:
+                        self._withdrawals.setdefault((bridge, chain, r.tokenSymbol), []).append(r)
+        for rows in self._withdrawals.values():
+            rows.sort(key=lambda r: (r.timeStamp, r.hash))
 
     def expand(self, address: Address, txs: list[TransactionRecord]) -> list[CrossChainPair]:
         pairs = []
@@ -116,19 +135,11 @@ class BridgeMatcher:
         for dst_chain in self.table.chains_of(bridge):
             if dst_chain == deposit.chain:
                 continue
-            # table order, so rows tied on (timeStamp, hash) keep one order
-            endpoints = dict.fromkeys(self.table.by_bridge_chain.get((bridge, dst_chain), []))
-            candidates = [
-                r
-                for endpoint in endpoints
-                for r in self.records_for(endpoint)
-                if r.from_addr == endpoint and not r.isError and r.tokenSymbol == deposit.tokenSymbol
-            ]
-            candidates.sort(key=lambda r: (r.timeStamp, r.hash))
-            for wd in candidates:
+            rows = self._withdrawals.get((bridge, dst_chain, deposit.tokenSymbol), [])
+            lo = bisect_left(rows, deposit.timeStamp, key=_TIMESTAMP)
+            hi = bisect_right(rows, deposit.timeStamp + TIME_WINDOW_S, lo, key=_TIMESTAMP)
+            for wd in rows[lo:hi]:
                 delta = wd.timeStamp - deposit.timeStamp
-                if not 0 <= delta <= TIME_WINDOW_S:
-                    continue
                 if abs(wd.value_int - deposit.value_int) > AMOUNT_TOLERANCE * deposit.value_int:
                     continue
                 out.append(

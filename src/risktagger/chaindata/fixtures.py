@@ -2,8 +2,8 @@
 
 Loading checks every row and keeps no row's text, and no file stays open
 after it. A row already in canonical form is kept as its byte span in the
-file; the row is read back from there, matched again and built into a
-TransactionRecord only when an account touching it is first fetched. Any
+file; each fetch of an account touching it reads the row back from there,
+matches it again and builds a TransactionRecord the store does not keep. Any
 other row is checked and built at load, so a bad row fails the load with its
 line number whether or not a trace would ever reach it. Each fetch reopens
 the file, and a file that is not the one loaded (another device, inode, size
@@ -14,6 +14,7 @@ becomes a record.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import os
 import re
@@ -123,10 +124,10 @@ class _FixtureFile:
         self.starts = array("q")
         self.lengths = array("I")  # a canonical row is under 2**32 bytes
 
-    def build(self, rows: list, positions, addresses: dict[str, Address]) -> None:
-        """Builds each row at these positions not built yet, reading its span
-        from the reopened file, whose stamp must still be the load's, and
-        matching it again."""
+    def build(self, rows: list, positions, addresses: dict[str, Address]) -> list[TransactionRecord]:
+        """The records at these positions: a row built at load as it is, any
+        other read from its span in the reopened file, whose stamp must still
+        be the load's, matched again and built."""
         try:
             fh = self.path.open("rb", buffering=0)
         except OSError as exc:
@@ -135,10 +136,10 @@ class _FixtureFile:
             fd = fh.fileno()
             if _stamp(fd) != self.stamp:
                 raise ParseError(f"{self.path}: fixture changed since it was loaded")
-            # Threads racing here build equal records; either may stay.
-            for position in positions:
-                if rows[position] is None:
-                    rows[position] = self._record(fd, position, addresses)
+            return [
+                self._record(fd, position, addresses) if rows[position] is None else rows[position]
+                for position in positions
+            ]
 
     def _record(self, fd: int, position: int, addresses: dict[str, Address]) -> TransactionRecord:
         data = os.pread(fd, self.lengths[position], self.starts[position])
@@ -164,13 +165,14 @@ class FixtureStore:
     """All fixture chains, indexed by chain and address.
 
     `records_by_chain` maps each chain to its rows in file order, one entry
-    per row: a TransactionRecord, or None for a canonical row not yet fetched,
-    which its record replaces the first time it is.
+    per row: a TransactionRecord, or None for a canonical row, which is built
+    on each fetch and never kept. After the load the store only interns
+    Addresses, so threads may fetch from it at once.
     """
 
     def __init__(self, records_by_chain: dict[str, list[TransactionRecord]]):
         self.records_by_chain: dict[str, list] = {}
-        self._index: dict[str, dict[str, list[int]]] = {}  # chain -> hex -> row positions
+        self._index: dict[str, dict[str, array]] = {}  # chain -> hex -> row positions
         self._addresses: dict[str, dict[str, Address]] = {}  # chain -> hex -> interned
         self._files: dict[str, _FixtureFile] = {}
         for chain, records in records_by_chain.items():
@@ -192,15 +194,16 @@ class FixtureStore:
             raise ParseError(f"no <chain>.csv fixture files under {fixture_dir}")
         return store
 
-    def _start_chain(self, chain: str) -> tuple[list, dict[str, list[int]]]:
+    def _start_chain(self, chain: str) -> tuple[list, dict[str, array]]:
         """An empty row list and index for the chain, replacing any before."""
         self._addresses[chain] = {}
         rows = self.records_by_chain[chain] = []
-        index = self._index[chain] = defaultdict(list)
+        # 4 bytes per entry, no int object: a chain holds under 2**32 rows
+        index = self._index[chain] = defaultdict(functools.partial(array, "I"))
         return rows, index
 
     @staticmethod
-    def _add_record(rows: list, index: dict[str, list[int]], record: TransactionRecord) -> None:
+    def _add_record(rows: list, index: dict[str, array], record: TransactionRecord) -> None:
         position = len(rows)
         rows.append(record)
         src, dst = record.from_addr.hex, record.to_addr.hex
@@ -262,19 +265,19 @@ class FixtureStore:
                 starts.append(0)
                 lengths.append(0)
 
-    def _index_of(self, chain: str) -> dict[str, list[int]]:
+    def _index_of(self, chain: str) -> dict[str, array]:
         if chain not in self._index:
             raise UnknownChain(f"no fixture data for chain {chain!r}")
         return self._index[chain]
 
     def _rows_at(self, chain: str, positions) -> list[TransactionRecord]:
-        """The records at these row positions, building the rows not yet
-        built. A fixture file edited since the load raises ParseError."""
+        """The records at these row positions, reading back the rows not
+        built at load. A fixture file edited since the load raises ParseError."""
         rows = self.records_by_chain[chain]
         source = self._files.get(chain)
-        if source is not None:
-            source.build(rows, positions, self._addresses[chain])
-        return [rows[position] for position in positions]
+        if source is None:
+            return [rows[position] for position in positions]
+        return source.build(rows, positions, self._addresses[chain])
 
     def records_for(self, address: Address) -> list[TransactionRecord]:
         """Every row touching the address, in file order."""

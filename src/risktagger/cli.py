@@ -27,7 +27,7 @@ from .chaindata.crosschain import BridgeMatcher, BridgeTable
 from .chaindata.fixtures import FixtureChainClient, FixtureStore
 from .chaindata.live import EtherscanClient
 from .config import RunConfig, load_config
-from .errors import EmptyChecklist, ParseError, RiskTaggerError
+from .errors import EmptyChecklist, ParseError, RiskTaggerError, UnknownChain
 from .explainer import build_checklist, coverage, generate_report
 from .extractor import MANDATORY_FIELDS, CaseClues, LlmExtractor, extract_case_clues
 from .model import RiskAssessment, SuspicionLevel
@@ -110,7 +110,10 @@ def _build_ports(config: RunConfig, out_dir: Path, resume: bool, inputs: dict) -
         store = FixtureStore.load_dir(config.fixture_dir)
         client = FixtureChainClient(store)
         if config.bridges_path:  # validated: only the fixture adapter takes a bridge table
-            matcher = BridgeMatcher(BridgeTable.load(config.bridges_path), store.records_for)
+            try:
+                matcher = BridgeMatcher(BridgeTable.load(config.bridges_path), store.records_for)
+            except UnknownChain as exc:
+                raise ParseError(f"{config.bridges_path}: {exc}") from exc
     else:
         cache = FetchCache(config.cache_dir) if config.cache_dir else None
         client = EtherscanClient(config.api_base_url, config.chain, cache=cache)

@@ -240,15 +240,17 @@ def to_reasoner_payload(sub: AccountSubgraph) -> str:
 
 
 def _totals_json(totals: dict, chain: str) -> str:
-    """Totals keyed by display symbol; the native key takes the chain's symbol
-    (and, as a later key, wins over a token that shares it)."""
-    shown = {}
+    """Totals keyed by display symbol; the native key takes the chain's symbol,
+    and a token named like it (a token `ETH` on ethereum) is `ETH (token)`."""
+    if not totals:
+        return "{}"
+    native = NATIVE_SYMBOLS.get(chain, NATIVE_KEY)
+    shown = []
     for key, raw in totals.items():
         symbol = "" if key == NATIVE_KEY else key
-        shown[symbol or NATIVE_SYMBOLS.get(chain, NATIVE_KEY)] = display_amount(raw, symbol, chain)
-    if not shown:
-        return "{}"
-    return "{\n" + ",\n".join(f"      {_str(k)}: {_str(v)}" for k, v in shown.items()) + "\n    }"
+        label = f"{symbol} (token)" if symbol == native else symbol or native
+        shown.append(f"      {_str(label)}: {_str(display_amount(raw, symbol, chain))}")
+    return "{\n" + ",\n".join(shown) + "\n    }"
 
 
 def _rows_json(rows: list, row_json) -> str:

@@ -23,7 +23,6 @@ from risktagger.chaindata import (
 )
 from risktagger.chaindata.fetch import _row_to_record
 from risktagger.errors import MalformedAddress, ParseError, SchemaMismatch, UnknownChain
-from risktagger.model import TransactionRecord
 
 HEADER = ",".join(FIXTURE_COLUMNS)
 
@@ -167,11 +166,13 @@ def test_rows_are_built_only_when_fetched(tmp_path):
     assert rows == [None, None, None]
     assert not any(tx_hash(n) in s for n in (1, 2, 3) for s in reachable_strings(store))
     first = store.records_for(addr(2))
-    assert [type(r) for r in rows] == [TransactionRecord, TransactionRecord, type(None)]
+    assert [r.hash for r in first] == [tx_hash(1), tx_hash(2)]
+    # the store keeps no record it built
+    assert rows == [None, None, None]
+    assert not any(tx_hash(n) in s for n in (1, 2, 3) for s in reachable_strings(store))
     again = store.records_for(addr(2))
-    assert again == first and all(a is b for a, b in zip(again, first))
-    assert first[0].to_addr is first[1].from_addr  # one Address object per hex
-    assert not any(tx_hash(3) in s for s in reachable_strings(store))
+    assert again == first and not any(a is b for a, b in zip(again, first))
+    assert first[0].to_addr is first[1].from_addr is again[0].to_addr  # one Address object per hex
 
 
 @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
@@ -269,7 +270,7 @@ def test_threads_fetching_together_read_back_every_row_right(tmp_path):
         for thread in threads:
             thread.join(timeout=60)
         assert not any(thread.is_alive() for thread in threads)
-        assert store.records_by_chain["ethereum"] == expected
+        assert store.records_by_chain["ethereum"] == [None] * len(expected)
     finally:
         sys.setswitchinterval(switch)
     assert len(results) == 8
@@ -277,28 +278,55 @@ def test_threads_fetching_together_read_back_every_row_right(tmp_path):
         assert fetched == {a: [r for r in expected if r.involves(a)] for a in accounts}
 
 
-def test_a_loaded_row_costs_its_span_and_index_entries_not_its_text(tmp_path):
+ROWS_N, ADDRESSES_N = 20_000, 2_000
+
+
+def scaled_fixture(tmp_path):
     """A 20k-row fixture, ten rows per address as in the scaled benchmark
-    graph: a line is ~230 bytes of text, and the store keeps under 100 bytes
-    per row (span, position, index entries, each address once)."""
-    rows_n, addresses_n = 20_000, 2_000
+    graph; a line is ~230 bytes of text."""
     lines = [
-        row(n, addr(n % addresses_n + 1), addr((7 * n + 1) % addresses_n + 1),
+        row(n, addr(n % ADDRESSES_N + 1), addr((7 * n + 1) % ADDRESSES_N + 1),
             value=str(10**18 + n), ts=1_700_000_000 + n, block=18_000_000 + n, token="USDT")
-        for n in range(rows_n)
+        for n in range(ROWS_N)
     ]
     write_fixture(tmp_path, "ethereum.csv", lines)
+
+
+def retained_bytes(action):
+    """What `action()` returns, and the bytes still allocated once it has."""
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        store = FixtureStore.load_dir(tmp_path)
+        result = action()
         gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - before
+        return result, tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(store.records_by_chain["ethereum"]) == rows_n
-    assert retained / rows_n < 100
+
+
+def test_a_loaded_row_costs_its_span_and_index_entries_not_its_text(tmp_path):
+    """Under 60 bytes per row: span, row slot and two 4-byte index entries,
+    each address's key and index array once."""
+    scaled_fixture(tmp_path)
+    store, retained = retained_bytes(lambda: FixtureStore.load_dir(tmp_path))
+    assert len(store.records_by_chain["ethereum"]) == ROWS_N
+    assert retained / ROWS_N < 60
+
+
+def test_fetching_every_address_keeps_no_record(tmp_path):
+    """After every address is fetched, the store has grown by its interned
+    Addresses only: under 90 bytes per row in all (a kept record is over 1 kB)."""
+    scaled_fixture(tmp_path)
+
+    def load_and_fetch_all():
+        store = FixtureStore.load_dir(tmp_path)
+        fetched = sum(len(store.records_for(a)) for a in store.all_addresses("ethereum"))
+        return store, fetched
+
+    (store, fetched), retained = retained_bytes(load_and_fetch_all)
+    assert fetched == 2 * ROWS_N  # every row has two distinct addresses
+    assert retained / ROWS_N < 90
 
 
 def test_unknown_chain(tmp_path):

@@ -756,6 +756,17 @@ def test_live_adapter_with_a_bridge_table_exits_one_naming_both(tmp_path, capsys
     assert not (tmp_path / "out" / "labels.jsonl").exists()
 
 
+def test_a_bridge_endpoint_on_a_chain_with_no_fixture_exits_one_naming_both(tmp_path, capsys):
+    clues = extract_clues(tmp_path)
+    bridges = tmp_path / "bridges.txt"
+    bridges.write_text("ethereum,0x" + "b1" * 20 + ",hoplink\npolygon,0x" + "b2" * 20 + ",hoplink\n")
+    cfg = write_config(tmp_path, bridges_path=str(bridges))
+    assert run_cli("trace", clues, "--config", cfg, "--max-depth", 1) == 1
+    err = capsys.readouterr().err
+    assert str(bridges) in err and "'polygon'" in err
+    assert not (tmp_path / "out" / "labels.jsonl").exists()
+
+
 def test_missing_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])

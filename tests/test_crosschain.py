@@ -8,9 +8,12 @@ import re
 from decimal import Decimal
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import addr, make_tx
 from risktagger.chaindata import BridgeMatcher, BridgeTable
+from risktagger.chaindata.crosschain import TIME_WINDOW_S
 from risktagger.errors import ParseError
 from risktagger.model import CrossChainPair
 
@@ -184,3 +187,125 @@ def test_pair_destination_carries_destination_chain(tmp_path):
     (pair,) = matcher.expand(ACCOUNT, [deposit])
     assert isinstance(pair, CrossChainPair)
     assert pair.dst_tx.to_addr.chain == "bsc"
+
+
+# --- many deposits against two endpoints per chain ------------------------------
+
+ENDPOINTS = {
+    "ethereum": [addr(0xB1), addr(0xB2)],
+    "bsc": [addr(0xB1, "bsc"), addr(0xB2, "bsc")],
+    "polygon": [addr(0xB3, "polygon"), addr(0xB4, "polygon")],
+}
+# both edges of the window, and a second either side of each
+OFFSETS = [-1, 0, 1, TIME_WINDOW_S // 2, TIME_WINDOW_S - 1, TIME_WINDOW_S, TIME_WINDOW_S + 1]
+# 1% either side of the deposit is in, one unit further is out
+AMOUNT_PERCENT = [100, 99, 101]
+
+
+def two_endpoint_table(tmp_path):
+    path = tmp_path / "bridges.txt"
+    path.write_text(
+        "".join(f"{chain},{a.hex},hoplink\n" for chain, pair in ENDPOINTS.items() for a in pair),
+        encoding="utf-8",
+    )
+    return BridgeTable.load(path)
+
+
+deposit_specs = st.lists(
+    st.tuples(
+        st.integers(0, 5),  # time slot, half a window apart: windows overlap
+        st.sampled_from(["RUNE", "USDT", ""]),
+        st.sampled_from([100 * 10**8, 300 * 10**8]),
+        st.integers(0, 1),  # which ethereum endpoint
+        st.booleans(),  # failed
+    ),
+    min_size=1,
+    max_size=25,
+)
+withdrawal_specs = st.lists(
+    st.tuples(
+        st.sampled_from(["bsc", "polygon", "ethereum"]),
+        st.integers(0, 1),  # which endpoint sends it
+        st.integers(0, 24),  # the deposit it is placed against
+        st.sampled_from(OFFSETS),
+        st.sampled_from(AMOUNT_PERCENT),
+        st.integers(-1, 1),  # one unit off the amount
+        st.sampled_from(["RUNE", "USDT", ""]),
+        st.booleans(),  # failed
+        st.integers(0, 3),  # hash; few values, so (timeStamp, hash) ties happen
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(deposit_specs, withdrawal_specs)
+# a tie on (timeStamp, hash) across the two bsc endpoints, the second
+# endpoint's row first in the store; a timeStamp tie; both window edges
+@example(
+    [(0, "RUNE", 100 * 10**8, 0, False), (1, "RUNE", 100 * 10**8, 1, False)],
+    [
+        ("bsc", 1, 0, 0, 100, 0, "RUNE", False, 2),
+        ("bsc", 0, 0, 0, 100, 0, "RUNE", False, 2),
+        ("bsc", 0, 0, 0, 99, 0, "RUNE", False, 1),
+        ("polygon", 1, 1, TIME_WINDOW_S, 101, 0, "RUNE", False, 3),
+        ("polygon", 0, 1, -1, 100, 0, "RUNE", False, 3),
+        ("bsc", 1, 1, TIME_WINDOW_S + 1, 100, 0, "RUNE", False, 0),
+    ],
+)
+def test_many_deposits_against_two_endpoints_per_chain_match_the_oracle(tmp_path_factory, deposits, withdrawals):
+    table = two_endpoint_table(tmp_path_factory.mktemp("bridges"))
+    deps = [
+        make_tx(1000 + n, ACCOUNT, ENDPOINTS["ethereum"][endpoint], value=str(amount),
+                ts=T0 + slot * TIME_WINDOW_S // 2, token=token, is_error=failed)
+        for n, (slot, token, amount, endpoint, failed) in enumerate(deposits)
+    ]
+    rows = []
+    for n, (chain, endpoint, anchor, offset, percent, unit, token, failed, hash_n) in enumerate(withdrawals):
+        dep = deps[anchor % len(deps)]
+        value = dep.value_int * percent // 100 + (unit if percent != 100 else 0)
+        sender = ENDPOINTS[chain][endpoint]
+        rows.append(make_tx(hash_n, sender, addr(0x300 + n, chain), value=str(value),
+                            ts=dep.timeStamp + offset, token=token, is_error=failed))
+    # the store answers in row order; ties on (timeStamp, hash) keep table endpoint order
+    by_chain = {
+        chain: [r for endpoint in pair for r in rows if r.from_addr == endpoint]
+        for chain, pair in ENDPOINTS.items()
+    }
+    endpoints = {a for pair in ENDPOINTS.values() for a in pair}
+    expected = oracle_pairs(deps, by_chain, endpoints, 0.01, TIME_WINDOW_S, 0)
+
+    matcher = BridgeMatcher(table, records_for(rows))
+    pairs = matcher.expand(ACCOUNT, deps)
+    assert [(p.src_tx.hash, p.dst_tx.hash, p.time_delta_s) for p in pairs] == expected
+    # rows tied on (timeStamp, hash) too come in the oracle's order
+    rank = {id(r): i for i, r in enumerate(
+        r for chain in sorted(by_chain) for r in sorted(by_chain[chain], key=lambda r: (r.timeStamp, r.hash))
+    )}
+    for dep in deps:
+        ranks = [rank[id(p.dst_tx)] for p in pairs if p.src_tx is dep]
+        assert ranks == sorted(ranks)
+    matched = {p.src_tx.hash for p in pairs}
+    assert [d["tx"] for d in matcher.diagnostics] == [
+        d.hash for d in deps if not d.isError and d.hash not in matched
+    ]
+
+
+def test_each_endpoint_is_read_once_however_many_deposits_expand_sees(tmp_path):
+    table = two_endpoint_table(tmp_path)
+    rows = [
+        make_tx(n, ENDPOINTS["bsc"][n % 2], DST_USER, value=str(DEPOSIT_AMOUNT), ts=T0 + n, token="RUNE")
+        for n in range(10)
+    ]
+    reads = []
+
+    def counting(address):
+        reads.append(address)
+        return [r for r in rows if r.involves(address)]
+
+    matcher = BridgeMatcher(table, counting)
+    for n in range(50):
+        deposit = make_tx(1000 + n, ACCOUNT, ENDPOINTS["ethereum"][n % 2],
+                          value=str(DEPOSIT_AMOUNT), ts=T0 + n, token="RUNE")
+        assert len(matcher.expand(ACCOUNT, [deposit])) == 10 - min(n, 10)
+    assert sorted(reads) == sorted(a for pair in ENDPOINTS.values() for a in pair)

@@ -182,6 +182,18 @@ def test_payload_shape_and_units():
     assert payload["statistics"]["in_total"] == {"ETH": "1.0 ETH"}
 
 
+def test_a_token_named_like_the_native_symbol_keeps_its_own_total():
+    txs = [
+        make_tx(1, addr(1), CENTER, value=str(10**18), ts=1_740_000_000),
+        make_tx(2, addr(2), CENTER, value=str(5 * 10**18), ts=1_740_000_060, token="ETH"),
+        make_tx(3, CENTER, addr(3), value=str(2 * 10**18), ts=1_740_000_120, token="ETH"),
+    ]
+    sub = build_subgraph(CENTER, txs, [], TracerConfig(), NOW + 1_740_000_000)
+    stats = json.loads(to_reasoner_payload(sub))["statistics"]
+    assert stats["in_total"] == {"ETH (token)": "5.0 ETH", "ETH": "1.0 ETH"}
+    assert stats["out_total"] == {"ETH (token)": "2.0 ETH"}
+
+
 def test_payload_key_order_is_the_canonical_order():
     # a round trip through json cannot see key order, so it is spelled out here
     src = make_tx(1, CENTER, addr(9), value="7", ts=1_740_000_000, token="RUNE")
