@@ -2,12 +2,12 @@
 
 A row is the 16 fields of one transfer in FIXTURE_COLUMNS order, whether it
 comes from a fixture CSV or an explorer's JSON; _row_to_record normalizes or
-refuses each field.
+refuses each field, and keeps the ten that the pipeline reads.
 """
 
 from __future__ import annotations
 
-from ..model import TransactionRecord, normalize_address
+from ..model import TransactionRecord, _require_digits, normalize_address
 
 # Canonical header, exact names and order. Header drift is a hard error:
 # silently remapping columns is how value/gas swaps slip into datasets.
@@ -32,9 +32,17 @@ FIXTURE_COLUMNS = (
 
 
 def _row_to_record(values: list, chain: str) -> TransactionRecord:
-    """The checked builder: strips, normalizes and validates every field."""
+    """The checked builder: strips, normalizes and validates every field.
+    The last six are checked, then dropped, as nothing reads them."""
     (tx_hash, src, dst, value, ts, block, token, contract, is_error,
      data, nonce, block_hash, gas, gas_price, gas_used, confirmations) = values
+    for name, count in (("nonce", nonce), ("confirmations", confirmations)):
+        if int(count) < 0:
+            raise ValueError(f"{name} must be non-negative, got {count!r}")
+    if not isinstance(block_hash, str):
+        raise ValueError(f"blockHash must be a string, got {block_hash!r}")
+    for name, digits in (("gas", gas), ("gasPrice", gas_price), ("gasUsed", gas_used)):
+        _require_digits(name, digits.strip())
     contract = contract.strip()
     return TransactionRecord(
         hash=tx_hash,
@@ -47,35 +55,22 @@ def _row_to_record(values: list, chain: str) -> TransactionRecord:
         contractAddress=normalize_address(contract, chain) if contract else None,
         isError=is_error.strip() == "1",
         input=data.strip() or "0x",
-        nonce=int(nonce),
-        blockHash=block_hash.strip(),
-        gas=gas.strip(),
-        gasPrice=gas_price.strip(),
-        gasUsed=gas_used.strip(),
-        confirmations=int(confirmations),
     )
 
 
 def dedup_and_sort(records: list[TransactionRecord]) -> list[TransactionRecord]:
     """Collapse duplicate rows, then order by (blockNumber, hash) ascending.
 
-    The dedup key keeps one row per asset movement: the same hash can
-    legitimately carry a native transfer plus a token transfer, but two rows
-    identical in hash and direction collapse to one (first occurrence wins).
+    Only rows equal in every field collapse (first occurrence wins): one
+    transaction can carry a native and a token transfer, or two transfers of
+    one token between the same parties, and each is kept.
     """
     seen = set()
     out = []
     for rec in records:
-        key = (
-            rec.hash,
-            rec.from_addr,
-            rec.to_addr,
-            rec.tokenSymbol,
-            rec.contractAddress.hex if rec.contractAddress else "",
-        )
-        if key in seen:
+        if rec in seen:
             continue
-        seen.add(key)
+        seen.add(rec)
         out.append(rec)
     out.sort(key=lambda r: (r.blockNumber, r.hash))
     return out

@@ -66,9 +66,10 @@ _TO = slice(110, 152)
 
 def _canonical_to_record(line: str, chain: str, addresses: dict[str, Address]) -> TransactionRecord:
     """The record of a line that matched _CANONICAL_ROW, equal to what
-    _row_to_record builds from it, without checking its fields again."""
+    _row_to_record builds from it, without checking its fields again. The
+    match has checked the six columns a record drops."""
     (tx_hash, src, dst, value, ts, block, token, contract, is_error,
-     data, nonce, block_hash, gas, gas_price, gas_used, confirmations) = line.split(",")
+     data, *_unread) = line.split(",")
 
     def address(hex_: str) -> Address:
         found = addresses.get(hex_)
@@ -85,12 +86,6 @@ def _canonical_to_record(line: str, chain: str, addresses: dict[str, Address]) -
         contractAddress=address(contract) if contract else None,
         isError=is_error == "1",
         input=data or "0x",
-        nonce=int(nonce),
-        blockHash=block_hash,
-        gas=gas,
-        gasPrice=gas_price,
-        gasUsed=gas_used,
-        confirmations=int(confirmations),  # int() drops the line ending
     )
 
 

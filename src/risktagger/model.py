@@ -114,7 +114,8 @@ def _require_digits(name: str, value: str) -> None:
 
 @dataclass(frozen=True)
 class TransactionRecord:
-    """One transfer as the crawler schema reports it.
+    """One transfer: the ten of the crawler schema's 16 columns that the
+    pipeline reads. The builders check the other six, then drop them.
 
     Field names mirror the upstream API (hence timeStamp's capitalization).
     `from`/`to` are reserved in Python, so the attributes are from_addr and
@@ -131,23 +132,14 @@ class TransactionRecord:
     contractAddress: Address | None = None
     isError: bool = False
     input: str = "0x"
-    nonce: int = 0
-    blockHash: str = ""
-    gas: str = "0"
-    gasPrice: str = "0"
-    gasUsed: str = "0"
-    confirmations: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "hash", normalize_tx_hash(self.hash))
         _require_digits("value", self.value)
-        _require_digits("gas", self.gas)
-        _require_digits("gasPrice", self.gasPrice)
-        _require_digits("gasUsed", self.gasUsed)
         if self.timeStamp <= 0:
             raise ValueError(f"timeStamp must be positive, got {self.timeStamp}")
-        if self.blockNumber < 0 or self.nonce < 0 or self.confirmations < 0:
-            raise ValueError("blockNumber, nonce and confirmations must be non-negative")
+        if self.blockNumber < 0:
+            raise ValueError(f"blockNumber must be non-negative, got {self.blockNumber}")
         if self.from_addr.chain != self.to_addr.chain:
             raise ValueError("from and to must live on the same chain")
         if self.contractAddress is not None and self.contractAddress.chain != self.from_addr.chain:
@@ -168,9 +160,6 @@ class TransactionRecord:
     @property
     def value_int(self) -> int:
         return int(self.value)
-
-    def involves(self, addr: Address) -> bool:
-        return self.from_addr == addr or self.to_addr == addr
 
 
 @dataclass(frozen=True)

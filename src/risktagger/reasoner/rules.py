@@ -6,9 +6,9 @@ gets a "No flaw" review. The payload is recovered from the rendered prompt
 text, so the engine sees exactly what a live model would see.
 
 Rule table (a dimension "fires" when its predicate holds):
-  a  transaction_patterns   >= 20 txs in any 1h window, or a round-number
-                            transfer (exact positive multiple of 10^21
-                            smallest units / 1000 display units)
+  a  transaction_patterns   >= 20 distinct txs (hashes) in any 1h window, or
+                            a round-number transfer (exact positive multiple
+                            of 10^21 smallest units / 1000 display units)
   b  fund_flows             fan-in from >= 10 distinct senders AND dispersal
                             to >= 2 distinct other receivers within 3600 s
   c  associated_addresses   any counterparty on the blacklist

@@ -107,7 +107,8 @@ def compute_stats(center: Address, txs: list[TransactionRecord]) -> AccountStats
         distinct_counterparties_in=len(senders),
         distinct_counterparties_out=len(receivers),
         tx_per_day_mean=per_day,
-        max_burst_1h=max_burst(timestamps, 3600),
+        # one timestamp per transaction: its native and token rows share a hash
+        max_burst_1h=max_burst(sorted({t.hash: t.timeStamp for t in txs}.values()), 3600),
     )
 
 

@@ -7,9 +7,10 @@ here from the README "Suspicion levels" table and the thresholds of the rule
 engine's docstring, on raw integer values and epoch seconds, never on the
 rendered payload:
 
-  a  >= 20 transfers inside one hour, or a successful transfer of a positive
-     whole multiple of 1000 display units (native ETH has 18 decimals; a
-     token of unknown decimals is shown in raw units, where the unit is 10^21)
+  a  >= 20 distinct transactions (hashes) inside one hour, or a successful
+     transfer of a positive whole multiple of 1000 display units (native ETH
+     has 18 decimals; a token of unknown decimals is shown in raw units, where
+     the unit is 10^21)
   b  >= 10 distinct senders, and successful outgoing transfers reaching >= 2
      distinct receivers inside one hour
   c  a counterparty on the blacklist

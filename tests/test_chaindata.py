@@ -90,7 +90,9 @@ def test_bad_row_reports_line_number(tmp_path):
 @pytest.mark.parametrize(
     "column, bad",
     [("hash", "0x123"), ("from", "0x123"), ("to", "47666fab8bd0ac7003bce3f5c3585383f09486e2"),
-     ("contractAddress", "0xzz")],
+     ("contractAddress", "0xzz"),
+     # the six columns a record drops are still checked
+     ("gas", "1.5"), ("gasPrice", ""), ("gasUsed", "x"), ("nonce", "-1"), ("confirmations", "-2")],
 )
 def test_malformed_hash_or_address_reports_line(tmp_path, column, bad):
     values = row(2, addr(1), addr(2)).split(",")
@@ -125,6 +127,12 @@ def test_same_hash_native_and_token_rows_both_kept():
     assert len(out) == 2
 
 
+def test_same_hash_transfers_differing_in_value_both_kept():
+    five = make_tx(1, addr(1), addr(2), value="5", token="USDT")
+    seven = make_tx(1, addr(1), addr(2), value="7", token="USDT")
+    assert dedup_and_sort([five, seven, five]) == [five, seven]
+
+
 def test_sorted_by_block_then_hash():
     a = make_tx(9, addr(1), addr(2), block=5)
     b = make_tx(2, addr(1), addr(2), block=5)
@@ -140,7 +148,7 @@ def test_fetch_touches_only_queried_address(tmp_path):
     store = FixtureStore.load_dir(tmp_path)
     records = FixtureChainClient(store).fetch_transactions(addr(2))
     assert len(records) == 2
-    assert all(r.involves(addr(2)) for r in records)
+    assert all(addr(2) in (r.from_addr, r.to_addr) for r in records)
 
 
 def reachable_strings(root):
@@ -275,7 +283,7 @@ def test_threads_fetching_together_read_back_every_row_right(tmp_path):
         sys.setswitchinterval(switch)
     assert len(results) == 8
     for fetched in results.values():
-        assert fetched == {a: [r for r in expected if r.involves(a)] for a in accounts}
+        assert fetched == {a: [r for r in expected if a in (r.from_addr, r.to_addr)] for a in accounts}
 
 
 ROWS_N, ADDRESSES_N = 20_000, 2_000
@@ -459,7 +467,7 @@ def assert_loader_agrees(directory, lines, ending="\n"):
     store = FixtureStore.load_dir(directory)
     for hex_ in POOL:
         account = addr(int(hex_, 16))
-        assert store.records_for(account) == [r for r in expected if r.involves(account)]
+        assert store.records_for(account) == [r for r in expected if account in (r.from_addr, r.to_addr)]
 
 
 def test_every_mutation_agrees_with_the_reference(tmp_path):

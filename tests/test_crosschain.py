@@ -65,7 +65,7 @@ def build_table(tmp_path):
 
 def records_for(rows):
     """Per-address lookup over `rows`, as a store's records_for answers it."""
-    return lambda address: [r for r in rows if r.involves(address)]
+    return lambda address: [r for r in rows if address in (r.from_addr, r.to_addr)]
 
 
 def matcher_for(tmp_path, bsc_rows):
@@ -301,7 +301,7 @@ def test_each_endpoint_is_read_once_however_many_deposits_expand_sees(tmp_path):
 
     def counting(address):
         reads.append(address)
-        return [r for r in rows if r.involves(address)]
+        return [r for r in rows if address in (r.from_addr, r.to_addr)]
 
     matcher = BridgeMatcher(table, counting)
     for n in range(50):

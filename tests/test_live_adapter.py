@@ -3,6 +3,7 @@ its rows built by the shared checked builder exactly as its own builder did."""
 
 import json
 import os
+import re
 import sys
 import threading
 import time
@@ -282,7 +283,9 @@ def test_truncation_diagnostic_at_page_cap():
 
 class FormerRowBuilder:
     """The live adapter's own row builder before rows went through the shared
-    builder, kept verbatim as the reference."""
+    builder, kept as the reference. Records have since dropped six columns;
+    the checks those columns had, in the builder and in the record, are
+    spelled out here, so the reference refuses what it always did."""
 
     def __init__(self, chain):
         self.chain = chain
@@ -291,6 +294,12 @@ class FormerRowBuilder:
     def _row_to_record(self, row: dict, action: str) -> TransactionRecord | None:
         try:
             contract = (row.get("contractAddress") or "").strip()
+            if int(row.get("nonce", 0) or 0) < 0 or int(row.get("confirmations", 0) or 0) < 0:
+                raise ValueError("nonce and confirmations must be non-negative")
+            (row.get("blockHash") or "").strip()  # a blockHash that is not a string fails here
+            for column in ("gas", "gasPrice", "gasUsed"):
+                if not re.match(r"^[0-9]+$", str(row.get(column, "0") or "0").strip()):
+                    raise ValueError(f"{column} must be a non-negative decimal integer string")
             return TransactionRecord(
                 hash=row["hash"],
                 from_addr=normalize_address(row["from"], self.chain),
@@ -302,12 +311,6 @@ class FormerRowBuilder:
                 contractAddress=normalize_address(contract, self.chain) if contract else None,
                 isError=str(row.get("isError", "0")).strip() == "1",
                 input=(row.get("input") or "0x").strip() or "0x",
-                nonce=int(row.get("nonce", 0) or 0),
-                blockHash=(row.get("blockHash") or "").strip(),
-                gas=str(row.get("gas", "0") or "0").strip(),
-                gasPrice=str(row.get("gasPrice", "0") or "0").strip(),
-                gasUsed=str(row.get("gasUsed", "0") or "0").strip(),
-                confirmations=int(row.get("confirmations", 0) or 0),
             )
         except Exception as exc:
             # live data is messy (contract creations have empty `to`); drop the

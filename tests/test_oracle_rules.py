@@ -105,8 +105,9 @@ EDGES = st.tuples(st.just(CENTER), PEERS) | st.tuples(PEERS, st.just(CENTER))  #
 TOKENS = st.sampled_from(["", "USDT"])  # native and USDT: the oracle's decimals scope
 
 
-def row(src, dst, value, ts, token="", failed=False):
-    return (src, dst, value, ts, token, failed)
+def row(src, dst, value, ts, token="", failed=False, tx=None):
+    """One transfer; rows given the same `tx` share a transaction hash."""
+    return (src, dst, value, ts, token, failed, tx)
 
 
 @st.composite
@@ -132,10 +133,15 @@ SENDERS = [row(addr(0x100 + i), CENTER, 777, DAY + 9 * HOUR + 60 * i) for i in r
 @example(SENDERS + [row(CENTER, CENTER, 555, DAY + 11 * HOUR), row(CENTER, addr(1), 555, DAY + 11 * HOUR + 1800)])
 # two receivers exactly one hour apart: inside the closed window
 @example(SENDERS + [row(CENTER, addr(1), 555, DAY + 11 * HOUR), row(CENTER, addr(2), 555, DAY + 12 * HOUR)])
+# ten transactions inside one hour, each moving ETH and USDT: 20 rows, no burst
+@example([
+    row(CENTER, addr(1), 555, DAY + 12 * HOUR + 60 * i, token, tx=0x1000 + i)
+    for i in range(10) for token in ("", "USDT")
+])
 def test_rules_agree_with_the_oracle_on_generated_accounts(rows):
     txs = [
-        make_tx(n, src, dst, value=str(value), ts=ts, token=token, is_error=failed)
-        for n, (src, dst, value, ts, token, failed) in enumerate(rows, start=1)
+        make_tx(tx or n, src, dst, value=str(value), ts=ts, token=token, is_error=failed)
+        for n, (src, dst, value, ts, token, failed, tx) in enumerate(rows, start=1)
     ]
     cfg = TracerConfig()
     assert len(txs) < cfg.k  # the oracle ignores retention
