@@ -2,7 +2,7 @@
 
 from .cache import FetchCache
 from .fetch import FIXTURE_COLUMNS, dedup_and_sort
-from .fixtures import FixtureChainClient, FixtureStore, load_fixture
+from .fixtures import FixtureChainClient, FixtureStore
 from .crosschain import BridgeTable, BridgeMatcher
 from .live import EtherscanClient
 
@@ -12,7 +12,6 @@ __all__ = [
     "FIXTURE_COLUMNS",
     "FixtureChainClient",
     "FixtureStore",
-    "load_fixture",
     "BridgeTable",
     "BridgeMatcher",
     "EtherscanClient",

@@ -139,18 +139,7 @@ class BridgeMatcher:
             lo = bisect_left(rows, deposit.timeStamp, key=_TIMESTAMP)
             hi = bisect_right(rows, deposit.timeStamp + TIME_WINDOW_S, lo, key=_TIMESTAMP)
             for wd in rows[lo:hi]:
-                delta = wd.timeStamp - deposit.timeStamp
                 if abs(wd.value_int - deposit.value_int) > AMOUNT_TOLERANCE * deposit.value_int:
                     continue
-                out.append(
-                    CrossChainPair(
-                        src_tx=deposit,
-                        dst_tx=wd,
-                        token=deposit.tokenSymbol or "native",
-                        amount_src=deposit.value,
-                        amount_dst=wd.value,
-                        time_delta_s=delta,
-                        bridge_hint=bridge,
-                    )
-                )
+                out.append(CrossChainPair(src_tx=deposit, dst_tx=wd, bridge_hint=bridge))
         return out

@@ -1,13 +1,14 @@
 """CSV fixture replay: one `<chain>.csv` per chain, crawler column schema.
 
-Loading checks every row and keeps no row's text, and no file stays open
-after it. A row already in canonical form is kept as its byte span in the
-file; each fetch of an account touching it reads the row back from there,
-matches it again and builds a TransactionRecord the store does not keep. Any
-other row is checked and built at load, so a bad row fails the load with its
-line number whether or not a trace would ever reach it. Each fetch reopens
-the file, and a file that is not the one loaded (another device, inode, size
-or mtime) fails it with ParseError, so no row that was not checked ever
+Loading checks every row, so a bad row fails the load with its line number
+whether or not a trace would ever reach it, and then keeps the row as its
+byte span in the file only: no row text, no record, and no file stays open.
+Each fetch of an account reopens the file, reads back the rows touching it
+and builds TransactionRecords the store does not keep. A row in canonical
+form must match again; any other row is parsed by csv and the checked
+builder again, as at load. A file that is not the one loaded (another
+device, inode, size or mtime), or a row that no longer parses as it did,
+fails the fetch with ParseError, so no row that was not checked ever
 becomes a record.
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import itertools
 import os
 import re
@@ -109,20 +111,28 @@ def _stamp(fd: int) -> tuple[int, int, int, int]:
 
 
 class _FixtureFile:
-    """One fixture CSV: its absolute path, its stamp at load, and the byte
-    span of each canonical row in it (by row position; other rows hold 0, 0)."""
+    """One loaded fixture CSV: its absolute path and its stamp at load, the
+    byte span of each row in it by row position, the positions of the rows
+    not in canonical form, and the positions of the rows touching each
+    address. len() is its row count."""
 
     def __init__(self, path: Path, chain: str, stamp: tuple[int, int, int, int]):
         self.path = path.absolute()
         self.chain = chain
         self.stamp = stamp
         self.starts = array("q")
-        self.lengths = array("I")  # a canonical row is under 2**32 bytes
+        self.lengths = array("I")  # a row is under 2**32 bytes
+        self.irregular: set[int] = set()
+        # 4 bytes per entry, no int object: a chain holds under 2**32 rows
+        self.index: dict[str, array] = defaultdict(functools.partial(array, "I"))  # hex -> positions
+        self.addresses: dict[str, Address] = {}  # hex -> interned
 
-    def build(self, rows: list, positions, addresses: dict[str, Address]) -> list[TransactionRecord]:
-        """The records at these positions: a row built at load as it is, any
-        other read from its span in the reopened file, whose stamp must still
-        be the load's, matched again and built."""
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def build(self, positions) -> list[TransactionRecord]:
+        """The records at these positions, each read from its span in the
+        reopened file, whose stamp must still be the load's."""
         try:
             fh = self.path.open("rb", buffering=0)
         except OSError as exc:
@@ -131,49 +141,36 @@ class _FixtureFile:
             fd = fh.fileno()
             if _stamp(fd) != self.stamp:
                 raise ParseError(f"{self.path}: fixture changed since it was loaded")
-            return [
-                self._record(fd, position, addresses) if rows[position] is None else rows[position]
-                for position in positions
-            ]
+            return [self._record(fd, position) for position in positions]
 
-    def _record(self, fd: int, position: int, addresses: dict[str, Address]) -> TransactionRecord:
+    def _record(self, fd: int, position: int) -> TransactionRecord:
+        """One row parsed as the load parsed it: a canonical row must match
+        again, any other goes through csv and the checked builder."""
         data = os.pread(fd, self.lengths[position], self.starts[position])
         try:
-            line = data.decode("utf-8")
-        except UnicodeDecodeError:
-            line = ""
-        if not _CANONICAL_ROW.fullmatch(line):
-            raise ParseError(f"{self.path}: fixture row changed since it was loaded")
-        return _canonical_to_record(line, self.chain, addresses)
-
-
-def load_fixture(path: str | Path) -> list[TransactionRecord]:
-    """Load one per-chain fixture CSV; the chain is the file stem."""
-    path = Path(path)
-    chain = normalize_chain(path.stem)
-    store = FixtureStore({})
-    store._add_file(path, chain)
-    return store._rows_at(chain, range(len(store.records_by_chain[chain])))
+            text = data.decode("utf-8")
+            if position in self.irregular:
+                rows = list(csv.reader(io.StringIO(text, newline="")))
+                if len(rows) == 1 and len(rows[0]) == len(FIXTURE_COLUMNS):
+                    return _row_to_record(rows[0], self.chain)
+            elif _CANONICAL_ROW.fullmatch(text):
+                return _canonical_to_record(text, self.chain, self.addresses)
+        except (ValueError, ArithmeticError, csv.Error, MalformedAddress) as exc:
+            raise ParseError(f"{self.path}: fixture row changed since it was loaded: {exc}") from exc
+        raise ParseError(f"{self.path}: fixture row changed since it was loaded")
 
 
 class FixtureStore:
     """All fixture chains, indexed by chain and address.
 
-    `records_by_chain` maps each chain to its rows in file order, one entry
-    per row: a TransactionRecord, or None for a canonical row, which is built
-    on each fetch and never kept. After the load the store only interns
+    `records_by_chain` maps each chain to its loaded file, which keeps each
+    row as its byte span only; every fetch reads the rows back and builds
+    records the store does not keep. After the load the store only interns
     Addresses, so threads may fetch from it at once.
     """
 
-    def __init__(self, records_by_chain: dict[str, list[TransactionRecord]]):
-        self.records_by_chain: dict[str, list] = {}
-        self._index: dict[str, dict[str, array]] = {}  # chain -> hex -> row positions
-        self._addresses: dict[str, dict[str, Address]] = {}  # chain -> hex -> interned
-        self._files: dict[str, _FixtureFile] = {}
-        for chain, records in records_by_chain.items():
-            rows, index = self._start_chain(chain)
-            for record in records:
-                self._add_record(rows, index, record)
+    def __init__(self):
+        self.records_by_chain: dict[str, _FixtureFile] = {}
 
     @staticmethod
     def files(fixture_dir: str | Path) -> list[Path]:
@@ -182,42 +179,24 @@ class FixtureStore:
 
     @staticmethod
     def load_dir(fixture_dir: str | Path) -> "FixtureStore":
-        store = FixtureStore({})
+        store = FixtureStore()
         for csv_path in FixtureStore.files(fixture_dir):
             store._add_file(csv_path, normalize_chain(csv_path.stem))
         if not store.records_by_chain:
             raise ParseError(f"no <chain>.csv fixture files under {fixture_dir}")
         return store
 
-    def _start_chain(self, chain: str) -> tuple[list, dict[str, array]]:
-        """An empty row list and index for the chain, replacing any before."""
-        self._addresses[chain] = {}
-        rows = self.records_by_chain[chain] = []
-        # 4 bytes per entry, no int object: a chain holds under 2**32 rows
-        index = self._index[chain] = defaultdict(functools.partial(array, "I"))
-        return rows, index
-
-    @staticmethod
-    def _add_record(rows: list, index: dict[str, array], record: TransactionRecord) -> None:
-        position = len(rows)
-        rows.append(record)
-        src, dst = record.from_addr.hex, record.to_addr.hex
-        index[src].append(position)
-        if dst != src:
-            index[dst].append(position)
-
     def _add_file(self, path: Path, chain: str) -> None:
         """Check every row of one per-chain fixture CSV and index it, keeping
-        no row text. Line numbers in errors count CSV records, the header
-        being line 1."""
-        rows, index = self._start_chain(chain)
+        its byte span only. Line numbers in errors count CSV records, the
+        header being line 1."""
         try:
             fh = path.open(newline="", encoding="utf-8")
         except OSError as exc:
             raise ParseError(f"cannot open fixture {path}: {exc}") from exc
         with fh:
-            source = self._files[chain] = _FixtureFile(path, chain, _stamp(fh.fileno()))
-            starts, lengths = source.starts, source.lengths
+            source = self.records_by_chain[chain] = _FixtureFile(path, chain, _stamp(fh.fileno()))
+            starts, lengths, index = source.starts, source.lengths, source.index
             taken: list[str] = []
             header = next(csv.reader(_noting(fh, taken)), None)
             if header is None:
@@ -234,54 +213,44 @@ class FixtureStore:
                 start = offset
                 offset += len(line) if line.isascii() else len(line.encode("utf-8"))  # _nbytes, inlined
                 if canonical(line):
-                    position = len(rows)
-                    rows.append(None)
-                    starts.append(start)
-                    lengths.append(offset - start)
                     src, dst = line[_FROM], line[_TO]
-                    index[src].append(position)
-                    if dst != src:
-                        index[dst].append(position)
-                    continue
-                taken = []
-                values = next(csv.reader(itertools.chain([line], _noting(fh, taken))))
-                offset += sum(map(_nbytes, taken))
-                if not values or (len(values) == 1 and not values[0].strip()):
-                    continue  # blank line
-                if len(values) != len(FIXTURE_COLUMNS):
-                    raise ParseError(
-                        f"{path}:{line_no}: expected {len(FIXTURE_COLUMNS)} columns, got {len(values)}"
-                    )
-                try:
-                    record = _row_to_record(values, chain)
-                except (ValueError, ArithmeticError, MalformedAddress) as exc:
-                    raise ParseError(f"{path}:{line_no}: bad fixture row: {exc}") from exc
-                self._add_record(rows, index, record)
-                starts.append(0)
-                lengths.append(0)
+                else:
+                    taken = []
+                    values = next(csv.reader(itertools.chain([line], _noting(fh, taken))))
+                    offset += sum(map(_nbytes, taken))
+                    if not values or (len(values) == 1 and not values[0].strip()):
+                        continue  # blank line
+                    if len(values) != len(FIXTURE_COLUMNS):
+                        raise ParseError(
+                            f"{path}:{line_no}: expected {len(FIXTURE_COLUMNS)} columns, got {len(values)}"
+                        )
+                    try:
+                        record = _row_to_record(values, chain)
+                    except (ValueError, ArithmeticError, MalformedAddress) as exc:
+                        raise ParseError(f"{path}:{line_no}: bad fixture row: {exc}") from exc
+                    source.irregular.add(len(starts))
+                    src, dst = record.from_addr.hex, record.to_addr.hex
+                position = len(starts)
+                starts.append(start)
+                lengths.append(offset - start)
+                index[src].append(position)
+                if dst != src:
+                    index[dst].append(position)
 
-    def _index_of(self, chain: str) -> dict[str, array]:
-        if chain not in self._index:
+    def _file(self, chain: str) -> _FixtureFile:
+        if chain not in self.records_by_chain:
             raise UnknownChain(f"no fixture data for chain {chain!r}")
-        return self._index[chain]
-
-    def _rows_at(self, chain: str, positions) -> list[TransactionRecord]:
-        """The records at these row positions, reading back the rows not
-        built at load. A fixture file edited since the load raises ParseError."""
-        rows = self.records_by_chain[chain]
-        source = self._files.get(chain)
-        if source is None:
-            return [rows[position] for position in positions]
-        return source.build(rows, positions, self._addresses[chain])
+        return self.records_by_chain[chain]
 
     def records_for(self, address: Address) -> list[TransactionRecord]:
-        """Every row touching the address, in file order."""
-        positions = self._index_of(address.chain).get(address.hex, ())
-        return self._rows_at(address.chain, positions)
+        """Every row touching the address, in file order. A fixture file
+        edited since the load raises ParseError."""
+        source = self._file(address.chain)
+        return source.build(source.index.get(address.hex, ()))
 
     def all_addresses(self, chain: str) -> list[Address]:
         """Every distinct address appearing on a chain, sorted by hex."""
-        return [Address(hex_, chain) for hex_ in sorted(self._index_of(chain))]
+        return [Address(hex_, chain) for hex_ in sorted(self._file(chain).index)]
 
 
 class FixtureChainClient:

@@ -47,7 +47,6 @@ class EtherscanClient:
         page_size: int = PAGE_SIZE,
         max_pages: int = MAX_PAGES,
         rate_limit_per_s: float = 5.0,
-        retry_attempts: int = RETRY_ATTEMPTS,
         backoff_base_s: float = BACKOFF_BASE_S,
         timeout_s: float = 30.0,
     ):
@@ -59,7 +58,6 @@ class EtherscanClient:
         self.page_size = page_size
         self.max_pages = max_pages
         self.min_interval_s = 1.0 / rate_limit_per_s if rate_limit_per_s > 0 else 0.0
-        self.retry_attempts = retry_attempts
         self.backoff_base_s = backoff_base_s
         self.timeout_s = timeout_s
         self.diagnostics: list[dict] = []
@@ -136,7 +134,7 @@ class EtherscanClient:
             if self.session is None:
                 self.session = requests.Session()
         last_err: Exception | None = None
-        for attempt in range(self.retry_attempts):
+        for attempt in range(RETRY_ATTEMPTS):
             if attempt:
                 time.sleep(self.backoff_base_s * (2 ** (attempt - 1)))
             self._throttle()  # holds the retry past a 429's pause
@@ -147,7 +145,7 @@ class EtherscanClient:
                 continue
             if resp.status_code == 429:
                 last_err = RateLimited.from_headers("upstream returned 429", resp.headers)
-                if last_err.retry_after_s > self.timeout_s * self.retry_attempts:
+                if last_err.retry_after_s > self.timeout_s * RETRY_ATTEMPTS:
                     raise ChainUnavailable(
                         f"upstream returned 429 asking to retry after {last_err.retry_after_s:g} s,"
                         " beyond the retry budget"
@@ -165,7 +163,7 @@ class EtherscanClient:
             return resp.content
         if isinstance(last_err, RateLimited):
             raise last_err
-        raise ChainUnavailable(f"chain API unreachable after {self.retry_attempts} attempts: {last_err}")
+        raise ChainUnavailable(f"chain API unreachable after {RETRY_ATTEMPTS} attempts: {last_err}")
 
     def _throttle(self) -> None:
         """Reserves the next request slot under the lock, min_interval_s after

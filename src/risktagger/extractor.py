@@ -51,15 +51,6 @@ MANDATORY_FIELDS = (
 OPTIONAL_FIELDS = ("laundering_methods", "laundering_path", "evidence_snippets")
 ALL_FIELDS = MANDATORY_FIELDS + OPTIONAL_FIELDS
 
-_LIST_FIELDS = {
-    "contract_address",
-    "attacker_addresses",
-    "victim_addresses",
-    "laundering_methods",
-    "evidence_snippets",
-}
-
-
 @dataclass
 class DocumentChunk:
     chunk_id: int  # consecutive from 1

@@ -168,17 +168,11 @@ class CrossChainPair:
 
     src_tx: TransactionRecord
     dst_tx: TransactionRecord
-    token: str
-    amount_src: str
-    amount_dst: str
-    time_delta_s: int
     bridge_hint: str = ""
 
     def __post_init__(self):
         if self.src_tx.chain == self.dst_tx.chain:
             raise ValueError("cross-chain pair must span two different chains")
-        _require_digits("amount_src", self.amount_src)
-        _require_digits("amount_dst", self.amount_dst)
 
 
 _NO_RISK_RE = re.compile(r"^\s*(no\b|none\b|not\b|n/?a\b|normal\b|clean\b|negative\b)", re.IGNORECASE)

@@ -22,6 +22,8 @@ if TYPE_CHECKING:
 
 LLM_KEY_ENV = "RISKTAGGER_LLM_KEY"
 
+RETRY_ATTEMPTS = 3
+
 DEFAULT_MAX_TOKENS = 2048
 
 
@@ -36,29 +38,27 @@ class HttpLlmBackend:
     """Chat-completions adapter; the endpoint must accept an OpenAI-style POST.
     A 429 or 5xx is retried after exponential backoff, a 429 no sooner than
     its Retry-After header asks; a 429 asking for more than the retry budget
-    (timeout_s * retry_attempts) fails at once."""
+    (timeout_s * RETRY_ATTEMPTS) fails at once. The bearer token is read from
+    RISKTAGGER_LLM_KEY only."""
 
     name = "llm"
 
     def __init__(
         self,
         endpoint: str | None = None,
-        api_key: str | None = None,
         model: str = "default",
         session: requests.Session | None = None,
-        retry_attempts: int = 3,
         backoff_base_s: float = 1.0,
         timeout_s: float = 120.0,
     ):
         self.endpoint = endpoint or os.environ.get(LLM_ENDPOINT_ENV, "")
-        self.api_key = api_key if api_key is not None else os.environ.get(LLM_KEY_ENV, "")
+        self.api_key = os.environ.get(LLM_KEY_ENV, "")
         if not self.endpoint:
             raise BackendFailure(f"no LLM endpoint configured (flag, config, or {LLM_ENDPOINT_ENV})")
         import requests  # deferred: runs on the rules backend never load it
 
         self.model = model
         self.session = session or requests.Session()
-        self.retry_attempts = retry_attempts
         self.backoff_base_s = backoff_base_s
         self.timeout_s = timeout_s
 
@@ -75,7 +75,7 @@ class HttpLlmBackend:
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         last_err = None
-        for attempt in range(self.retry_attempts):
+        for attempt in range(RETRY_ATTEMPTS):
             if attempt:
                 backoff = self.backoff_base_s * (2 ** (attempt - 1))
                 time.sleep(max(backoff, getattr(last_err, "retry_after_s", 0.0)))
@@ -88,7 +88,7 @@ class HttpLlmBackend:
                 continue
             if resp.status_code == 429:
                 last_err = RateLimited.from_headers("LLM endpoint returned 429", resp.headers)
-                if last_err.retry_after_s > self.timeout_s * self.retry_attempts:
+                if last_err.retry_after_s > self.timeout_s * RETRY_ATTEMPTS:
                     raise BackendFailure(
                         f"LLM endpoint returned 429 asking to retry after {last_err.retry_after_s:g} s,"
                         " beyond the retry budget"
@@ -109,5 +109,5 @@ class HttpLlmBackend:
                 raise BackendFailure("empty completion")
             return content
         raise BackendFailure(
-            f"LLM endpoint unreachable after {self.retry_attempts} attempts: {last_err}"
+            f"LLM endpoint unreachable after {RETRY_ATTEMPTS} attempts: {last_err}"
         )

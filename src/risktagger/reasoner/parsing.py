@@ -1,9 +1,9 @@
 """Recovering a structured verdict from free-form backend output.
 
 The contract: take the first well-formed JSON object in the completion,
-applying bounded repairs in a fixed order (strip code fences, then trim to
-the outermost braces). Whether any repair fired is reported upward, because
-a repaired parse is one of the reflection triggers.
+preferring one that carries a suspicion level, found as written or after
+one bounded repair (strip code fence lines). Whether the repair fired is
+reported upward, because a repaired parse is one of the reflection triggers.
 """
 
 from __future__ import annotations
@@ -62,30 +62,15 @@ def extract_json_fragment(raw: str) -> tuple[dict, bool]:
     """Returns (fragment, repaired). Raises UnparseableVerdict when hopeless."""
     obj = _first_json_object(raw)
     if obj is not None and "suspicion_level" in obj:
-        return obj, False  # no repair pass can win over it
-    candidates = []  # (obj, repaired) in pass order
-    if obj is not None:
-        candidates.append((obj, False))
-    # repair 1: drop code fence lines, they sometimes truncate oddly
+        return obj, False  # the repair cannot win over it
+    # the repair: drop code fence lines, they sometimes truncate oddly
     unfenced = _FENCE_RE.sub("", raw)
     if unfenced != raw:
-        obj = _first_json_object(unfenced)
-        if obj is not None:
-            candidates.append((obj, True))
-    # repair 2: trim to the outermost brace span and try a direct load
-    start, end = raw.find("{"), raw.rfind("}")
-    if 0 <= start < end:
-        try:
-            obj = json.loads(raw[start : end + 1])
-            if isinstance(obj, dict):
-                candidates.append((obj, True))
-        except json.JSONDecodeError:
-            pass
-    for obj, repaired in candidates:
-        if "suspicion_level" in obj:
-            return obj, repaired
-    if candidates:
-        return candidates[0]
+        repaired = _first_json_object(unfenced)
+        if repaired is not None and (obj is None or "suspicion_level" in repaired):
+            return repaired, True
+    if obj is not None:
+        return obj, False
     raise UnparseableVerdict(
         f"no JSON object recoverable from completion ({len(raw)} chars)"
     )

@@ -33,7 +33,11 @@ NATIVE_KEY = "native"
 
 @dataclass(frozen=True)
 class AccountStats:
-    """Full-set statistics for one account (failed txs count, but move no value)."""
+    """Full-set statistics for one account (failed txs count, but move no value).
+
+    in_count and out_count count transfer rows; tx_per_day_mean and
+    max_burst_1h count transactions, as one transaction's native and token
+    rows share a hash."""
 
     in_count: int
     out_count: int
@@ -70,7 +74,7 @@ def compute_stats(center: Address, txs: list[TransactionRecord]) -> AccountStats
     out_total: dict[str, int] = {}
     senders = set()
     receivers = set()
-    timestamps = sorted(t.timeStamp for t in txs)
+    tx_times = sorted({t.hash: t.timeStamp for t in txs}.values())  # one per transaction
     for tx in txs:
         incoming = tx.to_addr == center
         outgoing = tx.from_addr == center
@@ -88,27 +92,24 @@ def compute_stats(center: Address, txs: list[TransactionRecord]) -> AccountStats
             if not tx.isError:
                 key = _token_key(tx)
                 out_total[key] = out_total.get(key, 0) + tx.value_int
-    first_seen = timestamps[0] if timestamps else 0
-    last_seen = timestamps[-1] if timestamps else 0
-    span_s = last_seen - first_seen
-    if not txs:
+    span_s = tx_times[-1] - tx_times[0] if tx_times else 0
+    if not tx_times:
         per_day = 0.0
     elif span_s == 0:
-        per_day = float(len(txs))  # all activity inside a single day bucket
+        per_day = float(len(tx_times))  # all activity inside a single day bucket
     else:
-        per_day = len(txs) / (span_s / 86400.0)
+        per_day = len(tx_times) / (span_s / 86400.0)
     return AccountStats(
         in_count=in_count,
         out_count=out_count,
         in_total={k: str(v) for k, v in sorted(in_total.items())},
         out_total={k: str(v) for k, v in sorted(out_total.items())},
-        first_seen=first_seen,
-        last_seen=last_seen,
+        first_seen=min((t.timeStamp for t in txs), default=0),
+        last_seen=max((t.timeStamp for t in txs), default=0),
         distinct_counterparties_in=len(senders),
         distinct_counterparties_out=len(receivers),
         tx_per_day_mean=per_day,
-        # one timestamp per transaction: its native and token rows share a hash
-        max_burst_1h=max_burst(sorted({t.hash: t.timeStamp for t in txs}.values()), 3600),
+        max_burst_1h=max_burst(tx_times, 3600),
     )
 
 
@@ -170,7 +171,7 @@ def build_subgraph(
         dst = pair.dst_tx.to_addr
         if dst != center:
             value, ts = out_flows.get(dst, (0, pair.dst_tx.timeStamp))
-            out_flows[dst] = (value + int(pair.amount_dst), max(ts, pair.dst_tx.timeStamp))
+            out_flows[dst] = (value + pair.dst_tx.value_int, max(ts, pair.dst_tx.timeStamp))
     return AccountSubgraph(
         center=center,
         retained_txs=retained,
@@ -281,10 +282,10 @@ def _pair_json(p: CrossChainPair) -> str:
         + ',\n      "src_chain": ' + _str(src.chain)
         + ',\n      "dst_chain": ' + _str(dst.chain)
         + ',\n      "dst_to": ' + _str(dst.to_addr.hex)
-        + ',\n      "token": ' + _str(p.token)
-        + ',\n      "amount_src": ' + _str(display_amount(p.amount_src, src.tokenSymbol, src.chain))
-        + ',\n      "amount_dst": ' + _str(display_amount(p.amount_dst, dst.tokenSymbol, dst.chain))
-        + ',\n      "time_delta_s": ' + str(p.time_delta_s)
+        + ',\n      "token": ' + _str(src.tokenSymbol or NATIVE_KEY)
+        + ',\n      "amount_src": ' + _str(display_amount(src.value, src.tokenSymbol, src.chain))
+        + ',\n      "amount_dst": ' + _str(display_amount(dst.value, dst.tokenSymbol, dst.chain))
+        + ',\n      "time_delta_s": ' + str(dst.timeStamp - src.timeStamp)
         + ',\n      "bridge_hint": ' + _str(p.bridge_hint)
         + "\n    }"
     )

@@ -19,7 +19,6 @@ from risktagger.chaindata import (
     FixtureChainClient,
     FixtureStore,
     dedup_and_sort,
-    load_fixture,
 )
 from risktagger.chaindata.fetch import _row_to_record
 from risktagger.errors import MalformedAddress, ParseError, SchemaMismatch, UnknownChain
@@ -48,6 +47,13 @@ def write_fixture(tmp_path, name, lines):
     path = tmp_path / name
     path.write_text("\n".join([HEADER] + lines) + "\n", encoding="utf-8")
     return path
+
+
+def load_fixture(path):
+    """Every row of one fixture, in file order, loaded with the rest of its
+    directory."""
+    source = FixtureStore.load_dir(path.parent).records_by_chain[path.stem]
+    return source.build(range(len(source)))
 
 
 def test_load_fixture_happy_path(tmp_path):
@@ -115,7 +121,7 @@ def test_wrong_column_count_reports_line(tmp_path):
 def test_dedup_identical_rows_keep_one(tmp_path):
     same = row(1, addr(1), addr(2))
     path = write_fixture(tmp_path, "ethereum.csv", [same, same])
-    store = FixtureStore({"ethereum": load_fixture(path)})
+    store = FixtureStore.load_dir(tmp_path)
     records = FixtureChainClient(store).fetch_transactions(addr(1))
     assert len(records) == 1
 
@@ -170,36 +176,62 @@ def test_rows_are_built_only_when_fetched(tmp_path):
     lines = [row(1, addr(1), addr(2)), row(2, addr(2), addr(3)), row(3, addr(4), addr(5))]
     write_fixture(tmp_path, "ethereum.csv", lines)
     store = FixtureStore.load_dir(tmp_path)
-    rows = store.records_by_chain["ethereum"]
-    assert rows == [None, None, None]
+    assert len(store.records_by_chain["ethereum"]) == 3
     assert not any(tx_hash(n) in s for n in (1, 2, 3) for s in reachable_strings(store))
     first = store.records_for(addr(2))
     assert [r.hash for r in first] == [tx_hash(1), tx_hash(2)]
     # the store keeps no record it built
-    assert rows == [None, None, None]
+    assert len(store.records_by_chain["ethereum"]) == 3
     assert not any(tx_hash(n) in s for n in (1, 2, 3) for s in reachable_strings(store))
     again = store.records_for(addr(2))
     assert again == first and not any(a is b for a, b in zip(again, first))
     assert first[0].to_addr is first[1].from_addr is again[0].to_addr  # one Address object per hex
 
 
+def two_line_row(n, src, dst, **fields):
+    """A row csv reads across two lines: its quoted input field holds a line
+    break. It is not canonical, so the load takes the checked path for it."""
+    values = row(n, src, dst, **fields).split(",")
+    values[FIXTURE_COLUMNS.index("input")] = '"0xab\ncd"'
+    return ",".join(values)
+
+
+def test_a_two_line_row_is_kept_as_its_span_and_rebuilt_on_each_fetch(tmp_path):
+    lines = [row(1, addr(1), addr(2)), two_line_row(2, addr(2), addr(3)), row(3, addr(3), addr(1))]
+    path = write_fixture(tmp_path, "ethereum.csv", lines)
+    store = FixtureStore.load_dir(tmp_path)
+    source = store.records_by_chain["ethereum"]
+    assert len(source) == 3 and source.irregular == {1}
+    assert str(path) in reachable_strings(store)  # the walk reaches the file
+
+    def kept_hashes():
+        return [n for n in (1, 2, 3) if any(tx_hash(n) in s for s in reachable_strings(store))]
+
+    assert kept_hashes() == []
+    first = store.records_for(addr(2))
+    assert first == [r for r in reference_load(path) if addr(2) in (r.from_addr, r.to_addr)]
+    assert first[1].input == "0xab\ncd"
+    assert kept_hashes() == []
+    again = store.records_for(addr(2))
+    assert again == first and again[1] is not first[1]
+
+
 @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
 def test_rows_read_back_by_byte_span_equal_the_checked_build(tmp_path, ending):
     """Spans stay exact after multi-byte UTF-8 text, a blank line and a quoted
     record spanning two lines, whatever the line ending."""
-    spanning = row(5, addr(2), addr(1)).split(",")
-    spanning[FIXTURE_COLUMNS.index("input")] = '"0xab\ncd"'
     lines = [
         row(1, addr(1), addr(2), token="ÜSD₮"),
         row(2, addr(2), addr(0xABC), token="稳定币", contract=addr(0xABC).hex),
         "",
-        ",".join(spanning),
+        two_line_row(5, addr(2), addr(1)),
         row(3, addr(0xABC), addr(1), token="€"),
         row(4, addr(1), addr(1), token="USDT"),
     ]
     assert_loader_agrees(tmp_path, lines, ending)
     store = FixtureStore.load_dir(tmp_path)
-    assert [r is None for r in store.records_by_chain["ethereum"]] == [True, True, False, True, True]
+    assert len(store.records_by_chain["ethereum"]) == 5
+    assert store.records_by_chain["ethereum"].irregular == {2}
 
 
 def append_a_row(path):
@@ -247,6 +279,33 @@ def test_a_fixture_edited_after_the_load_fails_the_fetch_naming_it(tmp_path, edi
     assert str(path) in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        (b",2222,", b",22x2,"),  # value no longer digits
+        (addr(3).hex.encode(), addr(3).hex[:-1].encode() + b"g"),  # sender no longer hex
+        (b"0xab", b"0x\xff\xfe"),  # no longer UTF-8
+        (b'"10\n"', b'10\n""'),  # a valid record, then a second one
+        (b'"0xab\ncd"', b"0xab,cd  "),  # seventeen columns
+    ],
+)
+def test_a_two_line_row_made_malformed_at_the_same_size_and_mtime_fails_the_fetch(tmp_path, old, new):
+    # the quoted confirmations hold a line break, which int() ignores
+    irregular = two_line_row(2, addr(3), addr(2), value="2222").removesuffix(",10") + ',"10\n"'
+    lines = [row(1, addr(1), addr(2)), irregular]
+    path = write_fixture(tmp_path, "ethereum.csv", lines)
+    store = FixtureStore.load_dir(tmp_path)
+    stat = path.stat()
+    data = path.read_bytes()
+    assert data.count(old) == 1 and len(old) == len(new)
+    path.write_bytes(data.replace(old, new))
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert len(store.records_for(addr(1))) == 1  # the canonical row still reads back
+    with pytest.raises(ParseError) as err:
+        store.records_for(addr(2))
+    assert str(path) in str(err.value)
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 def test_the_store_holds_no_file_open(tmp_path):
     write_fixture(tmp_path, "ethereum.csv", [row(1, addr(1), addr(2)), row(2, addr(2), addr(3))])
@@ -278,7 +337,7 @@ def test_threads_fetching_together_read_back_every_row_right(tmp_path):
         for thread in threads:
             thread.join(timeout=60)
         assert not any(thread.is_alive() for thread in threads)
-        assert store.records_by_chain["ethereum"] == [None] * len(expected)
+        assert len(store.records_by_chain["ethereum"]) == len(expected)
     finally:
         sys.setswitchinterval(switch)
     assert len(results) == 8
@@ -346,7 +405,7 @@ def test_unknown_chain(tmp_path):
 
 def test_self_transfer_indexed_once(tmp_path):
     path = write_fixture(tmp_path, "ethereum.csv", [row(1, addr(7), addr(7))])
-    store = FixtureStore({"ethereum": load_fixture(path)})
+    store = FixtureStore.load_dir(path.parent)
     assert len(store.records_for(addr(7))) == 1
 
 

@@ -106,9 +106,9 @@ def test_cross_chain_pair_requires_two_chains():
     src = make_tx(5, addr(1), addr(2))
     dst_same = make_tx(6, addr(3), addr(4))
     with pytest.raises(ValueError):
-        CrossChainPair(src, dst_same, "ETH", "100", "100", 10)
+        CrossChainPair(src, dst_same)
     dst = make_tx(6, addr(3, "bsc"), addr(4, "bsc"))
-    CrossChainPair(src, dst, "ETH", "100", "99", 300)
+    CrossChainPair(src, dst)
 
 
 @pytest.mark.parametrize(

@@ -363,7 +363,7 @@ def test_infer_risk_out_neighbors_include_cross_chain():
 
     dst = make_tx(9, addr(0xB0, "bsc"), addr(0xB1, "bsc"), value="99", ts=NOW - 50)
     out_src = next(t for t in star_txs() if t.from_addr == CENTER)
-    pair = CrossChainPair(out_src, dst, "native", out_src.value, "99", 10)
+    pair = CrossChainPair(out_src, dst)
     backend = CountingBackend([verdict_json("Low", a="x")])
     result = infer_risk(star_subgraph([pair]), backend)
     assert addr(0xB1, "bsc") in result.out_neighbors

@@ -10,8 +10,8 @@ import pytest
 
 from conftest import addr, make_tx, tx_hash
 from oracle_bfs import bfs_oracle
-from risktagger.chaindata import BridgeTable, BridgeMatcher, FixtureChainClient, FixtureStore
-from risktagger.errors import BackendFailure, ChainUnavailable, CheckpointError
+from risktagger.chaindata import BridgeTable, BridgeMatcher, FixtureChainClient
+from risktagger.errors import BackendFailure, ChainUnavailable, CheckpointError, UnknownChain
 from risktagger.model import Address, RiskAssessment, RiskDimension, SuspicionLevel, TracerConfig
 from risktagger.reasoner import RuleBackend
 from risktagger.tracer import (
@@ -77,15 +77,22 @@ class ConstBackend:
         return verdict_for("No Suspicion", risky=False)
 
 
-def store_from(txs):
-    by_chain = {}
-    for tx in txs:
-        by_chain.setdefault(tx.chain, []).append(tx)
-    return FixtureStore(by_chain)
+class ListStore:
+    """What FixtureChainClient reads of a FixtureStore, over transfers held in
+    a list: the rows touching an address, in list order. A chain no row is
+    on is unknown."""
+
+    def __init__(self, txs):
+        self.txs = list(txs)
+
+    def records_for(self, address):
+        if not any(tx.chain == address.chain for tx in self.txs):
+            raise UnknownChain(f"no fixture data for chain {address.chain!r}")
+        return [tx for tx in self.txs if address in (tx.from_addr, tx.to_addr)]
 
 
 def ports_for(txs, backend, **overrides):
-    client = FixtureChainClient(store_from(txs))
+    client = FixtureChainClient(ListStore(txs))
     kwargs = dict(client=client, backend=backend, now=NOW)
     kwargs.update(overrides)
     return TracerPorts(**kwargs)
@@ -294,7 +301,7 @@ class FlakyClient:
 
 
 def test_account_error_skips_and_records():
-    client = FlakyClient(FixtureChainClient(store_from(star_txs())), {A})
+    client = FlakyClient(FixtureChainClient(ListStore(star_txs())), {A})
     ports = TracerPorts(client=client, backend=star_backend(), now=NOW)
     state = trace([S], "ethereum", TracerConfig(D=5), ports)
     reached = {a.target_address for a in state.L_all}
@@ -304,7 +311,7 @@ def test_account_error_skips_and_records():
 
 
 def test_resume_keeps_a_journaled_skip(tmp_path):
-    client = FlakyClient(FixtureChainClient(store_from(star_txs())), {A})
+    client = FlakyClient(FixtureChainClient(ListStore(star_txs())), {A})
     ports = TracerPorts(
         client=client, backend=star_backend(), now=NOW, out_dir=tmp_path
     )
@@ -319,7 +326,7 @@ def test_resume_keeps_a_journaled_skip(tmp_path):
 
 
 def test_strict_mode_aborts_on_account_error():
-    client = FlakyClient(FixtureChainClient(store_from(star_txs())), {A})
+    client = FlakyClient(FixtureChainClient(ListStore(star_txs())), {A})
     ports = TracerPorts(
         client=client,
         backend=star_backend(),
@@ -346,7 +353,7 @@ def test_bridge_landing_analyzed_on_destination_chain(tmp_path):
         make_tx(2, bridge_bsc, landing, value="5000", ts=NOW - 600),
         make_tx(3, landing, addr(0xE8, "bsc"), value="4000", ts=NOW - 300),
     ]
-    store = store_from(txs)
+    store = ListStore(txs)
     matcher = BridgeMatcher(BridgeTable.load(table_file), store.records_for)
     client = FixtureChainClient(store)
     ports = TracerPorts(
