@@ -47,27 +47,28 @@ class BridgeTable:
     def load(path: str | Path) -> "BridgeTable":
         table = BridgeTable()
         path = Path(path)
-        for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 3:
-                raise ParseError(f"{path}:{line_no}: expected 'chain,address,bridge_name'")
-            chain, raw_addr, bridge = parts
-            try:
-                chain = normalize_chain(chain)
-                if raw_addr.lower().startswith("input:"):
-                    prefix = raw_addr[len("input:"):].lower()
-                    if not _MARKER_RE.fullmatch(prefix):
-                        raise ParseError(f"input marker {raw_addr!r} is not 0x and at least 8 hex digits")
-                    table.input_markers.setdefault(chain, []).append((prefix, bridge))
+        with path.open(encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
                     continue
-                address = normalize_address(raw_addr, chain)
-            except Exception as exc:
-                raise ParseError(f"{path}:{line_no}: {exc}") from exc
-            table.endpoint_bridge[address] = bridge
-            table.by_bridge_chain.setdefault((bridge, chain), []).append(address)
+                parts = [p.strip() for p in line.split(",")]
+                if len(parts) != 3:
+                    raise ParseError(f"{path}:{line_no}: expected 'chain,address,bridge_name'")
+                chain, raw_addr, bridge = parts
+                try:
+                    chain = normalize_chain(chain)
+                    if raw_addr.lower().startswith("input:"):
+                        prefix = raw_addr[len("input:"):].lower()
+                        if not _MARKER_RE.fullmatch(prefix):
+                            raise ParseError(f"input marker {raw_addr!r} is not 0x and at least 8 hex digits")
+                        table.input_markers.setdefault(chain, []).append((prefix, bridge))
+                        continue
+                    address = normalize_address(raw_addr, chain)
+                except Exception as exc:
+                    raise ParseError(f"{path}:{line_no}: {exc}") from exc
+                table.endpoint_bridge[address] = bridge
+                table.by_bridge_chain.setdefault((bridge, chain), []).append(address)
         return table
 
     def chains_of(self, bridge: str) -> list[str]:

@@ -197,45 +197,49 @@ class FixtureStore:
         with fh:
             source = self.records_by_chain[chain] = _FixtureFile(path, chain, _stamp(fh.fileno()))
             starts, lengths, index = source.starts, source.lengths, source.index
-            taken: list[str] = []
-            header = next(csv.reader(_noting(fh, taken)), None)
-            if header is None:
-                raise SchemaMismatch(f"{path}: empty fixture file, expected header row")
-            if tuple(h.strip() for h in header) != FIXTURE_COLUMNS:
-                raise SchemaMismatch(
-                    f"{path}: header mismatch: got {header!r}, expected {list(FIXTURE_COLUMNS)!r}"
-                )
-            offset = sum(map(_nbytes, taken))
-            canonical = _CANONICAL_ROW.fullmatch
-            # A canonical line is one whole record. Any other line starts a record
-            # that csv reads from here, taking more lines if a quoted field spans them.
-            for line_no, line in enumerate(fh, start=2):
-                start = offset
-                offset += len(line) if line.isascii() else len(line.encode("utf-8"))  # _nbytes, inlined
-                if canonical(line):
-                    src, dst = line[_FROM], line[_TO]
-                else:
-                    taken = []
-                    values = next(csv.reader(itertools.chain([line], _noting(fh, taken))))
-                    offset += sum(map(_nbytes, taken))
-                    if not values or (len(values) == 1 and not values[0].strip()):
-                        continue  # blank line
-                    if len(values) != len(FIXTURE_COLUMNS):
-                        raise ParseError(
-                            f"{path}:{line_no}: expected {len(FIXTURE_COLUMNS)} columns, got {len(values)}"
-                        )
-                    try:
-                        record = _row_to_record(values, chain)
-                    except (ValueError, ArithmeticError, MalformedAddress) as exc:
-                        raise ParseError(f"{path}:{line_no}: bad fixture row: {exc}") from exc
-                    source.irregular.add(len(starts))
-                    src, dst = record.from_addr.hex, record.to_addr.hex
-                position = len(starts)
-                starts.append(start)
-                lengths.append(offset - start)
-                index[src].append(position)
-                if dst != src:
-                    index[dst].append(position)
+            line_no = 1
+            try:
+                taken: list[str] = []
+                header = next(csv.reader(_noting(fh, taken)), None)
+                if header is None:
+                    raise SchemaMismatch(f"{path}: empty fixture file, expected header row")
+                if tuple(h.strip() for h in header) != FIXTURE_COLUMNS:
+                    raise SchemaMismatch(
+                        f"{path}: header mismatch: got {header!r}, expected {list(FIXTURE_COLUMNS)!r}"
+                    )
+                offset = sum(map(_nbytes, taken))
+                canonical = _CANONICAL_ROW.fullmatch
+                # A canonical line is one whole record. Any other line starts a record
+                # that csv reads from here, taking more lines if a quoted field spans them.
+                for line_no, line in enumerate(fh, start=2):
+                    start = offset
+                    offset += len(line) if line.isascii() else len(line.encode("utf-8"))  # _nbytes, inlined
+                    if canonical(line):
+                        src, dst = line[_FROM], line[_TO]
+                    else:
+                        taken = []
+                        values = next(csv.reader(itertools.chain([line], _noting(fh, taken))))
+                        offset += sum(map(_nbytes, taken))
+                        if not values or (len(values) == 1 and not values[0].strip()):
+                            continue  # blank line
+                        if len(values) != len(FIXTURE_COLUMNS):
+                            raise ParseError(
+                                f"{path}:{line_no}: expected {len(FIXTURE_COLUMNS)} columns, got {len(values)}"
+                            )
+                        try:
+                            record = _row_to_record(values, chain)
+                        except (ValueError, ArithmeticError, MalformedAddress) as exc:
+                            raise ParseError(f"{path}:{line_no}: bad fixture row: {exc}") from exc
+                        source.irregular.add(len(starts))
+                        src, dst = record.from_addr.hex, record.to_addr.hex
+                    position = len(starts)
+                    starts.append(start)
+                    lengths.append(offset - start)
+                    index[src].append(position)
+                    if dst != src:
+                        index[dst].append(position)
+            except csv.Error as exc:  # from csv.reader only: a field over its size limit
+                raise ParseError(f"{path}:{line_no}: bad fixture row: {exc}") from exc
 
     def _file(self, chain: str) -> _FixtureFile:
         if chain not in self.records_by_chain:

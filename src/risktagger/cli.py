@@ -158,12 +158,13 @@ def _load_labels(path: str) -> list:
     if labels_path.is_dir():
         labels_path = labels_path / "labels.jsonl"
     labels = []
-    for line_no, line in enumerate(labels_path.read_text(encoding="utf-8").splitlines(), start=1):
-        if line.strip():
-            try:
-                labels.append(RiskAssessment.from_json(json.loads(line)))
-            except _BAD_DOCUMENT as exc:
-                raise ParseError(f"{labels_path}:{line_no}: bad label: {type(exc).__name__}: {exc}") from exc
+    with labels_path.open(encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    labels.append(RiskAssessment.from_json(json.loads(line)))
+                except _BAD_DOCUMENT as exc:
+                    raise ParseError(f"{labels_path}:{line_no}: bad label: {type(exc).__name__}: {exc}") from exc
     return labels
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import re
+import sys
 from dataclasses import dataclass, field, fields
 
 from .errors import MalformedAddress
@@ -21,14 +22,15 @@ _DIGITS_RE = re.compile(r"^[0-9]+$")
 
 
 def normalize_chain(raw: str) -> str:
-    """Lowercase and validate a chain id (non-empty ASCII alphanumeric)."""
+    """Lowercase and validate a chain id (non-empty ASCII alphanumeric). The
+    result is interned, so every Address on one chain shares one string."""
     chain = raw.strip().lower()
     if not _CHAIN_RE.match(chain):
         raise MalformedAddress(f"invalid chain id {raw!r}: must be non-empty lowercase alphanumeric")
-    return chain
+    return sys.intern(chain)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Address:
     """A chain-qualified account address.
 

@@ -23,21 +23,22 @@ class Blacklist:
     def load(path: str | Path) -> "Blacklist":
         labels = {}
         path = Path(path)
-        for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            raw_addr, sep, label = line.partition(",")
-            if not sep:
-                raise ParseError(f"{path}:{line_no}: expected 'address,label'")
-            hex_part = raw_addr.strip().lower()
-            if not (
-                hex_part.startswith("0x")
-                and len(hex_part) == 42
-                and set(hex_part[2:]) <= _HEX_CHARS
-            ):
-                raise ParseError(f"{path}:{line_no}: malformed address {raw_addr!r}")
-            labels[hex_part] = label.strip()
+        with path.open(encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                raw_addr, sep, label = line.partition(",")
+                if not sep:
+                    raise ParseError(f"{path}:{line_no}: expected 'address,label'")
+                hex_part = raw_addr.strip().lower()
+                if not (
+                    hex_part.startswith("0x")
+                    and len(hex_part) == 42
+                    and set(hex_part[2:]) <= _HEX_CHARS
+                ):
+                    raise ParseError(f"{path}:{line_no}: malformed address {raw_addr!r}")
+                labels[hex_part] = label.strip()
         return Blacklist(labels)
 
     def __contains__(self, address) -> bool:

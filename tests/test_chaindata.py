@@ -2,6 +2,7 @@
 
 import csv
 import gc
+import itertools
 import os
 import sys
 import tempfile
@@ -169,7 +170,14 @@ def reachable_strings(root):
             found.append(obj)
         elif not isinstance(obj, type):
             stack.extend(gc.get_referents(obj))
+            if isinstance(obj, dict):
+                stack.extend(obj.keys())  # get_referents skips an all-str-key dict's keys
     return found
+
+
+def test_reachable_strings_sees_text_held_only_as_a_dict_key():
+    key = "".join(["held-only", "-as-a-key"])
+    assert key in reachable_strings([{key: 1}])
 
 
 def test_rows_are_built_only_when_fetched(tmp_path):
@@ -433,8 +441,15 @@ def reference_load(path, chain="ethereum"):
     records = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        next(reader)
-        for line_no, values in enumerate(reader, start=2):
+        for line_no in itertools.count(1):
+            try:
+                values = next(reader)
+            except StopIteration:
+                break
+            except csv.Error as exc:
+                raise ParseError(f"{path}:{line_no}: bad fixture row: {exc}") from exc
+            if line_no == 1:
+                continue  # the header
             if not values or (len(values) == 1 and not values[0].strip()):
                 continue
             if len(values) != len(FIXTURE_COLUMNS):
@@ -444,6 +459,15 @@ def reference_load(path, chain="ethereum"):
             except (ValueError, ArithmeticError, MalformedAddress) as exc:
                 raise ParseError(f"{path}:{line_no}: bad fixture row: {exc}") from exc
     return records
+
+
+def test_a_field_over_the_csv_limit_fails_the_load_naming_its_line(tmp_path):
+    huge = row(2, addr(2), addr(3), token="A" * 200_000)
+    path = write_fixture(tmp_path, "ethereum.csv", [huge])
+    with pytest.raises(ParseError) as got:
+        FixtureStore.load_dir(tmp_path)
+    assert str(got.value).startswith(f"{path}:2: bad fixture row: field larger than field limit")
+    assert_loader_agrees(tmp_path, [row(1, addr(1), addr(2)), huge])  # named at line 3 by both
 
 
 def digits(lo, hi):

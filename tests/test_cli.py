@@ -9,6 +9,7 @@ import socket
 import subprocess
 import sys
 import threading
+import tracemalloc
 from dataclasses import fields
 from types import SimpleNamespace
 
@@ -464,6 +465,40 @@ def test_explain_on_a_malformed_label_line_exits_one_naming_it(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+def test_a_label_holding_unicode_line_separators_passes_explain_and_sample_controls(tmp_path):
+    # labels.jsonl is written with ensure_ascii=False, so these stay raw in the file
+    clues = extract_clues(tmp_path)
+    cfg = write_config(tmp_path)
+    label = json.loads((GOLDEN / "synthetic_labels.golden.jsonl").read_text().splitlines()[0])
+    label["justification"] = "first\u2028second\u2029third\x85fourth"
+    labels = tmp_path / "labels.jsonl"
+    labels.write_text(json.dumps(label, ensure_ascii=False) + "\n", encoding="utf-8")
+    assert "\u2028" in labels.read_text(encoding="utf-8")
+    assert [a.justification for a in cli._load_labels(str(labels))] == [label["justification"]]
+    assert run_cli("explain", clues, labels, "--config", cfg, "--out", tmp_path / "x") == 0
+    out_file = tmp_path / "c.json"
+    assert run_cli(
+        "sample-controls", "--labels", labels, "-n", 10, "--seed", 3, "--config", cfg, "--out-file", out_file,
+    ) == 0
+    assert label["target_address"]["hex"] not in json.loads(out_file.read_text())["addresses"]
+
+
+def test_loading_labels_holds_no_copy_of_the_file(tmp_path):
+    golden = (GOLDEN / "synthetic_labels.golden.jsonl").read_text(encoding="utf-8")
+    copies = 500_000 // len(golden) + 1
+    labels = tmp_path / "labels.jsonl"
+    labels.write_text(golden * copies, encoding="utf-8")
+    size = labels.stat().st_size
+    tracemalloc.start()
+    try:
+        loaded = cli._load_labels(str(labels))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(loaded) == golden.count("\n") * copies
+    assert peak - held < size / 4
+
+
 def test_run_composes_and_rerun_is_byte_identical(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
@@ -506,6 +541,19 @@ def test_bad_row_no_trace_reaches_still_fails_the_run_with_its_line(tmp_path, ca
     assert run_cli("run", DOC, "--config", cfg, "--out", tmp_path / "out") == 1
     assert f"ethereum.csv:{len(lines) + 1}: bad fixture row: timeStamp" in capsys.readouterr().err
     assert not (tmp_path / "out" / "labels.jsonl").exists()
+
+
+def test_a_fixture_field_over_the_csv_limit_fails_the_run_naming_its_line(tmp_path, capsys):
+    fixture = tmp_path / "fixture"
+    fixture.mkdir()
+    header = (FIXTURES / "synthetic" / "ethereum.csv").read_text().splitlines()[0]
+    huge = f"0x{'e' * 64},0x{'d' * 40},0x{'c' * 40},5,1700000000,1,{'A' * 200_000},,0,0x,0,,21000,1,21000,1"
+    (fixture / "ethereum.csv").write_text(header + "\n" + huge + "\n")
+    cfg = write_config(tmp_path, fixture_dir=str(fixture))
+    assert run_cli("run", DOC, "--config", cfg, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {fixture / 'ethereum.csv'}:2: ")
+    assert "Traceback" not in err
 
 
 # --- sample-controls / score-coverage ----------------------------------------

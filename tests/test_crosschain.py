@@ -178,6 +178,21 @@ def test_a_bad_chain_id_fails_the_load_naming_its_line(tmp_path):
         BridgeTable.load(path)
 
 
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+def test_bridge_table_lines_end_only_at_line_breaks(tmp_path, ending):
+    path = tmp_path / "bridges.txt"
+    lines = [
+        "# bridges\u2028between chains",
+        f"bsc,{BRIDGE_BSC.hex},hop\x85link",
+        f"eth-main,{BRIDGE_ETH.hex},hoplink",
+    ]
+    path.write_text(ending.join(lines[:2]) + ending, encoding="utf-8", newline="")
+    assert BridgeTable.load(path).endpoint_bridge == {BRIDGE_BSC: "hop\x85link"}
+    path.write_text(ending.join(lines) + ending, encoding="utf-8", newline="")
+    with pytest.raises(ParseError, match="^" + re.escape(f"{path}:3: ") + ".*chain"):
+        BridgeTable.load(path)
+
+
 def test_pair_destination_carries_destination_chain(tmp_path):
     deposit = make_tx(1, ACCOUNT, BRIDGE_ETH, value=str(DEPOSIT_AMOUNT), ts=T0, token="RUNE")
     wd = make_tx(2, BRIDGE_BSC, DST_USER, value=str(WITHDRAW_OK), ts=T0 + 300, token="RUNE")

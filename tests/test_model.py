@@ -68,6 +68,13 @@ def test_normalize_rejects_bad_chain():
         normalize_address(CANONICAL, "")
 
 
+def test_addresses_on_one_chain_share_one_chain_string():
+    first = normalize_address(addr(1).hex, "".join(["ether", "eum"]))
+    second = normalize_address(addr(2).hex, " Ethereum")
+    assert first.chain == "ethereum" and first.chain is second.chain
+    assert not hasattr(first, "__dict__")
+
+
 def test_tx_hash_normalization():
     raw = "0x" + "AB" * 32
     assert normalize_tx_hash(raw) == "0x" + "ab" * 32

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import addr, make_tx
-from risktagger.errors import BackendFailure, SchemaViolation, UnparseableVerdict
+from risktagger.errors import BackendFailure, ParseError, SchemaViolation, UnparseableVerdict
 from risktagger.model import SuspicionLevel, TracerConfig
 from risktagger.reasoner import (
     Blacklist,
@@ -128,6 +128,18 @@ def test_decide_level_exhaustive_16_combos():
     for bits in itertools.product([0, 1], repeat=4):
         fired = {letter for letter, bit in zip("abcd", bits) if bit}
         assert decide_level(fired) is expected(fired), f"combo {fired}"
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+def test_a_blacklist_label_holding_a_line_separator_stays_on_its_line(tmp_path, ending):
+    path = tmp_path / "blacklist.txt"
+    lines = ["# exploiters", f"{addr(1).hex},Lazarus\u2028Group\x85Wallet"]
+    path.write_text(ending.join(lines) + ending, encoding="utf-8", newline="")
+    assert Blacklist.load(path).label_of(addr(1)) == "Lazarus\u2028Group\x85Wallet"
+    path.write_text(ending.join(lines + ["0xnothex,x"]) + ending, encoding="utf-8", newline="")
+    with pytest.raises(ParseError) as err:
+        Blacklist.load(path)
+    assert str(err.value).startswith(f"{path}:3: malformed address")
 
 
 def test_blacklist_hit_never_lowers_level():
