@@ -17,7 +17,7 @@ from decimal import Decimal
 from operator import attrgetter
 from pathlib import Path
 
-from ..errors import ParseError
+from ..errors import ParseError, reading_utf8
 from ..model import Address, CrossChainPair, TransactionRecord, normalize_address, normalize_chain
 
 # A withdrawal pairs with a deposit when it is within 1% of the deposited
@@ -47,7 +47,7 @@ class BridgeTable:
     def load(path: str | Path) -> "BridgeTable":
         table = BridgeTable()
         path = Path(path)
-        with path.open(encoding="utf-8") as fh:
+        with path.open(encoding="utf-8") as fh, reading_utf8(path):
             for line_no, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):

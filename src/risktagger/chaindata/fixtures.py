@@ -24,7 +24,7 @@ from array import array
 from collections import defaultdict
 from pathlib import Path
 
-from ..errors import MalformedAddress, ParseError, SchemaMismatch, UnknownChain
+from ..errors import MalformedAddress, ParseError, SchemaMismatch, UnknownChain, reading_utf8
 from ..model import Address, TransactionRecord, normalize_chain
 from .fetch import FIXTURE_COLUMNS, _row_to_record, dedup_and_sort
 
@@ -194,7 +194,7 @@ class FixtureStore:
             fh = path.open(newline="", encoding="utf-8")
         except OSError as exc:
             raise ParseError(f"cannot open fixture {path}: {exc}") from exc
-        with fh:
+        with fh, reading_utf8(path):
             source = self.records_by_chain[chain] = _FixtureFile(path, chain, _stamp(fh.fileno()))
             starts, lengths, index = source.starts, source.lengths, source.index
             line_no = 1

@@ -27,7 +27,7 @@ from .chaindata.crosschain import BridgeMatcher, BridgeTable
 from .chaindata.fixtures import FixtureChainClient, FixtureStore
 from .chaindata.live import EtherscanClient
 from .config import RunConfig, load_config
-from .errors import EmptyChecklist, ParseError, RiskTaggerError, UnknownChain
+from .errors import EmptyChecklist, ParseError, RiskTaggerError, UnknownChain, reading_utf8
 from .explainer import build_checklist, coverage, generate_report
 from .extractor import MANDATORY_FIELDS, CaseClues, LlmExtractor, extract_case_clues
 from .model import RiskAssessment, SuspicionLevel
@@ -158,7 +158,7 @@ def _load_labels(path: str) -> list:
     if labels_path.is_dir():
         labels_path = labels_path / "labels.jsonl"
     labels = []
-    with labels_path.open(encoding="utf-8") as fh:
+    with labels_path.open(encoding="utf-8") as fh, reading_utf8(labels_path):
         for line_no, line in enumerate(fh, start=1):
             if line.strip():
                 try:
@@ -172,7 +172,8 @@ def _load_labels(path: str) -> list:
 
 
 def _do_extract(config: RunConfig, out_dir: Path, doc_path: str) -> tuple[CaseClues, int]:
-    text = Path(doc_path).read_text(encoding="utf-8")
+    with reading_utf8(doc_path):
+        text = Path(doc_path).read_text(encoding="utf-8")
     backend = LlmExtractor(_llm_backend(config)) if config.backend == "llm" else None
     clues, audit = extract_case_clues(text, backend)
     _write_json(out_dir / "case_clues.json", clues.to_json())
@@ -269,6 +270,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_sample_controls(args) -> int:
+    if args.n < 1:
+        raise ParseError(f"-n must be at least 1, got {args.n}")
     config = load_config(args.config, _overrides(args))
     if config.adapter != "fixture":
         print("sample-controls needs the fixture adapter (the candidate pool)", file=sys.stderr)
@@ -295,7 +298,8 @@ def cmd_sample_controls(args) -> int:
 
 
 def cmd_score_coverage(args) -> int:
-    report = Path(args.report).read_text(encoding="utf-8")
+    with reading_utf8(args.report):
+        report = Path(args.report).read_text(encoding="utf-8")
     clues = _load_clues(args.clues)
     scored = coverage(report, build_checklist(clues))
     payload = scored.to_json()

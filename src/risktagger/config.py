@@ -104,7 +104,7 @@ def load_config(
     if path is not None:
         try:
             document = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError: JSON text is UTF-8
             raise ParseError(f"{path}: not valid JSON: {exc}") from exc
         if not isinstance(document, dict):
             raise ParseError(f"{path}: config must be a JSON object")

@@ -4,6 +4,8 @@ Every error the package raises on purpose derives from RiskTaggerError so
 callers can split pipeline failures from genuine bugs with one except clause.
 """
 
+from contextlib import contextmanager
+
 
 class RiskTaggerError(Exception):
     """Base class for all deliberate pipeline errors."""
@@ -29,13 +31,6 @@ class RateLimited(RiskTaggerError):
         super().__init__(message)
         self.retry_after_s = retry_after_s
 
-    @classmethod
-    def from_headers(cls, message: str, headers) -> "RateLimited":
-        """The error of a 429 response: its Retry-After header in the
-        delay-seconds form; 0 when absent or an HTTP date, which is not honoured."""
-        value = (headers.get("Retry-After") or "").strip()
-        return cls(message, float(value) if value.isdecimal() else 0.0)
-
 
 class SchemaMismatch(RiskTaggerError):
     """Fixture CSV header does not match the canonical 16-column schema."""
@@ -43,6 +38,16 @@ class SchemaMismatch(RiskTaggerError):
 
 class ParseError(RiskTaggerError):
     """A fixture row or config value could not be parsed; carries location."""
+
+
+@contextmanager
+def reading_utf8(path):
+    """A byte that is not UTF-8, read from `path` in the block, raises ParseError
+    naming the file; no line, as text-mode reads decode whole buffers."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8: {exc.reason} at byte {exc.object[exc.start]:#04x}") from exc
 
 
 class EmptyDocument(RiskTaggerError):

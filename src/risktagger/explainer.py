@@ -34,7 +34,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 
-from .errors import BackendFailure, EmptyChecklist
+from .errors import BackendFailure, EmptyChecklist, RateLimited
 from .model import SuspicionLevel
 from .reasoner.prompts import build_explainer_prompt
 
@@ -492,7 +492,7 @@ def generate_report(clues, l_all: list, backend=None) -> tuple[str, dict]:
         prompt = build_explainer_prompt(json.dumps(analysis, indent=2, sort_keys=True))
         try:
             reply = backend.complete(prompt, temperature=0.0, max_tokens=REPORT_MAX_TOKENS)
-        except BackendFailure as exc:
+        except (BackendFailure, RateLimited) as exc:
             reason = f"backend failed: {exc}"
         else:
             missing = _missing_sections(reply)

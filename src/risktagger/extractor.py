@@ -26,8 +26,9 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 
-from .errors import EmptyDocument
+from .errors import EmptyDocument, UnparseableVerdict
 from .model import normalize_address, normalize_chain
+from .reasoner.parsing import extract_json_fragment
 from .reasoner.prompts import get_template, render
 
 logger = logging.getLogger(__name__)
@@ -284,8 +285,6 @@ def _usd_value(number: str, unit: str | None) -> str:
 class PatternExtractor:
     """Deterministic regex/gazetteer backend; no model involved."""
 
-    name = "patterns"
-
     def extract_candidates(self, chunk: DocumentChunk) -> ChunkSummary:
         summary = ChunkSummary(chunk.chunk_id)
         text = chunk.text
@@ -369,15 +368,10 @@ class LlmExtractor:
     which keeps the provenance sidecar trustworthy even with a sloppy model.
     """
 
-    name = "llm"
-
     def __init__(self, port):
         self.port = port
 
     def _complete_json(self, template_id: str, values: dict):
-        from .reasoner.parsing import extract_json_fragment
-        from .errors import UnparseableVerdict
-
         template = get_template(template_id)
         prompt = render(template, values)
         raw = self.port.complete(prompt, EXTRACT_TEMPERATURE, EXTRACT_MAX_TOKENS)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from ..errors import ParseError
+from ..errors import ParseError, reading_utf8
 from ..model import Address
 
 _HEX_CHARS = set("0123456789abcdef")
@@ -23,7 +23,7 @@ class Blacklist:
     def load(path: str | Path) -> "Blacklist":
         labels = {}
         path = Path(path)
-        with path.open(encoding="utf-8") as fh:
+        with path.open(encoding="utf-8") as fh, reading_utf8(path):
             for line_no, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):

@@ -1,0 +1,104 @@
+"""How to call a rate-limited HTTP API, once for both upstreams: the live
+adapter's chain API and the llm backend's chat-completions endpoint.
+
+Requests are spaced min_interval_s apart across the threads sharing an
+Upstream. A transport error, a 5xx or a 429 is retried after exponential
+backoff, RETRY_ATTEMPTS attempts in all, and a 429 pauses every sharing
+thread for at least its Retry-After seconds. A Retry-After beyond the retry
+budget (timeout_s * RETRY_ATTEMPTS), or any other status but 200, fails at
+once. Attempts that end on a 429 raise RateLimited, other failures the
+caller's error class. `requests` is imported only at the first send.
+"""
+
+from __future__ import annotations
+
+import threading
+import time
+from typing import TYPE_CHECKING
+
+from .errors import RateLimited
+
+if TYPE_CHECKING:
+    from requests import Response, Session
+
+RETRY_ATTEMPTS = 3
+
+
+class Upstream:
+    """One HTTP API under the policy above; `error` is the class its failures
+    raise and `name` opens their messages."""
+
+    def __init__(
+        self,
+        error: type[Exception],
+        name: str,
+        rate_limit_per_s: float,
+        timeout_s: float,
+        backoff_base_s: float,
+        session: Session | None = None,
+    ):
+        self.error = error
+        self.name = name
+        self.min_interval_s = 1.0 / rate_limit_per_s if rate_limit_per_s > 0 else 0.0
+        self.timeout_s = timeout_s
+        self.backoff_base_s = backoff_base_s
+        self.session = session  # built at the first send unless injected
+        self._lock = threading.Lock()
+        self._last_slot = 0.0  # monotonic time of the latest reserved request slot
+        self._pause_until = 0.0  # monotonic end of the latest 429's pause
+
+    def send(self, method: str, url: str, **kwargs) -> Response:
+        """The 200 response to the session's `method` (get, post) on url."""
+        import requests  # deferred: a run that sends nothing never loads it
+
+        with self._lock:  # threads that send together share one session
+            if self.session is None:
+                self.session = requests.Session()
+        request = getattr(self.session, method.lower())
+        last_err: Exception | None = None
+        for attempt in range(RETRY_ATTEMPTS):
+            if attempt:
+                time.sleep(self.backoff_base_s * (2 ** (attempt - 1)))
+            self._throttle()  # holds the retry past a 429's pause
+            try:
+                resp = request(url, timeout=self.timeout_s, **kwargs)
+            except requests.RequestException as exc:
+                last_err = exc
+                continue
+            if resp.status_code == 429:
+                # Retry-After in its delay-seconds form; an HTTP date is not honoured
+                value = (resp.headers.get("Retry-After") or "").strip()
+                last_err = RateLimited(f"{self.name} returned 429", float(value) if value.isdecimal() else 0.0)
+                if last_err.retry_after_s > self.timeout_s * RETRY_ATTEMPTS:
+                    raise self.error(
+                        f"{self.name} returned 429 asking to retry after {last_err.retry_after_s:g} s,"
+                        " beyond the retry budget"
+                    )
+                with self._lock:  # every thread's next request waits it out
+                    pause_end = time.monotonic() + last_err.retry_after_s
+                    self._pause_until = max(self._pause_until, pause_end)
+                    self._last_slot = max(self._last_slot, pause_end)
+                continue
+            if resp.status_code >= 500:
+                last_err = self.error(f"{self.name} returned {resp.status_code}")
+                continue
+            if resp.status_code != 200:
+                raise self.error(f"{self.name} returned {resp.status_code}: {resp.text[:200]}")
+            return resp
+        if isinstance(last_err, RateLimited):
+            raise last_err
+        raise self.error(f"{self.name} unreachable after {RETRY_ATTEMPTS} attempts: {last_err}")
+
+    def _throttle(self) -> None:
+        """Reserves the next request slot under the lock, min_interval_s after
+        the previous one and not inside a 429's pause, then sleeps until it
+        outside the lock. A slot that a pause begun meanwhile covers is
+        reserved again."""
+        while True:
+            with self._lock:
+                now = time.monotonic()
+                slot = max(now, self._last_slot + self.min_interval_s)
+                self._last_slot = slot
+            time.sleep(slot - now)
+            if slot >= self._pause_until:
+                return

@@ -317,13 +317,13 @@ def test_cold_misses_on_a_worker_pool_fetch_every_page_through_one_session(tmp_p
     expected = trace(seeds, "ethereum", cfg, synthetic_ports())
     assert [a.to_json() for a in state.L_all] == [a.to_json() for a in expected.L_all]
     assert len(state.L_all) == len(seeds) == 16
-    assert len(sessions) == 1 and client.session is sessions[0]
+    assert len(sessions) == 1 and client.upstream.session is sessions[0]
     assert len(asked) == len(set(asked)) == cache.misses == 2 * len(state.L_all)
     cached = {(p.parent.name, p.stem) for p in (tmp_path / "cache" / "ethereum").glob("*/*.json")}
     assert cached == {(address, f"{action}_p{page}") for address, action, page in asked}
     gaps = [later - earlier for earlier, later in zip(times, times[1:])]
     # the tolerance absorbs scheduling jitter between a request's slot and its arrival
-    assert min(gaps) >= client.min_interval_s - 0.03, gaps
+    assert min(gaps) >= client.upstream.min_interval_s - 0.03, gaps
 
 
 # --- 7. rule decision table --------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command behavior end to end: exit codes, artifacts, determinism."""
 
 import argparse
+import ast
 import csv
 import json
 import os
@@ -11,6 +12,7 @@ import sys
 import threading
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -556,7 +558,61 @@ def test_a_fixture_field_over_the_csv_limit_fails_the_run_naming_its_line(tmp_pa
     assert "Traceback" not in err
 
 
+BAD_BYTE_INPUTS = {
+    # input: (its valid bytes given the config file, the command reading the corrupt copy `bad`)
+    "labels": (
+        lambda cfg: (GOLDEN / "synthetic_labels.golden.jsonl").read_bytes(),
+        lambda bad, clues, cfg: ("explain", clues, bad, "--config", cfg),
+    ),
+    "blacklist": (
+        lambda cfg: (FIXTURES / "blacklist.txt").read_bytes(),
+        lambda bad, clues, cfg: ("trace", clues, "--config", cfg, "--blacklist", bad),
+    ),
+    "bridges": (
+        lambda cfg: b"ethereum,0x" + b"b1" * 20 + b",hoplink\n",
+        lambda bad, clues, cfg: ("trace", clues, "--config", cfg, "--bridges", bad),
+    ),
+    "config": (lambda cfg: Path(cfg).read_bytes(), lambda bad, clues, cfg: ("extract", DOC, "--config", bad)),
+    "document": (
+        lambda cfg: Path(DOC).read_bytes(),
+        lambda bad, clues, cfg: ("extract", bad, "--config", cfg),
+    ),
+    "fixture": (
+        lambda cfg: (FIXTURES / "synthetic" / "ethereum.csv").read_bytes(),
+        lambda bad, clues, cfg: ("trace", clues, "--config", cfg, "--fixture-dir", bad.parent),
+    ),
+    "report": (
+        lambda cfg: b"# Fund Flow Audit Report\n\nNarrative.\n",
+        lambda bad, clues, cfg: ("score-coverage", bad, clues),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_BYTE_INPUTS))
+def test_a_byte_that_is_not_utf8_fails_naming_its_file(tmp_path, capsys, name):
+    clues = extract_clues(tmp_path)
+    cfg = write_config(tmp_path)
+    valid, command = BAD_BYTE_INPUTS[name]
+    data = valid(cfg)
+    bad = tmp_path / "bad" / ("ethereum.csv" if name == "fixture" else name)
+    bad.parent.mkdir()
+    bad.write_bytes(data[: len(data) // 2] + b"\xff" + data[len(data) // 2 :])
+    capsys.readouterr()
+    assert run_cli(*command(bad, clues, cfg)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and "byte 0xff" in err, err
+
+
 # --- sample-controls / score-coverage ----------------------------------------
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_sample_controls_refuses_fewer_than_one_address(tmp_path, capsys, n):
+    _, cfg, trace_out = traced(tmp_path)
+    out_file = tmp_path / "c.json"
+    assert run_cli("sample-controls", "--labels", trace_out, "-n", n, "--config", cfg, "--out-file", out_file) == 1
+    assert capsys.readouterr().err == f"error: -n must be at least 1, got {n}\n"
+    assert not out_file.exists()
 
 
 def test_sample_controls_seeded_and_disjoint(tmp_path):
@@ -722,6 +778,35 @@ def test_importing_the_cli_leaves_requests_unloaded():
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_constructing_the_llm_backend_leaves_requests_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    probe = (
+        "import sys; from risktagger.reasoner.backends import HttpLlmBackend; "
+        "HttpLlmBackend('http://llm.test/v1'); print('requests' in sys.modules)"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
+def test_only_the_upstream_module_imports_requests():
+    # the retry policy and its deferred import of the HTTP stack live in one place;
+    # ast.walk also sees imports under TYPE_CHECKING and inside functions
+    src = REPO_ROOT / "src"
+    importers = set()
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_bytes(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(module.partition(".")[0] == "requests" for module in modules):
+                importers.add(path.relative_to(src).as_posix())
+    assert importers == {"risktagger/upstream.py"}
 
 
 def warm_cache_from_fixture(root):

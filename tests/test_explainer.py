@@ -2,6 +2,7 @@
 
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from risktagger.explainer import (
 )
 from risktagger.extractor import CaseClues, extract_case_clues
 from risktagger.model import RiskAssessment, RiskDimension, SuspicionLevel, normalize_address
+from risktagger.reasoner.backends import HttpLlmBackend
 
 
 def entity(i: int, field: str = "attacker_addresses") -> ChecklistEntity:
@@ -422,6 +424,20 @@ def test_prompt_and_template_report_one_analysis():
 def test_backend_failure_falls_back_by_default():
     report, _ = generate_report(sample_clues(), fixture_dataset(), backend=FailingBackend())
     assert len([l for l in report.splitlines() if l.startswith("## ")]) == 8
+
+
+def test_a_rate_limited_llm_backend_falls_back_to_the_template():
+    posts = []
+
+    def post(url, **kwargs):
+        posts.append(url)
+        return SimpleNamespace(status_code=429, headers={}, text="")
+
+    backend = HttpLlmBackend("http://llm.test/v1", session=SimpleNamespace(post=post), backoff_base_s=0.01)
+    report, provenance = generate_report(sample_clues(), fixture_dataset(), backend=backend)
+    assert len(posts) == 3
+    assert provenance == {"report_source": "template", "fallback_reason": "backend failed: LLM endpoint returned 429"}
+    assert report == generate_report(sample_clues(), fixture_dataset())[0]
 
 
 

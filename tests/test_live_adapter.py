@@ -203,7 +203,7 @@ def test_throttle_spaces_requests_across_threads():
     assert len(times) == threads * 2  # txlist and tokentx per fetch
     gaps = [later - earlier for earlier, later in zip(times, times[1:])]
     # the tolerance absorbs scheduling jitter between a request's slot and its arrival
-    assert min(gaps) >= client.min_interval_s - 0.03, gaps
+    assert min(gaps) >= client.upstream.min_interval_s - 0.03, gaps
 
 
 def test_http_429_waits_for_retry_after():
@@ -398,5 +398,5 @@ def test_an_injected_session_is_the_one_used():
         "http://explorer.test/api", "ethereum", api_key="k", session=session, rate_limit_per_s=0.0
     )
     assert len(client.fetch_transactions(CENTER)) == 5
-    assert client.session is session
+    assert client.upstream.session is session
     assert session.actions == ["txlist", "tokentx"]

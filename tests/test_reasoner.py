@@ -2,13 +2,16 @@
 
 import itertools
 import json
+import threading
+import time
 from datetime import datetime, timezone
 from types import SimpleNamespace
 
 import pytest
 
 from conftest import addr, make_tx
-from risktagger.errors import BackendFailure, ParseError, SchemaViolation, UnparseableVerdict
+from risktagger import upstream
+from risktagger.errors import BackendFailure, ParseError, RateLimited, SchemaViolation, UnparseableVerdict
 from risktagger.model import SuspicionLevel, TracerConfig
 from risktagger.reasoner import (
     Blacklist,
@@ -464,13 +467,29 @@ def test_infer_with_rule_backend_is_pure():
 
 
 class ScriptedSession:
-    """A session whose POSTs get the scripted responses in turn."""
+    """A session whose POSTs get the scripted responses in turn; `times` holds
+    the upstream module's clock at each POST."""
 
     def __init__(self, responses):
         self.responses = list(responses)
+        self.times = []
 
     def post(self, url, json, headers, timeout):
+        self.times.append(upstream.time.monotonic())
         return self.responses.pop(0)
+
+
+class FakeClock:
+    """Stands in for the time module: a sleep moves the clock on at once."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.now += seconds
 
 
 def reply(status, content="", headers=None):
@@ -479,19 +498,50 @@ def reply(status, content="", headers=None):
 
 
 def test_llm_backend_waits_out_retry_after_on_429(monkeypatch):
-    sleeps = []
-    monkeypatch.setattr(backends.time, "sleep", sleeps.append)
+    monkeypatch.setattr(upstream, "time", FakeClock())
     session = ScriptedSession([reply(429, headers={"Retry-After": "2"}), reply(503), reply(200, "ok")])
     backend = backends.HttpLlmBackend("http://llm.test/v1", session=session, backoff_base_s=0.01)
     assert backend.complete("prompt", 0.0, 16) == "ok"
-    assert sleeps == [2.0, 0.02]  # the 429's Retry-After, then plain backoff after the 503
+    # the 429's Retry-After, then plain backoff after the 503
+    assert session.times == pytest.approx([0.0, 2.0, 2.02])
 
 
 def test_llm_backend_fails_at_once_on_retry_after_beyond_budget(monkeypatch):
-    sleeps = []
-    monkeypatch.setattr(backends.time, "sleep", sleeps.append)
+    clock = FakeClock()
+    monkeypatch.setattr(upstream, "time", clock)
     session = ScriptedSession([reply(429, headers={"Retry-After": "86400"}), reply(200, "ok")])
     backend = backends.HttpLlmBackend("http://llm.test/v1", session=session, timeout_s=5.0)
     with pytest.raises(BackendFailure, match="86400"):
         backend.complete("prompt", 0.0, 16)
-    assert sleeps == [] and len(session.responses) == 1
+    assert clock.now == 0.0 and len(session.responses) == 1
+
+
+def test_llm_backend_raises_rate_limited_after_its_attempts_all_draw_429():
+    session = ScriptedSession([reply(429)] * 3)
+    backend = backends.HttpLlmBackend("http://llm.test/v1", session=session, backoff_base_s=0.01)
+    with pytest.raises(RateLimited, match="LLM endpoint returned 429"):
+        backend.complete("prompt", 0.0, 16)
+    assert len(session.times) == upstream.RETRY_ATTEMPTS
+
+
+def test_a_429_pauses_every_thread_sharing_the_llm_backend():
+    answered = threading.Event()
+
+    class SignallingSession(ScriptedSession):
+        def post(self, url, json, headers, timeout):
+            try:
+                return super().post(url, json, headers, timeout)
+            finally:
+                answered.set()
+
+    session = SignallingSession([reply(429, headers={"Retry-After": "1"}), reply(200, "ok"), reply(200, "ok")])
+    backend = backends.HttpLlmBackend("http://llm.test/v1", session=session, backoff_base_s=0.01)
+    first = threading.Thread(target=backend.complete, args=("first", 0.0, 16))
+    first.start()
+    assert answered.wait(timeout=10)
+    time.sleep(0.1)  # time for the first thread to note the 429's pause
+    assert backend.complete("second", 0.0, 16) == "ok"
+    first.join(timeout=10)
+    assert not first.is_alive()
+    offsets = [t - session.times[0] for t in session.times[1:]]
+    assert len(offsets) == 2 and min(offsets) >= 1.0, offsets
