@@ -1,8 +1,9 @@
 """Live REST adapter for Etherscan-dialect account endpoints: module=account
 action=txlist (native) and action=tokentx (token transfer) pages, requested
-through an upstream.Upstream and each cached verbatim, so a warm cache answers
-a repeat run without any request. Rows are built by the checked builder that
-fixture rows use (fetch._row_to_record).
+through an upstream.Upstream, which retries the rate limit that _parse_body
+reads in a 200 body like a 429. A page is cached verbatim once it parses, so
+a warm cache answers a repeat run without any request. Rows are built by the
+checked builder that fixture rows use (fetch._row_to_record).
 """
 
 from __future__ import annotations
@@ -101,8 +102,9 @@ class EtherscanClient:
             "sort": "asc",
             "apikey": self.api_key,
         }
-        body = self.upstream.send("GET", self.base_url, params=params).content
-        rows = self._parse_body(body)
+        rows, body = self.upstream.send(
+            "GET", self.base_url, lambda resp: (self._parse_body(resp.content), resp.content), params=params
+        )
         if self.cache is not None:
             self.cache.put(self.chain, address.hex, page_token, body)
         return rows

@@ -198,9 +198,7 @@ def cmd_extract(args) -> int:
 def _do_trace(
     config: RunConfig, out_dir: Path, clues: CaseClues, seed_victims: bool, resume: bool, inputs: dict
 ):
-    seeds = list(clues.attacker_addresses)
-    if seed_victims:
-        seeds += [a for a in clues.victim_addresses if a not in seeds]
+    seeds = clues.attacker_addresses + (clues.victim_addresses if seed_victims else [])
     if not seeds:
         return None
     ports = _build_ports(config, out_dir, resume, inputs)
@@ -282,15 +280,14 @@ def cmd_sample_controls(args) -> int:
     if not candidates:
         print("every fixture address was labeled; no controls to sample", file=sys.stderr)
         return 2
-    seed = args.seed if args.seed is not None else config.seed
-    rng = random.Random(seed)
+    rng = random.Random(config.seed)
     # Distinct draws while the pool lasts; independent draws beyond that so
     # any n stays serviceable on a small fixture.
     if args.n <= len(candidates):
         picks = rng.sample(candidates, args.n)
     else:
         picks = rng.choices(candidates, k=args.n)
-    payload = {"chain": config.chain, "seed": seed, "n": args.n, "addresses": picks}
+    payload = {"chain": config.chain, "seed": config.seed, "n": args.n, "addresses": picks}
     out_path = Path(args.out_file) if args.out_file else _prepare_out(config) / "controls.json"
     _write_json(out_path, payload)
     print(f"sampled {args.n} control address(es) from a pool of {len(candidates)}")

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from decimal import Decimal
 
@@ -298,26 +299,33 @@ class PatternExtractor:
                 if part.strip():
                     summary.add("laundering_methods", part.strip(), _snippet(m.group(0)))
 
+        sentences = _sentences(text)
+        starts = [start for start, _ in sentences]
+
+        def enclosing(position: int):  # the last sentence starting at or before position
+            i = bisect_right(starts, position)
+            return sentences[i - 1] if i else (0, text)
+
         for chain, pattern in _CHAIN_PATTERNS:
             for m in pattern.finditer(text):
-                _, sentence = _enclosing_sentence(text, m.start())
+                _, sentence = enclosing(m.start())
                 summary.add("chain", chain, _snippet(sentence))
 
         for m in _USD_SIGN_RE.finditer(text):
-            _, sentence = _enclosing_sentence(text, m.start())
+            _, sentence = enclosing(m.start())
             summary.add("stolen_usd", _usd_value(m.group(1), m.group(2)), _snippet(sentence))
         for m in _USD_WORD_RE.finditer(text):
-            _, sentence = _enclosing_sentence(text, m.start())
+            _, sentence = enclosing(m.start())
             summary.add("stolen_usd", _usd_value(m.group(1), m.group(2)), _snippet(sentence))
 
         for m in _TOKEN_RE.finditer(text):
             amount, symbol = _clean_amount(m.group(1)), m.group(2)
-            _, sentence = _enclosing_sentence(text, m.start())
+            _, sentence = enclosing(m.start())
             summary.add("stolen_token", f"{symbol}:{amount}", _snippet(sentence))
 
         for m in _ADDRESS_RE.finditer(text):
             hex_addr = m.group(0).lower()
-            offset, sentence = _enclosing_sentence(text, m.start())
+            offset, sentence = enclosing(m.start())
             role = _nearest_role(sentence, m.start() - offset)
             if role is None:
                 summary.add("evidence_snippets", _snippet(sentence), _snippet(sentence))
@@ -327,16 +335,6 @@ class PatternExtractor:
 
     def merge(self, summaries: list) -> list:
         return summaries
-
-
-def _enclosing_sentence(text: str, position: int):
-    best = (0, text)
-    for start, sentence in _sentences(text):
-        if start <= position:
-            best = (start, sentence)
-        else:
-            break
-    return best
 
 
 def _nearest_role(sentence: str, addr_offset: int) -> str | None:

@@ -11,21 +11,19 @@ hosted model.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol
 
-from ..config import LLM_ENDPOINT_ENV
 from ..errors import BackendFailure
 from ..upstream import Upstream
 
 if TYPE_CHECKING:
-    from ..upstream import Session
+    from ..upstream import Response, Session
 
 LLM_KEY_ENV = "RISKTAGGER_LLM_KEY"
 
 DEFAULT_MAX_TOKENS = 2048
 
 
-@runtime_checkable
 class BackendPort(Protocol):
     name: str
 
@@ -41,16 +39,14 @@ class HttpLlmBackend:
 
     def __init__(
         self,
-        endpoint: str | None = None,
+        endpoint: str,
         model: str = "default",
         session: Session | None = None,
         backoff_base_s: float = 1.0,
         timeout_s: float = 120.0,
     ):
-        self.endpoint = endpoint or os.environ.get(LLM_ENDPOINT_ENV, "")
+        self.endpoint = endpoint
         self.api_key = os.environ.get(LLM_KEY_ENV, "")
-        if not self.endpoint:
-            raise BackendFailure(f"no LLM endpoint configured (flag, config, or {LLM_ENDPOINT_ENV})")
         self.model = model
         self.upstream = Upstream(BackendFailure, "LLM endpoint", 0.0, timeout_s, backoff_base_s, session)
 
@@ -64,11 +60,14 @@ class HttpLlmBackend:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        resp = self.upstream.send("POST", self.endpoint, json=body, headers=headers)
-        try:
-            content = resp.json()["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise BackendFailure(f"malformed completion response: {exc}") from exc
-        if not content:
-            raise BackendFailure("empty completion")
-        return content
+        return self.upstream.send("POST", self.endpoint, _completion, json=body, headers=headers)
+
+
+def _completion(resp: Response) -> str:
+    try:
+        content = resp.json()["choices"][0]["message"]["content"]
+    except (ValueError, KeyError, IndexError, TypeError) as exc:
+        raise BackendFailure(f"malformed completion response: {exc}") from exc
+    if not content:
+        raise BackendFailure("empty completion")
+    return content

@@ -58,7 +58,6 @@ from .errors import (
     ChainUnavailable,
     CheckpointError,
     RateLimited,
-    SchemaMismatch,
     SchemaViolation,
     UnknownChain,
     UnparseableVerdict,
@@ -75,7 +74,6 @@ SKIPPABLE_ERRORS = (
     ChainUnavailable,
     RateLimited,
     UnknownChain,
-    SchemaMismatch,
     BackendFailure,
     UnparseableVerdict,
     SchemaViolation,

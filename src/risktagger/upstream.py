@@ -2,19 +2,21 @@
 adapter's chain API and the llm backend's chat-completions endpoint.
 
 Requests are spaced min_interval_s apart across the threads sharing an
-Upstream. A transport error, a 5xx or a 429 is retried after exponential
-backoff, RETRY_ATTEMPTS attempts in all, and a 429 pauses every sharing
-thread for at least its Retry-After seconds. A Retry-After beyond the retry
-budget (timeout_s * RETRY_ATTEMPTS), or any other status but 200, fails at
-once. Attempts that end on a 429 raise RateLimited, other failures the
-caller's error class. `requests` is imported only at the first send.
+Upstream. A transport error, a 5xx or a rate limit (a 429, or a 200 that the
+caller's parser reads as RateLimited) is retried after exponential backoff,
+RETRY_ATTEMPTS attempts in all; a rate limit pauses every sharing thread for
+its Retry-After seconds, or else the backoff before the next attempt. A
+Retry-After beyond the retry budget (timeout_s * RETRY_ATTEMPTS), or any
+other status but 200, fails at once. Attempts that end on a rate limit raise
+RateLimited, other failures the caller's error class. `requests` is imported
+only at the first send.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 from .errors import RateLimited
 
@@ -22,6 +24,7 @@ if TYPE_CHECKING:
     from requests import Response, Session
 
 RETRY_ATTEMPTS = 3
+T = TypeVar("T")
 
 
 class Upstream:
@@ -45,10 +48,10 @@ class Upstream:
         self.session = session  # built at the first send unless injected
         self._lock = threading.Lock()
         self._last_slot = 0.0  # monotonic time of the latest reserved request slot
-        self._pause_until = 0.0  # monotonic end of the latest 429's pause
+        self._pause_until = 0.0  # monotonic end of the latest rate limit's pause
 
-    def send(self, method: str, url: str, **kwargs) -> Response:
-        """The 200 response to the session's `method` (get, post) on url."""
+    def send(self, method: str, url: str, parse: Callable[[Response], T], **kwargs) -> T:
+        """parse(resp) of the 200 response to the session's `method` (get, post) on url."""
         import requests  # deferred: a run that sends nothing never loads it
 
         with self._lock:  # threads that send together share one session
@@ -59,7 +62,7 @@ class Upstream:
         for attempt in range(RETRY_ATTEMPTS):
             if attempt:
                 time.sleep(self.backoff_base_s * (2 ** (attempt - 1)))
-            self._throttle()  # holds the retry past a 429's pause
+            self._throttle()  # holds the retry past a rate limit's pause
             try:
                 resp = request(url, timeout=self.timeout_s, **kwargs)
             except requests.RequestException as exc:
@@ -74,26 +77,29 @@ class Upstream:
                         f"{self.name} returned 429 asking to retry after {last_err.retry_after_s:g} s,"
                         " beyond the retry budget"
                     )
-                with self._lock:  # every thread's next request waits it out
-                    pause_end = time.monotonic() + last_err.retry_after_s
-                    self._pause_until = max(self._pause_until, pause_end)
-                    self._last_slot = max(self._last_slot, pause_end)
-                continue
-            if resp.status_code >= 500:
+            elif resp.status_code >= 500:
                 last_err = self.error(f"{self.name} returned {resp.status_code}")
                 continue
-            if resp.status_code != 200:
+            elif resp.status_code != 200:
                 raise self.error(f"{self.name} returned {resp.status_code}: {resp.text[:200]}")
-            return resp
+            else:
+                try:
+                    return parse(resp)
+                except RateLimited as exc:  # the limit reported in a 200 body
+                    last_err = exc
+            with self._lock:  # every thread's next request waits it out
+                pause_end = time.monotonic() + (last_err.retry_after_s or self.backoff_base_s * 2**attempt)
+                self._pause_until = max(self._pause_until, pause_end)
+                self._last_slot = max(self._last_slot, pause_end)
         if isinstance(last_err, RateLimited):
             raise last_err
         raise self.error(f"{self.name} unreachable after {RETRY_ATTEMPTS} attempts: {last_err}")
 
     def _throttle(self) -> None:
         """Reserves the next request slot under the lock, min_interval_s after
-        the previous one and not inside a 429's pause, then sleeps until it
-        outside the lock. A slot that a pause begun meanwhile covers is
-        reserved again."""
+        the previous one and not inside a rate limit's pause, then sleeps
+        until it outside the lock. A slot that a pause begun meanwhile covers
+        is reserved again."""
         while True:
             with self._lock:
                 now = time.monotonic()

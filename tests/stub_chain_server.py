@@ -2,7 +2,9 @@
 
 Serves canned rows keyed by (address, action, page), counts and timestamps
 every request it answers, and can be scripted to fail first, with a
-Retry-After header on its 429s. Used by the adapter tests and the
+Retry-After header on its 429s. A page is "RATE_LIMIT" to report the
+explorer's rate limit in a 200 body on every request, or a LimitedFirst to
+report it on its first requests only. Used by the adapter tests and the
 cache-soundness acceptance check.
 """
 
@@ -45,6 +47,15 @@ def token_row(n, src_hex, dst_hex, symbol, value, ts=1_740_000_000, block=100, c
     return row
 
 
+class LimitedFirst:
+    """A page whose first `times` requests draw the in-body rate limit; later
+    ones are served `rows`."""
+
+    def __init__(self, times: int, rows: list):
+        self.times = times
+        self.rows = rows
+
+
 class StubChainServer:
     def __init__(self, pages: dict | None = None, fail_first: list | None = None, retry_after: str | None = None):
         # pages: (address_hex, action, page_number) -> list of row dicts
@@ -83,6 +94,10 @@ class StubChainServer:
                     int(params.get("page", "1")),
                 )
                 rows = outer.pages.get(key, [])
+                if isinstance(rows, LimitedFirst):
+                    with outer._lock:
+                        limited, rows.times = rows.times > 0, rows.times - 1
+                    rows = "RATE_LIMIT" if limited else rows.rows
                 if rows == "RATE_LIMIT":
                     body = {"status": "0", "message": "NOTOK", "result": "Max rate limit reached"}
                 elif rows:

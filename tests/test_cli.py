@@ -809,6 +809,27 @@ def test_only_the_upstream_module_imports_requests():
     assert importers == {"risktagger/upstream.py"}
 
 
+def test_only_the_upstream_module_sleeps():
+    # every wait on an upstream (throttle, backoff, rate-limit pause) is the one
+    # policy's; a reference to time.sleep or an import of it counts as a call
+    src = REPO_ROOT / "src"
+    sleepers = set()
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_bytes(), filename=str(path))):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "sleep"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "time"
+            ) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "time"
+                and any(alias.name == "sleep" for alias in node.names)
+            ):
+                sleepers.add(path.relative_to(src).as_posix())
+    assert sleepers == {"risktagger/upstream.py"}
+
+
 def warm_cache_from_fixture(root):
     """One txlist and one tokentx page for every synthetic fixture account, as
     the live adapter caches them."""

@@ -17,7 +17,7 @@ from conftest import addr
 from risktagger.chaindata import FIXTURE_COLUMNS, EtherscanClient, FetchCache
 from risktagger.errors import ChainUnavailable, RateLimited, UnknownChain
 from risktagger.model import TransactionRecord, normalize_address
-from stub_chain_server import StubChainServer, native_row, token_row
+from stub_chain_server import LimitedFirst, StubChainServer, native_row, token_row
 
 CENTER = addr(0x500)
 PEERS = [addr(0x600 + i) for i in range(5)]
@@ -160,6 +160,27 @@ def test_rate_limit_message_raises_typed_error():
     with StubChainServer(pages) as srv:
         with pytest.raises(RateLimited):
             client_for(srv).fetch_transactions(CENTER)
+        assert srv.request_count == 3  # the documented retry budget
+
+
+def test_a_page_rate_limited_once_in_its_body_is_retried_and_cached_as_served(tmp_path):
+    cache = FetchCache(tmp_path / "cache")
+    pages = {(CENTER.hex, "txlist", 1): LimitedFirst(1, five_rows())}
+    with StubChainServer(pages) as srv:
+        records = client_for(srv, cache=cache).fetch_transactions(CENTER)
+        assert srv.request_count == 3  # txlist twice, tokentx once
+    assert len(records) == 5
+    assert json.loads(cache.get("ethereum", CENTER.hex, "txlist_p1"))["result"] == five_rows()
+
+
+def test_a_page_rate_limited_in_its_body_on_every_request_is_never_cached(tmp_path):
+    cache = FetchCache(tmp_path / "cache")
+    pages = {(CENTER.hex, "txlist", 1): "RATE_LIMIT"}
+    with StubChainServer(pages) as srv:
+        with pytest.raises(RateLimited, match="Max rate limit reached"):
+            client_for(srv, cache=cache).fetch_transactions(CENTER)
+        assert [r["action"] for r in srv.requests] == ["txlist"] * 3
+    assert not [p for p in (tmp_path / "cache").rglob("*") if p.is_file()]
 
 
 @pytest.mark.parametrize("action", ["txlist", "tokentx"])
@@ -235,6 +256,29 @@ def test_http_429_pauses_every_thread_sharing_the_client():
     assert len(times) == 5  # txlist and tokentx per thread, plus the retry
     offsets = [t - times[0] for t in times[1:]]
     assert min(offsets) >= 1.0, offsets
+
+
+@pytest.mark.parametrize("form", ["in_body", "http_429"])
+def test_a_rate_limit_without_retry_after_pauses_every_thread_for_the_backoff(form):
+    # the other thread starts once the first has drawn the limit, so only the
+    # shared pause, not its own backoff, can hold its first request back
+    pages = {(peer.hex, "txlist", 1): five_rows() for peer in PEERS[:2]}
+    if form == "in_body":
+        pages[(PEERS[0].hex, "txlist", 1)] = LimitedFirst(1, five_rows())
+    with StubChainServer(pages, fail_first=[429] if form == "http_429" else []) as srv:
+        client = client_for(srv, backoff_base_s=0.5)
+        first = threading.Thread(target=client.fetch_transactions, args=(PEERS[0],))
+        first.start()
+        deadline = time.monotonic() + 10
+        while not client.upstream._pause_until and time.monotonic() < deadline:
+            time.sleep(0.01)  # until the first thread has noted the limit's pause
+        assert len(client.fetch_transactions(PEERS[1])) == 5
+        first.join(timeout=10)
+        times = list(srv.request_times)  # arrival order; the first drew the limit
+    assert not first.is_alive()
+    assert len(times) == 5  # txlist and tokentx per thread, plus the retry
+    offsets = [t - times[0] for t in times[1:]]
+    assert min(offsets) >= 0.5, offsets
 
 
 def test_http_429_beyond_the_retry_budget_fails_at_once(monkeypatch):
