@@ -140,7 +140,7 @@ class BridgeMatcher:
             lo = bisect_left(rows, deposit.timeStamp, key=_TIMESTAMP)
             hi = bisect_right(rows, deposit.timeStamp + TIME_WINDOW_S, lo, key=_TIMESTAMP)
             for wd in rows[lo:hi]:
-                if abs(wd.value_int - deposit.value_int) > AMOUNT_TOLERANCE * deposit.value_int:
+                if abs(wd.value - deposit.value) > AMOUNT_TOLERANCE * deposit.value:
                     continue
                 out.append(CrossChainPair(src_tx=deposit, dst_tx=wd, bridge_hint=bridge))
         return out

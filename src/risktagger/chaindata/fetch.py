@@ -2,7 +2,8 @@
 
 A row is the 16 fields of one transfer in FIXTURE_COLUMNS order, whether it
 comes from a fixture CSV or an explorer's JSON; _row_to_record normalizes or
-refuses each field, and keeps the ten that the pipeline reads.
+refuses each field, and keeps the ten that the pipeline reads, the value
+parsed to the int a record holds.
 """
 
 from __future__ import annotations
@@ -43,12 +44,17 @@ def _row_to_record(values: list, chain: str) -> TransactionRecord:
         raise ValueError(f"blockHash must be a string, got {block_hash!r}")
     for name, digits in (("gas", gas), ("gasPrice", gas_price), ("gasUsed", gas_used)):
         _require_digits(name, digits.strip())
+    digits = value.strip()
+    _require_digits("value", digits)
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > 78:  # no amount below 2**256 has more; the record checks the rest
+        raise ValueError(f"value has {len(digits)} digits, more than any amount below 2**256")
     contract = contract.strip()
     return TransactionRecord(
         hash=tx_hash,
         from_addr=normalize_address(src, chain),
         to_addr=normalize_address(dst, chain),
-        value=value.strip(),
+        value=int(digits),
         timeStamp=int(ts),
         blockNumber=int(block),
         tokenSymbol=token.strip(),

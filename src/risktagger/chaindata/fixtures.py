@@ -36,6 +36,9 @@ _LIMIT = csv.field_size_limit()
 _TEXT = r'(?:[^\s",](?:[^",\r\n]{0,%d}[^\s",])?)?' % (_LIMIT - 2)
 _DIGITS = "[0-9]{1,%d}" % _LIMIT
 _INT = "[0-9]{1,18}"  # within int()'s digit limit; longer numbers take the checked path
+# Every 77-digit amount is below 2**256; longer ones take the checked path,
+# which refuses those at or above it.
+_VALUE = "[0-9]{1,77}"
 # A line that _row_to_record accepts without changing a field: lowercase hex,
 # bare digits, a positive timeStamp, no quotes. Hash and addresses have fixed
 # widths, so the sender and receiver sit at fixed offsets (_FROM, _TO).
@@ -45,7 +48,7 @@ _CANONICAL_ROW = re.compile(
             "0x[0-9a-f]{64}",  # hash
             "0x[0-9a-f]{40}",  # from
             "0x[0-9a-f]{40}",  # to
-            _DIGITS,  # value
+            _VALUE,  # value
             "[1-9][0-9]{0,17}",  # timeStamp
             _INT,  # blockNumber
             _TEXT,  # tokenSymbol
@@ -81,7 +84,7 @@ def _canonical_to_record(line: str, chain: str, addresses: dict[str, Address]) -
         hash=tx_hash,
         from_addr=address(src),
         to_addr=address(dst),
-        value=value,
+        value=int(value),
         timeStamp=int(ts),
         blockNumber=int(block),
         tokenSymbol=token,

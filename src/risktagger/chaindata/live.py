@@ -112,8 +112,10 @@ class EtherscanClient:
     def _parse_body(self, body: bytes) -> list[dict]:
         try:
             payload = json.loads(body)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or a number past int()'s digit limit
             raise ChainUnavailable(f"unparseable upstream response: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise ChainUnavailable(f"upstream response is a JSON {type(payload).__name__}, not an object")
         status = str(payload.get("status", ""))
         result = payload.get("result")
         if status == "1" and isinstance(result, list):

@@ -1,9 +1,10 @@
 """Core value types shared by every pipeline stage.
 
-Token amounts stay decimal integer strings in the asset's smallest unit
-(401000 ETH in wei does not fit a double), so nothing in this module ever
-touches float for value math. Addresses are canonalized once at the boundary
-via normalize_address and compared exactly afterwards.
+A transfer's amount is an int in the asset's smallest unit, below 2**256
+(401000 ETH in wei does not fit a double), parsed once where a row becomes a
+record, so no value math ever touches float or re-parses text. Its asset is
+its tokenSymbol, "" being the chain's native coin. Addresses are canonalized
+once at the boundary via normalize_address and compared exactly afterwards.
 """
 
 from __future__ import annotations
@@ -50,6 +51,11 @@ class Address:
 
 
 def normalize_address(raw: str, chain: str) -> Address:
+    """The address of normalize_hex(raw) on the normalized chain."""
+    return Address(hex=normalize_hex(raw), chain=normalize_chain(chain))
+
+
+def normalize_hex(raw: str) -> str:
     """Canonical form: lowercase 0x-prefixed 40-hex-digit string.
 
     Raises MalformedAddress on wrong length, missing prefix, or non-hex
@@ -65,7 +71,7 @@ def normalize_address(raw: str, chain: str) -> Address:
         raise MalformedAddress(
             f"address {raw!r} is not 40 hex digits after the prefix"
         )
-    return Address(hex=candidate, chain=normalize_chain(chain))
+    return candidate
 
 
 def normalize_tx_hash(raw: str) -> str:
@@ -127,7 +133,7 @@ class TransactionRecord:
     hash: str
     from_addr: Address
     to_addr: Address
-    value: str
+    value: int  # in [0, 2**256), in the asset's smallest unit
     timeStamp: int
     blockNumber: int
     tokenSymbol: str = ""  # "" means the chain's native asset
@@ -137,7 +143,8 @@ class TransactionRecord:
 
     def __post_init__(self):
         object.__setattr__(self, "hash", normalize_tx_hash(self.hash))
-        _require_digits("value", self.value)
+        if type(self.value) is not int or not 0 <= self.value < 2**256:
+            raise ValueError(f"value must be an int in [0, 2**256), got {self.value!r}")
         if self.timeStamp <= 0:
             raise ValueError(f"timeStamp must be positive, got {self.timeStamp}")
         if self.blockNumber < 0:
@@ -158,10 +165,6 @@ class TransactionRecord:
     @property
     def chain(self) -> str:
         return self.from_addr.chain
-
-    @property
-    def value_int(self) -> int:
-        return int(self.value)
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from ..errors import ParseError, reading_utf8
-from ..model import Address
-
-_HEX_CHARS = set("0123456789abcdef")
+from ..errors import MalformedAddress, ParseError, reading_utf8
+from ..model import normalize_hex
 
 
 class Blacklist:
@@ -31,20 +29,15 @@ class Blacklist:
                 raw_addr, sep, label = line.partition(",")
                 if not sep:
                     raise ParseError(f"{path}:{line_no}: expected 'address,label'")
-                hex_part = raw_addr.strip().lower()
-                if not (
-                    hex_part.startswith("0x")
-                    and len(hex_part) == 42
-                    and set(hex_part[2:]) <= _HEX_CHARS
-                ):
-                    raise ParseError(f"{path}:{line_no}: malformed address {raw_addr!r}")
-                labels[hex_part] = label.strip()
+                try:
+                    labels[normalize_hex(raw_addr)] = label.strip()
+                except MalformedAddress as exc:
+                    raise ParseError(f"{path}:{line_no}: malformed {exc}") from exc
         return Blacklist(labels)
 
-    def __contains__(self, address) -> bool:
-        hex_part = address.hex if isinstance(address, Address) else str(address).lower()
-        return hex_part in self._labels
+    def __contains__(self, hex_: str) -> bool:
+        """Whether a lowercase 0x-hex address is listed."""
+        return hex_ in self._labels
 
-    def label_of(self, address) -> str | None:
-        hex_part = address.hex if isinstance(address, Address) else str(address).lower()
-        return self._labels.get(hex_part)
+    def label_of(self, hex_: str) -> str | None:
+        return self._labels.get(hex_)

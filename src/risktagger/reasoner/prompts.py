@@ -4,7 +4,7 @@ Templates live as plain text files under risktagger/prompts and are loaded
 verbatim (sans trailing newline); the analyst/auditor/explainer texts are
 long-lived transcriptions and must never be edited casually, which is why
 their hashes go into run.json and bind the run journal. The extractor
-templates are original to this project (origin "original" below).
+templates are original to this project.
 
 Renderers go through get_template, which reads each template from disk once
 per process.
@@ -22,18 +22,18 @@ from pathlib import Path
 from ..errors import MissingPlaceholder
 from ..model import Address
 
-# id -> (required placeholders, origin)
+# id -> required placeholders
 REGISTRY = {
-    "cot_part1": ({"target_address", "formatted_analysis"}, "transcription"),
-    "cot_part2": (set(), "transcription"),
-    "reflection": ({"target_address", "analysis_result"}, "transcription"),
-    "explainer_part1": ({"analysis_result"}, "transcription"),
-    "explainer_part2": (set(), "transcription"),
-    "extractor_chunk": ({"chunk_id", "chunk_text"}, "original"),
-    "extractor_consolidate": ({"candidates"}, "original"),
+    "cot_part1": {"target_address", "formatted_analysis"},
+    "cot_part2": set(),
+    "reflection": {"target_address", "analysis_result"},
+    "explainer_part1": {"analysis_result"},
+    "explainer_part2": set(),
+    "extractor_chunk": {"chunk_id", "chunk_text"},
+    "extractor_consolidate": {"candidates"},
 }
 
-_ALL_PLACEHOLDERS = set().union(*(spec[0] for spec in REGISTRY.values()))
+_ALL_PLACEHOLDERS = set().union(*REGISTRY.values())
 # A {name} slot for any registered placeholder name.
 _SLOT = re.compile(r"\{(" + "|".join(sorted(_ALL_PLACEHOLDERS)) + r")\}")
 
@@ -43,7 +43,6 @@ class PromptTemplate:
     id: str
     text: str
     placeholders: frozenset
-    origin: str
 
     @property
     def sha256(self) -> str:
@@ -60,14 +59,12 @@ def load_template(template_id: str) -> PromptTemplate:
     does not take could never be bound, so it fails the load."""
     if template_id not in REGISTRY:
         raise KeyError(f"unknown prompt template {template_id!r}")
-    placeholders, origin = REGISTRY[template_id]
+    placeholders = REGISTRY[template_id]
     text = (_prompts_dir() / f"{template_id}.txt").read_text(encoding="utf-8").rstrip("\n")
     unbound = {slot.group(1) for slot in _SLOT.finditer(text)} - placeholders
     if unbound:
         raise MissingPlaceholder(f"template {template_id!r} has slots it never binds: {sorted(unbound)}")
-    return PromptTemplate(
-        id=template_id, text=text, placeholders=frozenset(placeholders), origin=origin
-    )
+    return PromptTemplate(id=template_id, text=text, placeholders=frozenset(placeholders))
 
 
 @functools.lru_cache(maxsize=None)

@@ -481,5 +481,5 @@ def write_outputs(state: TracerState, out_dir: str | Path) -> None:
             if assessment.suspicion_level is SuspicionLevel.HIGH:
                 fh.write(json.dumps(assessment.to_json(), ensure_ascii=False) + "\n")
     (out_dir / "diagnostics.json").write_text(
-        json.dumps(state.diagnostics, indent=2, ensure_ascii=False) + "\n"
+        json.dumps(state.diagnostics, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
     )

@@ -2,8 +2,10 @@
 
 Retention keeps the k most informative transfers by a weighted value/recency
 score while statistics always cover the full fetched set, so truncation never
-distorts counts or totals. Amount math is integer string manipulation: wei
-values exceed 64-bit and must never pass through float.
+distorts counts or totals. Amounts are the records' ints (wei values exceed
+64-bit and must never pass through float) until the payload writes them as
+decimal text. An asset is keyed by the record's tokenSymbol ("" for the
+native coin) everywhere, and asset_label alone names it in the payload.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ DEFAULT_DECIMALS = {
 }
 NATIVE_SYMBOLS = {"ethereum": "ETH", "bsc": "BNB", "polygon": "MATIC"}
 
-NATIVE_KEY = "native"
-
 
 @dataclass(frozen=True)
 class AccountStats:
@@ -41,7 +41,7 @@ class AccountStats:
 
     in_count: int
     out_count: int
-    in_total: dict
+    in_total: dict  # tokenSymbol -> int sum, native ("") first
     out_total: dict
     first_seen: int
     last_seen: int
@@ -64,10 +64,6 @@ class AccountSubgraph:
     out_flows: dict[Address, tuple[int, int]]
 
 
-def _token_key(tx: TransactionRecord) -> str:
-    return tx.tokenSymbol or NATIVE_KEY
-
-
 def compute_stats(center: Address, txs: list[TransactionRecord]) -> AccountStats:
     in_count = out_count = 0
     in_total: dict[str, int] = {}
@@ -83,15 +79,13 @@ def compute_stats(center: Address, txs: list[TransactionRecord]) -> AccountStats
             if tx.from_addr != center:
                 senders.add(tx.from_addr)
             if not tx.isError:
-                key = _token_key(tx)
-                in_total[key] = in_total.get(key, 0) + tx.value_int
+                in_total[tx.tokenSymbol] = in_total.get(tx.tokenSymbol, 0) + tx.value
         if outgoing:
             out_count += 1
             if tx.to_addr != center:
                 receivers.add(tx.to_addr)
             if not tx.isError:
-                key = _token_key(tx)
-                out_total[key] = out_total.get(key, 0) + tx.value_int
+                out_total[tx.tokenSymbol] = out_total.get(tx.tokenSymbol, 0) + tx.value
     span_s = tx_times[-1] - tx_times[0] if tx_times else 0
     if not tx_times:
         per_day = 0.0
@@ -102,8 +96,8 @@ def compute_stats(center: Address, txs: list[TransactionRecord]) -> AccountStats
     return AccountStats(
         in_count=in_count,
         out_count=out_count,
-        in_total={k: str(v) for k, v in sorted(in_total.items())},
-        out_total={k: str(v) for k, v in sorted(out_total.items())},
+        in_total=dict(sorted(in_total.items())),
+        out_total=dict(sorted(out_total.items())),
         first_seen=min((t.timeStamp for t in txs), default=0),
         last_seen=max((t.timeStamp for t in txs), default=0),
         distinct_counterparties_in=len(senders),
@@ -136,14 +130,13 @@ def score_transactions(
         return []
     max_by_token: dict[str, int] = {}
     for tx in txs:
-        key = _token_key(tx)
-        max_by_token[key] = max(max_by_token.get(key, 0), tx.value_int)
+        max_by_token[tx.tokenSymbol] = max(max_by_token.get(tx.tokenSymbol, 0), tx.value)
     oldest = min(t.timeStamp for t in txs)
     span = now - oldest
     scores = []
     for tx in txs:
-        token_max = max_by_token[_token_key(tx)]
-        vnorm = tx.value_int / token_max if token_max > 0 else 0.0
+        token_max = max_by_token[tx.tokenSymbol]
+        vnorm = tx.value / token_max if token_max > 0 else 0.0
         rnorm = 1.0 if span <= 0 else 1.0 - (now - tx.timeStamp) / span
         scores.append(value_weight * vnorm + recency_weight * rnorm)
     return scores
@@ -165,13 +158,13 @@ def build_subgraph(
         if tx.from_addr == center and tx.to_addr != center:
             # a failed transfer still names its receiver but moves no value
             value, ts = out_flows.get(tx.to_addr, (0, tx.timeStamp))
-            moved = 0 if tx.isError else tx.value_int
+            moved = 0 if tx.isError else tx.value
             out_flows[tx.to_addr] = (value + moved, max(ts, tx.timeStamp))
     for pair in pairs:
         dst = pair.dst_tx.to_addr
         if dst != center:
             value, ts = out_flows.get(dst, (0, pair.dst_tx.timeStamp))
-            out_flows[dst] = (value + pair.dst_tx.value_int, max(ts, pair.dst_tx.timeStamp))
+            out_flows[dst] = (value + pair.dst_tx.value, max(ts, pair.dst_tx.timeStamp))
     return AccountSubgraph(
         center=center,
         retained_txs=retained,
@@ -193,12 +186,22 @@ def scaled_amount(value: str, decimals: int) -> str:
     return f"{whole}.{frac}"
 
 
-def display_amount(value: str, token_symbol: str, chain: str) -> str:
-    label = token_symbol or NATIVE_SYMBOLS.get(chain, NATIVE_KEY)
-    d = DEFAULT_DECIMALS.get(label)
+def asset_label(token_symbol: str, chain: str) -> str:
+    """The payload's name for an asset: the chain's native symbol for the
+    native coin (`native` on a chain without one), a token's own symbol, and
+    `<symbol> (token)` for a token named like the native coin."""
+    native = NATIVE_SYMBOLS.get(chain, "native")
+    if token_symbol == native:
+        return f"{token_symbol} (token)"
+    return token_symbol or native
+
+
+def display_amount(value: int, token_symbol: str, chain: str) -> str:
+    label = asset_label(token_symbol, chain)
+    d = DEFAULT_DECIMALS.get(token_symbol or NATIVE_SYMBOLS.get(chain, ""))
     if d is None:
         return f"{value} (raw) {label}"
-    return f"{scaled_amount(value, d)} {label}"
+    return f"{scaled_amount(str(value), d)} {label}"
 
 
 def _iso(ts: int) -> str:
@@ -242,16 +245,13 @@ def to_reasoner_payload(sub: AccountSubgraph) -> str:
 
 
 def _totals_json(totals: dict, chain: str) -> str:
-    """Totals keyed by display symbol; the native key takes the chain's symbol,
-    and a token named like it (a token `ETH` on ethereum) is `ETH (token)`."""
+    """Totals keyed by asset_label, in the stats' order."""
     if not totals:
         return "{}"
-    native = NATIVE_SYMBOLS.get(chain, NATIVE_KEY)
-    shown = []
-    for key, raw in totals.items():
-        symbol = "" if key == NATIVE_KEY else key
-        label = f"{symbol} (token)" if symbol == native else symbol or native
-        shown.append(f"      {_str(label)}: {_str(display_amount(raw, symbol, chain))}")
+    shown = [
+        f"      {_str(asset_label(symbol, chain))}: {_str(display_amount(value, symbol, chain))}"
+        for symbol, value in totals.items()
+    ]
     return "{\n" + ",\n".join(shown) + "\n    }"
 
 
@@ -267,7 +267,7 @@ def _tx_json(tx: TransactionRecord) -> str:
         + ',\n      "from": ' + _str(tx.from_addr.hex)
         + ',\n      "to": ' + _str(tx.to_addr.hex)
         + ',\n      "value": ' + _str(display_amount(tx.value, tx.tokenSymbol, tx.chain))
-        + ',\n      "tokenSymbol": ' + _str(tx.tokenSymbol or NATIVE_SYMBOLS.get(tx.chain, NATIVE_KEY))
+        + ',\n      "tokenSymbol": ' + _str(asset_label(tx.tokenSymbol, tx.chain))
         + ',\n      "timeStamp": ' + _str(_iso(tx.timeStamp))
         + ',\n      "isError": ' + ("true" if tx.isError else "false")
         + "\n    }"
@@ -282,7 +282,7 @@ def _pair_json(p: CrossChainPair) -> str:
         + ',\n      "src_chain": ' + _str(src.chain)
         + ',\n      "dst_chain": ' + _str(dst.chain)
         + ',\n      "dst_to": ' + _str(dst.to_addr.hex)
-        + ',\n      "token": ' + _str(src.tokenSymbol or NATIVE_KEY)
+        + ',\n      "token": ' + _str(asset_label(src.tokenSymbol, src.chain))
         + ',\n      "amount_src": ' + _str(display_amount(src.value, src.tokenSymbol, src.chain))
         + ',\n      "amount_dst": ' + _str(display_amount(dst.value, dst.tokenSymbol, dst.chain))
         + ',\n      "time_delta_s": ' + str(dst.timeStamp - src.timeStamp)

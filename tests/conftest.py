@@ -27,7 +27,7 @@ def make_tx(
     n: int,
     src: Address,
     dst: Address,
-    value: str = "1000000000000000000",
+    value: int | str = 10**18,  # decimal text reads as its int
     ts: int = 1_740_000_000,
     block: int = 100,
     token: str = "",
@@ -38,7 +38,7 @@ def make_tx(
         hash=tx_hash(n),
         from_addr=src,
         to_addr=dst,
-        value=value,
+        value=int(value),
         timeStamp=ts,
         blockNumber=block,
         tokenSymbol=token,

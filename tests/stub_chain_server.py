@@ -4,8 +4,8 @@ Serves canned rows keyed by (address, action, page), counts and timestamps
 every request it answers, and can be scripted to fail first, with a
 Retry-After header on its 429s. A page is "RATE_LIMIT" to report the
 explorer's rate limit in a 200 body on every request, or a LimitedFirst to
-report it on its first requests only. Used by the adapter tests and the
-cache-soundness acceptance check.
+report it on its first requests only, or bytes to be the body as it is. Used
+by the adapter tests and the cache-soundness acceptance check.
 """
 
 from __future__ import annotations
@@ -98,13 +98,16 @@ class StubChainServer:
                     with outer._lock:
                         limited, rows.times = rows.times > 0, rows.times - 1
                     rows = "RATE_LIMIT" if limited else rows.rows
-                if rows == "RATE_LIMIT":
-                    body = {"status": "0", "message": "NOTOK", "result": "Max rate limit reached"}
-                elif rows:
-                    body = {"status": "1", "message": "OK", "result": rows}
+                if isinstance(rows, bytes):
+                    payload = rows
                 else:
-                    body = {"status": "0", "message": "No transactions found", "result": []}
-                payload = json.dumps(body).encode()
+                    if rows == "RATE_LIMIT":
+                        body = {"status": "0", "message": "NOTOK", "result": "Max rate limit reached"}
+                    elif rows:
+                        body = {"status": "1", "message": "OK", "result": rows}
+                    else:
+                        body = {"status": "0", "message": "No transactions found", "result": []}
+                    payload = json.dumps(body).encode()
                 self.send_response(200)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(payload)))

@@ -64,7 +64,7 @@ def test_load_fixture_happy_path(tmp_path):
     rec = records[0]
     assert rec.chain == "ethereum"
     assert rec.from_addr == addr(1)
-    assert rec.value == "1000"
+    assert rec.value == 1000
     assert rec.contractAddress is None
 
 
@@ -99,7 +99,9 @@ def test_bad_row_reports_line_number(tmp_path):
     [("hash", "0x123"), ("from", "0x123"), ("to", "47666fab8bd0ac7003bce3f5c3585383f09486e2"),
      ("contractAddress", "0xzz"),
      # the six columns a record drops are still checked
-     ("gas", "1.5"), ("gasPrice", ""), ("gasUsed", "x"), ("nonce", "-1"), ("confirmations", "-2")],
+     ("gas", "1.5"), ("gasPrice", ""), ("gasUsed", "x"), ("nonce", "-1"), ("confirmations", "-2"),
+     # the builder parses the value once, from decimal digits only
+     ("value", "1.5")],
 )
 def test_malformed_hash_or_address_reports_line(tmp_path, column, bad):
     values = row(2, addr(1), addr(2)).split(",")
@@ -110,6 +112,32 @@ def test_malformed_hash_or_address_reports_line(tmp_path, column, bad):
         load_fixture(path)
     assert "ethereum.csv:3: bad fixture row: " in str(err.value)
     assert repr(bad) in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "value", [str(2**256), '"' + "1" * 5000 + '"'], ids=["canonical-2**256", "quoted-5000-digits"]
+)
+def test_a_value_of_2_256_or_more_fails_the_load_naming_its_line(tmp_path, value):
+    lines = [row(1, addr(1), addr(2)), row(2, addr(1), addr(2), value=value)]
+    path = write_fixture(tmp_path, "ethereum.csv", lines)
+    with pytest.raises(ParseError) as err:
+        FixtureStore.load_dir(tmp_path)
+    assert str(err.value).startswith(f"{path}:3: bad fixture row: value")
+    assert "2**256" in str(err.value)
+
+
+def test_values_below_2_256_load_as_ints_whatever_their_leading_zeros(tmp_path):
+    values = [str(10**77 - 1), str(2**256 - 1), "0" * 5000 + "5", "007"]
+    lines = [row(n, addr(1), addr(2), value=value) for n, value in enumerate(values)]
+    path = write_fixture(tmp_path, "ethereum.csv", lines)
+    assert [r.value for r in load_fixture(path)] == [10**77 - 1, 2**256 - 1, 5, 7]
+    assert_loader_agrees(tmp_path, lines)
+
+
+def test_rows_equal_but_for_leading_zeros_in_the_value_collapse(tmp_path):
+    write_fixture(tmp_path, "ethereum.csv", [row(1, addr(1), addr(2), value=v) for v in ("7", "07")])
+    records = FixtureChainClient(FixtureStore.load_dir(tmp_path)).fetch_transactions(addr(1))
+    assert [r.value for r in records] == [7]
 
 
 def test_wrong_column_count_reports_line(tmp_path):

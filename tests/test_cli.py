@@ -149,6 +149,28 @@ def test_a_cached_rate_limit_page_is_a_recorded_skip(tmp_path, refused_api_url):
     assert victim not in labeled
 
 
+def test_diagnostics_are_written_as_utf8_under_an_ascii_locale(tmp_path, refused_api_url):
+    clues = extract_clues(tmp_path)
+    warm_cache_from_fixture(tmp_path / "cache")
+    golden = [json.loads(l) for l in (GOLDEN / "synthetic_labels.golden.jsonl").read_text().splitlines()]
+    victim = next(l["target_address"]["hex"] for l in golden if l["hop_depth"] == 1)
+    body = {"status": "0", "message": "clé refusée", "result": "NOTOK"}
+    FetchCache(tmp_path / "cache").put("ethereum", victim, "txlist_p1", json.dumps(body).encode())
+    cfg = write_config(tmp_path, adapter="live", cache_dir=str(tmp_path / "cache"), api_base_url=refused_api_url)
+    out = tmp_path / "out"
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("RISKTAGGER_", "LC_", "LANG"))}
+    env.update(PYTHONPATH=str(REPO_ROOT / "src"), LC_ALL="POSIX", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    argv = ["trace", clues, "--config", cfg, "--out", out, "--max-depth", 2]
+    result = subprocess.run(
+        [sys.executable, "-m", "risktagger", *map(str, argv)], env=env, capture_output=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr.decode("ascii", "backslashreplace")
+    errors = json.loads((out / "diagnostics.json").read_bytes().decode("utf-8"))["errors"]
+    assert [(e["address"], e["error"], e["detail"]) for e in errors] == [
+        (victim, "ChainUnavailable", "upstream error: clé refusée NOTOK")
+    ]
+
+
 def test_trace_writes_artifacts(tmp_path):
     clues = extract_clues(tmp_path)
     cfg = write_config(tmp_path)
@@ -828,6 +850,32 @@ def test_only_the_upstream_module_sleeps():
             ):
                 sleepers.add(path.relative_to(src).as_posix())
     assert sleepers == {"risktagger/upstream.py"}
+
+
+def test_every_text_file_the_program_opens_names_its_encoding():
+    # open, Path.open, read_text and write_text in text mode pass encoding=;
+    # a mode string holding "b" is binary and exempt. A method named open with
+    # more than one positional argument is not Path.open (Journal.open).
+    src = REPO_ROOT / "src"
+    unnamed = set()
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_bytes(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "open":
+                mode = node.args[1] if len(node.args) > 1 else None
+            elif isinstance(func, ast.Attribute) and func.attr == "open" and len(node.args) <= 1:
+                mode = node.args[0] if node.args else None
+            elif isinstance(func, ast.Attribute) and func.attr in ("read_text", "write_text"):
+                mode = None
+            else:
+                continue
+            mode = next((kw.value for kw in node.keywords if kw.arg == "mode"), mode)
+            binary = isinstance(mode, ast.Constant) and "b" in str(mode.value)
+            if not binary and not any(kw.arg == "encoding" for kw in node.keywords):
+                unnamed.add(f"{path.relative_to(src).as_posix()}:{node.lineno}")
+    assert unnamed == set()
 
 
 def warm_cache_from_fixture(root):

@@ -46,7 +46,7 @@ def oracle_pairs(deposits, withdrawals_by_chain, endpoints, tolerance, window_s,
                 delta = wd.timeStamp - dep.timeStamp
                 if delta < -skew_s or delta > window_s:
                     continue
-                if abs(wd.value_int - dep.value_int) > Decimal(str(tolerance)) * dep.value_int:
+                if abs(wd.value - dep.value) > Decimal(str(tolerance)) * dep.value:
                     continue
                 pairs.append((dep.hash, wd.hash, delta))
     return pairs
@@ -276,7 +276,7 @@ def test_many_deposits_against_two_endpoints_per_chain_match_the_oracle(tmp_path
     rows = []
     for n, (chain, endpoint, anchor, offset, percent, unit, token, failed, hash_n) in enumerate(withdrawals):
         dep = deps[anchor % len(deps)]
-        value = dep.value_int * percent // 100 + (unit if percent != 100 else 0)
+        value = dep.value * percent // 100 + (unit if percent != 100 else 0)
         sender = ENDPOINTS[chain][endpoint]
         rows.append(make_tx(hash_n, sender, addr(0x300 + n, chain), value=str(value),
                             ts=dep.timeStamp + offset, token=token, is_error=failed))

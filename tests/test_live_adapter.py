@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 from conftest import addr
 from risktagger.chaindata import FIXTURE_COLUMNS, EtherscanClient, FetchCache
 from risktagger.errors import ChainUnavailable, RateLimited, UnknownChain
-from risktagger.model import TransactionRecord, normalize_address
+from risktagger.model import TracerConfig, TransactionRecord, normalize_address
+from risktagger.reasoner import RuleBackend
+from risktagger.tracer import TracerPorts, trace
 from stub_chain_server import LimitedFirst, StubChainServer, native_row, token_row
 
 CENTER = addr(0x500)
@@ -310,6 +312,45 @@ def test_malformed_row_dropped_with_diagnostic():
     assert any(d["kind"] == "dropped_row" for d in client.diagnostics)
 
 
+def test_a_row_valued_2_256_or_more_is_dropped_and_the_rest_kept():
+    rows = five_rows()
+    rows[1]["value"] = str(2**256)
+    rows[3]["value"] = "1" * 5000
+    rows[4]["value"] = str(2**256 - 1)
+    with StubChainServer({(CENTER.hex, "txlist", 1): rows}) as srv:
+        client = client_for(srv)
+        records = client.fetch_transactions(CENTER)
+    assert [r.to_addr for r in records] == [PEERS[0], PEERS[2], PEERS[4]]
+    assert records[-1].value == 2**256 - 1
+    dropped = [d["reason"] for d in client.diagnostics if d["kind"] == "dropped_row"]
+    assert len(dropped) == 2 and all("2**256" in reason for reason in dropped)
+
+
+@pytest.mark.parametrize(
+    "body, error",
+    [
+        (b"[]", "JSON list, not an object"),
+        (b'"Invalid API Key"', "JSON str, not an object"),
+        (b"null", "JSON NoneType, not an object"),
+        # a bare number past int()'s digit limit fails json.loads with a ValueError
+        (b'{"status": "1", "result": [' + b"1" * 5000 + b"]}", "unparseable upstream response"),
+    ],
+    ids=["list", "str", "null", "5000-digit-number"],
+)
+def test_a_body_that_is_not_a_json_object_is_chain_unavailable(body, error):
+    with StubChainServer({(CENTER.hex, "txlist", 1): body}) as srv:
+        with pytest.raises(ChainUnavailable, match=error):
+            client_for(srv).fetch_transactions(CENTER)
+
+
+def test_a_page_whose_body_is_not_an_object_makes_the_account_a_recorded_skip():
+    with StubChainServer({(CENTER.hex, "txlist", 1): b"[]"}) as srv:
+        ports = TracerPorts(client=client_for(srv), backend=RuleBackend(), now=1_740_000_000)
+        state = trace([CENTER], "ethereum", TracerConfig(D=1), ports)
+    assert state.L_all == []
+    assert [(e["address"], e["error"]) for e in state.diagnostics["errors"]] == [(CENTER.hex, "ChainUnavailable")]
+
+
 def test_truncation_diagnostic_at_page_cap():
     rows = five_rows()
     pages = {
@@ -344,11 +385,14 @@ class FormerRowBuilder:
             for column in ("gas", "gasPrice", "gasUsed"):
                 if not re.match(r"^[0-9]+$", str(row.get(column, "0") or "0").strip()):
                     raise ValueError(f"{column} must be a non-negative decimal integer string")
+            value = str(row.get("value", "0")).strip()
+            if not re.match(r"^[0-9]+$", value):
+                raise ValueError("value must be a non-negative decimal integer string")
             return TransactionRecord(
                 hash=row["hash"],
                 from_addr=normalize_address(row["from"], self.chain),
                 to_addr=normalize_address(row["to"], self.chain),
-                value=str(row.get("value", "0")).strip(),
+                value=int(value),
                 timeStamp=int(row["timeStamp"]),
                 blockNumber=int(row["blockNumber"]),
                 tokenSymbol=(row.get("tokenSymbol") or "").strip() if action == "tokentx" else "",

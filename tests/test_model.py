@@ -91,19 +91,23 @@ def test_suspicion_from_label_tolerates_case():
 
 
 def test_transaction_rejects_bad_values():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="in \\[0, 2\\*\\*256\\)"):
         make_tx(3, addr(1), addr(2), value="-5")
-    with pytest.raises(ValueError):
-        make_tx(3, addr(1), addr(2), value="1.5")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="in \\[0, 2\\*\\*256\\)"):
+        make_tx(3, addr(1), addr(2), value=2**256)
+    with pytest.raises(ValueError, match="must be an int"):
+        # the builders parse decimal text; a record holds the int only
+        TransactionRecord(hash=tx_hash(3), from_addr=addr(1), to_addr=addr(2), value="5",
+                          timeStamp=1, blockNumber=1)
+    with pytest.raises(ValueError, match="timeStamp must be positive"):
         make_tx(3, addr(1), addr(2), ts=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="same chain"):
         # records never span chains
         TransactionRecord(
             hash=tx_hash(4),
             from_addr=addr(1, "ethereum"),
             to_addr=addr(2, "bsc"),
-            value="1",
+            value=1,
             timeStamp=1,
             blockNumber=1,
         )

@@ -153,7 +153,7 @@ def test_rules_agree_with_the_oracle_on_generated_accounts(rows):
         {letter for letter, dim in zip("abcd", dims) if not dim.result.lower().startswith("no ")},
     )
     oracle_rows = [
-        {"hash": tx.hash, "from": tx.from_addr.hex, "to": tx.to_addr.hex, "value": tx.value_int,
+        {"hash": tx.hash, "from": tx.from_addr.hex, "to": tx.to_addr.hex, "value": tx.value,
          "ts": tx.timeStamp, "failed": tx.isError, "token": tx.tokenSymbol}
         for tx in txs
     ]

@@ -119,12 +119,6 @@ def test_explainer_prompt_has_eight_section_outline():
     assert "Conclusion and Audit Recommendations" in prompt
 
 
-def test_registry_marks_origins():
-    assert REGISTRY["cot_part1"][1] == "transcription"
-    assert REGISTRY["extractor_chunk"][1] == "original"
-    assert REGISTRY["extractor_consolidate"][1] == "original"
-
-
 def test_templates_hash_stable_across_loads():
     assert template_hashes() == template_hashes()
 

@@ -138,7 +138,7 @@ def test_a_blacklist_label_holding_a_line_separator_stays_on_its_line(tmp_path, 
     path = tmp_path / "blacklist.txt"
     lines = ["# exploiters", f"{addr(1).hex},Lazarus\u2028Group\x85Wallet"]
     path.write_text(ending.join(lines) + ending, encoding="utf-8", newline="")
-    assert Blacklist.load(path).label_of(addr(1)) == "Lazarus\u2028Group\x85Wallet"
+    assert Blacklist.load(path).label_of(addr(1).hex) == "Lazarus\u2028Group\x85Wallet"
     path.write_text(ending.join(lines + ["0xnothex,x"]) + ending, encoding="utf-8", newline="")
     with pytest.raises(ParseError) as err:
         Blacklist.load(path)

@@ -735,7 +735,7 @@ def rows_from(txs):
             "hash": t.hash,
             "from": t.from_addr.hex,
             "to": t.to_addr.hex,
-            "value": t.value_int,
+            "value": t.value,
             "ts": t.timeStamp,
             "failed": t.isError,
         }

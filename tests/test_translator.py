@@ -21,11 +21,13 @@ from risktagger.reasoner import Blacklist, RuleBackend, infer
 from risktagger.tracer import TracerPorts, trace
 from risktagger.translator import (
     AccountSubgraph,
+    asset_label,
     build_subgraph,
     compute_stats,
     display_amount,
     max_burst,
     scaled_amount,
+    score_transactions,
     to_reasoner_payload,
 )
 
@@ -47,7 +49,7 @@ def test_hand_computed_retention():
     txs = three_txs()
     sub = build_subgraph(CENTER, txs, [], CFG, NOW)
     assert sub.truncated is True
-    assert sorted(t.value for t in sub.retained_txs) == ["3", "5"]
+    assert sorted(t.value for t in sub.retained_txs) == [3, 5]
     assert sub.total_tx_count == 3
 
 
@@ -99,8 +101,8 @@ def test_stats_in_out_totals_hand_example():
     ]
     stats = compute_stats(CENTER, txs)
     assert stats.in_count == 2 and stats.out_count == 1
-    assert stats.in_total == {"native": "5"}
-    assert stats.out_total == {"native": "4"}
+    assert stats.in_total == {"": 5}
+    assert stats.out_total == {"": 4}
     assert stats.distinct_counterparties_in == 2
     assert stats.distinct_counterparties_out == 1
     assert (stats.first_seen, stats.last_seen) == (100, 300)
@@ -122,14 +124,14 @@ def test_failed_tx_counted_but_moves_no_value():
     ]
     stats = compute_stats(CENTER, txs)
     assert stats.in_count == 2
-    assert stats.in_total == {"native": "10"}
+    assert stats.in_total == {"": 10}
     # failed txs stay in the pool and can be retained
     sub = build_subgraph(CENTER, txs, [], TracerConfig(k=5), NOW)
     assert len(sub.retained_txs) == 2
 
 
 def test_totals_are_big_int_strings():
-    wei = str(401000 * 10**18)
+    wei = 401000 * 10**18
     txs = [make_tx(1, addr(1), CENTER, value=wei, ts=100, token="ETH")]
     stats = compute_stats(CENTER, txs)
     assert stats.in_total == {"ETH": wei}
@@ -204,8 +206,79 @@ def test_a_token_named_like_the_native_symbol_keeps_its_own_total():
     ]
     sub = build_subgraph(CENTER, txs, [], TracerConfig(), NOW + 1_740_000_000)
     stats = json.loads(to_reasoner_payload(sub))["statistics"]
-    assert stats["in_total"] == {"ETH (token)": "5.0 ETH", "ETH": "1.0 ETH"}
-    assert stats["out_total"] == {"ETH (token)": "2.0 ETH"}
+    assert stats["in_total"] == {"ETH": "1.0 ETH", "ETH (token)": "5.0 ETH (token)"}
+    assert stats["out_total"] == {"ETH (token)": "2.0 ETH (token)"}
+
+
+def test_a_token_named_native_keeps_its_own_total_and_retention_maximum():
+    # 1 ETH and 5 units of a token whose symbol is `native`: two assets
+    txs = [
+        make_tx(1, addr(1), CENTER, value=10**18, ts=100),
+        make_tx(2, addr(2), CENTER, value=5, ts=100, token="native"),
+    ]
+    assert compute_stats(CENTER, txs).in_total == {"": 10**18, "native": 5}
+    # each transfer is the largest of its own asset
+    assert score_transactions(txs, NOW, 1.0, 0.0) == [1.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "chain, symbol, label",
+    [
+        ("ethereum", "", "ETH"),
+        ("ethereum", "ETH", "ETH (token)"),
+        ("ethereum", "native", "native"),
+        ("ethereum", "USDT", "USDT"),
+        ("base", "", "native"),
+        ("base", "native", "native (token)"),
+        ("base", "ETH", "ETH"),
+        ("base", "USDT", "USDT"),
+    ],
+)
+def test_asset_label(chain, symbol, label):
+    assert asset_label(symbol, chain) == label
+
+
+@pytest.mark.parametrize(
+    "chain, coin, twin, coin_amount, twin_amount",
+    [
+        ("ethereum", "ETH", "ETH (token)", "1.0 ETH", "5.0 ETH (token)"),
+        # base has no native symbol in the table: raw units throughout
+        ("base", "native", "native (token)", "1000000000000000000 (raw) native",
+         "5000000000000000000 (raw) native (token)"),
+    ],
+    ids=["ethereum", "base"],
+)
+def test_rows_amounts_totals_and_pairs_name_an_asset_by_its_label(chain, coin, twin, coin_amount, twin_amount):
+    """The native coin, and a token named like it (`twin`), read the same in
+    every place the payload names an asset; totals list the native coin first."""
+    center = addr(0xC0, chain)
+    twin_symbol = twin.split(" ")[0]
+    txs = [
+        make_tx(1, addr(1, chain), center, value=10**18, ts=1_740_000_000),
+        make_tx(2, addr(2, chain), center, value=5 * 10**18, ts=1_740_000_060, token=twin_symbol),
+        make_tx(3, addr(3, chain), center, value=7, ts=1_740_000_120, token="USDT"),
+    ]
+    pairs = [
+        CrossChainPair(make_tx(4, center, addr(4, chain), value=10**18, ts=1_740_000_000),
+                       make_tx(5, addr(5, "bsc"), addr(6, "bsc"), value=10**18, ts=1_740_000_060), "hop"),
+        CrossChainPair(make_tx(6, center, addr(4, chain), value=5 * 10**18, ts=1_740_000_000, token=twin_symbol),
+                       make_tx(7, addr(5, "bsc"), addr(6, "bsc"), value=5 * 10**18, ts=1_740_000_060,
+                               token=twin_symbol), "hop"),
+    ]
+    sub = build_subgraph(center, txs, pairs, TracerConfig(), 1_740_000_200)
+    payload = json.loads(to_reasoner_payload(sub))
+    rows = {row["hash"]: (row["tokenSymbol"], row["value"]) for row in payload["transactions"]}
+    assert rows == {
+        txs[0].hash: (coin, coin_amount),
+        txs[1].hash: (twin, twin_amount),
+        txs[2].hash: ("USDT", "7 (raw) USDT"),
+    }
+    in_total = payload["statistics"]["in_total"]
+    assert in_total == {coin: coin_amount, twin: twin_amount, "USDT": "7 (raw) USDT"}
+    assert next(iter(in_total)) == coin
+    assert [(p["token"], p["amount_src"]) for p in payload["cross_chain"]] == [
+        (coin, coin_amount), (twin, twin_amount)
+    ]
 
 
 def test_payload_key_order_is_the_canonical_order():
