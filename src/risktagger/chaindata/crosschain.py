@@ -13,17 +13,16 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from decimal import Decimal
 from operator import attrgetter
 from pathlib import Path
 
 from ..errors import ParseError, reading_utf8
 from ..model import Address, CrossChainPair, TransactionRecord, normalize_address, normalize_chain
 
-# A withdrawal pairs with a deposit when it is within 1% of the deposited
-# amount (Decimal keeps the product exact for 10^24-scale smallest-unit
-# amounts) and sent no earlier than the deposit, at most an hour after it.
-AMOUNT_TOLERANCE = Decimal("0.01")
+# A withdrawal pairs with a deposit when it is within AMOUNT_TOLERANCE_PCT
+# percent of the deposited amount, compared in integers so 256-bit amounts
+# stay exact, and sent no earlier than the deposit, at most an hour after it.
+AMOUNT_TOLERANCE_PCT = 1
 TIME_WINDOW_S = 3600
 _MARKER_RE = re.compile(r"0x[0-9a-f]{8,}")
 _TIMESTAMP = attrgetter("timeStamp")
@@ -140,7 +139,7 @@ class BridgeMatcher:
             lo = bisect_left(rows, deposit.timeStamp, key=_TIMESTAMP)
             hi = bisect_right(rows, deposit.timeStamp + TIME_WINDOW_S, lo, key=_TIMESTAMP)
             for wd in rows[lo:hi]:
-                if abs(wd.value - deposit.value) > AMOUNT_TOLERANCE * deposit.value:
+                if 100 * abs(wd.value - deposit.value) > AMOUNT_TOLERANCE_PCT * deposit.value:
                     continue
                 out.append(CrossChainPair(src_tx=deposit, dst_tx=wd, bridge_hint=bridge))
         return out

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import logging
 import platform
 import random
 import sys
 import time
+from contextlib import closing
 from dataclasses import fields
 from pathlib import Path
 
@@ -30,7 +32,7 @@ from .config import RunConfig, load_config
 from .errors import EmptyChecklist, ParseError, RiskTaggerError, UnknownChain, reading_utf8
 from .explainer import build_checklist, coverage, generate_report
 from .extractor import MANDATORY_FIELDS, CaseClues, LlmExtractor, extract_case_clues
-from .model import RiskAssessment, SuspicionLevel
+from .model import RiskAssessment
 from .reasoner.backends import HttpLlmBackend
 from .reasoner.blacklist import Blacklist
 from .reasoner.prompts import template_hashes
@@ -153,19 +155,19 @@ def _load_clues(path: str) -> CaseClues:
         raise ParseError(f"{path}: bad case clues: {type(exc).__name__}: {exc}") from exc
 
 
-def _load_labels(path: str) -> list:
+def _load_labels(path):
+    """Yields the labels of a labels.jsonl, or of the one in a trace directory,
+    one line at a time, so the file is never held whole."""
     labels_path = Path(path)
     if labels_path.is_dir():
         labels_path = labels_path / "labels.jsonl"
-    labels = []
     with labels_path.open(encoding="utf-8") as fh, reading_utf8(labels_path):
         for line_no, line in enumerate(fh, start=1):
             if line.strip():
                 try:
-                    labels.append(RiskAssessment.from_json(json.loads(line)))
+                    yield RiskAssessment.from_json(json.loads(line))
                 except _BAD_DOCUMENT as exc:
                     raise ParseError(f"{labels_path}:{line_no}: bad label: {type(exc).__name__}: {exc}") from exc
-    return labels
 
 
 # --- commands ----------------------------------------------------------------
@@ -217,14 +219,21 @@ def cmd_trace(args) -> int:
         print("no seeds: clues contain no attacker addresses", file=sys.stderr)
         return 2
     _write_manifest(out_dir, config, inputs)
-    high = sum(a.suspicion_level is SuspicionLevel.HIGH for a in state.L_all)
-    print(f"analyzed {len(state.L_all)} accounts over {state.depth} hop(s); {high} rated high-risk")
+    print(f"analyzed {state.labeled} accounts over {state.depth} hop(s); {state.high} rated high-risk")
     return 0
 
 
-def _do_explain(config: RunConfig, out_dir: Path, clues: CaseClues, l_all: list) -> float:
+def _do_explain(config: RunConfig, out_dir: Path, clues: CaseClues, labels_path) -> int:
+    """Writes report.md and coverage.json from the labels at labels_path,
+    read as a stream; 2 when there are none."""
+    labels = _load_labels(labels_path)
+    first = next(labels, None)
+    if first is None:
+        print("labels are empty; nothing to report", file=sys.stderr)
+        return 2
     backend = _llm_backend(config) if config.backend == "llm" else None
-    report, source = generate_report(clues, l_all, backend=backend)
+    with closing(labels):
+        report, source = generate_report(clues, itertools.chain((first,), labels), backend=backend)
     scored = coverage(report, build_checklist(clues))
     (out_dir / "report.md").write_text(report, encoding="utf-8")
     _write_json(out_dir / "coverage.json", {**scored.to_json(), **source})
@@ -232,20 +241,17 @@ def _do_explain(config: RunConfig, out_dir: Path, clues: CaseClues, l_all: list)
         f"coverage {scored.r_coverage:.3f} "
         f"({scored.e_full} full + {scored.e_part} partial of {scored.e_all} entities)"
     )
-    return scored.r_coverage
+    return 0
 
 
 def cmd_explain(args) -> int:
     config = load_config(args.config, _overrides(args), need_adapter=False)
     out_dir = _prepare_out(config)
     clues = _load_clues(args.clues)
-    l_all = _load_labels(args.labels)
-    if not l_all:
-        print("labels are empty; nothing to report", file=sys.stderr)
-        return 2
-    _do_explain(config, out_dir, clues, l_all)
-    _write_manifest(out_dir, config, _manifest_inputs(out_dir))
-    return 0
+    rc = _do_explain(config, out_dir, clues, args.labels)
+    if rc == 0:
+        _write_manifest(out_dir, config, _manifest_inputs(out_dir))
+    return rc
 
 
 def cmd_run(args) -> int:
@@ -260,11 +266,10 @@ def cmd_run(args) -> int:
     if state is None:
         print("no seeds: clues contain no attacker addresses", file=sys.stderr)
         return 2
-    if not state.L_all:
+    if not state.labeled:
         print("trace labeled no accounts; nothing to report", file=sys.stderr)
         return 2
-    _do_explain(config, out_dir, clues, state.L_all)
-    return 0
+    return _do_explain(config, out_dir, clues, out_dir / "labels.jsonl")
 
 
 def cmd_sample_controls(args) -> int:

@@ -2,9 +2,9 @@
 
 Two responsibilities live here. ``generate_report`` turns extracted case
 clues plus trace outputs into a markdown document with a fixed eight-section
-outline. Both renderers work from one analysis dict: the case clues, the
-label statistics, the first High accounts and a few evidence lines per
-dimension. A narrative backend may write the prose from its JSON, but a
+outline. Both renderers work from one analysis dict, folded over the labels
+in one pass: the case clues, the label statistics, the first High accounts
+and a few evidence lines per dimension. A narrative backend may write the prose from its JSON, but a
 deterministic template renders the same sections from the same dict whenever
 the backend is absent, fails, or returns a document missing sections.
 
@@ -31,8 +31,10 @@ deliberately excluded.
 import json
 import logging
 import re
+from bisect import insort
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
+from operator import itemgetter
 
 from .errors import BackendFailure, EmptyChecklist, RateLimited
 from .model import SuspicionLevel
@@ -280,20 +282,12 @@ def _percentages(counts: list[int]) -> list[str]:
     return [f"{t // 10}.{t % 10}%" for t in tenths]
 
 
-def _statistics(l_all: list) -> dict:
-    level_counts = {level: 0 for level in LEVEL_ORDER}
-    layer_counts: dict[int, int] = {}
-    high_layers: dict[int, int] = {}
-    for assessment in l_all:
-        level_counts[assessment.suspicion_level] += 1
-        layer_counts[assessment.hop_depth] = layer_counts.get(assessment.hop_depth, 0) + 1
-        if assessment.suspicion_level is SuspicionLevel.HIGH:
-            high_layers[assessment.hop_depth] = high_layers.get(assessment.hop_depth, 0) + 1
+def _statistics(level_counts: dict, layer_counts: dict, high_layers: dict) -> dict:
     level_pcts = _percentages([level_counts[lv] for lv in LEVEL_ORDER])
     layers = sorted(layer_counts)
     layer_pcts = _percentages([layer_counts[h] for h in layers])
     return {
-        "total_labeled": len(l_all),
+        "total_labeled": sum(level_counts.values()),
         "risky_flagged": level_counts[SuspicionLevel.HIGH],
         "levels": [
             {"level": lv.value, "count": level_counts[lv], "share": pct}
@@ -304,6 +298,24 @@ def _statistics(l_all: list) -> dict:
             for h, pct in zip(layers, layer_pcts)
         ],
     }
+
+
+class _First:
+    """The first n items offered, by key, as sorted() would order them: ties
+    keep the order they were offered in."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.kept: list = []  # (key, item), in key order
+
+    def offer(self, key, item) -> None:
+        if len(self.kept) == self.n and key >= self.kept[-1][0]:
+            return
+        insort(self.kept, (key, item), key=itemgetter(0))
+        del self.kept[self.n :]
+
+    def items(self) -> list:
+        return [item for _key, item in self.kept]
 
 
 # --- report generation -------------------------------------------------------
@@ -317,34 +329,44 @@ NOTHING_FLAGGED = {
 }
 
 
-def _evidence_lines(ordered: list, name: str) -> list[str]:
-    lines = []
-    for assessment in ordered:
-        dimension = getattr(assessment, name)
-        if not dimension.indicates_risk():
-            continue
-        entry = f"- `{assessment.target_address.hex}` (layer {assessment.hop_depth}): {dimension.result}"
-        if dimension.evidence:
-            entry += f". Evidence: {dimension.evidence}"
-        lines.append(entry)
-        if len(lines) == EXAMPLES_PER_SECTION:
-            break
-    return lines
-
-
-def _analysis(clues, l_all: list) -> dict:
-    """The facts both renderers report, with accounts in (layer, address) order."""
-    ordered = sorted(l_all, key=lambda a: (a.hop_depth, a.target_address))
-    high = [a for a in ordered if a.suspicion_level is SuspicionLevel.HIGH]
+def _analysis(clues, labels) -> dict:
+    """The facts both renderers report, folded over the labels in one pass;
+    only the counts and the fields the report quotes of a few accounts are
+    held."""
+    level_counts = {level: 0 for level in LEVEL_ORDER}
+    layer_counts: dict[int, int] = {}
+    high_layers: dict[int, int] = {}
+    high = _First(HIGH_RISK_EXAMPLES)
+    evidence = {name: _First(EXAMPLES_PER_SECTION) for name in NOTHING_FLAGGED}
+    for assessment in labels:
+        layer, address = assessment.hop_depth, assessment.target_address
+        key = (layer, address)
+        level_counts[assessment.suspicion_level] += 1
+        layer_counts[layer] = layer_counts.get(layer, 0) + 1
+        if assessment.suspicion_level is SuspicionLevel.HIGH:
+            high_layers[layer] = high_layers.get(layer, 0) + 1
+            high.offer(key, {"address": address.hex, "layer": layer, "justification": assessment.justification})
+        for name, first in evidence.items():
+            dimension = getattr(assessment, name)
+            if dimension.indicates_risk():
+                first.offer(key, (address.hex, layer, dimension))
+    if not layer_counts:
+        raise ValueError("trace outputs are empty; nothing to report")
     return {
         "case_clues": clues.to_json(),
-        "statistics": _statistics(l_all),
-        "high_risk_examples": [
-            {"address": a.target_address.hex, "layer": a.hop_depth, "justification": a.justification}
-            for a in high[:HIGH_RISK_EXAMPLES]
-        ],
-        "dimension_evidence": {name: _evidence_lines(ordered, name) for name in NOTHING_FLAGGED},
+        "statistics": _statistics(level_counts, layer_counts, high_layers),
+        "high_risk_examples": high.items(),
+        "dimension_evidence": {
+            name: [_evidence_line(*example) for example in first.items()] for name, first in evidence.items()
+        },
     }
+
+
+def _evidence_line(address: str, layer: int, dimension) -> str:
+    entry = f"- `{address}` (layer {layer}): {dimension.result}"
+    if dimension.evidence:
+        entry += f". Evidence: {dimension.evidence}"
+    return entry
 
 
 def _missing_sections(text: str) -> list[str]:
@@ -474,19 +496,22 @@ def _render_template(clues, analysis: dict) -> str:
     return "\n\n".join(parts) + "\n"
 
 
-def generate_report(clues, l_all: list, backend=None) -> tuple[str, dict]:
+def generate_report(clues, labels, backend=None) -> tuple[str, dict]:
     """Render the eight-section audit report for one trace's labels, and say
     where it came from: {"report_source": "model" | "template", "fallback_reason"}.
 
-    With a backend, the narrative comes from the explainer prompt; the reply
-    is accepted only when it carries all eight section headings. Otherwise,
-    or when the backend fails, the deterministic template fills the same
-    sections from the same analysis and fallback_reason says why; the reason
-    is None when no backend was given.
+    `labels` may be any iterable of assessments, such as a stream read from
+    labels.jsonl. It is folded over once, holding only counts and the few
+    accounts the report quotes, which are taken in (layer, address) order
+    whatever order the labels come in (labels of one key in input order, as
+    sorted() keeps them). With a backend, the narrative comes
+    from the explainer prompt; the reply is accepted only when it carries
+    all eight section headings. Otherwise, or when the backend fails, the
+    deterministic template fills the same sections from the same analysis
+    and fallback_reason says why; the reason is None when no backend was
+    given. No labels at all raise ValueError.
     """
-    if not l_all:
-        raise ValueError("trace outputs are empty; nothing to report")
-    analysis = _analysis(clues, l_all)
+    analysis = _analysis(clues, labels)
     reason = None
     if backend is not None:
         prompt = build_explainer_prompt(json.dumps(analysis, indent=2, sort_keys=True))

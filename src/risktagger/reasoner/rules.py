@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import json
 from datetime import datetime
-from decimal import Decimal
 
 from ..errors import BackendFailure
 from ..model import SuspicionLevel
 from .blacklist import Blacklist
 
 ROUND_UNIT_RAW = 10**21
-ROUND_UNIT_DISPLAY = Decimal(1000)
+ROUND_UNIT_DISPLAY = 1000
 FAN_IN_MIN = 10
 DISPERSAL_RECEIVERS_MIN = 2
 DISPERSAL_WINDOW_S = 3600
@@ -49,21 +48,19 @@ def decide_level(fired: set) -> SuspicionLevel:
     return SuspicionLevel.NO_SUSPICION
 
 
-def _parse_display_value(value: str):
-    """Payload row value -> ('raw', int) or ('display', Decimal)."""
-    if " (raw) " in value:
-        return "raw", int(value.split(" ", 1)[0])
-    amount = value.split(" ", 1)[0]
-    return "display", Decimal(amount)
-
-
 def _is_round(value: str) -> bool:
-    kind, amount = _parse_display_value(value)
-    if amount <= 0:
-        return False  # zero is arithmetically round and semantically noise
-    if kind == "raw":
-        return amount % ROUND_UNIT_RAW == 0
-    return amount % ROUND_UNIT_DISPLAY == 0
+    """A payload row value ("<amount> (raw) <asset>" or "<amount> <asset>") is
+    a positive whole multiple of the round unit. Decided on the digits, so no
+    amount is too large: a display amount is round when its fraction is zero
+    and its integer part a multiple of ROUND_UNIT_DISPLAY."""
+    amount, _, rest = value.partition(" ")
+    if rest.startswith("(raw) "):
+        units = int(amount)
+        return units > 0 and units % ROUND_UNIT_RAW == 0
+    whole, _, fraction = amount.partition(".")
+    units = int(whole)
+    # zero is arithmetically round and semantically noise
+    return fraction.strip("0") == "" and units > 0 and units % ROUND_UNIT_DISPLAY == 0
 
 
 def _epoch(iso_ts: str) -> int:

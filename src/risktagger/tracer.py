@@ -37,10 +37,19 @@ prompt template hashes. The config holds the clock the run ranked against
 lines follow frontier order; `funding` holds [value as a decimal string,
 latest ts] for each of the assessment's out_neighbors, so a frontier
 rebuilds without refetching.
-resume=True drops a torn last line and runs the same hop loop as a fresh
-run, except that a frontier account with a journaled outcome takes it
-instead of being analyzed; merge, frontier ranking and counters are
-recomputed. A fresh run truncates the journal.
+resume=True runs the same hop loop as a fresh run, except that a frontier
+account with a journaled outcome takes it instead of being analyzed; merge,
+frontier ranking and counters are recomputed. The journal is read once, one
+hop at a time: a hop takes the run of lines journaled at its depth. Only the
+last journaled hop can be incomplete, so a hop whose frontier is journaled
+in part must end the journal, and the reader has dropped a torn last line
+before the first account is appended. A fresh run truncates the journal.
+
+Each merged hop goes to one sink. With an out_dir its assessments are
+written to labels.jsonl (all) and risky.jsonl (High only) under a .part
+suffix, renamed into place when the trace completes and removed when it
+fails, so a trace with an out_dir holds one hop of assessments, not the
+whole trace. Without one they collect in TracerState.L_all.
 """
 
 from __future__ import annotations
@@ -50,6 +59,7 @@ import json
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -98,7 +108,9 @@ class TracerState:
     depth: int = 0
     C_current: list[Address] = field(default_factory=list)
     visited: set[Address] = field(default_factory=set)
-    L_all: list[RiskAssessment] = field(default_factory=list)
+    L_all: list[RiskAssessment] = field(default_factory=list)  # the labels, without an out_dir
+    labeled: int = 0
+    high: int = 0  # labels rated High
     diagnostics: dict = field(default_factory=_fresh_diagnostics)
 
 
@@ -233,72 +245,165 @@ def _analyze_account(account: Address, depth: int, cfg: TracerConfig, ports: Tra
 
 
 class Journal:
-    """Append-only writer of journal.jsonl (format in the module docstring)."""
+    """journal.jsonl (format in the module docstring): appends each attempted
+    account and, on a resume, hands back the journaled outcomes one hop at a
+    time."""
 
-    def __init__(self, fh):
-        self._fh = fh
-
-    @staticmethod
-    def open(path: Path, header: dict, resume: bool) -> tuple["Journal", dict]:
+    def __init__(self, path: Path, header: dict, resume: bool):
         """Starts a fresh journal, or with resume=True continues the one at
-        path; returns the writer and the journaled outcomes keyed by account."""
-        done, good_bytes = _read_journal(path, header) if resume and path.exists() else (None, 0)
-        if done is not None:
-            if good_bytes < path.stat().st_size:
-                logger.warning("dropping the torn last line of %s", path)
-                os.truncate(path, good_bytes)
-            return Journal(open(path, "a", encoding="utf-8")), done
-        path.parent.mkdir(parents=True, exist_ok=True)
-        journal = Journal(open(path, "w", encoding="utf-8"))
-        journal.append(header)
-        return journal, {}
+        path once its header line matches `header`."""
+        self.path = path
+        self._writer = None
+        self._reader = None  # the journal being resumed, until its end is read
+        self._ahead = None  # the outcome read just past the hop last taken
+        self._journaled: set = set()  # every account read so far
+        self._lines = 0  # whole lines read
+        self._good_bytes = 0  # their length
+        try:
+            if resume and path.exists():
+                self._reader = open(path, "rb")  # line by line, so the file is never held whole
+                found = self._read_record()
+                if found is not _END:
+                    _check_header(found if isinstance(found, dict) else {}, header, path)
+                    self._writer = open(path, "a", encoding="utf-8")
+                    return
+                self._reader.close()
+                self._reader = None
+            path.parent.mkdir(parents=True, exist_ok=True)
+            self._writer = open(path, "w", encoding="utf-8")
+            self.append(header)
+        except BaseException:
+            self.close()
+            raise
 
     def append(self, record: dict) -> None:
         # compact separators keep json on its C encoder
-        self._fh.write(json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n")
-        self._fh.flush()
+        self._writer.write(json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n")
+        self._writer.flush()
 
     def close(self) -> None:
-        self._fh.close()
+        for fh in (self._reader, self._writer):
+            if fh is not None:
+                fh.close()
+
+    def take(self, depth: int, frontier: list[Address]) -> dict:
+        """The outcomes journaled at hop `depth`, whose frontier is `frontier`,
+        keyed by account: the run of lines at that depth. Refuses such a line
+        for an account outside the frontier, and a frontier journaled in part
+        that more lines follow."""
+        outcomes = {}
+        outcome = self._ahead or self._next_outcome()
+        while outcome is not None and outcome.hop_depth == depth:
+            outcomes[outcome.account] = outcome
+            outcome = self._next_outcome()
+        self._ahead = outcome
+        reached = [account for account in frontier if account in outcomes]
+        if len(reached) < len(outcomes) or (len(reached) < len(frontier) and outcome is not None):
+            raise self._refusal(depth, frontier, outcomes)
+        # hold the frontier's Address objects, which state.visited keeps too,
+        # rather than a second copy of every journaled address
+        self._journaled.difference_update(reached)
+        self._journaled.update(reached)
+        return outcomes
+
+    def finish(self) -> None:
+        """Refuses an account journaled beyond the hops the trace reached."""
+        outcome = self._ahead or self._next_outcome()
+        if outcome is not None:
+            raise _misplaced(outcome, self.path)
+
+    def _refusal(self, depth: int, frontier: list[Address], outcomes: dict) -> CheckpointError:
+        """Reads the rest of the journal and names the first account journaled
+        at a hop other than the one whose frontier holds it: a frontier
+        account, in frontier order, then any other, in journal order."""
+        rest = dict(outcomes)
+        outcome = self._ahead
+        while outcome is not None:
+            rest[outcome.account] = outcome
+            outcome = self._next_outcome()
+        self._ahead = None
+        taken = {account: rest.pop(account) for account in frontier if account in rest}
+        for outcome in (*taken.values(), *rest.values()):
+            if (outcome.account in taken) != (outcome.hop_depth == depth):
+                return _misplaced(outcome, self.path)
+        return CheckpointError(f"{self.path}: hop {depth} is journaled in part, yet the journal goes on past it")
+
+    def _next_outcome(self) -> Outcome | None:
+        """The outcome the next account line holds; None past the last one,
+        where the reader is closed and a torn last line truncated away. A line
+        of any other kind, or a second line for one account, is refused."""
+        if self._reader is None:
+            return None
+        record = self._read_record()
+        if record is _END:
+            self._reader.close()
+            self._reader = None
+            if self._good_bytes < self.path.stat().st_size:
+                logger.warning("dropping the torn last line of %s", self.path)
+                os.truncate(self.path, self._good_bytes)
+            return None
+        number = self._lines
+        try:
+            outcome = Outcome.from_record(record) if record["kind"] == "account" else None
+        except (KeyError, TypeError, ValueError) as err:
+            raise CheckpointError(f"{self.path}: malformed line {number}: {err!r}") from err
+        if outcome is None:
+            raise CheckpointError(f"{self.path}: line {number} is a {record['kind']!r} line, not an account line")
+        if outcome.account in self._journaled:
+            raise CheckpointError(f"{self.path}: line {number} journals account {outcome.account.hex} again")
+        self._journaled.add(outcome.account)
+        return outcome
+
+    def _read_record(self):
+        """The next line parsed, or _END at the end of the journal: the end of
+        the file, or a last line torn by a crash (unterminated, or unparseable
+        with nothing after it)."""
+        line = self._reader.readline()
+        if not line.endswith(b"\n"):
+            return _END
+        try:
+            record = json.loads(line)
+        except ValueError as err:
+            if self._reader.read(1):
+                raise CheckpointError(f"{self.path}: unreadable line {self._lines + 1}: {err}") from err
+            return _END
+        self._lines += 1
+        self._good_bytes += len(line)
+        return record
 
 
-def _read_journal(path: Path, header: dict) -> tuple[dict | None, int]:
-    """Checks the header line against `header`, then returns each account
-    line's outcome keyed by account (None without a complete header line) and
-    the byte length of the lines read. A last line that is unterminated or
-    unparseable was torn by a crash and is left out."""
-    done, good_bytes = None, 0
-    with open(path, "rb") as fh:  # line by line, so the file is never held whole
-        for number, line in enumerate(fh, start=1):
-            if not line.endswith(b"\n"):
-                break
-            try:
-                record = json.loads(line)
-            except ValueError as err:
-                if fh.read(1):
-                    raise CheckpointError(f"{path}: unreadable line {number}: {err}") from err
-                break
-            if done is None:
-                _check_header(record if isinstance(record, dict) else {}, header, path)
-                done = {}
-            else:
-                _add_outcome(done, record, number, path)
-            good_bytes += len(line)
-    return done, good_bytes
+_END = object()  # Journal._read_record past the last whole line
 
 
-def _add_outcome(done: dict, record: dict, number: int, path: Path) -> None:
-    """Adds the outcome an account line holds to `done`; a line of any other
-    kind, or a second line for one account, is refused."""
+def _misplaced(outcome: Outcome, path: Path) -> CheckpointError:
+    return CheckpointError(
+        f"{path}: journaled account {outcome.account.hex} is not in the frontier of hop {outcome.hop_depth}"
+    )
+
+
+@contextmanager
+def _label_files(out_dir: Path):
+    """Yields the label sink of a trace with an out_dir: it writes labels.jsonl
+    (every assessment) and risky.jsonl (High only) under a .part suffix, which
+    the block renames into place when it completes and removes when it fails."""
+    parts = [out_dir / "labels.jsonl.part", out_dir / "risky.jsonl.part"]
     try:
-        outcome = Outcome.from_record(record) if record["kind"] == "account" else None
-    except (KeyError, TypeError, ValueError) as err:
-        raise CheckpointError(f"{path}: malformed line {number}: {err!r}") from err
-    if outcome is None:
-        raise CheckpointError(f"{path}: line {number} is a {record['kind']!r} line, not an account line")
-    if outcome.account in done:
-        raise CheckpointError(f"{path}: line {number} journals account {outcome.account.hex} again")
-    done[outcome.account] = outcome
+        with open(parts[0], "w", encoding="utf-8") as labels, open(parts[1], "w", encoding="utf-8") as risky:
+
+            def write(assessments) -> None:
+                for assessment in assessments:
+                    line = json.dumps(assessment.to_json(), ensure_ascii=False) + "\n"
+                    labels.write(line)
+                    if assessment.suspicion_level is SuspicionLevel.HIGH:
+                        risky.write(line)
+
+            yield write
+    except BaseException:
+        for part in parts:
+            part.unlink(missing_ok=True)
+        raise
+    for part in parts:
+        os.replace(part, part.with_suffix(""))
 
 
 def journal_clock(path: Path) -> int | None:
@@ -353,9 +458,10 @@ def _check_header(found: dict, header: dict, path: Path) -> None:
     )
 
 
-def _merge(state: TracerState, outcomes: dict) -> list[tuple[RiskAssessment, list]]:
-    """Folds a finished hop into the state; returns (assessment, funding) pairs
-    in (hop_depth, address) order regardless of worker interleaving."""
+def _merge(state: TracerState, outcomes: dict, sink) -> list[tuple[RiskAssessment, list]]:
+    """Folds a finished hop into the state and hands its assessments to
+    `sink`; returns (assessment, funding) pairs in (hop_depth, address) order
+    regardless of worker interleaving."""
     analyzed = []
     for account in state.C_current:
         outcome = outcomes[account]
@@ -367,24 +473,10 @@ def _merge(state: TracerState, outcomes: dict) -> list[tuple[RiskAssessment, lis
             continue
         analyzed.append((outcome.assessment, outcome.funding))
     analyzed.sort(key=lambda pair: (pair[0].hop_depth, pair[0].target_address))
-    state.L_all.extend(assessment for assessment, _funding in analyzed)
+    state.labeled += len(analyzed)
+    state.high += sum(assessment.suspicion_level is SuspicionLevel.HIGH for assessment, _funding in analyzed)
+    sink(assessment for assessment, _funding in analyzed)
     return analyzed
-
-
-def _take_journaled(done: dict, state: TracerState, path: Path) -> dict:
-    """Moves the open hop's journaled outcomes out of `done`, refusing an
-    account journaled at another hop than the one whose frontier holds it."""
-    outcomes = {a: done.pop(a) for a in state.C_current if a in done}
-    for outcome in (*outcomes.values(), *done.values()):
-        if (outcome.account in outcomes) != (outcome.hop_depth == state.depth):
-            raise _misplaced(outcome, path)
-    return outcomes
-
-
-def _misplaced(outcome: Outcome, path: Path) -> CheckpointError:
-    return CheckpointError(
-        f"{path}: journaled account {outcome.account.hex} is not in the frontier of hop {outcome.hop_depth}"
-    )
 
 
 def _run_hop(state: TracerState, cfg: TracerConfig, ports: TracerPorts, journal, outcomes: dict) -> None:
@@ -432,10 +524,13 @@ def trace(
     """Runs the trace to depth cfg.D and returns the final state.
 
     Seeds may be Address objects or bare hex strings; strings are placed on
-    `chain`. With resume=True each frontier account journaled under
-    ports.out_dir takes its journaled outcome instead of being analyzed; a
-    journal written with other settings, seeds or prompt templates, or whose
-    accounts the trace does not reach at their hop, raises CheckpointError.
+    `chain`. The labels go to labels.jsonl and risky.jsonl under
+    ports.out_dir when it is set, else to state.L_all. With resume=True each
+    frontier account journaled under ports.out_dir takes its journaled
+    outcome instead of being analyzed; a journal written with other
+    settings, seeds or prompt templates, whose accounts the trace does not
+    reach at their hop, or that goes on past a hop journaled in part, raises
+    CheckpointError.
     """
     if not seeds:
         raise ValueError("at least one seed address is required")
@@ -446,40 +541,32 @@ def trace(
             frontier.append(address)
     state = TracerState(C_current=frontier)
 
-    journal, done, path = None, {}, None
-    if ports.out_dir is not None:
-        path = Path(ports.out_dir) / JOURNAL_NAME
-        journal, done = Journal.open(path, _journal_header(frontier, chain, cfg, ports), resume)
-    try:
+    with ExitStack() as stack:
+        journal, sink = None, state.L_all.extend
+        if ports.out_dir is not None:
+            out_dir = Path(ports.out_dir)
+            header = _journal_header(frontier, chain, cfg, ports)
+            journal = stack.enter_context(closing(Journal(out_dir / JOURNAL_NAME, header, resume)))
+            sink = stack.enter_context(_label_files(out_dir))
         while state.C_current and state.depth < cfg.D:
-            outcomes = _take_journaled(done, state, path)
+            outcomes = journal.take(state.depth, state.C_current) if journal is not None else {}
             logger.info("hop %d: %d account(s), %d journaled", state.depth, len(state.C_current), len(outcomes))
             _run_hop(state, cfg, ports, journal, outcomes)
-            analyzed = _merge(state, outcomes)
+            analyzed = _merge(state, outcomes, sink)
             candidates = collect_frontier(analyzed, cfg, state.diagnostics)
             state.C_current = filter_frontier(
                 candidates, state.visited, ports.now, cfg, state.diagnostics
             )
             state.depth += 1
-        for outcome in done.values():
-            raise _misplaced(outcome, path)  # journaled, yet never reached
-    finally:
         if journal is not None:
-            journal.close()
+            journal.finish()
     return state
 
 
 def write_outputs(state: TracerState, out_dir: str | Path) -> None:
-    """labels.jsonl (all assessments), risky.jsonl (High only), diagnostics.json."""
+    """diagnostics.json; the trace itself wrote labels.jsonl and risky.jsonl."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "labels.jsonl", "w", encoding="utf-8") as fh:
-        for assessment in state.L_all:
-            fh.write(json.dumps(assessment.to_json(), ensure_ascii=False) + "\n")
-    with open(out_dir / "risky.jsonl", "w", encoding="utf-8") as fh:
-        for assessment in state.L_all:
-            if assessment.suspicion_level is SuspicionLevel.HIGH:
-                fh.write(json.dumps(assessment.to_json(), ensure_ascii=False) + "\n")
     (out_dir / "diagnostics.json").write_text(
         json.dumps(state.diagnostics, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
     )

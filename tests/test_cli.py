@@ -508,19 +508,24 @@ def test_a_label_holding_unicode_line_separators_passes_explain_and_sample_contr
 
 
 def test_loading_labels_holds_no_copy_of_the_file(tmp_path):
+    clues = extract_clues(tmp_path)
+    cfg = write_config(tmp_path)
     golden = (GOLDEN / "synthetic_labels.golden.jsonl").read_text(encoding="utf-8")
     copies = 500_000 // len(golden) + 1
     labels = tmp_path / "labels.jsonl"
     labels.write_text(golden * copies, encoding="utf-8")
     size = labels.stat().st_size
+    argv = ["explain", clues, labels, "--config", cfg, "--out", tmp_path / "x"]
+    args = cli.build_parser().parse_args([str(a) for a in argv])
+    # the whole explain past argument parsing, the labels it holds included
     tracemalloc.start()
     try:
-        loaded = cli._load_labels(str(labels))
-        held, peak = tracemalloc.get_traced_memory()
+        assert args.func(args) == 0
+        _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(loaded) == golden.count("\n") * copies
-    assert peak - held < size / 4
+    assert f"The trace labeled {golden.count(chr(10)) * copies} accounts" in (tmp_path / "x" / "report.md").read_text()
+    assert peak < size / 4
 
 
 def test_run_composes_and_rerun_is_byte_identical(tmp_path):
@@ -543,6 +548,63 @@ def test_run_leaves_no_file_open(tmp_path):
     assert result.returncode == 0, result.stderr
     assert "ResourceWarning" not in result.stderr
     assert (tmp_path / "out" / "labels.jsonl").read_bytes() == (GOLDEN / "synthetic_labels.golden.jsonl").read_bytes()
+
+
+def test_an_interrupted_run_and_its_resume_leave_no_file_open(tmp_path):
+    # the resume reads the journal hop by hop, holding it open across hops
+    cfg = write_config(tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    python = [sys.executable, "-X", "dev", "-W", "error::ResourceWarning"]
+    ctrl_c_in_hop_3 = (
+        "import sys\n"
+        "from risktagger import cli\n"
+        "from risktagger.reasoner.rules import RuleBackend\n"
+        "inner, calls = RuleBackend.complete, []\n"
+        "def complete(backend, *args):\n"
+        "    if len(calls) == 70:\n"
+        "        raise KeyboardInterrupt\n"
+        "    calls.append(None)\n"
+        "    return inner(backend, *args)\n"
+        "RuleBackend.complete = complete\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    argv = [*python, "-c", ctrl_c_in_hop_3, "run", DOC, "--config", cfg]
+    result = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 130, result.stderr
+    assert "ResourceWarning" not in result.stderr
+    out = tmp_path / "out"
+    assert not {"labels.jsonl", "risky.jsonl"} & {p.name for p in out.iterdir()}
+
+    argv = [*python, "-m", "risktagger", "trace", out / "case_clues.json", "--resume", "--config", cfg]
+    result = subprocess.run([str(a) for a in argv], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert "ResourceWarning" not in result.stderr
+    assert (out / "labels.jsonl").read_bytes() == (GOLDEN / "synthetic_labels.golden.jsonl").read_bytes()
+
+
+def test_a_run_interrupted_mid_hop_leaves_no_label_files(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    InterruptingRules(monkeypatch, budget=70)  # inside hop 3, the widest
+    assert run_cli("run", DOC, "--config", cfg) == 130
+    names = sorted(p.name for p in out.iterdir())
+    assert names == ["case_clues.json", "extract_audit.json", JOURNAL_NAME, "run.json"]
+
+
+def test_a_fixture_row_of_10_to_the_70_wei_runs_to_a_report(tmp_path):
+    # 10^52 ETH: a round number past what a 28-digit decimal context divides
+    fixture = tmp_path / "fixture"
+    fixture.mkdir()
+    lines = (FIXTURES / "synthetic" / "ethereum.csv").read_text().splitlines()
+    attacker = "0x47666fab8bd0ac7003bce3f5c3585383f09486e2"
+    huge = f"0x{'e' * 64},{attacker},0x{'d' * 40},{10**70},1740062242,21004386,,,0,0x,1,,21000,1,21000,1"
+    (fixture / "ethereum.csv").write_text("\n".join(lines + [huge]) + "\n")
+    cfg = write_config(tmp_path, fixture_dir=str(fixture))
+    assert run_cli("run", DOC, "--config", cfg) == 0
+    labels = [json.loads(line) for line in (tmp_path / "out" / "labels.jsonl").read_text().splitlines()]
+    by_address = {label["target_address"]["hex"]: label for label in labels}
+    assert "round-number" in by_address[attacker]["transaction_patterns"]["result"]
+    assert by_address["0x" + "d" * 40]["hop_depth"] == 1
 
 
 def test_run_stops_on_incomplete_extraction(tmp_path):
@@ -855,7 +917,7 @@ def test_only_the_upstream_module_sleeps():
 def test_every_text_file_the_program_opens_names_its_encoding():
     # open, Path.open, read_text and write_text in text mode pass encoding=;
     # a mode string holding "b" is binary and exempt. A method named open with
-    # more than one positional argument is not Path.open (Journal.open).
+    # more than one positional argument is not Path.open.
     src = REPO_ROOT / "src"
     unnamed = set()
     for path in sorted(src.rglob("*.py")):

@@ -5,7 +5,7 @@ documented predicates directly; the matcher must agree exactly.
 """
 
 import re
-from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -46,7 +46,7 @@ def oracle_pairs(deposits, withdrawals_by_chain, endpoints, tolerance, window_s,
                 delta = wd.timeStamp - dep.timeStamp
                 if delta < -skew_s or delta > window_s:
                     continue
-                if abs(wd.value - dep.value) > Decimal(str(tolerance)) * dep.value:
+                if abs(wd.value - dep.value) > Fraction(str(tolerance)) * dep.value:
                     continue
                 pairs.append((dep.hash, wd.hash, delta))
     return pairs
@@ -89,6 +89,19 @@ def test_single_pair_within_window_and_tolerance(tmp_path):
     assert (pair.src_tx, pair.dst_tx) == (deposit, withdrawal)
     assert pair.bridge_hint == "hoplink"
     assert matcher.diagnostics == []
+
+
+def test_tolerance_is_exact_on_a_33_digit_deposit(tmp_path):
+    amount = 123456789012345678901234567890123
+    deposit = make_tx(1, ACCOUNT, BRIDGE_ETH, value=str(amount), ts=T0, token="RUNE")
+    # 1% larger, rounded down to a unit, pairs; 50 units more does not, though
+    # a 28-digit decimal product of 0.01 and the deposit rounds up past it
+    at_limit = make_tx(2, BRIDGE_BSC, DST_USER, value=str(amount + amount // 100), ts=T0 + 60, token="RUNE")
+    over = make_tx(3, BRIDGE_BSC, DST_USER, value=str(amount + amount // 100 + 50), ts=T0 + 60, token="RUNE")
+    expected = oracle_pairs([deposit], {"bsc": [at_limit, over]}, {BRIDGE_BSC}, 0.01, 3600, 0)
+    assert expected == [(deposit.hash, at_limit.hash, 60)]
+    pairs = matcher_for(tmp_path, [at_limit, over]).expand(ACCOUNT, [deposit])
+    assert [(p.src_tx.hash, p.dst_tx.hash, p.dst_tx.timeStamp - p.src_tx.timeStamp) for p in pairs] == expected
 
 
 def test_outside_window_unmatched_with_diagnostic(tmp_path):

@@ -2,13 +2,14 @@
 
 import json
 import random
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, addr
+from conftest import FIXTURES, GOLDEN, addr
 from risktagger.errors import BackendFailure, EmptyChecklist
 from risktagger.explainer import (
     NOTHING_FLAGGED,
@@ -355,6 +356,51 @@ def test_fallback_covers_checklist_from_real_incident_document():
     report, _ = generate_report(clues, fixture_dataset())
     rep = coverage(report, build_checklist(clues))
     assert rep.e_full == rep.e_all and rep.r_coverage == 1.0
+
+
+def golden_labels():
+    lines = (GOLDEN / "synthetic_labels.golden.jsonl").read_text(encoding="utf-8").splitlines()
+    return [RiskAssessment.from_json(json.loads(line)) for line in lines]
+
+
+def explain_files(clues, labels):
+    """report.md and coverage.json as explain writes them."""
+    report, source = generate_report(clues, labels)
+    scored = coverage(report, build_checklist(clues))
+    return report, json.dumps({**scored.to_json(), **source}, indent=2, ensure_ascii=False)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_report_and_coverage_do_not_depend_on_label_order(seed):
+    rng = random.Random(seed)
+    labels = golden_labels()
+    labels += rng.sample(labels, 60)  # duplicated (hop, address) keys, High ones among them
+    shuffled = rng.sample(labels, len(labels))
+    # a one-pass iterator, as explain streams labels.jsonl
+    assert explain_files(sample_clues(), iter(shuffled)) == explain_files(sample_clues(), labels)
+
+
+def test_report_keeps_tied_labels_in_input_order_as_sorting_does():
+    rng = random.Random(5)
+    labels = golden_labels()
+    # a twin for every label: the same (hop, address) key, distinguishable text
+    twins = [
+        replace(label, justification=f"twin {n}", transaction_patterns=RiskDimension(f"twin {n}", "e"))
+        for n, label in enumerate(labels)
+    ]
+    shuffled = rng.sample(labels + twins, len(labels) + len(twins))
+    report, _ = generate_report(sample_clues(), iter(shuffled))
+
+    ordered = sorted(shuffled, key=lambda a: (a.hop_depth, a.target_address))
+    high = [a for a in ordered if a.suspicion_level is SuspicionLevel.HIGH][:5]
+    patterns = [a for a in ordered if a.transaction_patterns.indicates_risk()][:3]
+    assert "\n".join(f"- `{a.target_address.hex}` (layer {a.hop_depth}): {a.justification}" for a in high) in report
+    assert "\n".join(
+        f"- `{a.target_address.hex}` (layer {a.hop_depth}): {a.transaction_patterns.result}. "
+        f"Evidence: {a.transaction_patterns.evidence}"
+        for a in patterns
+    ) in report
+    assert any(a.justification.startswith("twin") for a in high) and any(a in twins for a in patterns)
 
 
 def test_report_is_deterministic():

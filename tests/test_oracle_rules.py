@@ -158,3 +158,30 @@ def test_rules_agree_with_the_oracle_on_generated_accounts(rows):
         for tx in txs
     ]
     assert got == assess(oracle_rows, CENTER.hex, {BAD.hex: "exploit"})
+
+
+# --- amounts past a 28-digit decimal context ----------------------------------
+
+
+@pytest.mark.parametrize("value", [10**49, 10**70, 2**256 - 1], ids=["1e49", "1e70", "2^256-1"])
+@pytest.mark.parametrize("token", ["", "USDT"])
+def test_rules_agree_with_the_oracle_on_amounts_of_10_to_the_31_display_units_and_more(value, token):
+    # 10^49 wei is 10^31 ETH: Decimal % 1000 on it raised DivisionImpossible
+    txs = [
+        make_tx(1, addr(1), CENTER, value=str(value), ts=DAY + 9 * HOUR, token=token),
+        make_tx(2, CENTER, addr(2), value=str(value), ts=DAY + 12 * HOUR, token=token),
+    ]
+    sub = build_subgraph(CENTER, txs, [], TracerConfig(), DAY + 2 * 86400)
+    verdict = infer_risk(sub, RuleBackend())
+    dims = (verdict.transaction_patterns, verdict.fund_flows, verdict.associated_addresses, verdict.temporal_signs)
+    got = (
+        verdict.suspicion_level.value,
+        {letter for letter, dim in zip("abcd", dims) if not dim.result.lower().startswith("no ")},
+    )
+    oracle_rows = [
+        {"hash": tx.hash, "from": tx.from_addr.hex, "to": tx.to_addr.hex, "value": tx.value,
+         "ts": tx.timeStamp, "failed": tx.isError, "token": tx.tokenSymbol}
+        for tx in txs
+    ]
+    assert got == assess(oracle_rows, CENTER.hex, {})
+    assert ("a" in got[1]) == (value % 10**21 == 0)

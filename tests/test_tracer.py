@@ -4,6 +4,7 @@ import json
 import random
 import threading
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -316,12 +317,15 @@ def test_resume_keeps_a_journaled_skip(tmp_path):
         client=client, backend=star_backend(), now=NOW, out_dir=tmp_path
     )
     skipped = trace([S], "ethereum", TracerConfig(D=5), ports)
+    labels = label_files(tmp_path)
     # a healthy client on resume: A's journaled skip stands and nothing is redone
     backend = star_backend()
     resumed = trace(
         [S], "ethereum", TracerConfig(D=5), ports_for(star_txs(), backend, out_dir=tmp_path), resume=True
     )
     assert snapshot(resumed) == snapshot(skipped)
+    assert label_files(tmp_path) == labels
+    assert [label["target_address"] for label in labels_in(tmp_path)] == [S.to_json(), B.to_json()]
     assert backend.calls == 0
 
 
@@ -377,6 +381,18 @@ def journal_records(out_dir):
     return [json.loads(line) for line in (out_dir / JOURNAL_NAME).read_text().splitlines()]
 
 
+LABEL_FILES = ("labels.jsonl", "risky.jsonl")
+
+
+def label_files(out_dir):
+    """The bytes of the label files a trace with an out_dir wrote."""
+    return {name: (out_dir / name).read_bytes() for name in LABEL_FILES}
+
+
+def labels_in(out_dir):
+    return [json.loads(line) for line in (out_dir / "labels.jsonl").read_text().splitlines()]
+
+
 def first_of_hop(out_dir, depth):
     """The first account of a hop's frontier, read from a sequential run's journal."""
     return next(
@@ -403,12 +419,13 @@ def snapshot(state):
 def test_checkpoints_written_per_hop(tmp_path):
     ports = ports_for(star_txs(), star_backend(), out_dir=tmp_path)
     state = trace([S], "ethereum", TracerConfig(D=3), ports)
-    assert sorted(p.name for p in tmp_path.iterdir()) == [JOURNAL_NAME]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([JOURNAL_NAME, *LABEL_FILES])
+    assert state.L_all == [] and (state.labeled, state.high) == (4, 1)
     records = journal_records(tmp_path)
     assert [r["kind"] for r in records] == ["header", "account", "account", "account", "account"]
     assert records[0]["seeds"] == [S.to_json()]
     journaled = [r["assessment"] for r in records if r["kind"] == "account"]
-    assert sorted(journaled, key=json.dumps) == sorted((a.to_json() for a in state.L_all), key=json.dumps)
+    assert sorted(journaled, key=json.dumps) == sorted(labels_in(tmp_path), key=json.dumps)
     # hop by hop, each hop's account lines in its frontier order
     assert [(r["assessment"]["hop_depth"], r["address"]) for r in records[1:]] == [
         (0, S.to_json()), (1, A.to_json()), (1, B.to_json()), (2, C.to_json()),
@@ -434,7 +451,8 @@ class AbortingBackend:
 
 def test_resume_reproduces_uninterrupted_run(tmp_path):
     cfg = TracerConfig(D=3)
-    full = trace([S], "ethereum", cfg, ports_for(star_txs(), star_backend()))
+    full = tmp_path / "full"
+    trace([S], "ethereum", cfg, ports_for(star_txs(), star_backend(), out_dir=full))
 
     out = tmp_path / "interrupted"
     out.mkdir()
@@ -443,15 +461,16 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
     with pytest.raises(BackendFailure):
         trace([S], "ethereum", cfg, crashy)
     assert [r["kind"] for r in journal_records(out)] == ["header", "account"]
+    assert sorted(p.name for p in out.iterdir()) == [JOURNAL_NAME]
 
-    resumed = trace([S], "ethereum", cfg, ports_for(star_txs(), star_backend(), out_dir=out), resume=True)
-    assert resumed.L_all == full.L_all
-    assert high(resumed) == high(full)
+    trace([S], "ethereum", cfg, ports_for(star_txs(), star_backend(), out_dir=out), resume=True)
+    assert label_files(out) == label_files(full)
 
 
 def test_resume_without_checkpoint_starts_fresh(tmp_path):
     state = trace([S], "ethereum", TracerConfig(D=1), ports_for(star_txs(), star_backend(), out_dir=tmp_path), resume=True)
-    assert {a.target_address for a in state.L_all} == {S}
+    assert [label["target_address"] for label in labels_in(tmp_path)] == [S.to_json()]
+    assert state.labeled == 1
 
 
 def test_fresh_run_truncates_the_journal(tmp_path):
@@ -534,7 +553,8 @@ def test_mid_hop_interrupt_keeps_every_finished_account(tmp_path, workers):
     cfg = TracerConfig(D=4)
     counted = InterruptAfter(ConstBackend(), allow=10**9)
     straight = trace([nodes[0]], "ethereum", cfg, ports_for(txs, counted, out_dir=tmp_path / "straight"))
-    sizes = [sum(1 for a in straight.L_all if a.hop_depth == d) for d in range(straight.depth)]
+    sizes = list(Counter(label["hop_depth"] for label in labels_in(tmp_path / "straight")).values())
+    assert sizes == [1, 2, 5, 13]
     widest = max(range(len(sizes)), key=sizes.__getitem__)
     budget = sum(sizes[:widest]) + sizes[widest] // 2
     # the widest hop's first account in frontier order stalls until the budget is spent
@@ -546,12 +566,14 @@ def test_mid_hop_interrupt_keeps_every_finished_account(tmp_path, workers):
         trace([nodes[0]], "ethereum", cfg, ports_for(txs, interrupted, out_dir=out, workers=workers))
     journaled = [r for r in journal_records(out) if r["kind"] == "account"]
     assert len(journaled) == budget
+    assert sorted(p.name for p in out.iterdir()) == [JOURNAL_NAME]
 
     again = InterruptAfter(ConstBackend(), allow=10**9)
     resumed = trace(
         [nodes[0]], "ethereum", cfg, ports_for(txs, again, out_dir=out, workers=workers), resume=True
     )
     assert snapshot(resumed) == snapshot(straight)
+    assert label_files(out) == label_files(tmp_path / "straight")
     assert interrupted.calls + again.calls == counted.calls
 
 
@@ -578,9 +600,10 @@ def test_a_resume_interrupted_again_resumes_to_the_straight_run(tmp_path, worker
         [nodes[0]], "ethereum", cfg, ports_for(txs, last, out_dir=out, workers=workers), resume=True
     )
     assert snapshot(resumed) == snapshot(straight)
+    assert label_files(out) == label_files(tmp_path / "straight")
     assert calls + last.calls == counted.calls
     journaled = Counter(r["address"]["hex"] for r in journal_records(out)[1:])
-    assert journaled == Counter(a.target_address.hex for a in straight.L_all)
+    assert journaled == Counter(label["target_address"]["hex"] for label in labels_in(tmp_path / "straight"))
     if workers == 1:
         assert (out / JOURNAL_NAME).read_bytes() == (tmp_path / "straight" / JOURNAL_NAME).read_bytes()
 
@@ -640,6 +663,72 @@ def test_resume_refuses_a_misplaced_account(tmp_path, edit, named):
         trace([S], "ethereum", cfg, ports_for(star_txs(), backend, out_dir=tmp_path), resume=True)
     assert backend.calls == 0
     assert journal.read_bytes() == before
+
+
+def test_resume_refuses_a_hop_journaled_in_part_that_later_lines_follow(tmp_path):
+    cfg = TracerConfig(D=3)
+    trace([S], "ethereum", cfg, ports_for(star_txs(), star_backend(), out_dir=tmp_path))
+    journal = tmp_path / JOURNAL_NAME
+    # B's line goes, so hop 1 is journaled in part, yet C's line of hop 2 follows it
+    records = [r for r in journal_records(tmp_path) if r.get("address") != B.to_json()]
+    journal.write_text("".join(json.dumps(r) + "\n" for r in records))
+    before = journal.read_bytes()
+
+    backend = star_backend()
+    with pytest.raises(CheckpointError, match="hop 1 is journaled in part"):
+        trace([S], "ethereum", cfg, ports_for(star_txs(), backend, out_dir=tmp_path), resume=True)
+    assert backend.calls == 0
+    assert journal.read_bytes() == before
+
+
+class IndexedStore:
+    """ListStore's answers through an index by address, for graphs too large
+    to scan on every fetch."""
+
+    def __init__(self, txs):
+        self.by_address = {}
+        for tx in txs:
+            for address in {tx.from_addr, tx.to_addr}:
+                self.by_address.setdefault(address, []).append(tx)
+
+    def records_for(self, address):
+        return self.by_address.get(address, [])
+
+
+class UncalledBackend:
+    name = "uncalled"
+
+    def complete(self, prompt, temperature, max_tokens):
+        raise AssertionError("a finished journal leaves nothing to analyze")
+
+
+def test_resuming_a_finished_journal_holds_one_hop_of_it(tmp_path):
+    # 55 layers of 10 accounts, each paying every account of the next layer:
+    # 541 accounts reached over hops of 10, each with 10 funders and receivers
+    layers = [[addr(0x10000 + 0x100 * layer + i) for i in range(10)] for layer in range(55)]
+    txs = [
+        make_tx(100 * n + 10 * i + j + 1, src, dst, value=10**18 + j, ts=NOW - 1000 * (len(layers) - n) + j)
+        for n, (payers, payees) in enumerate(zip(layers, layers[1:]))
+        for i, src in enumerate(payers)
+        for j, dst in enumerate(payees)
+    ]
+    cfg = TracerConfig(D=len(layers))
+    client = FixtureChainClient(IndexedStore(txs))
+    straight = trace([layers[0][0]], "ethereum", cfg, TracerPorts(client=client, backend=RuleBackend(), now=NOW, out_dir=tmp_path))
+    assert straight.labeled == 541
+    labels = label_files(tmp_path)
+    size = (tmp_path / JOURNAL_NAME).stat().st_size
+
+    ports = TracerPorts(client=client, backend=UncalledBackend(), now=NOW, out_dir=tmp_path)
+    tracemalloc.start()
+    try:
+        resumed = trace([layers[0][0]], "ethereum", cfg, ports, resume=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert snapshot(resumed) == snapshot(straight)
+    assert label_files(tmp_path) == labels
+    assert peak < size / 4
 
 
 # --- determinism ----------------------------------------------------------------
