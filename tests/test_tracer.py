@@ -403,10 +403,12 @@ def first_of_hop(out_dir, depth):
 
 
 def snapshot(state):
-    """Everything a finished trace carries, as comparable JSON text."""
+    """Everything a finished trace carries, as comparable JSON text. With an
+    out_dir the labels are in its files, not `L_all`: compare `label_files` too."""
     return json.dumps(
         {
             "depth": state.depth,
+            "counts": [state.labeled, state.high],
             "C_current": [a.to_json() for a in state.C_current],
             "visited": [a.to_json() for a in sorted(state.visited)],
             "high": [r.to_json() for r in high(state)],
@@ -492,6 +494,7 @@ def test_resume_refuses_a_journal_from_another_run(tmp_path):
 def test_resume_drops_a_torn_last_line(tmp_path, cut):
     cfg = TracerConfig(D=3)
     full = trace([S], "ethereum", cfg, ports_for(star_txs(), star_backend(), out_dir=tmp_path))
+    labels = label_files(tmp_path)
     journal = tmp_path / JOURNAL_NAME
     whole = journal.read_bytes()
     last = whole.splitlines(keepends=True)[-1]
@@ -502,6 +505,7 @@ def test_resume_drops_a_torn_last_line(tmp_path, cut):
     backend = star_backend()
     resumed = trace([S], "ethereum", cfg, ports_for(star_txs(), backend, out_dir=tmp_path), resume=True)
     assert snapshot(resumed) == snapshot(full)
+    assert label_files(tmp_path) == labels
     assert backend.calls == 1
     assert journal.read_bytes() == whole
 
@@ -762,6 +766,7 @@ def test_identical_runs_byte_for_byte(tmp_path):
         for name in ("a", "b")
     ]
     assert snapshot(runs[0]) == snapshot(runs[1])
+    assert label_files(tmp_path / "a") == label_files(tmp_path / "b")
     assert (tmp_path / "a" / JOURNAL_NAME).read_bytes() == (tmp_path / "b" / JOURNAL_NAME).read_bytes()
 
 
