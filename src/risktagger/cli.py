@@ -37,7 +37,7 @@ from .reasoner.backends import HttpLlmBackend
 from .reasoner.blacklist import Blacklist
 from .reasoner.prompts import template_hashes
 from .reasoner.rules import RuleBackend
-from .tracer import JOURNAL_NAME, TracerPorts, journal_clock, trace, write_outputs
+from .tracer import JOURNAL_NAME, TracerPorts, journal_clock, trace
 
 
 # --- shared plumbing ---------------------------------------------------------
@@ -199,14 +199,20 @@ def cmd_extract(args) -> int:
 
 def _do_trace(
     config: RunConfig, out_dir: Path, clues: CaseClues, seed_victims: bool, resume: bool, inputs: dict
-):
+) -> int:
+    """Traces into out_dir; 2 when the clues hold no seed. Without resume the
+    explain outputs of an earlier run go first, as the trace's own do."""
     seeds = clues.attacker_addresses + (clues.victim_addresses if seed_victims else [])
     if not seeds:
-        return None
+        print("no seeds: clues contain no attacker addresses", file=sys.stderr)
+        return 2
+    if not resume:
+        for name in ("report.md", "coverage.json"):
+            (out_dir / name).unlink(missing_ok=True)
     ports = _build_ports(config, out_dir, resume, inputs)
     state = trace(seeds, config.chain, config.tracer, ports, resume=resume)
-    write_outputs(state, out_dir)
-    return state
+    print(f"analyzed {state.labeled} accounts over {state.depth} hop(s); {state.high} rated high-risk")
+    return 0
 
 
 def cmd_trace(args) -> int:
@@ -214,13 +220,10 @@ def cmd_trace(args) -> int:
     out_dir = _prepare_out(config)
     clues = _load_clues(args.clues)
     inputs = _input_digests(config)
-    state = _do_trace(config, out_dir, clues, args.seed_victims, args.resume, inputs)
-    if state is None:
-        print("no seeds: clues contain no attacker addresses", file=sys.stderr)
-        return 2
-    _write_manifest(out_dir, config, inputs)
-    print(f"analyzed {state.labeled} accounts over {state.depth} hop(s); {state.high} rated high-risk")
-    return 0
+    rc = _do_trace(config, out_dir, clues, args.seed_victims, args.resume, inputs)
+    if rc == 0:
+        _write_manifest(out_dir, config, inputs)
+    return rc
 
 
 def _do_explain(config: RunConfig, out_dir: Path, clues: CaseClues, labels_path) -> int:
@@ -262,13 +265,9 @@ def cmd_run(args) -> int:
     _write_manifest(out_dir, config, inputs)
     if rc != 0:
         return rc
-    state = _do_trace(config, out_dir, clues, args.seed_victims, resume=False, inputs=inputs)
-    if state is None:
-        print("no seeds: clues contain no attacker addresses", file=sys.stderr)
-        return 2
-    if not state.labeled:
-        print("trace labeled no accounts; nothing to report", file=sys.stderr)
-        return 2
+    rc = _do_trace(config, out_dir, clues, args.seed_victims, resume=False, inputs=inputs)
+    if rc != 0:
+        return rc
     return _do_explain(config, out_dir, clues, out_dir / "labels.jsonl")
 
 

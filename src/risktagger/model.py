@@ -91,10 +91,6 @@ class SuspicionLevel(enum.Enum):
     LOW = "Low"
     NO_SUSPICION = "No Suspicion"
 
-    @property
-    def rank(self) -> int:
-        return _LEVEL_RANK[self]
-
     @staticmethod
     def from_label(label: str) -> "SuspicionLevel":
         """Exact (case-insensitive) label lookup; 'nosuspicion' tolerated."""
@@ -105,14 +101,6 @@ class SuspicionLevel(enum.Enum):
         if key in ("nosuspicion", "no-suspicion", "none"):
             return SuspicionLevel.NO_SUSPICION
         raise ValueError(f"unknown suspicion level {label!r}")
-
-
-_LEVEL_RANK = {
-    SuspicionLevel.NO_SUSPICION: 0,
-    SuspicionLevel.LOW: 1,
-    SuspicionLevel.MEDIUM: 2,
-    SuspicionLevel.HIGH: 3,
-}
 
 
 def _require_digits(name: str, value: str) -> None:

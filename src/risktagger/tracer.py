@@ -24,8 +24,8 @@ hop. Funding value is the raw smallest-unit sum across assets, a coarse
 knob on purpose; failed transfers still nominate their receiver but move
 no value.
 
-With an out_dir the coordinator keeps the run journal, journal.jsonl, one
-compact JSON object per line:
+Every trace runs against a run directory, ports.out_dir. The coordinator
+keeps the run journal there, journal.jsonl, one compact JSON object per line:
 
     {"kind": "header", "fingerprint", "config", "seeds", "prompts"}
     {"kind": "account", "address", "assessment", "funding"}   or
@@ -45,11 +45,13 @@ last journaled hop can be incomplete, so a hop whose frontier is journaled
 in part must end the journal, and the reader has dropped a torn last line
 before the first account is appended. A fresh run truncates the journal.
 
-Each merged hop goes to one sink. With an out_dir its assessments are
-written to labels.jsonl (all) and risky.jsonl (High only) under a .part
-suffix, renamed into place when the trace completes and removed when it
-fails, so a trace with an out_dir holds one hop of assessments, not the
-whole trace. Without one they collect in TracerState.L_all.
+A trace owns three outputs beside the journal. Each merged hop's
+assessments are written to labels.jsonl (all) and risky.jsonl (High only)
+under a .part suffix, renamed into place when the trace completes and
+removed when it fails, so a trace holds one hop of assessments, not the
+whole trace. diagnostics.json follows once both are in place. Whenever the
+journal starts over, the outputs of an earlier trace are removed before the
+first account is analyzed, so a trace that does not complete leaves none.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ import json
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack, closing, contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -90,6 +92,7 @@ SKIPPABLE_ERRORS = (
 )
 
 JOURNAL_NAME = "journal.jsonl"
+OUTPUT_NAMES = ("labels.jsonl", "risky.jsonl", "diagnostics.json")
 
 
 def _fresh_diagnostics() -> dict:
@@ -108,7 +111,6 @@ class TracerState:
     depth: int = 0
     C_current: list[Address] = field(default_factory=list)
     visited: set[Address] = field(default_factory=set)
-    L_all: list[RiskAssessment] = field(default_factory=list)  # the labels, without an out_dir
     labeled: int = 0
     high: int = 0  # labels rated High
     diagnostics: dict = field(default_factory=_fresh_diagnostics)
@@ -116,13 +118,14 @@ class TracerState:
 
 @dataclass
 class TracerPorts:
-    """Everything the loop talks to, injected so tests can swap any piece."""
+    """Everything the loop talks to, injected so tests can swap any piece.
+    out_dir is the run directory: the journal and every output go there."""
 
     client: object  # chain adapter with fetch_transactions(Address)
     backend: object  # BackendPort
     now: int
+    out_dir: Path
     matcher: object = None  # cross-chain matcher; None disables bridge expansion
-    out_dir: Path | None = None  # the run journal lives here when set
     strict: bool = False
     workers: int = 1  # concurrent analyses per hop, unless the backend is in_process
     # settings the journal fingerprint covers; None means chain, tracer config and clock
@@ -253,6 +256,7 @@ class Journal:
         """Starts a fresh journal, or with resume=True continues the one at
         path once its header line matches `header`."""
         self.path = path
+        self.resumed = False  # True once the header of the journal at path matched
         self._writer = None
         self._reader = None  # the journal being resumed, until its end is read
         self._ahead = None  # the outcome read just past the hop last taken
@@ -266,6 +270,7 @@ class Journal:
                 if found is not _END:
                     _check_header(found if isinstance(found, dict) else {}, header, path)
                     self._writer = open(path, "a", encoding="utf-8")
+                    self.resumed = True
                     return
                 self._reader.close()
                 self._reader = None
@@ -383,9 +388,9 @@ def _misplaced(outcome: Outcome, path: Path) -> CheckpointError:
 
 @contextmanager
 def _label_files(out_dir: Path):
-    """Yields the label sink of a trace with an out_dir: it writes labels.jsonl
-    (every assessment) and risky.jsonl (High only) under a .part suffix, which
-    the block renames into place when it completes and removes when it fails."""
+    """Yields the label sink of a trace: it writes labels.jsonl (every
+    assessment) and risky.jsonl (High only) under a .part suffix, which the
+    block renames into place when it completes and removes when it fails."""
     parts = [out_dir / "labels.jsonl.part", out_dir / "risky.jsonl.part"]
     try:
         with open(parts[0], "w", encoding="utf-8") as labels, open(parts[1], "w", encoding="utf-8") as risky:
@@ -489,8 +494,7 @@ def _run_hop(state: TracerState, cfg: TracerConfig, ports: TracerPorts, journal,
 
     def accept(outcome: Outcome) -> None:
         outcomes[outcome.account] = outcome
-        if journal is not None:
-            journal.append(outcome.to_record())
+        journal.append(outcome.to_record())
 
     if ports.workers <= 1 or len(todo) <= 1 or getattr(ports.backend, "in_process", False):
         for account in todo:
@@ -524,13 +528,16 @@ def trace(
     """Runs the trace to depth cfg.D and returns the final state.
 
     Seeds may be Address objects or bare hex strings; strings are placed on
-    `chain`. The labels go to labels.jsonl and risky.jsonl under
-    ports.out_dir when it is set, else to state.L_all. With resume=True each
-    frontier account journaled under ports.out_dir takes its journaled
-    outcome instead of being analyzed; a journal written with other
-    settings, seeds or prompt templates, whose accounts the trace does not
-    reach at their hop, or that goes on past a hop journaled in part, raises
-    CheckpointError.
+    `chain`. The trace journals every attempted account under ports.out_dir,
+    writes the labels to labels.jsonl and risky.jsonl there, and, once it
+    completes, diagnostics.json. With resume=True each frontier account
+    journaled there takes its journaled outcome instead of being analyzed; a
+    journal written with other settings, seeds or prompt templates raises
+    CheckpointError before any file is touched, and one whose accounts the
+    trace does not reach at their hop, or that goes on past a hop journaled
+    in part, raises it before any account is analyzed. A journal started
+    over (no resume, or nothing to resume) first removes the outputs of an
+    earlier trace.
     """
     if not seeds:
         raise ValueError("at least one seed address is required")
@@ -540,16 +547,15 @@ def trace(
         if address not in frontier:
             frontier.append(address)
     state = TracerState(C_current=frontier)
+    out_dir = ports.out_dir
+    header = _journal_header(frontier, chain, cfg, ports)
 
-    with ExitStack() as stack:
-        journal, sink = None, state.L_all.extend
-        if ports.out_dir is not None:
-            out_dir = Path(ports.out_dir)
-            header = _journal_header(frontier, chain, cfg, ports)
-            journal = stack.enter_context(closing(Journal(out_dir / JOURNAL_NAME, header, resume)))
-            sink = stack.enter_context(_label_files(out_dir))
+    with closing(Journal(out_dir / JOURNAL_NAME, header, resume)) as journal, _label_files(out_dir) as sink:
+        if not journal.resumed:
+            for name in OUTPUT_NAMES:
+                (out_dir / name).unlink(missing_ok=True)
         while state.C_current and state.depth < cfg.D:
-            outcomes = journal.take(state.depth, state.C_current) if journal is not None else {}
+            outcomes = journal.take(state.depth, state.C_current)
             logger.info("hop %d: %d account(s), %d journaled", state.depth, len(state.C_current), len(outcomes))
             _run_hop(state, cfg, ports, journal, outcomes)
             analyzed = _merge(state, outcomes, sink)
@@ -558,15 +564,8 @@ def trace(
                 candidates, state.visited, ports.now, cfg, state.diagnostics
             )
             state.depth += 1
-        if journal is not None:
-            journal.finish()
-    return state
-
-
-def write_outputs(state: TracerState, out_dir: str | Path) -> None:
-    """diagnostics.json; the trace itself wrote labels.jsonl and risky.jsonl."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+        journal.finish()
     (out_dir / "diagnostics.json").write_text(
         json.dumps(state.diagnostics, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
     )
+    return state

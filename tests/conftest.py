@@ -1,5 +1,6 @@
 """Shared builders and paths for the test suite."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -11,7 +12,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from risktagger.model import Address, TransactionRecord, normalize_address
+from risktagger.model import Address, RiskAssessment, TransactionRecord, normalize_address
 
 
 def addr(n: int, chain: str = "ethereum") -> Address:
@@ -45,6 +46,13 @@ def make_tx(
         isError=is_error,
         **extra,
     )
+
+
+def labels_in(out_dir: Path, name: str = "labels.jsonl") -> list[RiskAssessment]:
+    """The labels a trace wrote to out_dir/name (labels.jsonl, or risky.jsonl
+    for the High ones), in file order."""
+    with open(out_dir / name, encoding="utf-8") as fh:
+        return [RiskAssessment.from_json(json.loads(line)) for line in fh]
 
 
 @pytest.fixture

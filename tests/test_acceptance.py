@@ -16,7 +16,7 @@ import time
 import pytest
 import requests
 
-from conftest import FIXTURES, GOLDEN, REPO_ROOT
+from conftest import FIXTURES, GOLDEN, REPO_ROOT, labels_in
 from oracle_bfs import bfs_oracle, read_rows
 from risktagger.chaindata import EtherscanClient, FetchCache, FixtureChainClient, FixtureStore
 from risktagger.cli import main
@@ -40,13 +40,14 @@ def _no_ambient_config(monkeypatch):
     monkeypatch.delenv("RISKTAGGER_CACHE_DIR", raising=False)
 
 
-def synthetic_ports(**overrides):
+def synthetic_ports(out_dir, **overrides):
     client = FixtureChainClient(FixtureStore.load_dir(SYNTHETIC))
     blacklist = Blacklist.load(FIXTURES / "blacklist.txt")
     kwargs = dict(
         client=client,
         backend=RuleBackend(blacklist),
         now=NOW,
+        out_dir=out_dir,
     )
     kwargs.update(overrides)
     return TracerPorts(**kwargs)
@@ -101,14 +102,14 @@ def test_criterion_1_extraction_recovers_all_gold_fields_under_5s():
 # --- 2. tracer against the independent oracle ---------------------------------
 
 
-def test_criterion_2_tracer_matches_independent_bfs_oracle_on_all_depth_cap_combos():
+def test_criterion_2_tracer_matches_independent_bfs_oracle_on_all_depth_cap_combos(tmp_path):
     rows = read_rows(SYNTHETIC / "ethereum.csv")
     started = time.monotonic()
     for depth_limit in (1, 3, 20):
         for cap in (None, 10):
             cfg = synthetic_cfg(D=depth_limit, frontier_cap=cap)
-            state = trace([SEED], "ethereum", cfg, synthetic_ports())
-            got = {a.target_address.hex: a.hop_depth for a in state.L_all}
+            trace([SEED], "ethereum", cfg, synthetic_ports(tmp_path))
+            got = {a.target_address.hex: a.hop_depth for a in labels_in(tmp_path)}
             want = bfs_oracle(
                 rows, [SEED], depth_limit, NOW,
                 frontier_cap=cap, min_value_threshold=0,
@@ -221,7 +222,7 @@ def test_criterion_5_pipeline_is_deterministic_and_resume_matches_uninterrupted(
 
     # interrupt inside hop 3, then resume from the run journal
     straight_dir = tmp_path / "straight"
-    trace([SEED], "ethereum", synthetic_cfg(), synthetic_ports(out_dir=straight_dir))
+    trace([SEED], "ethereum", synthetic_cfg(), synthetic_ports(straight_dir))
     straight = {name: (straight_dir / name).read_bytes() for name in ("labels.jsonl", "risky.jsonl")}
     before_hop_3 = sum(1 for line in straight["labels.jsonl"].splitlines() if json.loads(line)["hop_depth"] <= 2)
 
@@ -232,7 +233,7 @@ def test_criterion_5_pipeline_is_deterministic_and_resume_matches_uninterrupted(
     with pytest.raises(BackendFailure):
         trace(
             [SEED], "ethereum", synthetic_cfg(),
-            synthetic_ports(backend=crashing, out_dir=work, strict=True),
+            synthetic_ports(work, backend=crashing, strict=True),
         )
     records = [json.loads(line) for line in (work / JOURNAL_NAME).read_text().splitlines()]
     assert {r["kind"] for r in records[1:]} == {"account"}
@@ -245,7 +246,7 @@ def test_criterion_5_pipeline_is_deterministic_and_resume_matches_uninterrupted(
 
     trace(
         [SEED], "ethereum", synthetic_cfg(),
-        synthetic_ports(out_dir=work), resume=True,
+        synthetic_ports(work), resume=True,
     )
     # the label files, High subset included, are byte for byte the straight run's
     assert {name: (work / name).read_bytes() for name in straight} == straight
@@ -275,8 +276,8 @@ def test_criterion_6_warm_cache_live_rerun_issues_zero_upstream_requests(tmp_pat
             cache=FetchCache(cache_dir),
             rate_limit_per_s=0.0, backoff_base_s=0.01,
         )
-        state = trace([SEED], "ethereum", cfg, synthetic_ports(client=client))
-        return [a.to_json() for a in state.L_all]
+        trace([SEED], "ethereum", cfg, synthetic_ports(tmp_path / "out", client=client))
+        return (tmp_path / "out" / "labels.jsonl").read_bytes()
 
     with StubChainServer(_pages_from_fixture()) as server:
         cold = live_trace(server)
@@ -304,7 +305,8 @@ def test_cold_misses_on_a_worker_pool_fetch_every_page_through_one_session(tmp_p
     monkeypatch.setattr(requests, "Session", CountedSession)
     # the first two hops' accounts as seeds, analyzed alone: one hop of 16 that
     # the pool's threads start on together, every fetch a miss on a fresh client
-    seeds = [a.target_address.hex for a in trace([SEED], "ethereum", synthetic_cfg(D=2), synthetic_ports()).L_all]
+    trace([SEED], "ethereum", synthetic_cfg(D=2), synthetic_ports(tmp_path / "seeds"))
+    seeds = [a.target_address.hex for a in labels_in(tmp_path / "seeds")]
     cfg = synthetic_cfg(D=1)
     cache = FetchCache(tmp_path / "cache")
     with StubChainServer(_pages_from_fixture()) as server:
@@ -312,14 +314,14 @@ def test_cold_misses_on_a_worker_pool_fetch_every_page_through_one_session(tmp_p
             server.url, "ethereum", api_key="test", cache=cache, rate_limit_per_s=20.0, backoff_base_s=0.01
         )
         backend = PooledRules(Blacklist.load(FIXTURES / "blacklist.txt"))
-        state = trace(seeds, "ethereum", cfg, synthetic_ports(client=client, backend=backend, workers=4))
+        state = trace(seeds, "ethereum", cfg, synthetic_ports(tmp_path / "pooled", client=client, backend=backend, workers=4))
         asked = [(r["address"], r["action"], r["page"]) for r in server.requests]
         times = sorted(server.request_times)
-    expected = trace(seeds, "ethereum", cfg, synthetic_ports())
-    assert [a.to_json() for a in state.L_all] == [a.to_json() for a in expected.L_all]
-    assert len(state.L_all) == len(seeds) == 16
+    trace(seeds, "ethereum", cfg, synthetic_ports(tmp_path / "expected"))
+    assert (tmp_path / "pooled" / "labels.jsonl").read_bytes() == (tmp_path / "expected" / "labels.jsonl").read_bytes()
+    assert state.labeled == len(seeds) == 16
     assert len(sessions) == 1 and client.upstream.session is sessions[0]
-    assert len(asked) == len(set(asked)) == cache.misses == 2 * len(state.L_all)
+    assert len(asked) == len(set(asked)) == cache.misses == 2 * state.labeled
     cached = {(p.parent.name, p.stem) for p in (tmp_path / "cache" / "ethereum").glob("*/*.json")}
     assert cached == {(address, f"{action}_p{page}") for address, action, page in asked}
     gaps = [later - earlier for earlier, later in zip(times, times[1:])]
@@ -340,6 +342,7 @@ def test_criterion_7_rule_table_exhaustive_and_blacklist_monotone():
             return SuspicionLevel.LOW
         return SuspicionLevel.NO_SUSPICION
 
+    ascending = [SuspicionLevel.NO_SUSPICION, SuspicionLevel.LOW, SuspicionLevel.MEDIUM, SuspicionLevel.HIGH]
     combos = []
     for mask in range(16):
         combos.append({dim for bit, dim in enumerate("abcd") if mask >> bit & 1})
@@ -347,7 +350,8 @@ def test_criterion_7_rule_table_exhaustive_and_blacklist_monotone():
     for fired in combos:
         assert decide_level(fired) is expected(fired), f"combo {sorted(fired)}"
         # flagging the counterparty list can only push the level up
-        assert decide_level(fired | {"c"}).rank >= decide_level(fired).rank, f"combo {sorted(fired)}"
+        raised, before = decide_level(fired | {"c"}), decide_level(fired)
+        assert ascending.index(raised) >= ascending.index(before), f"combo {sorted(fired)}"
 
 
 # --- 8. golden label snapshot -------------------------------------------------------

@@ -22,7 +22,7 @@ from risktagger import cli
 from risktagger.chaindata.cache import FetchCache
 from risktagger.cli import main
 from risktagger.config import RunConfig, load_config
-from risktagger.errors import ParseError
+from risktagger.errors import BackendFailure, ParseError
 from risktagger.reasoner.rules import RuleBackend
 from risktagger.tracer import JOURNAL_NAME
 
@@ -589,6 +589,50 @@ def test_a_run_interrupted_mid_hop_leaves_no_label_files(tmp_path, monkeypatch):
     assert run_cli("run", DOC, "--config", cfg) == 130
     names = sorted(p.name for p in out.iterdir())
     assert names == ["case_clues.json", "extract_audit.json", JOURNAL_NAME, "run.json"]
+
+
+# what a run directory holds of one finished run besides its journal and manifest
+RUN_OUTPUTS = ("labels.jsonl", "risky.jsonl", "diagnostics.json", "report.md", "coverage.json")
+
+
+def test_a_rerun_interrupted_in_a_finished_run_directory_leaves_none_of_its_outputs(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli("run", DOC, "--config", cfg) == 0
+    assert all((out / name).exists() for name in RUN_OUTPUTS)
+    InterruptingRules(monkeypatch, budget=10)
+    assert run_cli("run", DOC, "--config", cfg, "--max-depth", 3) == 130
+    assert not {p.name for p in out.iterdir()} & set(RUN_OUTPUTS)
+    assert len((out / JOURNAL_NAME).read_text().splitlines()) == 11
+
+
+def test_a_refused_resume_changes_no_file(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli("run", DOC, "--config", cfg) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert run_cli("trace", out / "case_clues.json", "--config", cfg, "--resume", "--max-depth", 3) == 1
+    assert "config.tracer.D" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_a_run_whose_every_account_is_skipped_exits_two_without_a_report(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli("run", DOC, "--config", cfg) == 0
+
+    def failing(backend, prompt, temperature, max_tokens):
+        raise BackendFailure("model down")
+
+    monkeypatch.setattr(RuleBackend, "complete", failing)
+    capsys.readouterr()
+    assert run_cli("run", DOC, "--config", cfg) == 2
+    assert "labels are empty; nothing to report" in capsys.readouterr().err
+    assert (out / "labels.jsonl").read_text() == ""
+    assert not (out / "report.md").exists() and not (out / "coverage.json").exists()
+    errors = json.loads((out / "diagnostics.json").read_text())["errors"]
+    assert [e["error"] for e in errors] == ["BackendFailure"]
 
 
 def test_a_fixture_row_of_10_to_the_70_wei_runs_to_a_report(tmp_path):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import addr
+from conftest import addr, labels_in
 from risktagger.chaindata import FIXTURE_COLUMNS, EtherscanClient, FetchCache
 from risktagger.errors import ChainUnavailable, RateLimited, UnknownChain
 from risktagger.model import TracerConfig, TransactionRecord, normalize_address
@@ -343,11 +343,11 @@ def test_a_body_that_is_not_a_json_object_is_chain_unavailable(body, error):
             client_for(srv).fetch_transactions(CENTER)
 
 
-def test_a_page_whose_body_is_not_an_object_makes_the_account_a_recorded_skip():
+def test_a_page_whose_body_is_not_an_object_makes_the_account_a_recorded_skip(tmp_path):
     with StubChainServer({(CENTER.hex, "txlist", 1): b"[]"}) as srv:
-        ports = TracerPorts(client=client_for(srv), backend=RuleBackend(), now=1_740_000_000)
+        ports = TracerPorts(client=client_for(srv), backend=RuleBackend(), now=1_740_000_000, out_dir=tmp_path)
         state = trace([CENTER], "ethereum", TracerConfig(D=1), ports)
-    assert state.L_all == []
+    assert state.labeled == 0 and labels_in(tmp_path) == []
     assert [(e["address"], e["error"]) for e in state.diagnostics["errors"]] == [(CENTER.hex, "ChainUnavailable")]
 
 

@@ -12,6 +12,7 @@ import pytest
 from conftest import addr, make_tx
 from risktagger import upstream
 from risktagger.errors import BackendFailure, ParseError, RateLimited, SchemaViolation, UnparseableVerdict
+from risktagger.explainer import LEVEL_ORDER
 from risktagger.model import SuspicionLevel, TracerConfig
 from risktagger.reasoner import (
     Blacklist,
@@ -150,7 +151,7 @@ def test_blacklist_hit_never_lowers_level():
         fired = {letter for letter, bit in zip("abcd", bits) if bit}
         before = decide_level(fired)
         after = decide_level(fired | {"c"})
-        assert after.rank >= before.rank
+        assert LEVEL_ORDER.index(after) <= LEVEL_ORDER.index(before)  # High first
 
 
 def ts_at(hour, minute=0, day=21):

@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import addr, make_tx, tx_hash
+from conftest import addr, labels_in, make_tx, tx_hash
 from oracle_bfs import bfs_oracle
 from risktagger.chaindata import BridgeTable, BridgeMatcher, FixtureChainClient
 from risktagger.errors import BackendFailure, ChainUnavailable, CheckpointError, UnknownChain
@@ -17,11 +17,11 @@ from risktagger.model import Address, RiskAssessment, RiskDimension, SuspicionLe
 from risktagger.reasoner import RuleBackend
 from risktagger.tracer import (
     JOURNAL_NAME,
+    OUTPUT_NAMES,
     TracerPorts,
     collect_frontier,
     filter_frontier,
     trace,
-    write_outputs,
 )
 
 NOW = 1_750_000_000
@@ -92,9 +92,9 @@ class ListStore:
         return [tx for tx in self.txs if address in (tx.from_addr, tx.to_addr)]
 
 
-def ports_for(txs, backend, **overrides):
+def ports_for(txs, backend, out_dir, **overrides):
     client = FixtureChainClient(ListStore(txs))
-    kwargs = dict(client=client, backend=backend, now=NOW)
+    kwargs = dict(client=client, backend=backend, now=NOW, out_dir=out_dir)
     kwargs.update(overrides)
     return TracerPorts(**kwargs)
 
@@ -111,39 +111,40 @@ def star_backend():
     return ScriptedBackend({S: "Medium", A: "High", B: "Low", C: "No Suspicion"})
 
 
-def high(state):
-    """The High-rated subset of a trace's labels, in label order."""
-    return [a for a in state.L_all if a.suspicion_level is SuspicionLevel.HIGH]
+def high(out_dir):
+    """The High-rated labels a trace wrote to risky.jsonl, in label order."""
+    return labels_in(out_dir, "risky.jsonl")
 
 
 # --- trace over the star fixture ---------------------------------------------
 
 
-def test_star_graph_labels_and_risky_set():
-    state = trace([S], "ethereum", TracerConfig(D=3), ports_for(star_txs(), star_backend()))
-    by_addr = {a.target_address: a for a in state.L_all}
+def test_star_graph_labels_and_risky_set(tmp_path):
+    trace([S], "ethereum", TracerConfig(D=3), ports_for(star_txs(), star_backend(), tmp_path))
+    labels = labels_in(tmp_path)
+    by_addr = {a.target_address: a for a in labels}
     assert set(by_addr) == {S, A, B, C}
-    assert [r.target_address for r in high(state)] == [A]
+    assert [r.target_address for r in high(tmp_path)] == [A]
     assert by_addr[S].hop_depth == 0
     assert by_addr[A].hop_depth == 1
     assert by_addr[B].hop_depth == 1
     assert by_addr[C].hop_depth == 2
     assert by_addr[A].suspicion_level is SuspicionLevel.HIGH
-    # state invariants at rest
-    assert len({a.target_address for a in state.L_all}) == len(state.L_all)
+    # one label per account
+    assert len(by_addr) == len(labels)
 
 
-def test_l_all_ordered_by_hop_then_address():
-    state = trace([S], "ethereum", TracerConfig(D=3), ports_for(star_txs(), star_backend()))
-    keys = [(a.hop_depth, a.target_address) for a in state.L_all]
+def test_labels_ordered_by_hop_then_address(tmp_path):
+    trace([S], "ethereum", TracerConfig(D=3), ports_for(star_txs(), star_backend(), tmp_path))
+    keys = [(a.hop_depth, a.target_address) for a in labels_in(tmp_path)]
     assert keys == sorted(keys)
 
 
-def test_seed_with_no_outgoing_txs():
+def test_seed_with_no_outgoing_txs(tmp_path):
     txs = [make_tx(1, A, S, value="5", ts=NOW - 10)]  # only inbound to the seed
-    state = trace([S], "ethereum", TracerConfig(D=5), ports_for(txs, ConstBackend()))
-    assert [a.target_address for a in state.L_all] == [S]
-    assert high(state) == []
+    trace([S], "ethereum", TracerConfig(D=5), ports_for(txs, ConstBackend(), tmp_path))
+    assert [a.target_address for a in labels_in(tmp_path)] == [S]
+    assert high(tmp_path) == []
 
 
 def test_depth_zero_rejected_at_config():
@@ -151,47 +152,51 @@ def test_depth_zero_rejected_at_config():
         TracerConfig(D=0)
 
 
-def test_depth_bound_respected():
-    state = trace([S], "ethereum", TracerConfig(D=1), ports_for(star_txs(), star_backend()))
-    assert {a.target_address for a in state.L_all} == {S}
-    state = trace([S], "ethereum", TracerConfig(D=2), ports_for(star_txs(), star_backend()))
-    assert {a.target_address for a in state.L_all} == {S, A, B}
+def reached(out_dir):
+    """The accounts a trace labeled."""
+    return {a.target_address for a in labels_in(out_dir)}
 
 
-def test_cycle_does_not_reanalyze():
+def test_depth_bound_respected(tmp_path):
+    trace([S], "ethereum", TracerConfig(D=1), ports_for(star_txs(), star_backend(), tmp_path))
+    assert reached(tmp_path) == {S}
+    trace([S], "ethereum", TracerConfig(D=2), ports_for(star_txs(), star_backend(), tmp_path))
+    assert reached(tmp_path) == {S, A, B}
+
+
+def test_cycle_does_not_reanalyze(tmp_path):
     txs = [
         make_tx(1, S, A, value="9", ts=NOW - 100),
         make_tx(2, A, S, value="8", ts=NOW - 50),
     ]
-    state = trace([S], "ethereum", TracerConfig(D=10), ports_for(txs, ConstBackend()))
-    assert {a.target_address for a in state.L_all} == {S, A}
+    state = trace([S], "ethereum", TracerConfig(D=10), ports_for(txs, ConstBackend(), tmp_path))
+    assert reached(tmp_path) == {S, A}
     assert state.diagnostics["pruned_visited"] == 1
 
 
-def test_duplicate_seeds_collapse():
-    state = trace([S, S], "ethereum", TracerConfig(D=1), ports_for(star_txs(), star_backend()))
-    assert [a.target_address for a in state.L_all] == [S]
+def test_duplicate_seeds_collapse(tmp_path):
+    trace([S, S], "ethereum", TracerConfig(D=1), ports_for(star_txs(), star_backend(), tmp_path))
+    assert [a.target_address for a in labels_in(tmp_path)] == [S]
 
 
-def test_expand_levels_restricts_growth():
+def test_expand_levels_restricts_growth(tmp_path):
     txs = star_txs() + [make_tx(4, B, D_ADDR, value="77", ts=NOW - 20)]
     cfg = TracerConfig(
         D=5,
         expand_levels=frozenset({SuspicionLevel.HIGH, SuspicionLevel.MEDIUM}),
     )
-    state = trace([S], "ethereum", cfg, ports_for(txs, star_backend()))
-    reached = {a.target_address for a in state.L_all}
+    trace([S], "ethereum", cfg, ports_for(txs, star_backend(), tmp_path))
     # B is Low, so its receiver D never enters the frontier; A is High, C does
-    assert reached == {S, A, B, C}
+    assert reached(tmp_path) == {S, A, B, C}
 
 
-def test_failed_tx_still_yields_neighbor_but_no_value():
+def test_failed_tx_still_yields_neighbor_but_no_value(tmp_path):
     txs = [make_tx(1, S, A, value="1000", ts=NOW - 10, is_error=True)]
-    state = trace([S], "ethereum", TracerConfig(D=3), ports_for(txs, ConstBackend()))
-    assert {a.target_address for a in state.L_all} == {S, A}
+    trace([S], "ethereum", TracerConfig(D=3), ports_for(txs, ConstBackend(), tmp_path))
+    assert reached(tmp_path) == {S, A}
     cfg = TracerConfig(D=3, min_value_threshold="1")
-    state = trace([S], "ethereum", cfg, ports_for(txs, ConstBackend()))
-    assert {a.target_address for a in state.L_all} == {S}
+    state = trace([S], "ethereum", cfg, ports_for(txs, ConstBackend(), tmp_path))
+    assert reached(tmp_path) == {S}
     assert state.diagnostics["pruned_low_value"] == 1
 
 
@@ -301,12 +306,11 @@ class FlakyClient:
         return self.inner.fetch_transactions(address)
 
 
-def test_account_error_skips_and_records():
+def test_account_error_skips_and_records(tmp_path):
     client = FlakyClient(FixtureChainClient(ListStore(star_txs())), {A})
-    ports = TracerPorts(client=client, backend=star_backend(), now=NOW)
+    ports = TracerPorts(client=client, backend=star_backend(), now=NOW, out_dir=tmp_path)
     state = trace([S], "ethereum", TracerConfig(D=5), ports)
-    reached = {a.target_address for a in state.L_all}
-    assert reached == {S, B}  # A skipped, so C stays unreachable
+    assert reached(tmp_path) == {S, B}  # A skipped, so C stays unreachable
     assert len(state.diagnostics["errors"]) == 1
     assert state.diagnostics["errors"][0]["address"] == A.hex
 
@@ -316,25 +320,22 @@ def test_resume_keeps_a_journaled_skip(tmp_path):
     ports = TracerPorts(
         client=client, backend=star_backend(), now=NOW, out_dir=tmp_path
     )
-    skipped = trace([S], "ethereum", TracerConfig(D=5), ports)
-    labels = label_files(tmp_path)
+    skipped = snapshot(trace([S], "ethereum", TracerConfig(D=5), ports), tmp_path)
     # a healthy client on resume: A's journaled skip stands and nothing is redone
     backend = star_backend()
-    resumed = trace(
-        [S], "ethereum", TracerConfig(D=5), ports_for(star_txs(), backend, out_dir=tmp_path), resume=True
-    )
-    assert snapshot(resumed) == snapshot(skipped)
-    assert label_files(tmp_path) == labels
-    assert [label["target_address"] for label in labels_in(tmp_path)] == [S.to_json(), B.to_json()]
+    resumed = trace([S], "ethereum", TracerConfig(D=5), ports_for(star_txs(), backend, tmp_path), resume=True)
+    assert snapshot(resumed, tmp_path) == skipped
+    assert [a.target_address for a in labels_in(tmp_path)] == [S, B]
     assert backend.calls == 0
 
 
-def test_strict_mode_aborts_on_account_error():
+def test_strict_mode_aborts_on_account_error(tmp_path):
     client = FlakyClient(FixtureChainClient(ListStore(star_txs())), {A})
     ports = TracerPorts(
         client=client,
         backend=star_backend(),
         now=NOW,
+        out_dir=tmp_path,
         strict=True,
     )
     with pytest.raises(ChainUnavailable):
@@ -360,14 +361,16 @@ def test_bridge_landing_analyzed_on_destination_chain(tmp_path):
     store = ListStore(txs)
     matcher = BridgeMatcher(BridgeTable.load(table_file), store.records_for)
     client = FixtureChainClient(store)
+    out = tmp_path / "out"
     ports = TracerPorts(
         client=client,
         backend=ConstBackend(),
         matcher=matcher,
         now=NOW,
+        out_dir=out,
     )
-    state = trace([S], "ethereum", TracerConfig(D=4), ports)
-    by_addr = {a.target_address: a for a in state.L_all}
+    trace([S], "ethereum", TracerConfig(D=4), ports)
+    by_addr = {a.target_address: a for a in labels_in(out)}
     assert landing in by_addr
     assert by_addr[landing].target_address.chain == "bsc"
     assert by_addr[landing].hop_depth == 1
@@ -381,18 +384,6 @@ def journal_records(out_dir):
     return [json.loads(line) for line in (out_dir / JOURNAL_NAME).read_text().splitlines()]
 
 
-LABEL_FILES = ("labels.jsonl", "risky.jsonl")
-
-
-def label_files(out_dir):
-    """The bytes of the label files a trace with an out_dir wrote."""
-    return {name: (out_dir / name).read_bytes() for name in LABEL_FILES}
-
-
-def labels_in(out_dir):
-    return [json.loads(line) for line in (out_dir / "labels.jsonl").read_text().splitlines()]
-
-
 def first_of_hop(out_dir, depth):
     """The first account of a hop's frontier, read from a sequential run's journal."""
     return next(
@@ -402,32 +393,33 @@ def first_of_hop(out_dir, depth):
     )
 
 
-def snapshot(state):
-    """Everything a finished trace carries, as comparable JSON text. With an
-    out_dir the labels are in its files, not `L_all`: compare `label_files` too."""
+def snapshot(state, out_dir):
+    """Everything a finished trace leaves, as comparable JSON text: its final
+    state and the bytes of the outputs it wrote to out_dir. Take it before
+    another trace writes there."""
     return json.dumps(
         {
             "depth": state.depth,
             "counts": [state.labeled, state.high],
             "C_current": [a.to_json() for a in state.C_current],
             "visited": [a.to_json() for a in sorted(state.visited)],
-            "high": [r.to_json() for r in high(state)],
-            "L_all": [r.to_json() for r in state.L_all],
             "diagnostics": state.diagnostics,
+            "outputs": {name: (out_dir / name).read_text(encoding="utf-8") for name in OUTPUT_NAMES},
         }
     )
 
 
 def test_checkpoints_written_per_hop(tmp_path):
-    ports = ports_for(star_txs(), star_backend(), out_dir=tmp_path)
+    ports = ports_for(star_txs(), star_backend(), tmp_path)
     state = trace([S], "ethereum", TracerConfig(D=3), ports)
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([JOURNAL_NAME, *LABEL_FILES])
-    assert state.L_all == [] and (state.labeled, state.high) == (4, 1)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([JOURNAL_NAME, *OUTPUT_NAMES])
+    assert (state.labeled, state.high) == (4, 1)
+    assert json.loads((tmp_path / "diagnostics.json").read_text()) == state.diagnostics
     records = journal_records(tmp_path)
     assert [r["kind"] for r in records] == ["header", "account", "account", "account", "account"]
     assert records[0]["seeds"] == [S.to_json()]
     journaled = [r["assessment"] for r in records if r["kind"] == "account"]
-    assert sorted(journaled, key=json.dumps) == sorted(labels_in(tmp_path), key=json.dumps)
+    assert sorted(journaled, key=json.dumps) == sorted((a.to_json() for a in labels_in(tmp_path)), key=json.dumps)
     # hop by hop, each hop's account lines in its frontier order
     assert [(r["assessment"]["hop_depth"], r["address"]) for r in records[1:]] == [
         (0, S.to_json()), (1, A.to_json()), (1, B.to_json()), (2, C.to_json()),
@@ -454,37 +446,48 @@ class AbortingBackend:
 def test_resume_reproduces_uninterrupted_run(tmp_path):
     cfg = TracerConfig(D=3)
     full = tmp_path / "full"
-    trace([S], "ethereum", cfg, ports_for(star_txs(), star_backend(), out_dir=full))
+    straight = snapshot(trace([S], "ethereum", cfg, ports_for(star_txs(), star_backend(), full)), full)
 
     out = tmp_path / "interrupted"
     out.mkdir()
     # dies on the first verdict of hop 1, after hop 0 was journaled
-    crashy = ports_for(star_txs(), AbortingBackend(star_backend(), allow=1), out_dir=out, strict=True)
+    crashy = ports_for(star_txs(), AbortingBackend(star_backend(), allow=1), out, strict=True)
     with pytest.raises(BackendFailure):
         trace([S], "ethereum", cfg, crashy)
     assert [r["kind"] for r in journal_records(out)] == ["header", "account"]
     assert sorted(p.name for p in out.iterdir()) == [JOURNAL_NAME]
 
-    trace([S], "ethereum", cfg, ports_for(star_txs(), star_backend(), out_dir=out), resume=True)
-    assert label_files(out) == label_files(full)
+    resumed = trace([S], "ethereum", cfg, ports_for(star_txs(), star_backend(), out), resume=True)
+    assert snapshot(resumed, out) == straight
 
 
 def test_resume_without_checkpoint_starts_fresh(tmp_path):
-    state = trace([S], "ethereum", TracerConfig(D=1), ports_for(star_txs(), star_backend(), out_dir=tmp_path), resume=True)
-    assert [label["target_address"] for label in labels_in(tmp_path)] == [S.to_json()]
+    state = trace([S], "ethereum", TracerConfig(D=1), ports_for(star_txs(), star_backend(), tmp_path), resume=True)
+    assert [a.target_address for a in labels_in(tmp_path)] == [S]
     assert state.labeled == 1
 
 
 def test_fresh_run_truncates_the_journal(tmp_path):
-    trace([S], "ethereum", TracerConfig(D=3), ports_for(star_txs(), star_backend(), out_dir=tmp_path))
-    trace([S], "ethereum", TracerConfig(D=1), ports_for(star_txs(), star_backend(), out_dir=tmp_path))
+    trace([S], "ethereum", TracerConfig(D=3), ports_for(star_txs(), star_backend(), tmp_path))
+    trace([S], "ethereum", TracerConfig(D=1), ports_for(star_txs(), star_backend(), tmp_path))
     assert [r["kind"] for r in journal_records(tmp_path)] == ["header", "account"]
 
 
+def test_a_fresh_trace_interrupted_mid_hop_leaves_no_outputs_of_the_trace_before(tmp_path):
+    trace([S], "ethereum", TracerConfig(D=3), ports_for(star_txs(), star_backend(), tmp_path))
+    assert {p.name for p in tmp_path.iterdir()} == {JOURNAL_NAME, *OUTPUT_NAMES}
+    # Ctrl-C between A and B, the two accounts of hop 1
+    ports = ports_for(star_txs(), InterruptAfter(star_backend(), allow=2), tmp_path)
+    with pytest.raises(KeyboardInterrupt):
+        trace([S], "ethereum", TracerConfig(D=2), ports)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [JOURNAL_NAME]
+    assert [r["kind"] for r in journal_records(tmp_path)] == ["header", "account", "account"]
+
+
 def test_resume_refuses_a_journal_from_another_run(tmp_path):
-    trace([S], "ethereum", TracerConfig(D=3), ports_for(star_txs(), star_backend(), out_dir=tmp_path))
+    trace([S], "ethereum", TracerConfig(D=3), ports_for(star_txs(), star_backend(), tmp_path))
     before = (tmp_path / JOURNAL_NAME).read_bytes()
-    ports = ports_for(star_txs(), star_backend(), out_dir=tmp_path)
+    ports = ports_for(star_txs(), star_backend(), tmp_path)
     with pytest.raises(CheckpointError, match=r"config\.tracer\.D"):
         trace([S], "ethereum", TracerConfig(D=2), ports, resume=True)
     assert (tmp_path / JOURNAL_NAME).read_bytes() == before
@@ -493,8 +496,7 @@ def test_resume_refuses_a_journal_from_another_run(tmp_path):
 @pytest.mark.parametrize("cut", ["boundary", "account"])
 def test_resume_drops_a_torn_last_line(tmp_path, cut):
     cfg = TracerConfig(D=3)
-    full = trace([S], "ethereum", cfg, ports_for(star_txs(), star_backend(), out_dir=tmp_path))
-    labels = label_files(tmp_path)
+    full = snapshot(trace([S], "ethereum", cfg, ports_for(star_txs(), star_backend(), tmp_path)), tmp_path)
     journal = tmp_path / JOURNAL_NAME
     whole = journal.read_bytes()
     last = whole.splitlines(keepends=True)[-1]
@@ -503,9 +505,8 @@ def test_resume_drops_a_torn_last_line(tmp_path, cut):
     journal.write_bytes(whole[: -len(last)] + torn)
 
     backend = star_backend()
-    resumed = trace([S], "ethereum", cfg, ports_for(star_txs(), backend, out_dir=tmp_path), resume=True)
-    assert snapshot(resumed) == snapshot(full)
-    assert label_files(tmp_path) == labels
+    resumed = trace([S], "ethereum", cfg, ports_for(star_txs(), backend, tmp_path), resume=True)
+    assert snapshot(resumed, tmp_path) == full
     assert backend.calls == 1
     assert journal.read_bytes() == whole
 
@@ -514,18 +515,18 @@ def test_resume_refuses_a_header_line_that_is_not_an_object(tmp_path):
     journal = tmp_path / JOURNAL_NAME
     journal.write_text("null\n")
     with pytest.raises(CheckpointError, match="different run"):
-        trace([S], "ethereum", TracerConfig(D=3), ports_for(star_txs(), star_backend(), out_dir=tmp_path), resume=True)
+        trace([S], "ethereum", TracerConfig(D=3), ports_for(star_txs(), star_backend(), tmp_path), resume=True)
     assert journal.read_text() == "null\n"
 
 
 def test_resume_rejects_a_corrupt_middle_line(tmp_path):
-    trace([S], "ethereum", TracerConfig(D=3), ports_for(star_txs(), star_backend(), out_dir=tmp_path))
+    trace([S], "ethereum", TracerConfig(D=3), ports_for(star_txs(), star_backend(), tmp_path))
     journal = tmp_path / JOURNAL_NAME
     lines = journal.read_bytes().splitlines(keepends=True)
     lines[2] = b"{not json\n"
     journal.write_bytes(b"".join(lines))
     with pytest.raises(CheckpointError, match="line 3"):
-        trace([S], "ethereum", TracerConfig(D=3), ports_for(star_txs(), star_backend(), out_dir=tmp_path), resume=True)
+        trace([S], "ethereum", TracerConfig(D=3), ports_for(star_txs(), star_backend(), tmp_path), resume=True)
 
 
 class InterruptAfter:
@@ -556,28 +557,26 @@ def test_mid_hop_interrupt_keeps_every_finished_account(tmp_path, workers):
     nodes, txs = random_graph(11, accounts=60, edges=180)  # hops of 1, 2, 5 and 13 accounts
     cfg = TracerConfig(D=4)
     counted = InterruptAfter(ConstBackend(), allow=10**9)
-    straight = trace([nodes[0]], "ethereum", cfg, ports_for(txs, counted, out_dir=tmp_path / "straight"))
-    sizes = list(Counter(label["hop_depth"] for label in labels_in(tmp_path / "straight")).values())
+    straight_dir = tmp_path / "straight"
+    straight = snapshot(trace([nodes[0]], "ethereum", cfg, ports_for(txs, counted, straight_dir)), straight_dir)
+    sizes = list(Counter(a.hop_depth for a in labels_in(straight_dir)).values())
     assert sizes == [1, 2, 5, 13]
     widest = max(range(len(sizes)), key=sizes.__getitem__)
     budget = sum(sizes[:widest]) + sizes[widest] // 2
     # the widest hop's first account in frontier order stalls until the budget is spent
-    first = first_of_hop(tmp_path / "straight", widest)
+    first = first_of_hop(straight_dir, widest)
 
     out = tmp_path / "run"
     interrupted = InterruptAfter(ConstBackend(), allow=budget, slow=first if workers > 1 else None)
     with pytest.raises(KeyboardInterrupt):
-        trace([nodes[0]], "ethereum", cfg, ports_for(txs, interrupted, out_dir=out, workers=workers))
+        trace([nodes[0]], "ethereum", cfg, ports_for(txs, interrupted, out, workers=workers))
     journaled = [r for r in journal_records(out) if r["kind"] == "account"]
     assert len(journaled) == budget
     assert sorted(p.name for p in out.iterdir()) == [JOURNAL_NAME]
 
     again = InterruptAfter(ConstBackend(), allow=10**9)
-    resumed = trace(
-        [nodes[0]], "ethereum", cfg, ports_for(txs, again, out_dir=out, workers=workers), resume=True
-    )
-    assert snapshot(resumed) == snapshot(straight)
-    assert label_files(out) == label_files(tmp_path / "straight")
+    resumed = trace([nodes[0]], "ethereum", cfg, ports_for(txs, again, out, workers=workers), resume=True)
+    assert snapshot(resumed, out) == straight
     assert interrupted.calls + again.calls == counted.calls
 
 
@@ -586,30 +585,28 @@ def test_a_resume_interrupted_again_resumes_to_the_straight_run(tmp_path, worker
     nodes, txs = random_graph(11, accounts=60, edges=180)  # hops of 1, 2, 5 and 13 accounts
     cfg = TracerConfig(D=4)
     counted = InterruptAfter(ConstBackend(), allow=10**9)
-    straight = trace([nodes[0]], "ethereum", cfg, ports_for(txs, counted, out_dir=tmp_path / "straight"))
+    straight_dir = tmp_path / "straight"
+    straight = snapshot(trace([nodes[0]], "ethereum", cfg, ports_for(txs, counted, straight_dir)), straight_dir)
 
     out = tmp_path / "run"
     calls = 0
     # Ctrl-C 2 accounts into hop 2, then, resumed, 3 accounts into hop 3; with
     # several workers each hop's first account stalls, so later ones finish first
     for allow, depth, resume in ((5, 2, False), (6, 3, True)):
-        slow = first_of_hop(tmp_path / "straight", depth) if workers > 1 else None
+        slow = first_of_hop(straight_dir, depth) if workers > 1 else None
         interrupted = InterruptAfter(ConstBackend(), allow=allow, slow=slow)
-        ports = ports_for(txs, interrupted, out_dir=out, workers=workers)
+        ports = ports_for(txs, interrupted, out, workers=workers)
         with pytest.raises(KeyboardInterrupt):
             trace([nodes[0]], "ethereum", cfg, ports, resume=resume)
         calls += interrupted.calls
     last = InterruptAfter(ConstBackend(), allow=10**9)
-    resumed = trace(
-        [nodes[0]], "ethereum", cfg, ports_for(txs, last, out_dir=out, workers=workers), resume=True
-    )
-    assert snapshot(resumed) == snapshot(straight)
-    assert label_files(out) == label_files(tmp_path / "straight")
+    resumed = trace([nodes[0]], "ethereum", cfg, ports_for(txs, last, out, workers=workers), resume=True)
+    assert snapshot(resumed, out) == straight
     assert calls + last.calls == counted.calls
     journaled = Counter(r["address"]["hex"] for r in journal_records(out)[1:])
-    assert journaled == Counter(label["target_address"]["hex"] for label in labels_in(tmp_path / "straight"))
+    assert journaled == Counter(a.target_address.hex for a in labels_in(straight_dir))
     if workers == 1:
-        assert (out / JOURNAL_NAME).read_bytes() == (tmp_path / "straight" / JOURNAL_NAME).read_bytes()
+        assert (out / JOURNAL_NAME).read_bytes() == (straight_dir / JOURNAL_NAME).read_bytes()
 
 
 def edit_hop(address, depth):
@@ -657,21 +654,21 @@ def repeat(address):
 )
 def test_resume_refuses_a_misplaced_account(tmp_path, edit, named):
     cfg = TracerConfig(D=3)
-    trace([S], "ethereum", cfg, ports_for(star_txs(), star_backend(), out_dir=tmp_path))
+    trace([S], "ethereum", cfg, ports_for(star_txs(), star_backend(), tmp_path))
     journal = tmp_path / JOURNAL_NAME
     journal.write_text("".join(json.dumps(r) + "\n" for r in edit(journal_records(tmp_path))))
     before = journal.read_bytes()
 
     backend = star_backend()
     with pytest.raises(CheckpointError, match=f"account {named.hex} "):
-        trace([S], "ethereum", cfg, ports_for(star_txs(), backend, out_dir=tmp_path), resume=True)
+        trace([S], "ethereum", cfg, ports_for(star_txs(), backend, tmp_path), resume=True)
     assert backend.calls == 0
     assert journal.read_bytes() == before
 
 
 def test_resume_refuses_a_hop_journaled_in_part_that_later_lines_follow(tmp_path):
     cfg = TracerConfig(D=3)
-    trace([S], "ethereum", cfg, ports_for(star_txs(), star_backend(), out_dir=tmp_path))
+    trace([S], "ethereum", cfg, ports_for(star_txs(), star_backend(), tmp_path))
     journal = tmp_path / JOURNAL_NAME
     # B's line goes, so hop 1 is journaled in part, yet C's line of hop 2 follows it
     records = [r for r in journal_records(tmp_path) if r.get("address") != B.to_json()]
@@ -680,7 +677,7 @@ def test_resume_refuses_a_hop_journaled_in_part_that_later_lines_follow(tmp_path
 
     backend = star_backend()
     with pytest.raises(CheckpointError, match="hop 1 is journaled in part"):
-        trace([S], "ethereum", cfg, ports_for(star_txs(), backend, out_dir=tmp_path), resume=True)
+        trace([S], "ethereum", cfg, ports_for(star_txs(), backend, tmp_path), resume=True)
     assert backend.calls == 0
     assert journal.read_bytes() == before
 
@@ -720,7 +717,7 @@ def test_resuming_a_finished_journal_holds_one_hop_of_it(tmp_path):
     client = FixtureChainClient(IndexedStore(txs))
     straight = trace([layers[0][0]], "ethereum", cfg, TracerPorts(client=client, backend=RuleBackend(), now=NOW, out_dir=tmp_path))
     assert straight.labeled == 541
-    labels = label_files(tmp_path)
+    finished = snapshot(straight, tmp_path)
     size = (tmp_path / JOURNAL_NAME).stat().st_size
 
     ports = TracerPorts(client=client, backend=UncalledBackend(), now=NOW, out_dir=tmp_path)
@@ -730,8 +727,7 @@ def test_resuming_a_finished_journal_holds_one_hop_of_it(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert snapshot(resumed) == snapshot(straight)
-    assert label_files(tmp_path) == labels
+    assert snapshot(resumed, tmp_path) == finished
     assert peak < size / 4
 
 
@@ -762,11 +758,10 @@ def test_identical_runs_byte_for_byte(tmp_path):
     nodes, txs = random_graph(7)
     cfg = TracerConfig(D=4, frontier_cap=5)
     runs = [
-        trace([nodes[0]], "ethereum", cfg, ports_for(txs, ConstBackend(), out_dir=tmp_path / name))
+        snapshot(trace([nodes[0]], "ethereum", cfg, ports_for(txs, ConstBackend(), tmp_path / name)), tmp_path / name)
         for name in ("a", "b")
     ]
-    assert snapshot(runs[0]) == snapshot(runs[1])
-    assert label_files(tmp_path / "a") == label_files(tmp_path / "b")
+    assert runs[0] == runs[1]
     assert (tmp_path / "a" / JOURNAL_NAME).read_bytes() == (tmp_path / "b" / JOURNAL_NAME).read_bytes()
 
 
@@ -783,29 +778,25 @@ class NetworkBoundBackend(ConstBackend):
         return super().complete(prompt, temperature, max_tokens)
 
 
-OUTPUT_FILES = ("labels.jsonl", "risky.jsonl", "diagnostics.json", JOURNAL_NAME)
-
-
 def test_workers_match_sequential(tmp_path):
     nodes, txs = random_graph(11)
     cfg = TracerConfig(D=4, frontier_cap=6)
 
     def run(workers):
         backend, out = NetworkBoundBackend(), tmp_path / str(workers)
-        state = trace([nodes[0]], "ethereum", cfg, ports_for(txs, backend, workers=workers, out_dir=out))
-        write_outputs(state, out)
-        return state, backend.threads, {name: (out / name).read_bytes() for name in OUTPUT_FILES}
+        state = trace([nodes[0]], "ethereum", cfg, ports_for(txs, backend, out, workers=workers))
+        return snapshot(state, out), backend.threads, (out / JOURNAL_NAME).read_bytes()
 
-    seq, _, seq_files = run(1)
+    seq, _, seq_journal = run(1)
     for workers in (2, 4):
-        par, threads, files = run(workers)
-        assert snapshot(seq) == snapshot(par)
-        assert files == seq_files
+        par, threads, journal = run(workers)
+        assert par == seq  # the diagnostics.json the trace wrote included
+        assert journal == seq_journal
         assert len(threads - {threading.get_ident()}) >= 2  # pool threads took the wide hops
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
-def test_in_process_backend_runs_in_the_calling_thread(monkeypatch, workers):
+def test_in_process_backend_runs_in_the_calling_thread(monkeypatch, tmp_path, workers):
     nodes, txs = random_graph(11)
     threads = []
     complete = RuleBackend.complete
@@ -815,8 +806,8 @@ def test_in_process_backend_runs_in_the_calling_thread(monkeypatch, workers):
         return complete(backend, prompt, temperature, max_tokens)
 
     monkeypatch.setattr(RuleBackend, "complete", recording)
-    state = trace([nodes[0]], "ethereum", TracerConfig(D=4), ports_for(txs, RuleBackend(), workers=workers))
-    assert max(Counter(a.hop_depth for a in state.L_all).values()) > 1  # a hop the pool could take
+    trace([nodes[0]], "ethereum", TracerConfig(D=4), ports_for(txs, RuleBackend(), tmp_path, workers=workers))
+    assert max(Counter(a.hop_depth for a in labels_in(tmp_path)).values()) > 1  # a hop the pool could take
     assert set(threads) == {threading.get_ident()}
 
 
@@ -839,7 +830,7 @@ def rows_from(txs):
 
 @pytest.mark.parametrize("depth", [1, 3, 10])
 @pytest.mark.parametrize("cap", [None, 3])
-def test_matches_brute_force_oracle(depth, cap):
+def test_matches_brute_force_oracle(tmp_path, depth, cap):
     nodes, txs = random_graph(23, accounts=40, edges=120)
     cfg = TracerConfig(
         D=depth,
@@ -848,7 +839,7 @@ def test_matches_brute_force_oracle(depth, cap):
         recency_weight=0.4,
         flag_weight=0.0,
     )
-    state = trace([nodes[0]], "ethereum", cfg, ports_for(txs, ConstBackend()))
-    got = {a.target_address.hex: a.hop_depth for a in state.L_all}
+    trace([nodes[0]], "ethereum", cfg, ports_for(txs, ConstBackend(), tmp_path))
+    got = {a.target_address.hex: a.hop_depth for a in labels_in(tmp_path)}
     want = bfs_oracle(rows_from(txs), [nodes[0].hex], depth, NOW, frontier_cap=cap)
     assert got == want

@@ -324,7 +324,7 @@ def round_trips(text):
     return json.dumps(json.loads(text), indent=2, ensure_ascii=False) == text
 
 
-def test_payload_json_equals_json_dumps_on_every_demo_payload(monkeypatch):
+def test_payload_json_equals_json_dumps_on_every_demo_payload(monkeypatch, tmp_path):
     texts = []
 
     def recording(*args, **kwargs):
@@ -335,7 +335,7 @@ def test_payload_json_equals_json_dumps_on_every_demo_payload(monkeypatch):
     config = json.loads((FIXTURES / "synthetic" / "config.json").read_text())
     blacklist = Blacklist.load(FIXTURES / "blacklist.txt")
     client = FixtureChainClient(FixtureStore.load_dir(FIXTURES / "synthetic"))
-    ports = TracerPorts(client=client, backend=RuleBackend(blacklist), now=config["now"])
+    ports = TracerPorts(client=client, backend=RuleBackend(blacklist), now=config["now"], out_dir=tmp_path)
     trace(["0x47666fab8bd0ac7003bce3f5c3585383f09486e2"], "ethereum", TracerConfig.from_json(config["tracer"]), ports)
     assert len(texts) == 140
     for text in texts:
