@@ -35,9 +35,8 @@ from .extractor import MANDATORY_FIELDS, CaseClues, LlmExtractor, extract_case_c
 from .model import RiskAssessment
 from .reasoner.backends import HttpLlmBackend
 from .reasoner.blacklist import Blacklist
-from .reasoner.prompts import template_hashes
 from .reasoner.rules import RuleBackend
-from .tracer import JOURNAL_NAME, TracerPorts, journal_clock, trace
+from .tracer import JOURNAL_NAME, TracerPorts, journal_clock, prompt_versions, trace
 
 
 # --- shared plumbing ---------------------------------------------------------
@@ -58,7 +57,7 @@ def _write_manifest(out_dir: Path, config: RunConfig, inputs: dict | None = None
     manifest = {"config": config.to_json(), "config_sha256": config.sha256()}
     if inputs is not None:
         manifest["inputs"] = inputs
-    manifest["prompts"] = template_hashes()
+    manifest["prompts"] = prompt_versions()
     manifest["versions"] = {"risktagger": __version__, "python": platform.python_version()}
     _write_json(out_dir / "run.json", manifest)
 

@@ -514,7 +514,8 @@ def generate_report(clues, labels, backend=None) -> tuple[str, dict]:
     analysis = _analysis(clues, labels)
     reason = None
     if backend is not None:
-        prompt = build_explainer_prompt(json.dumps(analysis, indent=2, sort_keys=True))
+        analysis_json = json.dumps(analysis, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+        prompt = build_explainer_prompt(analysis_json)
         try:
             reply = backend.complete(prompt, temperature=0.0, max_tokens=REPORT_MAX_TOKENS)
         except (BackendFailure, RateLimited) as exc:

@@ -64,7 +64,7 @@ def infer_risk(
             break
         reflection_prompt = build_reflection_prompt(
             sub.center,
-            json.dumps(fragment.raw, indent=2, ensure_ascii=False),
+            json.dumps(fragment.raw, ensure_ascii=False, separators=(",", ":")),
         )
         review = backend.complete(reflection_prompt, 0.0, DEFAULT_MAX_TOKENS)
         round_issues = parse_reflection(review)

@@ -3,7 +3,10 @@
 It answers the same prompts the hosted model would: an analyst prompt gets a
 verdict JSON in the documented output schema, an auditor (reflection) prompt
 gets a "No flaw" review. The payload is recovered from the rendered prompt
-text, so the engine sees exactly what a live model would see.
+text, so the engine sees exactly what a live model would see, and its
+transaction table is read through the table's `columns` header. A header
+without a column the rules read, or a row of another width, is a
+BackendFailure, so the account becomes a recorded skip.
 
 Rule table (a dimension "fires" when its predicate holds):
   a  transaction_patterns   >= 20 distinct txs (hashes) in any 1h window, or
@@ -26,6 +29,7 @@ from datetime import datetime
 
 from ..errors import BackendFailure
 from ..model import SuspicionLevel
+from ..translator import TX_COLUMNS
 from .blacklist import Blacklist
 
 ROUND_UNIT_RAW = 10**21
@@ -75,7 +79,7 @@ def rule_backend_assess(payload: dict, blacklist: Blacklist) -> dict:
     """Apply the rule table to one reasoner payload; returns the verdict dict."""
     target = payload.get("target_address", {}).get("hex", "")
     stats = payload.get("statistics", {})
-    rows = payload.get("transactions", [])
+    rows = _transaction_rows(payload)
 
     if not rows:
         quiet = {"result": "no activity", "evidence": "no transaction rows for this account"}
@@ -181,6 +185,20 @@ def rule_backend_assess(payload: dict, blacklist: Blacklist) -> dict:
         "justification": justification,
         "gaps": "Counterparty identities beyond the configured blacklist are unverified.",
     }
+
+
+def _transaction_rows(payload: dict) -> list[dict]:
+    """The payload's transfers as dicts, each cell keyed by the table's
+    `columns` header. A header without TX_COLUMNS, or a row of another
+    width, is a BackendFailure."""
+    table = payload.get("transactions")
+    columns, rows = (table.get("columns"), table.get("rows")) if isinstance(table, dict) else (None, None)
+    if not (
+        isinstance(columns, list) and isinstance(rows, list) and set(TX_COLUMNS) <= set(columns)
+        and all(isinstance(row, list) and len(row) == len(columns) for row in rows)
+    ):
+        raise BackendFailure(f"payload table 'transactions' is not rows of the columns {TX_COLUMNS}")
+    return [dict(zip(columns, row)) for row in rows]
 
 
 def _max_dispersal(out_rows: list) -> int:

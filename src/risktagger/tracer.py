@@ -31,12 +31,13 @@ keeps the run journal there, journal.jsonl, one compact JSON object per line:
     {"kind": "account", "address", "assessment", "funding"}   or
     {"kind": "account", "address", "fetched", "error"}        per attempted account
 
-The fingerprint is the sha256 of the effective config, the seed list and the
-prompt template hashes. The config holds the clock the run ranked against
-(`now`) even when none was configured, so a resume can reuse it. Account
-lines follow frontier order; `funding` holds [value as a decimal string,
-latest ts] for each of the assessment's out_neighbors, so a frontier
-rebuilds without refetching.
+The fingerprint is the sha256 of the effective config, the seed list, the
+prompt template hashes and the reasoner payload's version. The config holds
+the clock the run ranked against (`now`) even when none was configured, so a
+resume can reuse it. Account lines follow frontier order; `funding` holds
+[value as a decimal string, latest ts] for each of the assessment's
+out_neighbors, so a frontier rebuilds without refetching. The payload's
+version is kept beside the template hashes, as prompts.payload_version.
 resume=True runs the same hop loop as a fresh run, except that a frontier
 account with a journaled outcome takes it instead of being analyzed; merge,
 frontier ranking and counters are recomputed. The journal is read once, one
@@ -77,7 +78,7 @@ from .errors import (
 from .model import Address, RiskAssessment, SuspicionLevel, TracerConfig, normalize_address
 from .reasoner import infer_risk
 from .reasoner.prompts import template_hashes
-from .translator import build_subgraph
+from .translator import PAYLOAD_VERSION, build_subgraph
 
 logger = logging.getLogger(__name__)
 
@@ -421,6 +422,12 @@ def journal_clock(path: Path) -> int | None:
         return None
 
 
+def prompt_versions() -> dict:
+    """What decides a prompt's text besides the account: each template's
+    sha256 and the reasoner payload's version."""
+    return {**template_hashes(), "payload_version": PAYLOAD_VERSION}
+
+
 def _journal_header(seeds: list[Address], chain: str, cfg: TracerConfig, ports: TracerPorts) -> dict:
     config = ports.run_config
     if config is None:
@@ -428,7 +435,7 @@ def _journal_header(seeds: list[Address], chain: str, cfg: TracerConfig, ports: 
     parts = {
         "config": config,
         "seeds": [seed.to_json() for seed in seeds],
-        "prompts": template_hashes(),
+        "prompts": prompt_versions(),
     }
     canonical = json.dumps(parts, sort_keys=True, separators=(",", ":"))
     return {

@@ -6,6 +6,12 @@ distorts counts or totals. Amounts are the records' ints (wei values exceed
 64-bit and must never pass through float) until the payload writes them as
 decimal text. An asset is keyed by the record's tokenSymbol ("" for the
 native coin) everywhere, and asset_label alone names it in the payload.
+
+The payload (PAYLOAD_VERSION 2) is compact JSON: the target, the full-set
+statistics, then the retained transfers and the cross-chain pairs as tables,
+each a `columns` header and one list of cells per row. Every amount is
+decimal text ending in its asset_label, so no row names its asset apart;
+times are ISO 8601 in UTC.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from datetime import datetime, timezone
 
 from .model import Address, CrossChainPair, TracerConfig, TransactionRecord
 
-PAYLOAD_VERSION = 1
+PAYLOAD_VERSION = 2
 
 # Display-unit tables; unknown symbols fall back to raw smallest units.
 DEFAULT_DECIMALS = {
@@ -189,9 +195,10 @@ def scaled_amount(value: str, decimals: int) -> str:
 def asset_label(token_symbol: str, chain: str) -> str:
     """The payload's name for an asset: the chain's native symbol for the
     native coin (`native` on a chain without one), a token's own symbol, and
-    `<symbol> (token)` for a token named like the native coin."""
+    `<symbol> (token)` for a token named like the native coin or ending in
+    ` (token)`, so no two assets share a name."""
     native = NATIVE_SYMBOLS.get(chain, "native")
-    if token_symbol == native:
+    if token_symbol == native or token_symbol.endswith(" (token)"):
         return f"{token_symbol} (token)"
     return token_symbol or native
 
@@ -208,84 +215,57 @@ def _iso(ts: int) -> str:
     return datetime.fromtimestamp(ts, tz=timezone.utc).isoformat()
 
 
-# the string encoder json.dumps(ensure_ascii=False) uses, in C where available
-_str = json.encoder.encode_basestring
+TX_COLUMNS = ("hash", "from", "to", "value", "timeStamp", "isError")
+PAIR_COLUMNS = (
+    "src_hash", "dst_hash", "src_chain", "dst_chain", "dst_to", "token",
+    "amount_src", "amount_dst", "time_delta_s", "bridge_hint",
+)
 
 
 def to_reasoner_payload(sub: AccountSubgraph) -> str:
-    """The payload the analyst prompt embeds, as JSON text.
-
-    The text is byte for byte what json.dumps(indent=2, ensure_ascii=False)
-    writes for these objects and keys, in this order; the key order is part
-    of the contract. indent=2 would put json on its pure-Python encoder, so
-    each object is one concatenation instead.
-    """
+    """The payload the analyst prompt embeds, as compact JSON text; the key
+    order is part of the contract."""
     chain, stats = sub.center.chain, sub.stats
-    return (
-        '{\n  "payload_version": ' + str(PAYLOAD_VERSION)
-        + ',\n  "target_address": {\n    "hex": ' + _str(sub.center.hex)
-        + ',\n    "chain": ' + _str(chain)
-        + '\n  },\n  "statistics": {\n    "in_count": ' + str(stats.in_count)
-        + ',\n    "out_count": ' + str(stats.out_count)
-        + ',\n    "in_total": ' + _totals_json(stats.in_total, chain)
-        + ',\n    "out_total": ' + _totals_json(stats.out_total, chain)
-        + ',\n    "first_seen": ' + (_str(_iso(stats.first_seen)) if stats.first_seen else "null")
-        + ',\n    "last_seen": ' + (_str(_iso(stats.last_seen)) if stats.last_seen else "null")
-        + ',\n    "distinct_counterparties_in": ' + str(stats.distinct_counterparties_in)
-        + ',\n    "distinct_counterparties_out": ' + str(stats.distinct_counterparties_out)
-        + ',\n    "tx_per_day_mean": ' + repr(round(stats.tx_per_day_mean, 6))
-        + ',\n    "max_burst_1h": ' + str(stats.max_burst_1h)
-        + ',\n    "total_tx_count": ' + str(sub.total_tx_count)
-        + ',\n    "retained_tx_count": ' + str(len(sub.retained_txs))
-        + ',\n    "truncated": ' + ("true" if sub.truncated else "false")
-        + '\n  },\n  "transactions": ' + _rows_json(sub.retained_txs, _tx_json)
-        + ',\n  "cross_chain": ' + _rows_json(sub.cross_chain, _pair_json)
-        + "\n}"
-    )
+    payload = {
+        "payload_version": PAYLOAD_VERSION,
+        "target_address": {"hex": sub.center.hex, "chain": chain},
+        "statistics": {
+            "in_count": stats.in_count,
+            "out_count": stats.out_count,
+            "in_total": _totals(stats.in_total, chain),
+            "out_total": _totals(stats.out_total, chain),
+            "first_seen": _iso(stats.first_seen) if stats.first_seen else None,
+            "last_seen": _iso(stats.last_seen) if stats.last_seen else None,
+            "distinct_counterparties_in": stats.distinct_counterparties_in,
+            "distinct_counterparties_out": stats.distinct_counterparties_out,
+            "tx_per_day_mean": round(stats.tx_per_day_mean, 6),
+            "max_burst_1h": stats.max_burst_1h,
+            "total_tx_count": sub.total_tx_count,
+            "retained_tx_count": len(sub.retained_txs),
+            "truncated": sub.truncated,
+        },
+        "transactions": {"columns": TX_COLUMNS, "rows": [_tx_row(tx) for tx in sub.retained_txs]},
+        "cross_chain": {"columns": PAIR_COLUMNS, "rows": [_pair_row(p) for p in sub.cross_chain]},
+    }
+    return json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
 
 
-def _totals_json(totals: dict, chain: str) -> str:
+def _totals(totals: dict, chain: str) -> dict:
     """Totals keyed by asset_label, in the stats' order."""
-    if not totals:
-        return "{}"
-    shown = [
-        f"      {_str(asset_label(symbol, chain))}: {_str(display_amount(value, symbol, chain))}"
-        for symbol, value in totals.items()
+    return {asset_label(symbol, chain): display_amount(value, symbol, chain) for symbol, value in totals.items()}
+
+
+def _tx_row(tx: TransactionRecord) -> list:
+    return [
+        tx.hash, tx.from_addr.hex, tx.to_addr.hex, display_amount(tx.value, tx.tokenSymbol, tx.chain),
+        _iso(tx.timeStamp), tx.isError,
     ]
-    return "{\n" + ",\n".join(shown) + "\n    }"
 
 
-def _rows_json(rows: list, row_json) -> str:
-    if not rows:
-        return "[]"
-    return "[\n" + ",\n".join(map(row_json, rows)) + "\n  ]"
-
-
-def _tx_json(tx: TransactionRecord) -> str:
-    return (
-        '    {\n      "hash": ' + _str(tx.hash)
-        + ',\n      "from": ' + _str(tx.from_addr.hex)
-        + ',\n      "to": ' + _str(tx.to_addr.hex)
-        + ',\n      "value": ' + _str(display_amount(tx.value, tx.tokenSymbol, tx.chain))
-        + ',\n      "tokenSymbol": ' + _str(asset_label(tx.tokenSymbol, tx.chain))
-        + ',\n      "timeStamp": ' + _str(_iso(tx.timeStamp))
-        + ',\n      "isError": ' + ("true" if tx.isError else "false")
-        + "\n    }"
-    )
-
-
-def _pair_json(p: CrossChainPair) -> str:
+def _pair_row(p: CrossChainPair) -> list:
     src, dst = p.src_tx, p.dst_tx
-    return (
-        '    {\n      "src_hash": ' + _str(src.hash)
-        + ',\n      "dst_hash": ' + _str(dst.hash)
-        + ',\n      "src_chain": ' + _str(src.chain)
-        + ',\n      "dst_chain": ' + _str(dst.chain)
-        + ',\n      "dst_to": ' + _str(dst.to_addr.hex)
-        + ',\n      "token": ' + _str(asset_label(src.tokenSymbol, src.chain))
-        + ',\n      "amount_src": ' + _str(display_amount(src.value, src.tokenSymbol, src.chain))
-        + ',\n      "amount_dst": ' + _str(display_amount(dst.value, dst.tokenSymbol, dst.chain))
-        + ',\n      "time_delta_s": ' + str(dst.timeStamp - src.timeStamp)
-        + ',\n      "bridge_hint": ' + _str(p.bridge_hint)
-        + "\n    }"
-    )
+    return [
+        src.hash, dst.hash, src.chain, dst.chain, dst.to_addr.hex, asset_label(src.tokenSymbol, src.chain),
+        display_amount(src.value, src.tokenSymbol, src.chain), display_amount(dst.value, dst.tokenSymbol, dst.chain),
+        dst.timeStamp - src.timeStamp, p.bridge_hint,
+    ]

@@ -1,7 +1,7 @@
 """How to call a rate-limited HTTP API, once for both upstreams: the live
 adapter's chain API and the llm backend's chat-completions endpoint.
 
-Requests are spaced min_interval_s apart across the threads sharing an
+Requests leave min_interval_s apart across the threads sharing an
 Upstream. A transport error, a 5xx or a rate limit (a 429, or a 200 that the
 caller's parser reads as RateLimited) is retried after exponential backoff,
 RETRY_ATTEMPTS attempts in all; a rate limit pauses every sharing thread for
@@ -48,6 +48,7 @@ class Upstream:
         self.session = session  # built at the first send unless injected
         self._lock = threading.Lock()
         self._last_slot = 0.0  # monotonic time of the latest reserved request slot
+        self._last_departure = float("-inf")  # monotonic time the latest request left
         self._pause_until = 0.0  # monotonic end of the latest rate limit's pause
 
     def send(self, method: str, url: str, parse: Callable[[Response], T], **kwargs) -> T:
@@ -96,15 +97,23 @@ class Upstream:
         raise self.error(f"{self.name} unreachable after {RETRY_ATTEMPTS} attempts: {last_err}")
 
     def _throttle(self) -> None:
-        """Reserves the next request slot under the lock, min_interval_s after
-        the previous one and not inside a rate limit's pause, then sleeps
-        until it outside the lock. A slot that a pause begun meanwhile covers
-        is reserved again."""
+        """Holds a request until it may leave: min_interval_s after the
+        latest departure and not inside a rate limit's pause. Under the lock
+        it reserves a slot, at first also min_interval_s after the latest
+        reserved one, and it sleeps until the slot outside the lock. Back
+        under the lock it leaves, recording the moment as the latest
+        departure, unless another request left too recently (one that slept
+        past its own slot) or a pause began meanwhile; then it reserves again."""
+        reserved = False
         while True:
             with self._lock:
                 now = time.monotonic()
-                slot = max(now, self._last_slot + self.min_interval_s)
-                self._last_slot = slot
+                slot = max(now, self._last_departure + self.min_interval_s, self._pause_until)
+                if not reserved:
+                    slot = max(slot, self._last_slot + self.min_interval_s)
+                if slot <= now:
+                    self._last_departure = now
+                    return
+                self._last_slot = max(self._last_slot, slot)
+                reserved = True
             time.sleep(slot - now)
-            if slot >= self._pause_until:
-                return

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import csv
+import hashlib
 import json
 import os
 import shutil
@@ -25,6 +26,7 @@ from risktagger.config import RunConfig, load_config
 from risktagger.errors import BackendFailure, ParseError
 from risktagger.reasoner.rules import RuleBackend
 from risktagger.tracer import JOURNAL_NAME
+from risktagger.translator import PAYLOAD_VERSION
 
 DOC = str(FIXTURES / "bybit_incident.txt")
 NOW = 1_740_700_000
@@ -614,6 +616,29 @@ def test_a_refused_resume_changes_no_file(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("trace", out / "case_clues.json", "--config", cfg, "--resume", "--max-depth", 3) == 1
     assert "config.tracer.D" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_a_resume_onto_a_journal_of_another_payload_form_exits_one_naming_it(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli("run", DOC, "--config", cfg) == 0
+    assert json.loads((out / "run.json").read_text())["prompts"]["payload_version"] == PAYLOAD_VERSION
+    journal = out / JOURNAL_NAME
+    first, rest = journal.read_text(encoding="utf-8").split("\n", 1)
+    header = json.loads(first)
+    assert header["prompts"]["payload_version"] == PAYLOAD_VERSION
+    # the header of a journal written before the payload version was recorded
+    del header["prompts"]["payload_version"]
+    parts = {part: header[part] for part in ("config", "seeds", "prompts")}
+    canonical = json.dumps(parts, sort_keys=True, separators=(",", ":"))
+    header["fingerprint"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    journal.write_text(json.dumps(header) + "\n" + rest, encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert run_cli("trace", out / "case_clues.json", "--config", cfg, "--resume") == 1
+    err = capsys.readouterr().err
+    assert "prompts.payload_version changed" in err and "--resume" in err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 

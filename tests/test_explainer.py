@@ -441,7 +441,7 @@ def test_backend_document_with_all_sections_is_used_verbatim():
     assert report == canned_document()
     assert len(backend.prompts) == 1
     assert "financial crime investigation expert" in backend.prompts[0]
-    assert '"total_labeled": 10' in backend.prompts[0]
+    assert '"total_labeled":10' in backend.prompts[0]
 
 
 def test_backend_missing_sections_falls_back_to_template():
@@ -455,7 +455,7 @@ def test_prompt_and_template_report_one_analysis():
     backend = ScriptedBackend("a reply without the section headings")
     report, _ = generate_report(sample_clues(), fixture_dataset(), backend=backend)
     prompt = backend.prompts[0]
-    analysis, _ = json.JSONDecoder().raw_decode(prompt, prompt.index('{\n  "case_clues"'))
+    analysis, _ = json.JSONDecoder().raw_decode(prompt, prompt.index('{"case_clues"'))
     evidence = analysis["dimension_evidence"]
     assert set(evidence) == set(NOTHING_FLAGGED)
     assert evidence["associated_addresses"] == []  # the fixture flags no counterparty

@@ -3,6 +3,7 @@ its rows built by the shared checked builder exactly as its own builder did."""
 
 import json
 import os
+import random
 import re
 import sys
 import threading
@@ -14,11 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import addr, labels_in
+from risktagger import upstream
 from risktagger.chaindata import FIXTURE_COLUMNS, EtherscanClient, FetchCache
 from risktagger.errors import ChainUnavailable, RateLimited, UnknownChain
 from risktagger.model import TracerConfig, TransactionRecord, normalize_address
 from risktagger.reasoner import RuleBackend
 from risktagger.tracer import TracerPorts, trace
+from risktagger.upstream import Upstream
 from stub_chain_server import LimitedFirst, StubChainServer, native_row, token_row
 
 CENTER = addr(0x500)
@@ -227,6 +230,117 @@ def test_throttle_spaces_requests_across_threads():
     gaps = [later - earlier for earlier, later in zip(times, times[1:])]
     # the tolerance absorbs scheduling jitter between a request's slot and its arrival
     assert min(gaps) >= client.upstream.min_interval_s - 0.03, gaps
+
+
+class OversleepingClock:
+    """Stands in for the upstream's time module across threads: a sleep moves
+    the clock on to its end at once, except the first sleep of the `late`
+    thread, which returns only once `wake` is set and ends `overshoot` s late."""
+
+    def __init__(self, now, overshoot):
+        self.now = now
+        self.overshoot = overshoot
+        self.late = None
+        self.asleep = threading.Event()
+        self.wake = threading.Event()
+
+    def monotonic(self):
+        return self.now
+
+    def sleep(self, seconds):
+        end = self.now + seconds
+        if threading.current_thread() is self.late and not self.asleep.is_set():
+            self.asleep.set()
+            assert self.wake.wait(timeout=10)
+            end += self.overshoot
+        self.now = max(self.now, end)
+
+
+def test_a_request_that_oversleeps_its_slot_leaves_an_interval_after_the_last_one(monkeypatch):
+    clock = OversleepingClock(now=100.0, overshoot=1.5)
+    monkeypatch.setattr(upstream, "time", clock)
+    departures = []
+
+    class Session:
+        def get(self, url, timeout):
+            departures.append(clock.now)
+            return SimpleNamespace(status_code=200)
+
+    up = Upstream(ChainUnavailable, "chain API", 1.0, 5.0, 0.01, Session())
+
+    def send():
+        up.send("GET", "http://chain.test/api", lambda resp: None)
+
+    send()  # leaves at once, at 100
+    late = clock.late = threading.Thread(target=send)
+    late.start()
+    assert clock.asleep.wait(timeout=10)  # holding the slot at 101
+    send()  # reserves the slot at 102 and leaves then
+    clock.wake.set()  # the late request wakes at 102.5, too close behind
+    late.join(timeout=10)
+    assert not late.is_alive()
+    assert departures == [100.0, 102.0, 103.0]
+    assert min(later - earlier for earlier, later in zip(departures, departures[1:])) >= up.min_interval_s
+
+
+class ShakyClock:
+    """Stands in for the upstream's time module across threads: a sleep moves
+    the shared clock on by its length, and half the time by up to `max_late`
+    s more. `read` holds each thread's latest reading, which for a request
+    just handed to the session is the moment it left."""
+
+    def __init__(self, seed, max_late):
+        self.now = 1000.0
+        self.max_late = max_late
+        self.rng = random.Random(seed)
+        self.lock = threading.Lock()
+        self.read = {}
+
+    def monotonic(self):
+        with self.lock:
+            self.read[threading.get_ident()] = self.now
+            return self.now
+
+    def sleep(self, seconds):
+        with self.lock:
+            late = self.rng.uniform(0, self.max_late) if self.rng.random() < 0.5 else 0.0
+            self.now += seconds + late
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_requests_of_many_threads_that_oversleep_at_random_leave_an_interval_apart(monkeypatch, seed):
+    clock = ShakyClock(seed, max_late=1.5)
+    monkeypatch.setattr(upstream, "time", clock)
+    departures = []
+
+    class Session:
+        def get(self, url, timeout):
+            departures.append(clock.read[threading.get_ident()])
+            return SimpleNamespace(status_code=200)
+
+    up = Upstream(ChainUnavailable, "chain API", 1.0, 5.0, 0.01, Session())
+    start = threading.Barrier(12)
+
+    def sends():
+        start.wait()
+        for _ in range(5):
+            up.send("GET", "http://chain.test/api", lambda resp: None)
+
+    workers = [threading.Thread(target=sends) for _ in range(12)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert len(departures) == 60
+    times = sorted(departures)
+    # in the throttle's own form: a difference of two clock readings can round below it
+    assert all(later >= earlier + up.min_interval_s for earlier, later in zip(times, times[1:]))
 
 
 def test_http_429_waits_for_retry_after():

@@ -17,6 +17,7 @@ from risktagger.model import SuspicionLevel, TracerConfig
 from risktagger.reasoner import (
     Blacklist,
     RuleBackend,
+    build_cot_prompt,
     decide_level,
     infer_risk,
     parse_verdict,
@@ -301,8 +302,6 @@ def test_rule_day_activity_not_nocturnal():
 
 
 def test_rule_backend_answers_cot_prompt():
-    from risktagger.reasoner import build_cot_prompt
-
     bad = addr(0xBAD)
     txs = [make_tx(1, bad, CENTER, value="999", ts=ts_at(12))]
     sub = build_subgraph(CENTER, txs, [], TracerConfig(), NOW)
@@ -319,6 +318,32 @@ def test_rule_backend_reflection_reports_no_flaw():
         "You are a blockchain security auditor tasked with reviewing ...", 0.3, 2048
     )
     assert "No flaw" in review
+
+
+def _short_row(table):
+    table["rows"][0].pop()
+
+
+def _long_row(table):
+    table["rows"][0].append(False)
+
+
+def _object_row(table):  # a row in the keyed form of payload version 1
+    table["rows"][0] = dict(zip(table["columns"], table["rows"][0]))
+
+
+def _no_time_column(table):
+    at = table["columns"].index("timeStamp")
+    del table["columns"][at], table["rows"][0][at]
+
+
+@pytest.mark.parametrize("mangle", [_short_row, _long_row, _object_row, _no_time_column])
+def test_a_payload_table_that_does_not_match_its_columns_is_a_backend_failure(mangle):
+    payload = payload_from([make_tx(1, addr(0x301), CENTER, value="5", ts=ts_at(2))])
+    mangle(payload["transactions"])
+    prompt = build_cot_prompt(CENTER, json.dumps(payload))
+    with pytest.raises(BackendFailure, match="payload table 'transactions'"):
+        RuleBackend().complete(prompt, 0.0, 2048)
 
 
 def test_rule_backend_rejects_foreign_prompt():

@@ -62,11 +62,11 @@ class ScriptedBackend:
 
 
 def target_of(prompt):
-    """Hex of the account an analyst prompt is about."""
-    anchor = prompt.index('"target_address"')
-    marker = '"hex": "'
-    start = prompt.index(marker, anchor) + len(marker)
-    return prompt[start : prompt.index('"', start)]
+    """Hex of the account an analyst prompt is about, read from the payload
+    JSON the prompt embeds."""
+    start = prompt.rfind("{", 0, prompt.index('"payload_version"'))
+    payload, _ = json.JSONDecoder().raw_decode(prompt, start)
+    return payload["target_address"]["hex"]
 
 
 class ConstBackend:
@@ -313,6 +313,20 @@ def test_account_error_skips_and_records(tmp_path):
     assert reached(tmp_path) == {S, B}  # A skipped, so C stays unreachable
     assert len(state.diagnostics["errors"]) == 1
     assert state.diagnostics["errors"][0]["address"] == A.hex
+
+
+def test_a_payload_row_that_does_not_match_its_columns_is_a_recorded_skip(tmp_path):
+    class ShortRowBackend(RuleBackend):
+        """The rule engine, shown A's payload with the last cell of its last row cut."""
+
+        def complete(self, prompt, temperature, max_tokens):
+            if target_of(prompt) == A.hex:
+                prompt = prompt.replace(",false]]", "]]", 1)
+            return super().complete(prompt, temperature, max_tokens)
+
+    state = trace([S], "ethereum", TracerConfig(D=5), ports_for(star_txs(), ShortRowBackend(), tmp_path))
+    assert reached(tmp_path) == {S, B}  # A skipped, so C stays unreachable
+    assert [(e["address"], e["error"]) for e in state.diagnostics["errors"]] == [(A.hex, "BackendFailure")]
 
 
 def test_resume_keeps_a_journaled_skip(tmp_path):

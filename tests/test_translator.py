@@ -9,6 +9,7 @@ implementation existed:
 
 import json
 import random
+from datetime import datetime
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,13 @@ from risktagger.translator import (
 CENTER = addr(0xC0)
 CFG = TracerConfig(D=3, k=2, value_weight=0.5, recency_weight=0.3, flag_weight=0.2)
 NOW = 1000
+
+
+def table(payload, key):
+    """A payload table's rows as dicts keyed by its columns, one cell per column."""
+    columns, rows = payload[key]["columns"], payload[key]["rows"]
+    assert all(len(row) == len(columns) for row in rows)
+    return [dict(zip(columns, row)) for row in rows]
 
 
 def three_txs():
@@ -190,9 +198,9 @@ def test_payload_shape_and_units():
     txs = [make_tx(1, addr(1), CENTER, value=str(10**18), ts=1_740_000_000)]
     sub = build_subgraph(CENTER, txs, [], TracerConfig(), NOW + 1_740_000_000)
     payload = json.loads(to_reasoner_payload(sub))
-    assert payload["payload_version"] == 1
+    assert payload["payload_version"] == 2
     assert payload["target_address"] == {"hex": CENTER.hex, "chain": "ethereum"}
-    row = payload["transactions"][0]
+    [row] = table(payload, "transactions")
     assert row["value"] == "1.0 ETH"
     assert row["timeStamp"].startswith("2025-02-") and row["timeStamp"].endswith("+00:00")
     assert payload["statistics"]["in_total"] == {"ETH": "1.0 ETH"}
@@ -208,6 +216,15 @@ def test_a_token_named_like_the_native_symbol_keeps_its_own_total():
     stats = json.loads(to_reasoner_payload(sub))["statistics"]
     assert stats["in_total"] == {"ETH": "1.0 ETH", "ETH (token)": "5.0 ETH (token)"}
     assert stats["out_total"] == {"ETH (token)": "2.0 ETH (token)"}
+
+
+def test_a_token_named_like_another_assets_label_keeps_its_own_total():
+    txs = [
+        make_tx(1, addr(1), CENTER, value=5 * 10**18, ts=100, token="ETH"),
+        make_tx(2, addr(2), CENTER, value=7, ts=200, token="ETH (token)"),
+    ]
+    stats = json.loads(to_reasoner_payload(build_subgraph(CENTER, txs, [], TracerConfig(), NOW)))["statistics"]
+    assert stats["in_total"] == {"ETH (token)": "5.0 ETH (token)", "ETH (token) (token)": "7 (raw) ETH (token) (token)"}
 
 
 def test_a_token_named_native_keeps_its_own_total_and_retention_maximum():
@@ -228,6 +245,8 @@ def test_a_token_named_native_keeps_its_own_total_and_retention_maximum():
         ("ethereum", "ETH", "ETH (token)"),
         ("ethereum", "native", "native"),
         ("ethereum", "USDT", "USDT"),
+        # a token named like the label of another keeps a name of its own
+        ("ethereum", "ETH (token)", "ETH (token) (token)"),
         ("base", "", "native"),
         ("base", "native", "native (token)"),
         ("base", "ETH", "ETH"),
@@ -250,7 +269,8 @@ def test_asset_label(chain, symbol, label):
 )
 def test_rows_amounts_totals_and_pairs_name_an_asset_by_its_label(chain, coin, twin, coin_amount, twin_amount):
     """The native coin, and a token named like it (`twin`), read the same in
-    every place the payload names an asset; totals list the native coin first."""
+    every place the payload names an asset (a row's value ends with its
+    asset's label); totals list the native coin first."""
     center = addr(0xC0, chain)
     twin_symbol = twin.split(" ")[0]
     txs = [
@@ -267,16 +287,13 @@ def test_rows_amounts_totals_and_pairs_name_an_asset_by_its_label(chain, coin, t
     ]
     sub = build_subgraph(center, txs, pairs, TracerConfig(), 1_740_000_200)
     payload = json.loads(to_reasoner_payload(sub))
-    rows = {row["hash"]: (row["tokenSymbol"], row["value"]) for row in payload["transactions"]}
-    assert rows == {
-        txs[0].hash: (coin, coin_amount),
-        txs[1].hash: (twin, twin_amount),
-        txs[2].hash: ("USDT", "7 (raw) USDT"),
-    }
+    rows = {row["hash"]: row["value"] for row in table(payload, "transactions")}
+    assert rows == {txs[0].hash: coin_amount, txs[1].hash: twin_amount, txs[2].hash: "7 (raw) USDT"}
+    assert coin_amount.endswith(" " + coin) and twin_amount.endswith(" " + twin)
     in_total = payload["statistics"]["in_total"]
     assert in_total == {coin: coin_amount, twin: twin_amount, "USDT": "7 (raw) USDT"}
     assert next(iter(in_total)) == coin
-    assert [(p["token"], p["amount_src"]) for p in payload["cross_chain"]] == [
+    assert [(p["token"], p["amount_src"]) for p in table(payload, "cross_chain")] == [
         (coin, coin_amount), (twin, twin_amount)
     ]
 
@@ -294,8 +311,9 @@ def test_payload_key_order_is_the_canonical_order():
         "distinct_counterparties_in", "distinct_counterparties_out", "tx_per_day_mean",
         "max_burst_1h", "total_tx_count", "retained_tx_count", "truncated",
     ]
-    assert list(payload["transactions"][0]) == ["hash", "from", "to", "value", "tokenSymbol", "timeStamp", "isError"]
-    assert list(payload["cross_chain"][0]) == [
+    assert list(payload["transactions"]) == list(payload["cross_chain"]) == ["columns", "rows"]
+    assert payload["transactions"]["columns"] == ["hash", "from", "to", "value", "timeStamp", "isError"]
+    assert payload["cross_chain"]["columns"] == [
         "src_hash", "dst_hash", "src_chain", "dst_chain", "dst_to", "token",
         "amount_src", "amount_dst", "time_delta_s", "bridge_hint",
     ]
@@ -319,17 +337,40 @@ def test_payload_json_deterministic():
     json.loads(a)  # stays valid JSON
 
 
-def round_trips(text):
-    """The text is what json.dumps(indent=2, ensure_ascii=False) writes for its own content."""
-    return json.dumps(json.loads(text), indent=2, ensure_ascii=False) == text
+def assert_tables_decode_to(text, sub):
+    """Each payload table, decoded by its `columns` header, gives back every
+    retained transfer and every cross-chain pair of `sub`, in order; times
+    are ISO 8601 in UTC."""
+    payload = json.loads(text)
+    rows = table(payload, "transactions")
+    assert all(row["timeStamp"].endswith("+00:00") for row in rows)
+    assert [{**row, "timeStamp": int(datetime.fromisoformat(row["timeStamp"]).timestamp())} for row in rows] == [
+        {
+            "hash": tx.hash, "from": tx.from_addr.hex, "to": tx.to_addr.hex,
+            "value": display_amount(tx.value, tx.tokenSymbol, tx.chain), "timeStamp": tx.timeStamp,
+            "isError": tx.isError,
+        }
+        for tx in sub.retained_txs
+    ]
+    assert table(payload, "cross_chain") == [
+        {
+            "src_hash": p.src_tx.hash, "dst_hash": p.dst_tx.hash,
+            "src_chain": p.src_tx.chain, "dst_chain": p.dst_tx.chain, "dst_to": p.dst_tx.to_addr.hex,
+            "token": asset_label(p.src_tx.tokenSymbol, p.src_tx.chain),
+            "amount_src": display_amount(p.src_tx.value, p.src_tx.tokenSymbol, p.src_tx.chain),
+            "amount_dst": display_amount(p.dst_tx.value, p.dst_tx.tokenSymbol, p.dst_tx.chain),
+            "time_delta_s": p.dst_tx.timeStamp - p.src_tx.timeStamp, "bridge_hint": p.bridge_hint,
+        }
+        for p in sub.cross_chain
+    ]
 
 
-def test_payload_json_equals_json_dumps_on_every_demo_payload(monkeypatch, tmp_path):
-    texts = []
+def test_payload_tables_decode_to_every_demo_subgraph(monkeypatch, tmp_path):
+    rendered = []
 
-    def recording(*args, **kwargs):
-        texts.append(to_reasoner_payload(*args, **kwargs))
-        return texts[-1]
+    def recording(sub):
+        rendered.append((to_reasoner_payload(sub), sub))
+        return rendered[-1][0]
 
     monkeypatch.setattr(infer, "to_reasoner_payload", recording)
     config = json.loads((FIXTURES / "synthetic" / "config.json").read_text())
@@ -337,9 +378,9 @@ def test_payload_json_equals_json_dumps_on_every_demo_payload(monkeypatch, tmp_p
     client = FixtureChainClient(FixtureStore.load_dir(FIXTURES / "synthetic"))
     ports = TracerPorts(client=client, backend=RuleBackend(blacklist), now=config["now"], out_dir=tmp_path)
     trace(["0x47666fab8bd0ac7003bce3f5c3585383f09486e2"], "ethereum", TracerConfig.from_json(config["tracer"]), ports)
-    assert len(texts) == 140
-    for text in texts:
-        assert round_trips(text)
+    assert len(rendered) == 140
+    for text, sub in rendered:
+        assert_tables_decode_to(text, sub)
 
 
 # every class of character the string encoder treats differently: the control
@@ -377,5 +418,5 @@ def subgraphs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(subgraphs())
-def test_payload_json_equals_json_dumps_on_any_schema_payload(sub):
-    assert round_trips(to_reasoner_payload(sub))
+def test_payload_tables_decode_to_any_subgraph(sub):
+    assert_tables_decode_to(to_reasoner_payload(sub), sub)
