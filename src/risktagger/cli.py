@@ -5,13 +5,13 @@ Exit codes are stable for scripting: 0 success, 1 infrastructure failure
 fields missing, no seed addresses, nothing to report). Ctrl-C exits 130; every
 finished account is already in the run journal, so `trace --resume` redoes
 only the unfinished ones. Resuming with another config, seed list, prompt
-template or input file exits 1 and names what changed.
+template or input file exits 1 and names what changed. Resuming a finished
+trace redoes nothing, and exits 1 naming an output changed since.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import itertools
 import json
 import logging
@@ -36,7 +36,7 @@ from .model import RiskAssessment
 from .reasoner.backends import HttpLlmBackend
 from .reasoner.blacklist import Blacklist
 from .reasoner.rules import RuleBackend
-from .tracer import JOURNAL_NAME, TracerPorts, journal_clock, prompt_versions, trace
+from .tracer import JOURNAL_NAME, TracerPorts, file_sha256, journal_clock, prompt_versions, trace
 
 
 # --- shared plumbing ---------------------------------------------------------
@@ -62,23 +62,15 @@ def _write_manifest(out_dir: Path, config: RunConfig, inputs: dict | None = None
     _write_json(out_dir / "run.json", manifest)
 
 
-def _file_sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:  # in chunks: a fixture CSV can run to tens of MB
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _input_digests(config: RunConfig) -> dict:
     """sha256 of each input file a trace reads: fixture CSVs, blacklist, bridge table."""
     inputs = {}
     if config.adapter == "fixture":
-        inputs["fixtures"] = {p.name: _file_sha256(p) for p in FixtureStore.files(config.fixture_dir)}
+        inputs["fixtures"] = {p.name: file_sha256(p) for p in FixtureStore.files(config.fixture_dir)}
     if config.blacklist_path:
-        inputs["blacklist"] = _file_sha256(config.blacklist_path)
+        inputs["blacklist"] = file_sha256(config.blacklist_path)
     if config.bridges_path:
-        inputs["bridges"] = _file_sha256(config.bridges_path)
+        inputs["bridges"] = file_sha256(config.bridges_path)
     return inputs
 
 

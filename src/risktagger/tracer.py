@@ -25,7 +25,8 @@ knob on purpose; failed transfers still nominate their receiver but move
 no value.
 
 Every trace runs against a run directory, ports.out_dir. The coordinator
-keeps the run journal there, journal.jsonl, one compact JSON object per line:
+keeps the run journal there, journal.jsonl, one compact JSON object per line.
+While a trace runs, the journal is
 
     {"kind": "header", "fingerprint", "config", "seeds", "prompts"}
     {"kind": "account", "address", "assessment", "funding"}   or
@@ -53,6 +54,18 @@ removed when it fails, so a trace holds one hop of assessments, not the
 whole trace. diagnostics.json follows once both are in place. Whenever the
 journal starts over, the outputs of an earlier trace are removed before the
 first account is analyzed, so a trace that does not complete leaves none.
+
+Once the outputs are in place, the journal is written anew as
+journal.jsonl.tmp and moved over journal.jsonl: the header line, then
+
+    {"kind": "done", "outputs": {name: sha256 of each output}, "labeled", "high", "hops"}
+
+so a finished run directory holds each label once. A crash before the move
+leaves the full journal, whose resume rebuilds the same outputs. A resume
+onto a done journal checks the outputs against their digests and writes
+nothing; a missing or changed output, or any line after the done line, is
+refused. Starting the journal over or replacing it removes a
+journal.jsonl.tmp left by a crash.
 """
 
 from __future__ import annotations
@@ -255,9 +268,11 @@ class Journal:
 
     def __init__(self, path: Path, header: dict, resume: bool):
         """Starts a fresh journal, or with resume=True continues the one at
-        path once its header line matches `header`."""
+        path once its header line matches `header`. A finished journal is not
+        continued: `done` holds its done line, and no file is left open."""
         self.path = path
         self.resumed = False  # True once the header of the journal at path matched
+        self.done = None  # the done line of a finished journal at path
         self._writer = None
         self._reader = None  # the journal being resumed, until its end is read
         self._ahead = None  # the outcome read just past the hop last taken
@@ -270,12 +285,15 @@ class Journal:
                 found = self._read_record()
                 if found is not _END:
                     _check_header(found if isinstance(found, dict) else {}, header, path)
-                    self._writer = open(path, "a", encoding="utf-8")
                     self.resumed = True
+                    self._ahead = self._next_outcome()
+                    if self.done is None:
+                        self._writer = open(path, "a", encoding="utf-8")
                     return
                 self._reader.close()
                 self._reader = None
             path.parent.mkdir(parents=True, exist_ok=True)
+            path.with_name(path.name + ".tmp").unlink(missing_ok=True)
             self._writer = open(path, "w", encoding="utf-8")
             self.append(header)
         except BaseException:
@@ -283,8 +301,7 @@ class Journal:
             raise
 
     def append(self, record: dict) -> None:
-        # compact separators keep json on its C encoder
-        self._writer.write(json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n")
+        self._writer.write(_jsonl(record))
         self._writer.flush()
 
     def close(self) -> None:
@@ -336,8 +353,10 @@ class Journal:
 
     def _next_outcome(self) -> Outcome | None:
         """The outcome the next account line holds; None past the last one,
-        where the reader is closed and a torn last line truncated away. A line
-        of any other kind, or a second line for one account, is refused."""
+        where the reader is closed and a torn last line truncated away, and
+        None at a done line right after the header, which must end the journal
+        and which `done` then holds. A line of any other kind, or a second
+        line for one account, is refused."""
         if self._reader is None:
             return None
         record = self._read_record()
@@ -350,11 +369,19 @@ class Journal:
             return None
         number = self._lines
         try:
-            outcome = Outcome.from_record(record) if record["kind"] == "account" else None
+            kind = record["kind"]
+            outcome = Outcome.from_record(record) if kind == "account" else None
         except (KeyError, TypeError, ValueError) as err:
             raise CheckpointError(f"{self.path}: malformed line {number}: {err!r}") from err
+        if kind == "done" and number == 2:
+            if self._reader.read(1):
+                raise CheckpointError(f"{self.path}: line 3 follows the done line of a finished trace")
+            self._reader.close()
+            self._reader = None
+            self.done = record
+            return None
         if outcome is None:
-            raise CheckpointError(f"{self.path}: line {number} is a {record['kind']!r} line, not an account line")
+            raise CheckpointError(f"{self.path}: line {number} is a {kind!r} line, not an account line")
         if outcome.account in self._journaled:
             raise CheckpointError(f"{self.path}: line {number} journals account {outcome.account.hex} again")
         self._journaled.add(outcome.account)
@@ -379,6 +406,48 @@ class Journal:
 
 
 _END = object()  # Journal._read_record past the last whole line
+
+
+def _jsonl(record: dict) -> str:
+    # compact separators keep json on its C encoder
+    return json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n"
+
+
+def _compact(path: Path, header: dict, state: TracerState) -> None:
+    """Replaces the journal at path of a completed trace, whose outputs are in
+    place, with its header line and a done line holding their digests."""
+    done = {
+        "kind": "done",
+        "outputs": {name: file_sha256(path.parent / name) for name in OUTPUT_NAMES},
+        "labeled": state.labeled,
+        "high": state.high,
+        "hops": state.depth,
+    }
+    replacement = path.with_name(path.name + ".tmp")
+    try:
+        replacement.write_text(_jsonl(header) + _jsonl(done), encoding="utf-8")
+        os.replace(replacement, path)
+    except BaseException:
+        replacement.unlink(missing_ok=True)
+        raise
+
+
+def _finished(done: dict, path: Path) -> TracerState:
+    """The state a trace finished with, from the done line of its journal at
+    path, once each output matches its digest there."""
+    try:
+        digests = {name: done["outputs"][name] for name in OUTPUT_NAMES}
+        state = TracerState(depth=done["hops"], labeled=done["labeled"], high=done["high"])
+    except (KeyError, TypeError) as err:
+        raise CheckpointError(f"{path}: malformed line 2: {err!r}") from err
+    for name, digest in digests.items():
+        output = path.parent / name
+        if not output.exists():
+            raise CheckpointError(f"{output} is missing, though {path} records a finished trace; rerun without --resume")
+        if file_sha256(output) != digest:
+            raise CheckpointError(f"{output} changed since {path} recorded the finished trace; rerun without --resume")
+    state.diagnostics = json.loads((path.parent / "diagnostics.json").read_text(encoding="utf-8"))
+    return state
 
 
 def _misplaced(outcome: Outcome, path: Path) -> CheckpointError:
@@ -410,6 +479,16 @@ def _label_files(out_dir: Path):
         raise
     for part in parts:
         os.replace(part, part.with_suffix(""))
+
+
+def file_sha256(path) -> str:
+    """sha256 of the file at path, read in 64 KiB chunks, so hashing holds
+    one chunk of a file of any size."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def journal_clock(path: Path) -> int | None:
@@ -544,7 +623,15 @@ def trace(
     trace does not reach at their hop, or that goes on past a hop journaled
     in part, raises it before any account is analyzed. A journal started
     over (no resume, or nothing to resume) first removes the outputs of an
-    earlier trace.
+    earlier trace. Once the outputs are in place, the journal is replaced
+    by its header and a done line.
+
+    A resume onto the done journal of a finished trace analyzes nothing and
+    writes no file: it checks each output against the digest there, raising
+    CheckpointError naming a missing or changed one, and returns the state
+    the done line and diagnostics.json record. That state's depth, labeled,
+    high and diagnostics are those of the finished trace; its C_current and
+    visited stay empty.
     """
     if not seeds:
         raise ValueError("at least one seed address is required")
@@ -557,7 +644,10 @@ def trace(
     out_dir = ports.out_dir
     header = _journal_header(frontier, chain, cfg, ports)
 
-    with closing(Journal(out_dir / JOURNAL_NAME, header, resume)) as journal, _label_files(out_dir) as sink:
+    journal = Journal(out_dir / JOURNAL_NAME, header, resume)
+    if journal.done is not None:
+        return _finished(journal.done, journal.path)
+    with closing(journal), _label_files(out_dir) as sink:
         if not journal.resumed:
             for name in OUTPUT_NAMES:
                 (out_dir / name).unlink(missing_ok=True)
@@ -575,4 +665,5 @@ def trace(
     (out_dir / "diagnostics.json").write_text(
         json.dumps(state.diagnostics, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
     )
+    _compact(journal.path, header, state)
     return state

@@ -208,7 +208,8 @@ def test_trace_deterministic_across_runs(tmp_path):
 
 
 def journal_through_hop(src, dst, hop):
-    """Copies the run journal through the last account line of the given hop."""
+    """Copies the run journal of a trace stopped before it completed through
+    the last account line of the given hop."""
     lines = (src / JOURNAL_NAME).read_text().splitlines(keepends=True)
     depths = [json.loads(line)["assessment"]["hop_depth"] for line in lines[1:]]
     dst.mkdir()
@@ -220,14 +221,56 @@ def test_trace_resume_from_checkpoint_matches_straight_run(tmp_path, monkeypatch
     cfg = write_config(tmp_path)
     straight = tmp_path / "straight"
     assert run_cli("trace", clues, "--config", cfg, "--out", straight) == 0
+    # Ctrl-C as the last verdict is due
+    stopped = tmp_path / "stopped"
+    with monkeypatch.context() as patch:
+        InterruptingRules(patch, budget=len((straight / "labels.jsonl").read_text().splitlines()) - 1)
+        assert run_cli("trace", clues, "--config", cfg, "--out", stopped) == 130
 
     resumed = tmp_path / "resumed"
-    journal_through_hop(straight, resumed, 2)
+    journal_through_hop(stopped, resumed, 2)
     counted = InterruptingRules(monkeypatch)
     assert run_cli("trace", clues, "--config", cfg, "--out", resumed, "--resume") == 0
     assert counted.calls > 0
     for name in ("labels.jsonl", "risky.jsonl"):
         assert (resumed / name).read_bytes() == (straight / name).read_bytes()
+
+
+def test_a_resume_of_a_finished_trace_analyzes_nothing_and_changes_no_output(tmp_path, capsys, monkeypatch):
+    clues, cfg, out = traced(tmp_path)
+    summary = capsys.readouterr().out.splitlines()[-1]
+    assert summary.startswith("analyzed 140 accounts over ")
+    names = ("labels.jsonl", "risky.jsonl", "diagnostics.json", JOURNAL_NAME)
+    before = {name: (out / name).read_bytes() for name in names}
+    assert len(before[JOURNAL_NAME].splitlines()) == 2  # the header and the done line
+    counted = InterruptingRules(monkeypatch)
+    assert run_cli("trace", clues, "--config", cfg, "--out", out, "--resume") == 0
+    assert counted.calls == 0
+    assert capsys.readouterr().out == summary + "\n"
+    assert {name: (out / name).read_bytes() for name in names} == before
+
+
+def change_the_first_byte(path):
+    path.write_bytes(b" " + path.read_bytes()[1:])
+
+
+def delete(path):
+    path.unlink()
+
+
+@pytest.mark.parametrize(
+    "name, tamper",
+    [("labels.jsonl", change_the_first_byte), ("risky.jsonl", delete), ("diagnostics.json", change_the_first_byte)],
+)
+def test_a_resume_of_a_finished_trace_whose_output_changed_exits_one_naming_it(tmp_path, capsys, name, tamper):
+    clues, cfg, out = traced(tmp_path)
+    tamper(out / name)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert run_cli("trace", clues, "--config", cfg, "--out", out, "--resume") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / name} ") and "--resume" in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_resume_after_a_shallower_rerun_reports_the_shallow_run(tmp_path, capsys):

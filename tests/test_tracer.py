@@ -1,11 +1,13 @@
 """Hop-by-hop tracing against hand-worked examples and the brute-force oracle."""
 
 import json
+import os
 import random
 import threading
 import time
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,7 @@ from risktagger.tracer import (
     OUTPUT_NAMES,
     TracerPorts,
     collect_frontier,
+    file_sha256,
     filter_frontier,
     trace,
 )
@@ -31,6 +34,7 @@ A = addr(0xA1)
 B = addr(0xB1)
 C = addr(0xC1)
 D_ADDR = addr(0xD1)
+E = addr(0xE1)
 
 
 def verdict_for(level, risky):
@@ -331,16 +335,20 @@ def test_a_payload_row_that_does_not_match_its_columns_is_a_recorded_skip(tmp_pa
 
 def test_resume_keeps_a_journaled_skip(tmp_path):
     client = FlakyClient(FixtureChainClient(ListStore(star_txs())), {A})
-    ports = TracerPorts(
-        client=client, backend=star_backend(), now=NOW, out_dir=tmp_path
-    )
-    skipped = snapshot(trace([S], "ethereum", TracerConfig(D=5), ports), tmp_path)
-    # a healthy client on resume: A's journaled skip stands and nothing is redone
+    straight = tmp_path / "straight"
+    ports = TracerPorts(client=client, backend=star_backend(), now=NOW, out_dir=straight)
+    skipped = snapshot(trace([S], "ethereum", TracerConfig(D=5), ports), straight)
+    # Ctrl-C as B's verdict is due, the last of the trace: S and A's skip are journaled
+    out = tmp_path / "out"
+    ports = TracerPorts(client=client, backend=InterruptAfter(star_backend(), allow=1), now=NOW, out_dir=out)
+    with pytest.raises(KeyboardInterrupt):
+        trace([S], "ethereum", TracerConfig(D=5), ports)
+    # a healthy client on resume: A's journaled skip stands and only B is analyzed
     backend = star_backend()
-    resumed = trace([S], "ethereum", TracerConfig(D=5), ports_for(star_txs(), backend, tmp_path), resume=True)
-    assert snapshot(resumed, tmp_path) == skipped
-    assert [a.target_address for a in labels_in(tmp_path)] == [S, B]
-    assert backend.calls == 0
+    resumed = trace([S], "ethereum", TracerConfig(D=5), ports_for(star_txs(), backend, out), resume=True)
+    assert snapshot(resumed, out) == skipped
+    assert [a.target_address for a in labels_in(out)] == [S, B]
+    assert backend.calls == 1
 
 
 def test_strict_mode_aborts_on_account_error(tmp_path):
@@ -399,12 +407,34 @@ def journal_records(out_dir):
 
 
 def first_of_hop(out_dir, depth):
-    """The first account of a hop's frontier, read from a sequential run's journal."""
+    """The first account of a hop's frontier, read from the journal of a
+    sequential run stopped before it completed (see stopped_short)."""
     return next(
         Address.from_json(r["address"])
         for r in journal_records(out_dir)[1:]
         if r["assessment"]["hop_depth"] == depth
     )
+
+
+def stopped_short(seeds, txs, cfg, out_dir, inner, allow):
+    """Runs a sequential trace into out_dir that Ctrl-C stops once `allow`
+    verdicts are in, so that its journal keeps the account lines of every
+    account analyzed before then."""
+    with pytest.raises(KeyboardInterrupt):
+        trace(seeds, "ethereum", cfg, ports_for(txs, InterruptAfter(inner, allow=allow), out_dir))
+
+
+def fail_journal_replace(monkeypatch, error):
+    """Makes moving a new journal over journal.jsonl raise `error`, as a crash
+    between the label rename and the journal replacement would."""
+    replace = os.replace
+
+    def failing(src, dst):
+        if Path(dst).name == JOURNAL_NAME:
+            raise error
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing)
 
 
 def snapshot(state, out_dir):
@@ -424,19 +454,34 @@ def snapshot(state, out_dir):
 
 
 def test_checkpoints_written_per_hop(tmp_path):
-    ports = ports_for(star_txs(), star_backend(), tmp_path)
-    state = trace([S], "ethereum", TracerConfig(D=3), ports)
+    # Ctrl-C as C's verdict is due, the last of the trace
+    stopped_short([S], star_txs(), TracerConfig(D=3), tmp_path, star_backend(), allow=3)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [JOURNAL_NAME]
+    records = journal_records(tmp_path)
+    assert [r["kind"] for r in records] == ["header", "account", "account", "account"]
+    assert records[0]["seeds"] == [S.to_json()]
+    # hop by hop, each hop's account lines in its frontier order
+    assert [(r["assessment"]["hop_depth"], r["address"]) for r in records[1:]] == [
+        (0, S.to_json()), (1, A.to_json()), (1, B.to_json()),
+    ]
+
+    state = trace([S], "ethereum", TracerConfig(D=3), ports_for(star_txs(), star_backend(), tmp_path), resume=True)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([JOURNAL_NAME, *OUTPUT_NAMES])
     assert (state.labeled, state.high) == (4, 1)
     assert json.loads((tmp_path / "diagnostics.json").read_text()) == state.diagnostics
-    records = journal_records(tmp_path)
-    assert [r["kind"] for r in records] == ["header", "account", "account", "account", "account"]
-    assert records[0]["seeds"] == [S.to_json()]
-    journaled = [r["assessment"] for r in records if r["kind"] == "account"]
-    assert sorted(journaled, key=json.dumps) == sorted((a.to_json() for a in labels_in(tmp_path)), key=json.dumps)
-    # hop by hop, each hop's account lines in its frontier order
-    assert [(r["assessment"]["hop_depth"], r["address"]) for r in records[1:]] == [
-        (0, S.to_json()), (1, A.to_json()), (1, B.to_json()), (2, C.to_json()),
+    labels = [a.to_json() for a in labels_in(tmp_path)]
+    journaled = [r["assessment"] for r in records[1:]]
+    assert sorted(journaled, key=json.dumps) == sorted(labels[:3], key=json.dumps)  # S, then A and B
+    # the completed trace keeps its header and a done line in place of the account lines
+    assert journal_records(tmp_path) == [
+        records[0],
+        {
+            "kind": "done",
+            "outputs": {name: file_sha256(tmp_path / name) for name in OUTPUT_NAMES},
+            "labeled": 4,
+            "high": 1,
+            "hops": 3,
+        },
     ]
     assert state.diagnostics["fetched"] == 4
 
@@ -482,9 +527,11 @@ def test_resume_without_checkpoint_starts_fresh(tmp_path):
 
 
 def test_fresh_run_truncates_the_journal(tmp_path):
-    trace([S], "ethereum", TracerConfig(D=3), ports_for(star_txs(), star_backend(), tmp_path))
-    trace([S], "ethereum", TracerConfig(D=1), ports_for(star_txs(), star_backend(), tmp_path))
-    assert [r["kind"] for r in journal_records(tmp_path)] == ["header", "account"]
+    stopped_short([S], star_txs(), TracerConfig(D=3), tmp_path, star_backend(), allow=3)
+    assert [r["kind"] for r in journal_records(tmp_path)] == ["header", "account", "account", "account"]
+    # the D=2 trace reaches S, A and B; Ctrl-C as B's verdict is due
+    stopped_short([S], star_txs(), TracerConfig(D=2), tmp_path, star_backend(), allow=2)
+    assert [r["kind"] for r in journal_records(tmp_path)] == ["header", "account", "account"]
 
 
 def test_a_fresh_trace_interrupted_mid_hop_leaves_no_outputs_of_the_trace_before(tmp_path):
@@ -510,19 +557,29 @@ def test_resume_refuses_a_journal_from_another_run(tmp_path):
 @pytest.mark.parametrize("cut", ["boundary", "account"])
 def test_resume_drops_a_torn_last_line(tmp_path, cut):
     cfg = TracerConfig(D=3)
-    full = snapshot(trace([S], "ethereum", cfg, ports_for(star_txs(), star_backend(), tmp_path)), tmp_path)
-    journal = tmp_path / JOURNAL_NAME
+    straight = tmp_path / "straight"
+    full = snapshot(trace([S], "ethereum", cfg, ports_for(star_txs(), star_backend(), straight)), straight)
+    out = tmp_path / "out"
+    stopped_short([S], star_txs(), cfg, out, star_backend(), allow=3)  # S, A and B journaled
+    journal = out / JOURNAL_NAME
     whole = journal.read_bytes()
     last = whole.splitlines(keepends=True)[-1]
     # cut before the last account line, or tear that line in half
     torn = last[: len(last) // 2] if cut == "account" else b""
     journal.write_bytes(whole[: -len(last)] + torn)
 
-    backend = star_backend()
-    resumed = trace([S], "ethereum", cfg, ports_for(star_txs(), backend, tmp_path), resume=True)
-    assert snapshot(resumed, tmp_path) == full
-    assert backend.calls == 1
+    # the resume redoes B only, journaling it in place of the torn line; Ctrl-C as C's verdict is due
+    again = InterruptAfter(star_backend(), allow=1)
+    with pytest.raises(KeyboardInterrupt):
+        trace([S], "ethereum", cfg, ports_for(star_txs(), again, out), resume=True)
+    assert again.calls == 1
     assert journal.read_bytes() == whole
+
+    backend = star_backend()
+    resumed = trace([S], "ethereum", cfg, ports_for(star_txs(), backend, out), resume=True)
+    assert snapshot(resumed, out) == full
+    assert backend.calls == 1
+    assert journal.read_bytes() == (straight / JOURNAL_NAME).read_bytes()
 
 
 def test_resume_refuses_a_header_line_that_is_not_an_object(tmp_path):
@@ -534,7 +591,7 @@ def test_resume_refuses_a_header_line_that_is_not_an_object(tmp_path):
 
 
 def test_resume_rejects_a_corrupt_middle_line(tmp_path):
-    trace([S], "ethereum", TracerConfig(D=3), ports_for(star_txs(), star_backend(), tmp_path))
+    stopped_short([S], star_txs(), TracerConfig(D=3), tmp_path, star_backend(), allow=3)  # S, A and B journaled
     journal = tmp_path / JOURNAL_NAME
     lines = journal.read_bytes().splitlines(keepends=True)
     lines[2] = b"{not json\n"
@@ -578,7 +635,9 @@ def test_mid_hop_interrupt_keeps_every_finished_account(tmp_path, workers):
     widest = max(range(len(sizes)), key=sizes.__getitem__)
     budget = sum(sizes[:widest]) + sizes[widest] // 2
     # the widest hop's first account in frontier order stalls until the budget is spent
-    first = first_of_hop(straight_dir, widest)
+    order_dir = tmp_path / "order"
+    stopped_short([nodes[0]], txs, cfg, order_dir, ConstBackend(), allow=counted.calls - 1)
+    first = first_of_hop(order_dir, widest)
 
     out = tmp_path / "run"
     interrupted = InterruptAfter(ConstBackend(), allow=budget, slow=first if workers > 1 else None)
@@ -602,25 +661,31 @@ def test_a_resume_interrupted_again_resumes_to_the_straight_run(tmp_path, worker
     straight_dir = tmp_path / "straight"
     straight = snapshot(trace([nodes[0]], "ethereum", cfg, ports_for(txs, counted, straight_dir)), straight_dir)
 
+    order_dir = tmp_path / "order"
+    stopped_short([nodes[0]], txs, cfg, order_dir, ConstBackend(), allow=counted.calls - 1)
+
     out = tmp_path / "run"
     calls = 0
     # Ctrl-C 2 accounts into hop 2, then, resumed, 3 accounts into hop 3; with
     # several workers each hop's first account stalls, so later ones finish first
     for allow, depth, resume in ((5, 2, False), (6, 3, True)):
-        slow = first_of_hop(straight_dir, depth) if workers > 1 else None
+        slow = first_of_hop(order_dir, depth) if workers > 1 else None
         interrupted = InterruptAfter(ConstBackend(), allow=allow, slow=slow)
         ports = ports_for(txs, interrupted, out, workers=workers)
         with pytest.raises(KeyboardInterrupt):
             trace([nodes[0]], "ethereum", cfg, ports, resume=resume)
         calls += interrupted.calls
+    # both runs journaled each account they analyzed once, the resume after the first run's lines
+    journaled = Counter(r["address"]["hex"] for r in journal_records(out)[1:])
+    assert set(journaled.values()) == {1} and sum(journaled.values()) == calls
+    assert set(journaled) <= {a.target_address.hex for a in labels_in(straight_dir)}
+    if workers == 1:
+        assert (order_dir / JOURNAL_NAME).read_bytes().startswith((out / JOURNAL_NAME).read_bytes())
     last = InterruptAfter(ConstBackend(), allow=10**9)
     resumed = trace([nodes[0]], "ethereum", cfg, ports_for(txs, last, out, workers=workers), resume=True)
     assert snapshot(resumed, out) == straight
     assert calls + last.calls == counted.calls
-    journaled = Counter(r["address"]["hex"] for r in journal_records(out)[1:])
-    assert journaled == Counter(a.target_address.hex for a in labels_in(straight_dir))
-    if workers == 1:
-        assert (out / JOURNAL_NAME).read_bytes() == (straight_dir / JOURNAL_NAME).read_bytes()
+    assert (out / JOURNAL_NAME).read_bytes() == (straight_dir / JOURNAL_NAME).read_bytes()
 
 
 def edit_hop(address, depth):
@@ -655,34 +720,49 @@ def repeat(address):
     return edit
 
 
+def star_to_e_txs():
+    """The star graph with C paying E, reached at hop 3."""
+    return star_txs() + [make_tx(4, C, E, value="5", ts=NOW - 20)]
+
+
 @pytest.mark.parametrize(
-    "edit, named",
+    "edit, named, whole",
     [
-        (edit_hop(B, 2), B),  # reached at hop 1, journaled at hop 2
-        (edit_hop(C, 1), C),  # journaled at hop 1, reached at hop 2
-        (add_stray(D_ADDR, 2), D_ADDR),  # never reached, journaled within the trace's depth
-        (add_stray(D_ADDR, 7), D_ADDR),  # never reached, journaled past the trace's depth
-        (repeat(B), B),
+        (edit_hop(B, 2), B, False),  # reached at hop 1, journaled at hop 2
+        (edit_hop(C, 1), C, False),  # journaled at hop 1, reached at hop 2
+        (add_stray(D_ADDR, 2), D_ADDR, False),  # never reached, journaled within the trace's depth
+        (add_stray(D_ADDR, 7), D_ADDR, True),  # never reached, journaled past the trace's depth
+        (repeat(B), B, False),
     ],
     ids=["reached-earlier", "reached-later", "unreached", "past-depth", "repeated"],
 )
-def test_resume_refuses_a_misplaced_account(tmp_path, edit, named):
-    cfg = TracerConfig(D=3)
-    trace([S], "ethereum", cfg, ports_for(star_txs(), star_backend(), tmp_path))
+def test_resume_refuses_a_misplaced_account(tmp_path, monkeypatch, edit, named, whole):
+    cfg = TracerConfig(D=4)
+    if whole:
+        # a line past the last hop follows only a journal of every hop: Ctrl-C
+        # as the completed trace's journal is replaced leaves that one
+        with monkeypatch.context() as patch:
+            fail_journal_replace(patch, KeyboardInterrupt)
+            with pytest.raises(KeyboardInterrupt):
+                trace([S], "ethereum", cfg, ports_for(star_to_e_txs(), star_backend(), tmp_path))
+    else:
+        # Ctrl-C as E's verdict is due, the last of the trace
+        stopped_short([S], star_to_e_txs(), cfg, tmp_path, star_backend(), allow=4)
     journal = tmp_path / JOURNAL_NAME
     journal.write_text("".join(json.dumps(r) + "\n" for r in edit(journal_records(tmp_path))))
     before = journal.read_bytes()
 
     backend = star_backend()
     with pytest.raises(CheckpointError, match=f"account {named.hex} "):
-        trace([S], "ethereum", cfg, ports_for(star_txs(), backend, tmp_path), resume=True)
+        trace([S], "ethereum", cfg, ports_for(star_to_e_txs(), backend, tmp_path), resume=True)
     assert backend.calls == 0
     assert journal.read_bytes() == before
 
 
 def test_resume_refuses_a_hop_journaled_in_part_that_later_lines_follow(tmp_path):
-    cfg = TracerConfig(D=3)
-    trace([S], "ethereum", cfg, ports_for(star_txs(), star_backend(), tmp_path))
+    cfg = TracerConfig(D=4)
+    # Ctrl-C as E's verdict is due, the last of the trace
+    stopped_short([S], star_to_e_txs(), cfg, tmp_path, star_backend(), allow=4)
     journal = tmp_path / JOURNAL_NAME
     # B's line goes, so hop 1 is journaled in part, yet C's line of hop 2 follows it
     records = [r for r in journal_records(tmp_path) if r.get("address") != B.to_json()]
@@ -691,9 +771,92 @@ def test_resume_refuses_a_hop_journaled_in_part_that_later_lines_follow(tmp_path
 
     backend = star_backend()
     with pytest.raises(CheckpointError, match="hop 1 is journaled in part"):
-        trace([S], "ethereum", cfg, ports_for(star_txs(), backend, tmp_path), resume=True)
+        trace([S], "ethereum", cfg, ports_for(star_to_e_txs(), backend, tmp_path), resume=True)
     assert backend.calls == 0
     assert journal.read_bytes() == before
+
+
+class Uncalled:
+    """Chain client and backend of a trace that has nothing left to analyze."""
+
+    name = "uncalled"
+
+    def fetch_transactions(self, address):
+        raise AssertionError(f"fetched {address.hex}")
+
+    def complete(self, prompt, temperature, max_tokens):
+        raise AssertionError("called the backend")
+
+
+def test_resuming_a_done_journal_analyzes_nothing_and_writes_nothing(tmp_path):
+    cfg = TracerConfig(D=3)
+    straight = trace([S], "ethereum", cfg, ports_for(star_txs(), star_backend(), tmp_path))
+    before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in tmp_path.iterdir()}
+    assert sorted(before) == sorted([JOURNAL_NAME, *OUTPUT_NAMES])
+
+    ports = TracerPorts(client=Uncalled(), backend=Uncalled(), now=NOW, out_dir=tmp_path)
+    resumed = trace([S], "ethereum", cfg, ports, resume=True)
+    assert (resumed.depth, resumed.labeled, resumed.high) == (straight.depth, straight.labeled, straight.high) == (3, 4, 1)
+    assert resumed.diagnostics == straight.diagnostics
+    assert (resumed.C_current, resumed.visited) == ([], set())
+    assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("tail", [b'{"kind":"done"}\n', b'{"kind":"acc'], ids=["line", "torn-line"])
+def test_resume_refuses_a_line_after_the_done_line(tmp_path, tail):
+    cfg = TracerConfig(D=3)
+    trace([S], "ethereum", cfg, ports_for(star_txs(), star_backend(), tmp_path))
+    journal = tmp_path / JOURNAL_NAME
+    journal.write_bytes(journal.read_bytes() + tail)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    ports = TracerPorts(client=Uncalled(), backend=Uncalled(), now=NOW, out_dir=tmp_path)
+    with pytest.raises(CheckpointError, match="line 3 follows the done line"):
+        trace([S], "ethereum", cfg, ports, resume=True)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_a_crash_before_the_journal_is_replaced_resumes_to_the_straight_run(tmp_path, monkeypatch):
+    nodes, txs = random_graph(11, accounts=60, edges=180)
+    cfg = TracerConfig(D=4)
+    straight_dir = tmp_path / "straight"
+    straight = snapshot(trace([nodes[0]], "ethereum", cfg, ports_for(txs, ConstBackend(), straight_dir)), straight_dir)
+
+    out = tmp_path / "run"
+    with monkeypatch.context() as patch:
+        fail_journal_replace(patch, OSError("simulated crash"))
+        with pytest.raises(OSError, match="simulated crash"):
+            trace([nodes[0]], "ethereum", cfg, ports_for(txs, ConstBackend(), out))
+    # the outputs are in place beside the journal of every account
+    assert sorted(p.name for p in out.iterdir()) == sorted([JOURNAL_NAME, *OUTPUT_NAMES])
+    assert [r["kind"] for r in journal_records(out)] == ["header"] + ["account"] * 21
+
+    backend = InterruptAfter(ConstBackend(), allow=10**9)
+    resumed = trace([nodes[0]], "ethereum", cfg, ports_for(txs, backend, out), resume=True)
+    assert backend.calls == 0
+    assert snapshot(resumed, out) == straight
+    assert [r["kind"] for r in journal_records(out)] == ["header", "done"]
+    assert (out / JOURNAL_NAME).read_bytes() == (straight_dir / JOURNAL_NAME).read_bytes()
+
+
+def test_no_journal_replacement_stays_in_the_run_directory(tmp_path, monkeypatch):
+    cfg = TracerConfig(D=3)
+    replacement = tmp_path / (JOURNAL_NAME + ".tmp")
+    # one a crash left behind goes when the journal starts over
+    replacement.write_text("left by a crash\n")
+    stopped_short([S], star_txs(), cfg, tmp_path, star_backend(), allow=3)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [JOURNAL_NAME]
+    # one whose move fails goes at once
+    with monkeypatch.context() as patch:
+        fail_journal_replace(patch, OSError("simulated crash"))
+        with pytest.raises(OSError):
+            trace([S], "ethereum", cfg, ports_for(star_txs(), star_backend(), tmp_path), resume=True)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([JOURNAL_NAME, *OUTPUT_NAMES])
+    # one a crash left behind goes when the journal is replaced
+    replacement.write_text("left by a crash\n")
+    trace([S], "ethereum", cfg, ports_for(star_txs(), star_backend(), tmp_path), resume=True)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([JOURNAL_NAME, *OUTPUT_NAMES])
+    assert [r["kind"] for r in journal_records(tmp_path)] == ["header", "done"]
 
 
 class IndexedStore:
@@ -710,14 +873,7 @@ class IndexedStore:
         return self.by_address.get(address, [])
 
 
-class UncalledBackend:
-    name = "uncalled"
-
-    def complete(self, prompt, temperature, max_tokens):
-        raise AssertionError("a finished journal leaves nothing to analyze")
-
-
-def test_resuming_a_finished_journal_holds_one_hop_of_it(tmp_path):
+def test_resuming_a_journal_holds_one_hop_of_it(tmp_path):
     # 55 layers of 10 accounts, each paying every account of the next layer:
     # 541 accounts reached over hops of 10, each with 10 funders and receivers
     layers = [[addr(0x10000 + 0x100 * layer + i) for i in range(10)] for layer in range(55)]
@@ -729,19 +885,27 @@ def test_resuming_a_finished_journal_holds_one_hop_of_it(tmp_path):
     ]
     cfg = TracerConfig(D=len(layers))
     client = FixtureChainClient(IndexedStore(txs))
-    straight = trace([layers[0][0]], "ethereum", cfg, TracerPorts(client=client, backend=RuleBackend(), now=NOW, out_dir=tmp_path))
+    straight_dir = tmp_path / "straight"
+    straight = trace([layers[0][0]], "ethereum", cfg, TracerPorts(client=client, backend=RuleBackend(), now=NOW, out_dir=straight_dir))
     assert straight.labeled == 541
-    finished = snapshot(straight, tmp_path)
-    size = (tmp_path / JOURNAL_NAME).stat().st_size
+    finished = snapshot(straight, straight_dir)
+    # Ctrl-C as the last verdict is due: 540 of the 541 accounts journaled
+    out = tmp_path / "out"
+    ports = TracerPorts(client=client, backend=InterruptAfter(RuleBackend(), allow=540), now=NOW, out_dir=out)
+    with pytest.raises(KeyboardInterrupt):
+        trace([layers[0][0]], "ethereum", cfg, ports)
+    size = (out / JOURNAL_NAME).stat().st_size
 
-    ports = TracerPorts(client=client, backend=UncalledBackend(), now=NOW, out_dir=tmp_path)
+    backend = InterruptAfter(RuleBackend(), allow=10**9)
+    ports = TracerPorts(client=client, backend=backend, now=NOW, out_dir=out)
     tracemalloc.start()
     try:
         resumed = trace([layers[0][0]], "ethereum", cfg, ports, resume=True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert snapshot(resumed, tmp_path) == finished
+    assert snapshot(resumed, out) == finished
+    assert backend.calls == 1
     assert peak < size / 4
 
 
