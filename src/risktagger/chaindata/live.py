@@ -63,10 +63,14 @@ class EtherscanClient:
             rows = self._fetch_page(address, action, page)
             for row in rows:
                 try:
-                    records.append(_row_to_record(_row_values(row, action), self.chain))
+                    record = _row_to_record(_row_values(row, action), self.chain)
+                    if address not in (record.from_addr, record.to_addr):
+                        raise ValueError(f"row {record.hash} neither sends from nor goes to {address.hex}")
+                    records.append(record)
                 except Exception as exc:
-                    # live data is messy (contract creations have empty `to`); drop
-                    # the row but leave a trace for the diagnostics file
+                    # live data is messy (contract creations have empty `to`, a
+                    # misbehaving page lists another account's row); drop the
+                    # row but leave a trace for the diagnostics file
                     self.diagnostics.append(
                         {"kind": "dropped_row", "chain": self.chain, "reason": str(exc)[:200]}
                     )

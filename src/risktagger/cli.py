@@ -184,7 +184,7 @@ def cmd_extract(args) -> int:
     config = load_config(args.config, _overrides(args), need_adapter=False)
     out_dir = _prepare_out(config)
     _, rc = _do_extract(config, out_dir, args.doc)
-    _write_manifest(out_dir, config)
+    _write_manifest(out_dir, config, {"document": file_sha256(args.doc)})
     return rc
 
 
@@ -253,7 +253,9 @@ def cmd_run(args) -> int:
     out_dir = _prepare_out(config)
     clues, rc = _do_extract(config, out_dir, args.doc)
     inputs = _input_digests(config)
-    _write_manifest(out_dir, config, inputs)
+    # the trace's fingerprint leaves the document out, since a `trace --resume`
+    # reads only the clues extracted from it
+    _write_manifest(out_dir, config, {"document": file_sha256(args.doc), **inputs})
     if rc != 0:
         return rc
     rc = _do_trace(config, out_dir, clues, args.seed_victims, resume=False, inputs=inputs)

@@ -4,8 +4,10 @@ It answers the same prompts the hosted model would: an analyst prompt gets a
 verdict JSON in the documented output schema, an auditor (reflection) prompt
 gets a "No flaw" review. The payload is recovered from the rendered prompt
 text, so the engine sees exactly what a live model would see, and its
-transaction table is read through the table's `columns` header. A header
-without a column the rules read, or a row of another width, is a
+transaction table is read through the table's `columns` header. Each row is
+seen from the target: its `direction` (`in`, `out` or `self`) and its
+`counterparty` (`""` for `self`). A header without a column the rules read,
+a row of another width, or a direction outside those three is a
 BackendFailure, so the account becomes a recorded skip.
 
 Rule table (a dimension "fires" when its predicate holds):
@@ -13,8 +15,9 @@ Rule table (a dimension "fires" when its predicate holds):
                             a round-number transfer (exact positive multiple
                             of 10^21 smallest units / 1000 display units)
   b  fund_flows             fan-in from >= 10 distinct senders AND dispersal
-                            to >= 2 distinct other receivers within 3600 s
-  c  associated_addresses   any counterparty on the blacklist
+                            to >= 2 distinct counterparties of `out` rows
+                            within 3600 s
+  c  associated_addresses   any row's counterparty on the blacklist
   d  temporal_signs         >= 50% of transfers from 02:00:00 up to, not
                             including, 04:00:00 UTC
 Level: >=2 fired -> High; exactly one of {b,c} -> Medium; exactly one of
@@ -29,7 +32,7 @@ from datetime import datetime
 
 from ..errors import BackendFailure
 from ..model import SuspicionLevel
-from ..translator import TX_COLUMNS
+from ..translator import DIRECTIONS, TX_COLUMNS
 from .blacklist import Blacklist
 
 ROUND_UNIT_RAW = 10**21
@@ -77,7 +80,6 @@ def _hour_utc(iso_ts: str) -> int:
 
 def rule_backend_assess(payload: dict, blacklist: Blacklist) -> dict:
     """Apply the rule table to one reasoner payload; returns the verdict dict."""
-    target = payload.get("target_address", {}).get("hex", "")
     stats = payload.get("statistics", {})
     rows = _transaction_rows(payload)
 
@@ -95,7 +97,7 @@ def rule_backend_assess(payload: dict, blacklist: Blacklist) -> dict:
 
     ok_rows = [r for r in rows if not r.get("isError")]
     # a self-transfer disperses nothing, as compute_stats counts no receiver for it
-    out_rows = [r for r in ok_rows if r.get("from") == target and r.get("to") != target]
+    out_rows = [r for r in ok_rows if r["direction"] == "out"]
 
     # a) burst over the full fetched set, or any round-number transfer
     burst = int(stats.get("max_burst_1h", 0))
@@ -108,12 +110,7 @@ def rule_backend_assess(payload: dict, blacklist: Blacklist) -> dict:
     b_fired = fan_in >= FAN_IN_MIN and dispersal >= DISPERSAL_RECEIVERS_MIN
 
     # c) blacklist counterparties
-    hits = {}
-    for r in rows:
-        for side in ("from", "to"):
-            counterparty = r.get(side, "")
-            if counterparty and counterparty != target and counterparty in blacklist:
-                hits.setdefault(counterparty, blacklist.label_of(counterparty))
+    hits = {r["counterparty"]: blacklist.label_of(r["counterparty"]) for r in rows if r["counterparty"] in blacklist}
     c_fired = bool(hits)
 
     # d) night-hour concentration over all rows (failed probes count as behavior)
@@ -154,7 +151,7 @@ def rule_backend_assess(payload: dict, blacklist: Blacklist) -> dict:
 
     if c_fired:
         listed = ", ".join(f"{hex_} ({label})" for hex_, label in sorted(hits.items()))
-        c_dim = {"result": f"Blacklisted counterparty exposure: {listed}", "evidence": cite([r for r in rows if r.get("from") in hits or r.get("to") in hits])}
+        c_dim = {"result": f"Blacklisted counterparty exposure: {listed}", "evidence": cite([r for r in rows if r["counterparty"] in hits])}
     else:
         c_dim = {"result": "No known high-risk counterparties", "evidence": "no blacklist matches among counterparties"}
 
@@ -189,8 +186,8 @@ def rule_backend_assess(payload: dict, blacklist: Blacklist) -> dict:
 
 def _transaction_rows(payload: dict) -> list[dict]:
     """The payload's transfers as dicts, each cell keyed by the table's
-    `columns` header. A header without TX_COLUMNS, or a row of another
-    width, is a BackendFailure."""
+    `columns` header. A header without TX_COLUMNS, a row of another width,
+    or a direction outside DIRECTIONS is a BackendFailure."""
     table = payload.get("transactions")
     columns, rows = (table.get("columns"), table.get("rows")) if isinstance(table, dict) else (None, None)
     if not (
@@ -198,12 +195,16 @@ def _transaction_rows(payload: dict) -> list[dict]:
         and all(isinstance(row, list) and len(row) == len(columns) for row in rows)
     ):
         raise BackendFailure(f"payload table 'transactions' is not rows of the columns {TX_COLUMNS}")
-    return [dict(zip(columns, row)) for row in rows]
+    rows = [dict(zip(columns, row)) for row in rows]
+    for row in rows:
+        if row["direction"] not in DIRECTIONS:
+            raise BackendFailure(f"payload table 'transactions' has a direction {row['direction']!r} not in {DIRECTIONS}")
+    return rows
 
 
 def _max_dispersal(out_rows: list) -> int:
     """Max distinct receivers inside any DISPERSAL_WINDOW_S window among outgoing rows."""
-    events = sorted((_epoch(r["timeStamp"]), r["to"]) for r in out_rows)
+    events = sorted((_epoch(r["timeStamp"]), r["counterparty"]) for r in out_rows)
     best = 0
     for i, (t0, _) in enumerate(events):
         receivers = {to for t, to in events[i:] if t - t0 <= DISPERSAL_WINDOW_S}

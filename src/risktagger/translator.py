@@ -7,11 +7,14 @@ distorts counts or totals. Amounts are the records' ints (wei values exceed
 decimal text. An asset is keyed by the record's tokenSymbol ("" for the
 native coin) everywhere, and asset_label alone names it in the payload.
 
-The payload (PAYLOAD_VERSION 2) is compact JSON: the target, the full-set
+The payload (PAYLOAD_VERSION 3) is compact JSON: the target, the full-set
 statistics, then the retained transfers and the cross-chain pairs as tables,
 each a `columns` header and one list of cells per row. Every amount is
 decimal text ending in its asset_label, so no row names its asset apart;
-times are ISO 8601 in UTC.
+times are ISO 8601 in UTC. Every transfer touches the target, so a transfer
+row names only the other party: its `direction` (`in`, `out`, or `self` for
+a transfer from the target to itself) and its `counterparty` (`""` for
+`self`). The target's address appears once, in `target_address`.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from datetime import datetime, timezone
 
 from .model import Address, CrossChainPair, TracerConfig, TransactionRecord
 
-PAYLOAD_VERSION = 2
+PAYLOAD_VERSION = 3
 
 # Display-unit tables; unknown symbols fall back to raw smallest units.
 DEFAULT_DECIMALS = {
@@ -215,7 +218,8 @@ def _iso(ts: int) -> str:
     return datetime.fromtimestamp(ts, tz=timezone.utc).isoformat()
 
 
-TX_COLUMNS = ("hash", "from", "to", "value", "timeStamp", "isError")
+TX_COLUMNS = ("hash", "direction", "counterparty", "value", "timeStamp", "isError")
+DIRECTIONS = ("in", "out", "self")
 PAIR_COLUMNS = (
     "src_hash", "dst_hash", "src_chain", "dst_chain", "dst_to", "token",
     "amount_src", "amount_dst", "time_delta_s", "bridge_hint",
@@ -244,7 +248,7 @@ def to_reasoner_payload(sub: AccountSubgraph) -> str:
             "retained_tx_count": len(sub.retained_txs),
             "truncated": sub.truncated,
         },
-        "transactions": {"columns": TX_COLUMNS, "rows": [_tx_row(tx) for tx in sub.retained_txs]},
+        "transactions": {"columns": TX_COLUMNS, "rows": [_tx_row(tx, sub.center) for tx in sub.retained_txs]},
         "cross_chain": {"columns": PAIR_COLUMNS, "rows": [_pair_row(p) for p in sub.cross_chain]},
     }
     return json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
@@ -255,9 +259,17 @@ def _totals(totals: dict, chain: str) -> dict:
     return {asset_label(symbol, chain): display_amount(value, symbol, chain) for symbol, value in totals.items()}
 
 
-def _tx_row(tx: TransactionRecord) -> list:
+def _tx_row(tx: TransactionRecord, center: Address) -> list:
+    """A retained transfer seen from the center, which is its `from`, its
+    `to` or both (the adapters keep no other row)."""
+    if tx.from_addr != center:
+        direction, counterparty = "in", tx.from_addr.hex
+    elif tx.to_addr != center:
+        direction, counterparty = "out", tx.to_addr.hex
+    else:
+        direction, counterparty = "self", ""
     return [
-        tx.hash, tx.from_addr.hex, tx.to_addr.hex, display_amount(tx.value, tx.tokenSymbol, tx.chain),
+        tx.hash, direction, counterparty, display_amount(tx.value, tx.tokenSymbol, tx.chain),
         _iso(tx.timeStamp), tx.isError,
     ]
 

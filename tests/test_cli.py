@@ -493,6 +493,28 @@ def test_explain_writes_report_with_full_fallback_coverage(tmp_path):
     assert (scored["report_source"], scored["fallback_reason"]) == ("template", None)
 
 
+def test_run_and_extract_record_the_documents_digest_which_a_resume_does_not_check(tmp_path, capsys, monkeypatch):
+    doc = tmp_path / "incident.txt"
+    shutil.copy(DOC, doc)
+    digest = hashlib.sha256(doc.read_bytes()).hexdigest()
+    assert run_cli("extract", doc, "--out", tmp_path / "extract") == 0
+    assert json.loads((tmp_path / "extract" / "run.json").read_text())["inputs"] == {"document": digest}
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    with monkeypatch.context() as patch:
+        InterruptingRules(patch, budget=60)
+        assert run_cli("run", doc, "--config", cfg) == 130
+    inputs = json.loads((out / "run.json").read_text())["inputs"]
+    assert inputs["document"] == digest and set(inputs) == {"document", "fixtures", "blacklist"}
+    header = json.loads((out / JOURNAL_NAME).read_text(encoding="utf-8").split("\n", 1)[0])
+    assert header["config"]["inputs"] == {k: v for k, v in inputs.items() if k != "document"}
+    doc.write_text(doc.read_text(encoding="utf-8") + "\nA line added after the run.\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("trace", out / "case_clues.json", "--config", cfg, "--resume") == 0
+    assert capsys.readouterr().out.startswith("analyzed 140 accounts over 16 hop(s)")
+    assert (out / "labels.jsonl").read_bytes() == (GOLDEN / "synthetic_labels.golden.jsonl").read_bytes()
+
+
 def test_explain_into_the_trace_directory_keeps_its_input_digests(tmp_path):
     clues = extract_clues(tmp_path)
     cfg = write_config(tmp_path)
@@ -662,7 +684,8 @@ def test_a_refused_resume_changes_no_file(tmp_path, capsys):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
-def test_a_resume_onto_a_journal_of_another_payload_form_exits_one_naming_it(tmp_path, capsys):
+@pytest.mark.parametrize("earlier", [None, 2], ids=["unversioned", "version-2"])
+def test_a_resume_onto_a_journal_of_another_payload_form_exits_one_naming_it(tmp_path, capsys, earlier):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
     assert run_cli("run", DOC, "--config", cfg) == 0
@@ -671,8 +694,10 @@ def test_a_resume_onto_a_journal_of_another_payload_form_exits_one_naming_it(tmp
     first, rest = journal.read_text(encoding="utf-8").split("\n", 1)
     header = json.loads(first)
     assert header["prompts"]["payload_version"] == PAYLOAD_VERSION
-    # the header of a journal written before the payload version was recorded
-    del header["prompts"]["payload_version"]
+    if earlier is None:  # the header of a journal written before the payload version was recorded
+        del header["prompts"]["payload_version"]
+    else:  # the header of a journal written with the `from`/`to` transfer rows
+        header["prompts"]["payload_version"] = earlier
     parts = {part: header[part] for part in ("config", "seeds", "prompts")}
     canonical = json.dumps(parts, sort_keys=True, separators=(",", ":"))
     header["fingerprint"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -21,6 +21,7 @@ from risktagger.errors import ChainUnavailable, RateLimited, UnknownChain
 from risktagger.model import TracerConfig, TransactionRecord, normalize_address
 from risktagger.reasoner import RuleBackend
 from risktagger.tracer import TracerPorts, trace
+from risktagger.translator import build_subgraph, to_reasoner_payload
 from risktagger.upstream import Upstream
 from stub_chain_server import LimitedFirst, StubChainServer, native_row, token_row
 
@@ -28,8 +29,9 @@ CENTER = addr(0x500)
 PEERS = [addr(0x600 + i) for i in range(5)]
 
 
-def five_rows():
-    return [native_row(i + 1, CENTER.hex, PEERS[i].hex, ts=1_740_000_000 + i, block=10 + i) for i in range(5)]
+def five_rows(account=CENTER):
+    """Five transfers out of `account`, as its own page lists them."""
+    return [native_row(i + 1, account.hex, PEERS[i].hex, ts=1_740_000_000 + i, block=10 + i) for i in range(5)]
 
 
 def client_for(server, cache=None, page_size=1000, **kw):
@@ -209,7 +211,7 @@ def test_http_429_raises_rate_limited():
 
 
 def test_throttle_spaces_requests_across_threads():
-    pages = {(peer.hex, "txlist", 1): five_rows() for peer in PEERS}
+    pages = {(peer.hex, "txlist", 1): five_rows(peer) for peer in PEERS}
     threads = 8
     start = threading.Barrier(threads)
     with StubChainServer(pages) as srv:
@@ -353,7 +355,7 @@ def test_http_429_waits_for_retry_after():
 
 
 def test_http_429_pauses_every_thread_sharing_the_client():
-    pages = {(peer.hex, "txlist", 1): five_rows() for peer in PEERS[:2]}
+    pages = {(peer.hex, "txlist", 1): five_rows(peer) for peer in PEERS[:2]}
     start = threading.Barrier(2)
     with StubChainServer(pages, fail_first=[429], retry_after="1") as srv:
         client = client_for(srv, rate_limit_per_s=5.0)
@@ -378,9 +380,9 @@ def test_http_429_pauses_every_thread_sharing_the_client():
 def test_a_rate_limit_without_retry_after_pauses_every_thread_for_the_backoff(form):
     # the other thread starts once the first has drawn the limit, so only the
     # shared pause, not its own backoff, can hold its first request back
-    pages = {(peer.hex, "txlist", 1): five_rows() for peer in PEERS[:2]}
+    pages = {(peer.hex, "txlist", 1): five_rows(peer) for peer in PEERS[:2]}
     if form == "in_body":
-        pages[(PEERS[0].hex, "txlist", 1)] = LimitedFirst(1, five_rows())
+        pages[(PEERS[0].hex, "txlist", 1)] = LimitedFirst(1, five_rows(PEERS[0]))
     with StubChainServer(pages, fail_first=[429] if form == "http_429" else []) as srv:
         client = client_for(srv, backoff_base_s=0.5)
         first = threading.Thread(target=client.fetch_transactions, args=(PEERS[0],))
@@ -424,6 +426,23 @@ def test_malformed_row_dropped_with_diagnostic():
         records = client.fetch_transactions(CENTER)
     assert len(records) == 1
     assert any(d["kind"] == "dropped_row" for d in client.diagnostics)
+
+
+def test_a_row_that_does_not_touch_the_account_is_dropped_with_diagnostic():
+    """A misbehaving page lists another account's transfer: it is dropped,
+    and neither the account's records nor its payload hold it."""
+    foreign = native_row(3, PEERS[0].hex, PEERS[1].hex)
+    kept = native_row(4, PEERS[2].hex, CENTER.hex)
+    pages = {(CENTER.hex, "txlist", 1): [foreign, kept]}
+    with StubChainServer(pages) as srv:
+        client = client_for(srv)
+        records = client.fetch_transactions(CENTER)
+    assert [r.hash for r in records] == [kept["hash"]]
+    [dropped] = [d for d in client.diagnostics if d["kind"] == "dropped_row"]
+    assert foreign["hash"] in dropped["reason"] and CENTER.hex in dropped["reason"]
+    payload = to_reasoner_payload(build_subgraph(CENTER, records, [], TracerConfig(), 1_740_000_100))
+    assert kept["hash"] in payload and PEERS[2].hex in payload
+    assert foreign["hash"] not in payload and PEERS[0].hex not in payload and PEERS[1].hex not in payload
 
 
 def test_a_row_valued_2_256_or_more_is_dropped_and_the_rest_kept():
@@ -539,9 +558,10 @@ class OnePageSession:
         return SimpleNamespace(status_code=200, content=json.dumps(body).encode(), headers={}, text="")
 
 
-# every column filled, with letters in the hex so that case matters
-FULL_ROW = token_row(0xBEEF, addr(0xABCDEF).hex, addr(0xFEDCBA).hex, "USDT", "123",
-                     contract=addr(0xC0FFEE).hex)
+# every column filled, with letters in the hex so that case matters; the
+# account fetched is its sender, as an account's own page lists its rows
+SENDER = addr(0xABCDEF)
+FULL_ROW = token_row(0xBEEF, SENDER.hex, addr(0xFEDCBA).hex, "USDT", "123", contract=addr(0xC0FFEE).hex)
 FULL_ROW.update(isError="0", input="0xa9059cbb")
 NATIVE_ROW = {k: v for k, v in FULL_ROW.items() if k not in ("tokenSymbol", "tokenName", "tokenDecimal")}
 NATIVE_ROW.update(contractAddress="", input="0x")
@@ -589,7 +609,7 @@ def test_live_rows_decode_as_the_former_builder_did(case):
         "http://explorer.test/api", "ethereum", api_key="k",
         session=OnePageSession({action: [row]}), rate_limit_per_s=0.0,
     )
-    assert client.fetch_transactions(CENTER) == ([] if expected is None else [expected])
+    assert client.fetch_transactions(SENDER) == ([] if expected is None else [expected])
     dropped = [d for d in client.diagnostics if d["kind"] == "dropped_row"]
     assert len(dropped) == len(former.diagnostics)
 

@@ -66,7 +66,7 @@ def test_cot_prompt_contains_required_blocks():
 def test_cot_prompt_embeds_payload_json():
     center = addr(1)
     prompt = build_cot_prompt(center, payload_for(center))
-    assert '{"payload_version":2,' in prompt
+    assert '{"payload_version":3,' in prompt
 
 
 def test_render_missing_placeholder():

@@ -337,7 +337,23 @@ def _no_time_column(table):
     del table["columns"][at], table["rows"][0][at]
 
 
-@pytest.mark.parametrize("mangle", [_short_row, _long_row, _object_row, _no_time_column])
+def _no_direction_column(table):  # payload version 2 named the row's `from` in its place
+    table["columns"][table["columns"].index("direction")] = "from"
+
+
+def _no_counterparty_column(table):  # and its `to`
+    table["columns"][table["columns"].index("counterparty")] = "to"
+
+
+def _unknown_direction(table):
+    table["rows"][0][table["columns"].index("direction")] = "inbound"
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [_short_row, _long_row, _object_row, _no_time_column, _no_direction_column, _no_counterparty_column,
+     _unknown_direction],
+)
 def test_a_payload_table_that_does_not_match_its_columns_is_a_backend_failure(mangle):
     payload = payload_from([make_tx(1, addr(0x301), CENTER, value="5", ts=ts_at(2))])
     mangle(payload["transactions"])

@@ -333,6 +333,26 @@ def test_a_payload_row_that_does_not_match_its_columns_is_a_recorded_skip(tmp_pa
     assert [(e["address"], e["error"]) for e in state.diagnostics["errors"]] == [(A.hex, "BackendFailure")]
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [('"direction"', '"dir"'), ('"counterparty"', '"peer"'), ('"in"', '"inward"')],
+    ids=["no-direction-column", "no-counterparty-column", "unknown-direction"],
+)
+def test_a_payload_table_the_rules_cannot_read_is_a_recorded_skip(tmp_path, old, new):
+    class EditedPayloadBackend(RuleBackend):
+        """The rule engine, shown A's payload with its first `old` made `new`."""
+
+        def complete(self, prompt, temperature, max_tokens):
+            if target_of(prompt) == A.hex:
+                start = prompt.index('{"payload_version"')
+                prompt = prompt[:start] + prompt[start:].replace(old, new, 1)
+            return super().complete(prompt, temperature, max_tokens)
+
+    state = trace([S], "ethereum", TracerConfig(D=5), ports_for(star_txs(), EditedPayloadBackend(), tmp_path))
+    assert reached(tmp_path) == {S, B}  # A skipped, so C stays unreachable
+    assert [(e["address"], e["error"]) for e in state.diagnostics["errors"]] == [(A.hex, "BackendFailure")]
+
+
 def test_resume_keeps_a_journaled_skip(tmp_path):
     client = FlakyClient(FixtureChainClient(ListStore(star_txs())), {A})
     straight = tmp_path / "straight"

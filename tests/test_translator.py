@@ -198,9 +198,10 @@ def test_payload_shape_and_units():
     txs = [make_tx(1, addr(1), CENTER, value=str(10**18), ts=1_740_000_000)]
     sub = build_subgraph(CENTER, txs, [], TracerConfig(), NOW + 1_740_000_000)
     payload = json.loads(to_reasoner_payload(sub))
-    assert payload["payload_version"] == 2
+    assert payload["payload_version"] == 3
     assert payload["target_address"] == {"hex": CENTER.hex, "chain": "ethereum"}
     [row] = table(payload, "transactions")
+    assert (row["direction"], row["counterparty"]) == ("in", addr(1).hex)
     assert row["value"] == "1.0 ETH"
     assert row["timeStamp"].startswith("2025-02-") and row["timeStamp"].endswith("+00:00")
     assert payload["statistics"]["in_total"] == {"ETH": "1.0 ETH"}
@@ -312,7 +313,7 @@ def test_payload_key_order_is_the_canonical_order():
         "max_burst_1h", "total_tx_count", "retained_tx_count", "truncated",
     ]
     assert list(payload["transactions"]) == list(payload["cross_chain"]) == ["columns", "rows"]
-    assert payload["transactions"]["columns"] == ["hash", "from", "to", "value", "timeStamp", "isError"]
+    assert payload["transactions"]["columns"] == ["hash", "direction", "counterparty", "value", "timeStamp", "isError"]
     assert payload["cross_chain"]["columns"] == [
         "src_hash", "dst_hash", "src_chain", "dst_chain", "dst_to", "token",
         "amount_src", "amount_dst", "time_delta_s", "bridge_hint",
@@ -339,12 +340,21 @@ def test_payload_json_deterministic():
 
 def assert_tables_decode_to(text, sub):
     """Each payload table, decoded by its `columns` header, gives back every
-    retained transfer and every cross-chain pair of `sub`, in order; times
-    are ISO 8601 in UTC."""
+    retained transfer and every cross-chain pair of `sub`, in order; a
+    transfer's `from` and `to` are rebuilt from its direction, its
+    counterparty and the target_address. Times are ISO 8601 in UTC."""
     payload = json.loads(text)
+    target = payload["target_address"]["hex"]
     rows = table(payload, "transactions")
     assert all(row["timeStamp"].endswith("+00:00") for row in rows)
-    assert [{**row, "timeStamp": int(datetime.fromisoformat(row["timeStamp"]).timestamp())} for row in rows] == [
+    decoded = []
+    for row in rows:
+        direction, counterparty = row.pop("direction"), row.pop("counterparty")
+        assert (counterparty == "") == (direction == "self")
+        src, dst = {"in": (counterparty, target), "out": (target, counterparty), "self": (target, target)}[direction]
+        ts = int(datetime.fromisoformat(row["timeStamp"]).timestamp())
+        decoded.append({**row, "from": src, "to": dst, "timeStamp": ts})
+    assert decoded == [
         {
             "hash": tx.hash, "from": tx.from_addr.hex, "to": tx.to_addr.hex,
             "value": display_amount(tx.value, tx.tokenSymbol, tx.chain), "timeStamp": tx.timeStamp,
@@ -365,7 +375,8 @@ def assert_tables_decode_to(text, sub):
     ]
 
 
-def test_payload_tables_decode_to_every_demo_subgraph(monkeypatch, tmp_path):
+def demo_payloads(monkeypatch, tmp_path):
+    """(payload text, subgraph) of each of the demo trace's 140 accounts."""
     rendered = []
 
     def recording(sub):
@@ -379,8 +390,19 @@ def test_payload_tables_decode_to_every_demo_subgraph(monkeypatch, tmp_path):
     ports = TracerPorts(client=client, backend=RuleBackend(blacklist), now=config["now"], out_dir=tmp_path)
     trace(["0x47666fab8bd0ac7003bce3f5c3585383f09486e2"], "ethereum", TracerConfig.from_json(config["tracer"]), ports)
     assert len(rendered) == 140
-    for text, sub in rendered:
+    return rendered
+
+
+def test_payload_tables_decode_to_every_demo_subgraph(monkeypatch, tmp_path):
+    for text, sub in demo_payloads(monkeypatch, tmp_path):
         assert_tables_decode_to(text, sub)
+
+
+def test_every_demo_payload_names_its_target_once(monkeypatch, tmp_path):
+    for text, sub in demo_payloads(monkeypatch, tmp_path):
+        assert sub.retained_txs  # rows that could have named it
+        assert text.count(sub.center.hex) == 1
+        assert json.loads(text)["target_address"]["hex"] == sub.center.hex
 
 
 # every class of character the string encoder treats differently: the control
@@ -397,9 +419,11 @@ def subgraphs(draw):
     chain, far = draw(st.sampled_from([(a, b) for a in CHAINS for b in CHAINS if a != b]))
     center = addr(0xC0, chain)
     peers = st.sampled_from([center] + [addr(n, chain) for n in range(1, 4)])
+    # every row touches the center, as the adapters keep no other: out, in or to itself
+    edges = st.tuples(st.just(center), peers) | st.tuples(peers, st.just(center))
     txs = [
         make_tx(
-            n, draw(peers), draw(peers), value=draw(AMOUNT), ts=draw(TIMESTAMP),
+            n, *draw(edges), value=draw(AMOUNT), ts=draw(TIMESTAMP),
             token=draw(st.sampled_from(["", "ETH", "USDT"]) | TEXT), is_error=draw(st.booleans()),
         )
         for n in range(draw(st.integers(0, 4)))
