@@ -211,9 +211,12 @@ def cmd_trace(args) -> int:
     out_dir = _prepare_out(config)
     clues = _load_clues(args.clues)
     inputs = _input_digests(config)
+    # a resume keeps the document digest of the `run` whose trace it finishes
+    earlier = _manifest_inputs(out_dir) if args.resume else None
+    kept = {"document": earlier["document"]} if isinstance(earlier, dict) and "document" in earlier else {}
     rc = _do_trace(config, out_dir, clues, args.seed_victims, args.resume, inputs)
     if rc == 0:
-        _write_manifest(out_dir, config, inputs)
+        _write_manifest(out_dir, config, {**kept, **inputs})
     return rc
 
 

@@ -41,11 +41,12 @@ out_neighbors, so a frontier rebuilds without refetching. The payload's
 version is kept beside the template hashes, as prompts.payload_version.
 resume=True runs the same hop loop as a fresh run, except that a frontier
 account with a journaled outcome takes it instead of being analyzed; merge,
-frontier ranking and counters are recomputed. The journal is read once, one
-hop at a time: a hop takes the run of lines journaled at its depth. Only the
-last journaled hop can be incomplete, so a hop whose frontier is journaled
-in part must end the journal, and the reader has dropped a torn last line
-before the first account is appended. A fresh run truncates the journal.
+frontier ranking and counters are recomputed. The journal keeps one
+invariant: a complete hop is exactly its frontier's lines, and only the last
+journaled hop may be short. A resume reads it once, each hop taking at most
+its frontier's count of lines, and refuses a line out of place, naming it,
+before any account is analyzed; only at the end does it drop a torn last
+line. A fresh run truncates the journal.
 
 A trace owns three outputs beside the journal. Each merged hop's
 assessments are written to labels.jsonl (all) and risky.jsonl (High only)
@@ -262,9 +263,9 @@ def _analyze_account(account: Address, depth: int, cfg: TracerConfig, ports: Tra
 
 
 class Journal:
-    """journal.jsonl (format in the module docstring): appends each attempted
-    account and, on a resume, hands back the journaled outcomes one hop at a
-    time."""
+    """journal.jsonl (format and invariant in the module docstring): appends
+    each attempted account and, on a resume, hands back the journaled outcomes
+    one hop at a time, refusing a line out of place as soon as it is read."""
 
     def __init__(self, path: Path, header: dict, resume: bool):
         """Starts a fresh journal, or with resume=True continues the one at
@@ -275,8 +276,7 @@ class Journal:
         self.done = None  # the done line of a finished journal at path
         self._writer = None
         self._reader = None  # the journal being resumed, until its end is read
-        self._ahead = None  # the outcome read just past the hop last taken
-        self._journaled: set = set()  # every account read so far
+        self._pending = None  # the outcome on line 2, read to tell a done journal
         self._lines = 0  # whole lines read
         self._good_bytes = 0  # their length
         try:
@@ -286,7 +286,7 @@ class Journal:
                 if found is not _END:
                     _check_header(found if isinstance(found, dict) else {}, header, path)
                     self.resumed = True
-                    self._ahead = self._next_outcome()
+                    self._pending = self._next_outcome()
                     if self.done is None:
                         self._writer = open(path, "a", encoding="utf-8")
                     return
@@ -311,52 +311,48 @@ class Journal:
 
     def take(self, depth: int, frontier: list[Address]) -> dict:
         """The outcomes journaled at hop `depth`, whose frontier is `frontier`,
-        keyed by account: the run of lines at that depth. Refuses such a line
-        for an account outside the frontier, and a frontier journaled in part
-        that more lines follow."""
+        keyed by account: its next len(frontier) lines, fewer where the journal
+        ends. Refuses a line of another hop, of an account outside the
+        frontier, or of an account taken already."""
         outcomes = {}
-        outcome = self._ahead or self._next_outcome()
-        while outcome is not None and outcome.hop_depth == depth:
-            outcomes[outcome.account] = outcome
+        members = set(frontier)
+        while len(outcomes) < len(frontier):
             outcome = self._next_outcome()
-        self._ahead = outcome
-        reached = [account for account in frontier if account in outcomes]
-        if len(reached) < len(outcomes) or (len(reached) < len(frontier) and outcome is not None):
-            raise self._refusal(depth, frontier, outcomes)
-        # hold the frontier's Address objects, which state.visited keeps too,
-        # rather than a second copy of every journaled address
-        self._journaled.difference_update(reached)
-        self._journaled.update(reached)
+            if outcome is None:
+                break
+            if outcome.hop_depth > depth:
+                missing = next(account for account in frontier if account not in outcomes)
+                raise self._refusal(outcome, f"while hop {depth} is journaled in part: account {missing.hex} has no line")
+            if outcome.account in outcomes:
+                raise self._refusal(outcome, "again")
+            if outcome.hop_depth < depth or outcome.account not in members:
+                raise self._misplaced(outcome, depth)
+            outcomes[outcome.account] = outcome
         return outcomes
 
-    def finish(self) -> None:
-        """Refuses an account journaled beyond the hops the trace reached."""
-        outcome = self._ahead or self._next_outcome()
+    def finish(self, depth: int) -> None:
+        """Refuses a line left once the trace stops before hop `depth`."""
+        outcome = self._next_outcome()
         if outcome is not None:
-            raise _misplaced(outcome, self.path)
+            raise self._misplaced(outcome, depth)
 
-    def _refusal(self, depth: int, frontier: list[Address], outcomes: dict) -> CheckpointError:
-        """Reads the rest of the journal and names the first account journaled
-        at a hop other than the one whose frontier holds it: a frontier
-        account, in frontier order, then any other, in journal order."""
-        rest = dict(outcomes)
-        outcome = self._ahead
-        while outcome is not None:
-            rest[outcome.account] = outcome
-            outcome = self._next_outcome()
-        self._ahead = None
-        taken = {account: rest.pop(account) for account in frontier if account in rest}
-        for outcome in (*taken.values(), *rest.values()):
-            if (outcome.account in taken) != (outcome.hop_depth == depth):
-                return _misplaced(outcome, self.path)
-        return CheckpointError(f"{self.path}: hop {depth} is journaled in part, yet the journal goes on past it")
+    def _misplaced(self, outcome: Outcome, depth: int) -> CheckpointError:
+        """The refusal of the line just read once the trace is at hop `depth`."""
+        early = outcome.hop_depth < depth
+        return self._refusal(outcome, "after that hop's frontier is whole" if early else "outside that hop's frontier")
+
+    def _refusal(self, outcome: Outcome, why: str) -> CheckpointError:
+        where = f"line {self._lines} journals account {outcome.account.hex} at hop {outcome.hop_depth}"
+        return CheckpointError(f"{self.path}: {where} {why}")
 
     def _next_outcome(self) -> Outcome | None:
         """The outcome the next account line holds; None past the last one,
         where the reader is closed and a torn last line truncated away, and
         None at a done line right after the header, which must end the journal
-        and which `done` then holds. A line of any other kind, or a second
-        line for one account, is refused."""
+        and which `done` then holds. A line of any other kind is refused."""
+        if self._pending is not None:
+            outcome, self._pending = self._pending, None
+            return outcome
         if self._reader is None:
             return None
         record = self._read_record()
@@ -382,9 +378,6 @@ class Journal:
             return None
         if outcome is None:
             raise CheckpointError(f"{self.path}: line {number} is a {kind!r} line, not an account line")
-        if outcome.account in self._journaled:
-            raise CheckpointError(f"{self.path}: line {number} journals account {outcome.account.hex} again")
-        self._journaled.add(outcome.account)
         return outcome
 
     def _read_record(self):
@@ -448,12 +441,6 @@ def _finished(done: dict, path: Path) -> TracerState:
             raise CheckpointError(f"{output} changed since {path} recorded the finished trace; rerun without --resume")
     state.diagnostics = json.loads((path.parent / "diagnostics.json").read_text(encoding="utf-8"))
     return state
-
-
-def _misplaced(outcome: Outcome, path: Path) -> CheckpointError:
-    return CheckpointError(
-        f"{path}: journaled account {outcome.account.hex} is not in the frontier of hop {outcome.hop_depth}"
-    )
 
 
 @contextmanager
@@ -544,7 +531,7 @@ def _check_header(found: dict, header: dict, path: Path) -> None:
         for diff in _differences(found.get(part), header[part], part)
     ]
     raise CheckpointError(
-        f"{path} belongs to a different run ({', '.join(changed) or 'fingerprint'} changed); "
+        f"{path}: line 1 is the header of a different run ({', '.join(changed) or 'fingerprint'} changed); "
         "rerun without --resume to start over"
     )
 
@@ -621,10 +608,10 @@ def trace(
     journal written with other settings, seeds or prompt templates raises
     CheckpointError before any file is touched, and one whose accounts the
     trace does not reach at their hop, or that goes on past a hop journaled
-    in part, raises it before any account is analyzed. A journal started
-    over (no resume, or nothing to resume) first removes the outputs of an
-    earlier trace. Once the outputs are in place, the journal is replaced
-    by its header and a done line.
+    in part, raises it naming the line, before any account is analyzed or
+    any file changed. A journal started over (no resume, or nothing to
+    resume) first removes the outputs of an earlier trace. Once the outputs
+    are in place, the journal is replaced by its header and a done line.
 
     A resume onto the done journal of a finished trace analyzes nothing and
     writes no file: it checks each output against the digest there, raising
@@ -661,7 +648,7 @@ def trace(
                 candidates, state.visited, ports.now, cfg, state.diagnostics
             )
             state.depth += 1
-        journal.finish()
+        journal.finish(state.depth)
     (out_dir / "diagnostics.json").write_text(
         json.dumps(state.diagnostics, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
     )

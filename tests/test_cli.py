@@ -513,6 +513,7 @@ def test_run_and_extract_record_the_documents_digest_which_a_resume_does_not_che
     assert run_cli("trace", out / "case_clues.json", "--config", cfg, "--resume") == 0
     assert capsys.readouterr().out.startswith("analyzed 140 accounts over 16 hop(s)")
     assert (out / "labels.jsonl").read_bytes() == (GOLDEN / "synthetic_labels.golden.jsonl").read_bytes()
+    assert json.loads((out / "run.json").read_text())["inputs"] == inputs
 
 
 def test_explain_into_the_trace_directory_keeps_its_input_digests(tmp_path):

@@ -103,14 +103,17 @@ def check_stops(demo, out_dir, stops, workers):
 def check_cut(demo, stopped_dir, offset, out_dir):
     """Resumes a copy of the stopped trace in stopped_dir whose journal is cut
     to `offset` bytes: the resume leaves the straight run's bytes, or refuses
-    naming a line. Returns which."""
+    naming a line and leaves the cut journal alone in out_dir. Returns which."""
     shutil.copytree(stopped_dir, out_dir)
     journal = out_dir / JOURNAL_NAME
-    journal.write_bytes(journal.read_bytes()[:offset])
+    cut = journal.read_bytes()[:offset]
+    journal.write_bytes(cut)
     try:
         demo.trace(out_dir, resume=True)
     except CheckpointError as err:
         assert re.search(r"line \d+", str(err)), (offset, str(err))
+        assert journal.read_bytes() == cut, offset
+        assert sorted(p.name for p in out_dir.iterdir()) == [JOURNAL_NAME], offset
         return "refused"
     assert files(out_dir) == demo.outputs, offset
     return "equal"

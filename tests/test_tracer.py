@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 import threading
 import time
 import tracemalloc
@@ -740,6 +741,20 @@ def repeat(address):
     return edit
 
 
+def repeat_in_place(address):
+    """Journal edit: the account's line appears twice in a row, within its hop."""
+
+    def edit(records):
+        line = next(r for r in records[1:] if r["address"] == address.to_json())
+        at = records.index(line)
+        return records[: at + 1] + [line] + records[at + 1 :]
+
+    return edit
+
+
+TORN_TAIL = '{"kind":"acc'  # a last line a crash cut short
+
+
 def star_to_e_txs():
     """The star graph with C paying E, reached at hop 3."""
     return star_txs() + [make_tx(4, C, E, value="5", ts=NOW - 20)]
@@ -753,8 +768,9 @@ def star_to_e_txs():
         (add_stray(D_ADDR, 2), D_ADDR, False),  # never reached, journaled within the trace's depth
         (add_stray(D_ADDR, 7), D_ADDR, True),  # never reached, journaled past the trace's depth
         (repeat(B), B, False),
+        (repeat_in_place(A), A, False),  # twice within hop 1
     ],
-    ids=["reached-earlier", "reached-later", "unreached", "past-depth", "repeated"],
+    ids=["reached-earlier", "reached-later", "unreached", "past-depth", "repeated", "repeated-within-a-hop"],
 )
 def test_resume_refuses_a_misplaced_account(tmp_path, monkeypatch, edit, named, whole):
     cfg = TracerConfig(D=4)
@@ -769,11 +785,11 @@ def test_resume_refuses_a_misplaced_account(tmp_path, monkeypatch, edit, named, 
         # Ctrl-C as E's verdict is due, the last of the trace
         stopped_short([S], star_to_e_txs(), cfg, tmp_path, star_backend(), allow=4)
     journal = tmp_path / JOURNAL_NAME
-    journal.write_text("".join(json.dumps(r) + "\n" for r in edit(journal_records(tmp_path))))
+    journal.write_text("".join(json.dumps(r) + "\n" for r in edit(journal_records(tmp_path))) + TORN_TAIL)
     before = journal.read_bytes()
 
     backend = star_backend()
-    with pytest.raises(CheckpointError, match=f"account {named.hex} "):
+    with pytest.raises(CheckpointError, match=rf"line \d+ .*account {named.hex} "):
         trace([S], "ethereum", cfg, ports_for(star_to_e_txs(), backend, tmp_path), resume=True)
     assert backend.calls == 0
     assert journal.read_bytes() == before
@@ -786,14 +802,71 @@ def test_resume_refuses_a_hop_journaled_in_part_that_later_lines_follow(tmp_path
     journal = tmp_path / JOURNAL_NAME
     # B's line goes, so hop 1 is journaled in part, yet C's line of hop 2 follows it
     records = [r for r in journal_records(tmp_path) if r.get("address") != B.to_json()]
-    journal.write_text("".join(json.dumps(r) + "\n" for r in records))
+    journal.write_text("".join(json.dumps(r) + "\n" for r in records) + TORN_TAIL)
     before = journal.read_bytes()
 
     backend = star_backend()
-    with pytest.raises(CheckpointError, match="hop 1 is journaled in part"):
+    with pytest.raises(CheckpointError, match=rf"line \d+ .*hop 1 is journaled in part: account {B.hex} "):
         trace([S], "ethereum", cfg, ports_for(star_to_e_txs(), backend, tmp_path), resume=True)
     assert backend.calls == 0
     assert journal.read_bytes() == before
+
+
+def edit_journal(records, kind, rng):
+    """A stopped journal's records with one structural edit to its account
+    lines: one dropped, duplicated, moved or claiming another hop, or a line
+    added for an account no trace reaches."""
+    header, lines = records[0], records[1:]
+    i = rng.randrange(len(lines))
+    if kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(rng.randrange(len(lines) + 1), lines[i])
+    elif kind == "move":
+        lines.insert(rng.randrange(len(lines)), lines.pop(i))
+    elif kind == "hop":
+        depth = lines[i]["assessment"]["hop_depth"]
+        moved = dict(lines[i]["assessment"], hop_depth=rng.choice([d for d in range(5) if d != depth]))
+        lines[i] = dict(lines[i], assessment=moved)
+    else:
+        stray = addr(0xDEAD).to_json()
+        line = dict(lines[i], address=stray, assessment=dict(lines[i]["assessment"], target_address=stray))
+        lines.insert(rng.randrange(len(lines) + 1), line)
+    return [header, *lines]
+
+
+def test_an_edited_journal_resumes_to_the_straight_run_or_is_refused_unchanged(tmp_path):
+    cfg = TracerConfig(D=4)
+    seen = Counter()
+    for seed in range(4):
+        nodes, txs = random_graph(seed, accounts=20, edges=40)  # 11 to 16 accounts over 4 hops
+        counted = InterruptAfter(ConstBackend(), allow=10**9)
+        straight_dir = tmp_path / f"straight-{seed}"
+        straight = snapshot(trace([nodes[0]], "ethereum", cfg, ports_for(txs, counted, straight_dir)), straight_dir)
+        rng = random.Random(seed)
+        for case in range(15):
+            kind = ("drop", "duplicate", "move", "hop", "stray")[case % 5]
+            out = tmp_path / f"{seed}-{case}"
+            stopped_short([nodes[0]], txs, cfg, out, ConstBackend(), allow=rng.randrange(2, counted.calls))
+            edited = edit_journal(journal_records(out), kind, rng)
+            tail = TORN_TAIL if rng.random() < 0.5 else ""
+            (out / JOURNAL_NAME).write_text("".join(json.dumps(r) + "\n" for r in edited) + tail)
+            before = {p.name: p.read_bytes() for p in out.iterdir()}
+            backend = InterruptAfter(ConstBackend(), allow=10**9)
+            try:
+                resumed = trace([nodes[0]], "ethereum", cfg, ports_for(txs, backend, out), resume=True)
+            except CheckpointError as err:
+                assert re.search(r"line \d+", str(err)), (seed, case, str(err))
+                assert {p.name: p.read_bytes() for p in out.iterdir()} == before, (seed, case)
+                assert backend.calls == 0, (seed, case)
+                seen[kind, "refused"] += 1
+                continue
+            assert snapshot(resumed, out) == straight, (seed, case)
+            assert (out / JOURNAL_NAME).read_bytes() == (straight_dir / JOURNAL_NAME).read_bytes()
+            seen[kind, "equal"] += 1
+    # a duplicated line, a line moved to another hop and a stray account are refused wherever they go
+    assert {outcome for (kind, outcome) in seen} == {"equal", "refused"}
+    assert not seen["duplicate", "equal"] and not seen["hop", "equal"] and not seen["stray", "equal"]
 
 
 class Uncalled:
