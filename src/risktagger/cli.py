@@ -7,6 +7,12 @@ finished account is already in the run journal, so `trace --resume` redoes
 only the unfinished ones. Resuming with another config, seed list, prompt
 template or input file exits 1 and names what changed. Resuming a finished
 trace redoes nothing, and exits 1 naming an output changed since.
+
+Each file of a run directory has one writer: extract writes case_clues.json
+and extract_audit.json, which records the document's sha256 as `document`;
+the trace writes its labels, diagnostics.json and run.json, the manifest of
+the settings, digests and prompts it ran with (see tracer.py); explain
+writes report.md and coverage.json.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ import argparse
 import itertools
 import json
 import logging
-import platform
 import random
 import sys
 import time
@@ -36,7 +41,7 @@ from .model import RiskAssessment
 from .reasoner.backends import HttpLlmBackend
 from .reasoner.blacklist import Blacklist
 from .reasoner.rules import RuleBackend
-from .tracer import JOURNAL_NAME, TracerPorts, file_sha256, journal_clock, prompt_versions, trace
+from .tracer import JOURNAL_NAME, TracerPorts, file_sha256, journal_clock, trace
 
 
 # --- shared plumbing ---------------------------------------------------------
@@ -52,16 +57,6 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
 
 
-def _write_manifest(out_dir: Path, config: RunConfig, inputs: dict | None = None) -> None:
-    # Auditability: enough to reproduce the run (keys excluded by design).
-    manifest = {"config": config.to_json(), "config_sha256": config.sha256()}
-    if inputs is not None:
-        manifest["inputs"] = inputs
-    manifest["prompts"] = prompt_versions()
-    manifest["versions"] = {"risktagger": __version__, "python": platform.python_version()}
-    _write_json(out_dir / "run.json", manifest)
-
-
 def _input_digests(config: RunConfig) -> dict:
     """sha256 of each input file a trace reads: fixture CSVs, blacklist, bridge table."""
     inputs = {}
@@ -72,16 +67,6 @@ def _input_digests(config: RunConfig) -> dict:
     if config.bridges_path:
         inputs["bridges"] = file_sha256(config.bridges_path)
     return inputs
-
-
-def _manifest_inputs(out_dir: Path) -> dict | None:
-    """The input digests of the run.json already in out_dir, which describe the
-    trace whose labels an explain there reports on; None when there are none."""
-    try:
-        manifest = json.loads((out_dir / "run.json").read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return None
-    return manifest.get("inputs") if isinstance(manifest, dict) else None
 
 
 def _llm_backend(config: RunConfig) -> HttpLlmBackend:
@@ -97,7 +82,7 @@ def _clock(config: RunConfig, out_dir: Path, resume: bool) -> int:
     return journaled if journaled is not None else int(time.time())
 
 
-def _build_ports(config: RunConfig, out_dir: Path, resume: bool, inputs: dict) -> TracerPorts:
+def _build_ports(config: RunConfig, out_dir: Path, resume: bool) -> TracerPorts:
     matcher = None
     if config.adapter == "fixture":
         store = FixtureStore.load_dir(config.fixture_dir)
@@ -130,7 +115,7 @@ def _build_ports(config: RunConfig, out_dir: Path, resume: bool, inputs: dict) -
         run_config={
             **{k: v for k, v in config.to_json().items() if k not in ("workers", "out_dir")},
             "now": now,
-            "inputs": inputs,
+            "inputs": _input_digests(config),
         },
     )
 
@@ -170,7 +155,7 @@ def _do_extract(config: RunConfig, out_dir: Path, doc_path: str) -> tuple[CaseCl
     backend = LlmExtractor(_llm_backend(config)) if config.backend == "llm" else None
     clues, audit = extract_case_clues(text, backend)
     _write_json(out_dir / "case_clues.json", clues.to_json())
-    _write_json(out_dir / "extract_audit.json", audit)
+    _write_json(out_dir / "extract_audit.json", {"document": file_sha256(doc_path), **audit})
     for field in MANDATORY_FIELDS:
         print(f"{field}: {clues.status.get(field, 'missing')}")
     missing = clues.missing_mandatory()
@@ -183,14 +168,10 @@ def _do_extract(config: RunConfig, out_dir: Path, doc_path: str) -> tuple[CaseCl
 def cmd_extract(args) -> int:
     config = load_config(args.config, _overrides(args), need_adapter=False)
     out_dir = _prepare_out(config)
-    _, rc = _do_extract(config, out_dir, args.doc)
-    _write_manifest(out_dir, config, {"document": file_sha256(args.doc)})
-    return rc
+    return _do_extract(config, out_dir, args.doc)[1]
 
 
-def _do_trace(
-    config: RunConfig, out_dir: Path, clues: CaseClues, seed_victims: bool, resume: bool, inputs: dict
-) -> int:
+def _do_trace(config: RunConfig, out_dir: Path, clues: CaseClues, seed_victims: bool, resume: bool) -> int:
     """Traces into out_dir; 2 when the clues hold no seed. Without resume the
     explain outputs of an earlier run go first, as the trace's own do."""
     seeds = clues.attacker_addresses + (clues.victim_addresses if seed_victims else [])
@@ -200,7 +181,7 @@ def _do_trace(
     if not resume:
         for name in ("report.md", "coverage.json"):
             (out_dir / name).unlink(missing_ok=True)
-    ports = _build_ports(config, out_dir, resume, inputs)
+    ports = _build_ports(config, out_dir, resume)
     state = trace(seeds, config.chain, config.tracer, ports, resume=resume)
     print(f"analyzed {state.labeled} accounts over {state.depth} hop(s); {state.high} rated high-risk")
     return 0
@@ -210,14 +191,7 @@ def cmd_trace(args) -> int:
     config = load_config(args.config, _overrides(args))
     out_dir = _prepare_out(config)
     clues = _load_clues(args.clues)
-    inputs = _input_digests(config)
-    # a resume keeps the document digest of the `run` whose trace it finishes
-    earlier = _manifest_inputs(out_dir) if args.resume else None
-    kept = {"document": earlier["document"]} if isinstance(earlier, dict) and "document" in earlier else {}
-    rc = _do_trace(config, out_dir, clues, args.seed_victims, args.resume, inputs)
-    if rc == 0:
-        _write_manifest(out_dir, config, {**kept, **inputs})
-    return rc
+    return _do_trace(config, out_dir, clues, args.seed_victims, args.resume)
 
 
 def _do_explain(config: RunConfig, out_dir: Path, clues: CaseClues, labels_path) -> int:
@@ -245,23 +219,16 @@ def cmd_explain(args) -> int:
     config = load_config(args.config, _overrides(args), need_adapter=False)
     out_dir = _prepare_out(config)
     clues = _load_clues(args.clues)
-    rc = _do_explain(config, out_dir, clues, args.labels)
-    if rc == 0:
-        _write_manifest(out_dir, config, _manifest_inputs(out_dir))
-    return rc
+    return _do_explain(config, out_dir, clues, args.labels)
 
 
 def cmd_run(args) -> int:
     config = load_config(args.config, _overrides(args))
     out_dir = _prepare_out(config)
     clues, rc = _do_extract(config, out_dir, args.doc)
-    inputs = _input_digests(config)
-    # the trace's fingerprint leaves the document out, since a `trace --resume`
-    # reads only the clues extracted from it
-    _write_manifest(out_dir, config, {"document": file_sha256(args.doc), **inputs})
     if rc != 0:
         return rc
-    rc = _do_trace(config, out_dir, clues, args.seed_victims, resume=False, inputs=inputs)
+    rc = _do_trace(config, out_dir, clues, args.seed_victims, resume=False)
     if rc != 0:
         return rc
     return _do_explain(config, out_dir, clues, out_dir / "labels.jsonl")

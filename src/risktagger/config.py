@@ -3,13 +3,12 @@
 Precedence, lowest to highest: built-in defaults, the --config file, command
 line flags, environment variables (RISKTAGGER_LLM_ENDPOINT, RISKTAGGER_CACHE_DIR).
 API keys are read by the adapters directly from RISKTAGGER_CHAIN_API_KEY and
-RISKTAGGER_LLM_KEY and never pass through this object, so config hashes and
-run manifests stay secret-free.
+RISKTAGGER_LLM_KEY and never pass through this object, so the journal
+fingerprint and run.json, which the trace writes from it, stay secret-free.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import dataclass, field, fields
@@ -68,10 +67,6 @@ class RunConfig:
             value = getattr(self, f.name)
             out[f.name] = value.to_json() if f.name == "tracer" else value
         return out
-
-    def sha256(self) -> str:
-        canonical = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _from_document(obj: dict) -> RunConfig:

@@ -48,13 +48,16 @@ its frontier's count of lines, and refuses a line out of place, naming it,
 before any account is analyzed; only at the end does it drop a torn last
 line. A fresh run truncates the journal.
 
-A trace owns three outputs beside the journal. Each merged hop's
+A trace owns four outputs beside the journal. Each merged hop's
 assessments are written to labels.jsonl (all) and risky.jsonl (High only)
 under a .part suffix, renamed into place when the trace completes and
 removed when it fails, so a trace holds one hop of assessments, not the
-whole trace. diagnostics.json follows once both are in place. Whenever the
-journal starts over, the outputs of an earlier trace are removed before the
-first account is analyzed, so a trace that does not complete leaves none.
+whole trace. diagnostics.json follows once both are in place, then
+run.json: the header's fingerprint, config, seeds and prompts, and the
+versions of risktagger and Python, the one record of what the run used.
+Whenever the journal starts over, the outputs of an earlier trace are
+removed before the first account is analyzed, so a trace that does not
+complete leaves none.
 
 Once the outputs are in place, the journal is written anew as
 journal.jsonl.tmp and moved over journal.jsonl: the header line, then
@@ -75,11 +78,13 @@ import hashlib
 import json
 import logging
 import os
+import platform
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import __version__
 from .errors import (
     BackendFailure,
     ChainUnavailable,
@@ -107,7 +112,7 @@ SKIPPABLE_ERRORS = (
 )
 
 JOURNAL_NAME = "journal.jsonl"
-OUTPUT_NAMES = ("labels.jsonl", "risky.jsonl", "diagnostics.json")
+OUTPUT_NAMES = ("labels.jsonl", "risky.jsonl", "diagnostics.json", "run.json")
 
 
 def _fresh_diagnostics() -> dict:
@@ -432,7 +437,7 @@ def _finished(done: dict, path: Path) -> TracerState:
         digests = {name: done["outputs"][name] for name in OUTPUT_NAMES}
         state = TracerState(depth=done["hops"], labeled=done["labeled"], high=done["high"])
     except (KeyError, TypeError) as err:
-        raise CheckpointError(f"{path}: malformed line 2: {err!r}") from err
+        raise CheckpointError(f"{path}: malformed line 2: {err!r}; rerun without --resume") from err
     for name, digest in digests.items():
         output = path.parent / name
         if not output.exists():
@@ -488,12 +493,6 @@ def journal_clock(path: Path) -> int | None:
         return None
 
 
-def prompt_versions() -> dict:
-    """What decides a prompt's text besides the account: each template's
-    sha256 and the reasoner payload's version."""
-    return {**template_hashes(), "payload_version": PAYLOAD_VERSION}
-
-
 def _journal_header(seeds: list[Address], chain: str, cfg: TracerConfig, ports: TracerPorts) -> dict:
     config = ports.run_config
     if config is None:
@@ -501,7 +500,8 @@ def _journal_header(seeds: list[Address], chain: str, cfg: TracerConfig, ports: 
     parts = {
         "config": config,
         "seeds": [seed.to_json() for seed in seeds],
-        "prompts": prompt_versions(),
+        # what decides a prompt's text besides the account
+        "prompts": {**template_hashes(), "payload_version": PAYLOAD_VERSION},
     }
     canonical = json.dumps(parts, sort_keys=True, separators=(",", ":"))
     return {
@@ -603,15 +603,17 @@ def trace(
     Seeds may be Address objects or bare hex strings; strings are placed on
     `chain`. The trace journals every attempted account under ports.out_dir,
     writes the labels to labels.jsonl and risky.jsonl there, and, once it
-    completes, diagnostics.json. With resume=True each frontier account
-    journaled there takes its journaled outcome instead of being analyzed; a
-    journal written with other settings, seeds or prompt templates raises
-    CheckpointError before any file is touched, and one whose accounts the
-    trace does not reach at their hop, or that goes on past a hop journaled
-    in part, raises it naming the line, before any account is analyzed or
-    any file changed. A journal started over (no resume, or nothing to
-    resume) first removes the outputs of an earlier trace. Once the outputs
-    are in place, the journal is replaced by its header and a done line.
+    completes, diagnostics.json and run.json. With resume=True each
+    frontier account journaled there takes its journaled outcome instead of
+    being analyzed; a journal written with other settings, seeds or prompt
+    templates raises CheckpointError before any file is touched, and one
+    whose accounts the trace does not reach at their hop, or that goes on
+    past a hop journaled in part, raises it naming the line, before any
+    account is analyzed or any file changed but the .part label files, which
+    hold nothing a resume does not write again. A journal started over (no
+    resume, or nothing to resume) first removes the outputs of an earlier
+    trace. Once the outputs are in place, the journal is replaced by its
+    header and a done line.
 
     A resume onto the done journal of a finished trace analyzes nothing and
     writes no file: it checks each output against the digest there, raising
@@ -649,8 +651,9 @@ def trace(
             )
             state.depth += 1
         journal.finish(state.depth)
-    (out_dir / "diagnostics.json").write_text(
-        json.dumps(state.diagnostics, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
+    manifest = {key: header[key] for key in ("fingerprint", "config", "seeds", "prompts")}
+    manifest["versions"] = {"risktagger": __version__, "python": platform.python_version()}
+    for name, payload in (("diagnostics.json", state.diagnostics), ("run.json", manifest)):
+        (out_dir / name).write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
     _compact(journal.path, header, state)
     return state

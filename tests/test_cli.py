@@ -85,8 +85,9 @@ def test_extract_bundled_document_is_complete(tmp_path, capsys):
     assert clues["chain"] == "ethereum"
     assert clues["stolen_usd"] == 1_500_000_000
     assert clues["attacker_addresses"] == ["0x47666fab8bd0ac7003bce3f5c3585383f09486e2"]
-    assert (out / "extract_audit.json").exists()
-    assert (out / "run.json").exists()
+    audit = json.loads((out / "extract_audit.json").read_text())
+    assert audit["document"] == hashlib.sha256(Path(DOC).read_bytes()).hexdigest()
+    assert not (out / "run.json").exists()  # only a trace writes it
 
 
 def test_extract_empty_file_exits_one(tmp_path, capsys):
@@ -498,33 +499,35 @@ def test_run_and_extract_record_the_documents_digest_which_a_resume_does_not_che
     shutil.copy(DOC, doc)
     digest = hashlib.sha256(doc.read_bytes()).hexdigest()
     assert run_cli("extract", doc, "--out", tmp_path / "extract") == 0
-    assert json.loads((tmp_path / "extract" / "run.json").read_text())["inputs"] == {"document": digest}
+    assert json.loads((tmp_path / "extract" / "extract_audit.json").read_text())["document"] == digest
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
     with monkeypatch.context() as patch:
         InterruptingRules(patch, budget=60)
         assert run_cli("run", doc, "--config", cfg) == 130
-    inputs = json.loads((out / "run.json").read_text())["inputs"]
-    assert inputs["document"] == digest and set(inputs) == {"document", "fixtures", "blacklist"}
+    audit = (out / "extract_audit.json").read_bytes()
+    assert json.loads(audit)["document"] == digest
+    assert not (out / "run.json").exists()
     header = json.loads((out / JOURNAL_NAME).read_text(encoding="utf-8").split("\n", 1)[0])
-    assert header["config"]["inputs"] == {k: v for k, v in inputs.items() if k != "document"}
+    assert set(header["config"]["inputs"]) == {"fixtures", "blacklist"}
     doc.write_text(doc.read_text(encoding="utf-8") + "\nA line added after the run.\n", encoding="utf-8")
     capsys.readouterr()
     assert run_cli("trace", out / "case_clues.json", "--config", cfg, "--resume") == 0
     assert capsys.readouterr().out.startswith("analyzed 140 accounts over 16 hop(s)")
     assert (out / "labels.jsonl").read_bytes() == (GOLDEN / "synthetic_labels.golden.jsonl").read_bytes()
-    assert json.loads((out / "run.json").read_text())["inputs"] == inputs
+    assert json.loads((out / "run.json").read_text())["config"]["inputs"] == header["config"]["inputs"]
+    assert (out / "extract_audit.json").read_bytes() == audit
 
 
-def test_explain_into_the_trace_directory_keeps_its_input_digests(tmp_path):
+def test_explain_into_the_trace_directory_leaves_its_run_json_byte_equal(tmp_path):
     clues = extract_clues(tmp_path)
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
     assert run_cli("trace", clues, "--config", cfg, "--max-depth", 2) == 0
-    inputs = json.loads((out / "run.json").read_text())["inputs"]
-    assert set(inputs) == {"fixtures", "blacklist"}
+    manifest = (out / "run.json").read_bytes()
+    assert set(json.loads(manifest)["config"]["inputs"]) == {"fixtures", "blacklist"}
     assert run_cli("explain", clues, out, "--config", cfg) == 0
-    assert json.loads((out / "run.json").read_text())["inputs"] == inputs
+    assert (out / "run.json").read_bytes() == manifest
 
 
 def test_explain_empty_labels_exits_two(tmp_path, capsys):
@@ -656,7 +659,7 @@ def test_a_run_interrupted_mid_hop_leaves_no_label_files(tmp_path, monkeypatch):
     InterruptingRules(monkeypatch, budget=70)  # inside hop 3, the widest
     assert run_cli("run", DOC, "--config", cfg) == 130
     names = sorted(p.name for p in out.iterdir())
-    assert names == ["case_clues.json", "extract_audit.json", JOURNAL_NAME, "run.json"]
+    assert names == ["case_clues.json", "extract_audit.json", JOURNAL_NAME]
 
 
 # what a run directory holds of one finished run besides its journal and manifest
@@ -683,6 +686,111 @@ def test_a_refused_resume_changes_no_file(tmp_path, capsys):
     assert run_cli("trace", out / "case_clues.json", "--config", cfg, "--resume", "--max-depth", 3) == 1
     assert "config.tracer.D" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_a_refused_resume_changes_no_file_but_the_part_files_a_killed_trace_left(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    with monkeypatch.context() as patch:
+        InterruptingRules(patch, budget=60)
+        assert run_cli("run", DOC, "--config", cfg) == 130
+    # the partial label files a trace killed mid-run leaves beside its journal
+    golden = (GOLDEN / "synthetic_labels.golden.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)[:20]
+    (out / "labels.jsonl.part").write_text("".join(golden), encoding="utf-8")
+    (out / "risky.jsonl.part").write_text("".join(l for l in golden if '"High"' in l), encoding="utf-8")
+    journal = out / JOURNAL_NAME
+    lines = journal.read_text(encoding="utf-8").splitlines(keepends=True)
+    journal.write_text("".join(lines[:5] + lines[6:]), encoding="utf-8")  # line 6 gone
+    before = {p.name: p.read_bytes() for p in out.iterdir() if p.suffix != ".part"}
+    capsys.readouterr()
+    counted = InterruptingRules(monkeypatch)
+    assert run_cli("trace", out / "case_clues.json", "--config", cfg, "--resume") == 1
+    assert "line 17 journals account" in capsys.readouterr().err
+    assert counted.calls == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir() if p.suffix != ".part"} == before
+
+
+def test_a_resume_onto_a_done_journal_without_a_run_json_digest_exits_one_naming_it(tmp_path, capsys, monkeypatch):
+    clues, cfg, out = traced(tmp_path)
+    # the done line of a trace that did not write run.json
+    journal = out / JOURNAL_NAME
+    header, done = journal.read_text(encoding="utf-8").splitlines()
+    done = json.loads(done)
+    del done["outputs"]["run.json"]
+    journal.write_text(header + "\n" + json.dumps(done, separators=(",", ":")) + "\n", encoding="utf-8")
+    before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()}
+    capsys.readouterr()
+    counted = InterruptingRules(monkeypatch)
+    assert run_cli("trace", clues, "--config", cfg, "--out", out, "--resume") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {journal}: malformed line 2: ") and "run.json" in err
+    assert counted.calls == 0
+    assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()} == before
+
+
+def test_a_resume_of_a_finished_trace_leaves_every_files_bytes_and_mtime(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli("run", DOC, "--config", cfg) == 0
+    before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()}
+    counted = InterruptingRules(monkeypatch)
+    assert run_cli("trace", out / "case_clues.json", "--config", cfg, "--resume") == 0
+    assert counted.calls == 0
+    assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()} == before
+
+
+def test_a_resume_of_a_finished_trace_whose_run_json_changed_exits_one_naming_it(tmp_path, capsys, monkeypatch):
+    clues, cfg, out = traced(tmp_path)
+    manifest = out / "run.json"
+    manifest.write_text(manifest.read_text(encoding="utf-8").replace('"D": 20', '"D": 3'), encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    counted = InterruptingRules(monkeypatch)
+    assert run_cli("trace", clues, "--config", cfg, "--out", out, "--resume") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest} changed since ") and "--resume" in err
+    assert counted.calls == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("second", ["bare explain", "extract"])
+def test_an_explain_or_extract_into_a_finished_run_directory_leaves_run_json_byte_equal(tmp_path, second):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli("run", DOC, "--config", cfg) == 0
+    manifest = (out / "run.json").read_bytes()
+    if second == "extract":
+        assert run_cli("extract", DOC, "--out", out) == 0
+    else:  # no --config: every setting at its default
+        assert run_cli("explain", out / "case_clues.json", out / "labels.jsonl", "--out", out) == 0
+    assert (out / "run.json").read_bytes() == manifest
+
+
+def test_a_fresh_trace_interrupted_in_a_finished_run_directory_leaves_no_run_json(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli("run", DOC, "--config", cfg) == 0
+    assert json.loads((out / "run.json").read_text())["config"]["tracer"]["D"] == 20
+    InterruptingRules(monkeypatch, budget=10)
+    assert run_cli("trace", out / "case_clues.json", "--config", cfg, "--max-depth", 3) == 130
+    assert not (out / "run.json").exists()
+    assert json.loads((out / JOURNAL_NAME).read_text().split("\n", 1)[0])["config"]["tracer"]["D"] == 3
+
+
+def test_the_quick_starts_stages_leave_the_files_of_a_one_shot_run(tmp_path, monkeypatch):
+    # the README's commands, with each run directory under tmp_path
+    monkeypatch.chdir(REPO_ROOT)
+    doc, config = "fixtures/bybit_incident.txt", "fixtures/synthetic/config.json"
+    staged, one_shot = tmp_path / "staged", tmp_path / "one-shot"
+    assert run_cli("extract", doc, "--out", staged) == 0
+    assert run_cli("trace", staged / "case_clues.json", "--config", config, "--out", staged) == 0
+    assert run_cli("explain", staged / "case_clues.json", staged / "labels.jsonl", "--out", staged) == 0
+    assert run_cli("run", doc, "--config", config, "--out", one_shot) == 0
+    names = sorted(p.name for p in one_shot.iterdir())
+    assert {"run.json", "extract_audit.json", "labels.jsonl", "risky.jsonl"} <= set(names)
+    assert sorted(p.name for p in staged.iterdir()) == names
+    for name in names:
+        assert (staged / name).read_bytes() == (one_shot / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("earlier", [None, 2], ids=["unversioned", "version-2"])
@@ -985,10 +1093,13 @@ def test_every_config_flag_reaches_load_config():
 
 
 def test_manifest_records_config_hash_and_prompt_hashes(tmp_path):
-    out = tmp_path / "out"
-    assert run_cli("extract", DOC, "--out", out) == 0
+    clues, cfg, out = traced(tmp_path)
     manifest = json.loads((out / "run.json").read_text())
-    assert len(manifest["config_sha256"]) == 64
+    header = json.loads((out / JOURNAL_NAME).read_text(encoding="utf-8").split("\n", 1)[0])
+    assert len(manifest["fingerprint"]) == 64
+    assert {key: manifest[key] for key in ("fingerprint", "config", "seeds", "prompts")} == {
+        key: header[key] for key in ("fingerprint", "config", "seeds", "prompts")
+    }
     assert "cot_part1" in manifest["prompts"]
     assert manifest["versions"]["risktagger"]
 
