@@ -4,9 +4,11 @@ Loading checks every row, so a bad row fails the load with its line number
 whether or not a trace would ever reach it, and then keeps the row as its
 byte span in the file only: no row text, no record, and no file stays open.
 Each fetch of an account reopens the file, reads back the rows touching it
-and builds TransactionRecords the store does not keep. A row in canonical
-form must match again; any other row is parsed by csv and the checked
-builder again, as at load. A file that is not the one loaded (another
+and builds TransactionRecords the store does not keep. A line in canonical
+form must match again and takes the canonical-row path the live adapter
+shares (fetch._canonical_to_record); any other row, one with quotes, edge
+whitespace, uppercase hex or an overlong field, is parsed by csv and the
+checked builder again, as at load. A file that is not the one loaded (another
 device, inode, size or mtime), or a row that no longer parses as it did,
 fails the fetch with ParseError, so no row that was not checked ever
 becomes a record.
@@ -19,80 +21,13 @@ import functools
 import io
 import itertools
 import os
-import re
 from array import array
 from collections import defaultdict
 from pathlib import Path
 
 from ..errors import MalformedAddress, ParseError, SchemaMismatch, UnknownChain, reading_utf8
 from ..model import Address, TransactionRecord, normalize_chain
-from .fetch import FIXTURE_COLUMNS, _row_to_record, dedup_and_sort
-
-# Fields no longer than csv allows; longer ones take the checked path, where
-# csv refuses them as before.
-_LIMIT = csv.field_size_limit()
-# Free text that strip() leaves as is and csv reads verbatim: no edge
-# whitespace and no quote, comma or line break.
-_TEXT = r'(?:[^\s",](?:[^",\r\n]{0,%d}[^\s",])?)?' % (_LIMIT - 2)
-_DIGITS = "[0-9]{1,%d}" % _LIMIT
-_INT = "[0-9]{1,18}"  # within int()'s digit limit; longer numbers take the checked path
-# Every 77-digit amount is below 2**256; longer ones take the checked path,
-# which refuses those at or above it.
-_VALUE = "[0-9]{1,77}"
-# A line that _row_to_record accepts without changing a field: lowercase hex,
-# bare digits, a positive timeStamp, no quotes. Hash and addresses have fixed
-# widths, so the sender and receiver sit at fixed offsets (_FROM, _TO).
-_CANONICAL_ROW = re.compile(
-    ",".join(
-        [
-            "0x[0-9a-f]{64}",  # hash
-            "0x[0-9a-f]{40}",  # from
-            "0x[0-9a-f]{40}",  # to
-            _VALUE,  # value
-            "[1-9][0-9]{0,17}",  # timeStamp
-            _INT,  # blockNumber
-            _TEXT,  # tokenSymbol
-            "(?:0x[0-9a-f]{40})?",  # contractAddress
-            _TEXT,  # isError
-            _TEXT,  # input
-            _INT,  # nonce
-            _TEXT,  # blockHash
-            _DIGITS,  # gas
-            _DIGITS,  # gasPrice
-            _DIGITS,  # gasUsed
-            _INT,  # confirmations
-        ]
-    )
-    + r"(?:\r\n|\r|\n)?"
-)
-_FROM = slice(67, 109)
-_TO = slice(110, 152)
-
-
-def _canonical_to_record(line: str, chain: str, addresses: dict[str, Address]) -> TransactionRecord:
-    """The record of a line that matched _CANONICAL_ROW, equal to what
-    _row_to_record builds from it, without checking its fields again. The
-    match has checked the six columns a record drops."""
-    (tx_hash, src, dst, value, ts, block, token, contract, is_error,
-     data, *_unread) = line.split(",")
-
-    def address(hex_: str) -> Address:
-        found = addresses.get(hex_)
-        return found if found is not None else addresses.setdefault(hex_, Address(hex_, chain))
-
-    return TransactionRecord.prechecked(
-        hash=tx_hash,
-        from_addr=address(src),
-        to_addr=address(dst),
-        value=int(value),
-        timeStamp=int(ts),
-        blockNumber=int(block),
-        tokenSymbol=token,
-        contractAddress=address(contract) if contract else None,
-        isError=is_error == "1",
-        input=data or "0x",
-    )
-
+from .fetch import _CANONICAL_ROW, _FROM, _TO, FIXTURE_COLUMNS, _canonical_to_record, _row_to_record, dedup_and_sort
 
 def _nbytes(line: str) -> int:
     """The size of a line in the file: UTF-8, ending kept (newline="")."""

@@ -2,8 +2,13 @@
 action=txlist (native) and action=tokentx (token transfer) pages, requested
 through an upstream.Upstream, which retries the rate limit that _parse_body
 reads in a 200 body like a 429. A page is cached verbatim once it parses, so
-a warm cache answers a repeat run without any request. Rows are built by the
-checked builder that fixture rows use (fetch._row_to_record).
+a warm cache answers a repeat run without any request. A row whose 16
+fields, with the adapter's defaults, are strings already in canonical form
+takes the canonical-row path the fixture adapter shares
+(fetch._canonical_to_record), and its fetched account's side is that
+account's own Address. Any other row, such as one with a JSON number,
+uppercase hex or edge whitespace, goes through the checked builder that
+fixture rows use (fetch._row_to_record).
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from ..errors import ChainUnavailable, RateLimited, UnknownChain
 from ..model import Address, TransactionRecord
 from ..upstream import Upstream
 from .cache import FetchCache
-from .fetch import _row_to_record, dedup_and_sort
+from .fetch import _CANONICAL_ROW, _canonical_to_record, _row_to_record, dedup_and_sort
 
 if TYPE_CHECKING:
     from ..upstream import Session
@@ -59,11 +64,21 @@ class EtherscanClient:
 
     def _fetch_action(self, address: Address, action: str) -> list[TransactionRecord]:
         records = []
+        addresses = {address.hex: address}  # these pages' rows share their Addresses
+        canonical = _CANONICAL_ROW.fullmatch
         for page in range(1, self.max_pages + 1):
             rows = self._fetch_page(address, action, page)
             for row in rows:
                 try:
-                    record = _row_to_record(_row_values(row, action), self.chain)
+                    values = _row_values(row, action)
+                    try:
+                        line = ",".join(values)
+                    except TypeError:  # a JSON number, null or boolean: not canonical
+                        line = ""
+                    if canonical(line):
+                        record = _canonical_to_record(line, self.chain, addresses)
+                    else:
+                        record = _row_to_record(values, self.chain)
                     if address not in (record.from_addr, record.to_addr):
                         raise ValueError(f"row {record.hash} neither sends from nor goes to {address.hex}")
                     records.append(record)
@@ -147,10 +162,10 @@ def _row_values(row: dict, action: str) -> list:
         get("contractAddress") or "",
         str(get("isError", "0")),
         get("input") or "",
-        get("nonce") or 0,
+        get("nonce") or "0",
         get("blockHash") or "",
         str(get("gas") or "0"),
         str(get("gasPrice") or "0"),
         str(get("gasUsed") or "0"),
-        get("confirmations") or 0,
+        get("confirmations") or "0",
     ]

@@ -13,27 +13,36 @@ import enum
 import re
 import sys
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 from .errors import MalformedAddress
 
-_CHAIN_RE = re.compile(r"^[a-z0-9]+$")
-_HEX40_RE = re.compile(r"^0x[0-9a-f]{40}$")
-_HEX66_RE = re.compile(r"^0x[0-9a-f]{64}$")
-_DIGITS_RE = re.compile(r"^[0-9]+$")
+_CHAIN_RE = re.compile(r"[a-z0-9]+")
+_HEX40_RE = re.compile(r"0x[0-9a-f]{40}")
+_HEX66_RE = re.compile(r"0x[0-9a-f]{64}")
+_DIGITS_RE = re.compile(r"[0-9]+")
+_CHAINS: dict[str, str] = {}  # one entry per canonical chain id seen, interned
 
 
 def normalize_chain(raw: str) -> str:
     """Lowercase and validate a chain id (non-empty ASCII alphanumeric). The
-    result is interned, so every Address on one chain shares one string."""
+    result is interned, so every Address on one chain shares one string; an
+    id already in that form is one lookup."""
+    if not isinstance(raw, str):
+        raise MalformedAddress(f"chain id must be a string, got {type(raw).__name__}")
+    known = _CHAINS.get(raw)
+    if known is not None:
+        return known
     chain = raw.strip().lower()
-    if not _CHAIN_RE.match(chain):
+    if not _CHAIN_RE.fullmatch(chain):
         raise MalformedAddress(f"invalid chain id {raw!r}: must be non-empty lowercase alphanumeric")
-    return sys.intern(chain)
+    chain = sys.intern(chain)
+    return _CHAINS.setdefault(chain, chain)
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Address:
-    """A chain-qualified account address.
+class Address(NamedTuple):
+    """A chain-qualified account address, the tuple type (hex, chain): it
+    compares, hashes and sorts as that pair, and equals the plain pair.
 
     Equality includes the chain: the same hex on two chains is two distinct
     accounts (this is what makes the cross-chain visited set sound).
@@ -52,22 +61,25 @@ class Address:
 
 def normalize_address(raw: str, chain: str) -> Address:
     """The address of normalize_hex(raw) on the normalized chain."""
-    return Address(hex=normalize_hex(raw), chain=normalize_chain(chain))
+    return Address(normalize_hex(raw), normalize_chain(chain))
 
 
 def normalize_hex(raw: str) -> str:
     """Canonical form: lowercase 0x-prefixed 40-hex-digit string.
 
     Raises MalformedAddress on wrong length, missing prefix, or non-hex
-    characters. Idempotent: normalizing an already-normal form is a no-op.
+    characters. Idempotent: a string already in canonical form is one match
+    and is returned as it is.
     """
     if not isinstance(raw, str):
         raise MalformedAddress(f"address must be a string, got {type(raw).__name__}")
+    if _HEX40_RE.fullmatch(raw):
+        return raw
     candidate = raw.strip()
     if not candidate.lower().startswith("0x"):
         raise MalformedAddress(f"address {raw!r} lacks 0x prefix")
     candidate = "0x" + candidate[2:].lower()
-    if not _HEX40_RE.match(candidate):
+    if not _HEX40_RE.fullmatch(candidate):
         raise MalformedAddress(
             f"address {raw!r} is not 40 hex digits after the prefix"
         )
@@ -80,7 +92,7 @@ def normalize_tx_hash(raw: str) -> str:
     if not candidate.lower().startswith("0x"):
         raise MalformedAddress(f"tx hash {raw!r} lacks 0x prefix")
     candidate = "0x" + candidate[2:].lower()
-    if not _HEX66_RE.match(candidate):
+    if not _HEX66_RE.fullmatch(candidate):
         raise MalformedAddress(f"tx hash {raw!r} is not 64 hex digits after the prefix")
     return candidate
 
@@ -93,7 +105,11 @@ class SuspicionLevel(enum.Enum):
 
     @staticmethod
     def from_label(label: str) -> "SuspicionLevel":
-        """Exact (case-insensitive) label lookup; 'nosuspicion' tolerated."""
+        """Exact (case-insensitive) label lookup; 'nosuspicion' tolerated. A
+        label already in canonical form is one lookup."""
+        level = _LEVELS.get(label)
+        if level is not None:
+            return level
         key = " ".join(label.strip().lower().split())
         for level in SuspicionLevel:
             if key == level.value.lower():
@@ -103,8 +119,11 @@ class SuspicionLevel(enum.Enum):
         raise ValueError(f"unknown suspicion level {label!r}")
 
 
+_LEVELS = {level.value: level for level in SuspicionLevel}
+
+
 def _require_digits(name: str, value: str) -> None:
-    if not isinstance(value, str) or not _DIGITS_RE.match(value):
+    if not isinstance(value, str) or not _DIGITS_RE.fullmatch(value):
         raise ValueError(f"{name} must be a non-negative decimal integer string, got {value!r}")
 
 
@@ -143,11 +162,12 @@ class TransactionRecord:
             raise ValueError("contractAddress must live on the record's chain")
 
     @classmethod
-    def prechecked(cls, **fields) -> "TransactionRecord":
-        """A record from all of its fields, already in the canonical form
-        __post_init__ would produce and check; that check is not repeated."""
+    def prechecked(cls, fields: dict) -> "TransactionRecord":
+        """A record from a dict of all of its fields in declaration order,
+        already in the canonical form __post_init__ would produce and check;
+        that check is not repeated, and the dict becomes the record's own."""
         record = object.__new__(cls)
-        record.__dict__.update(fields)
+        object.__setattr__(record, "__dict__", fields)
         return record
 
     @property

@@ -78,7 +78,7 @@ import hashlib
 import json
 import logging
 import os
-import platform
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
@@ -89,6 +89,7 @@ from .errors import (
     BackendFailure,
     ChainUnavailable,
     CheckpointError,
+    MalformedAddress,
     RateLimited,
     SchemaViolation,
     UnknownChain,
@@ -372,7 +373,7 @@ class Journal:
         try:
             kind = record["kind"]
             outcome = Outcome.from_record(record) if kind == "account" else None
-        except (KeyError, TypeError, ValueError) as err:
+        except (AttributeError, KeyError, TypeError, ValueError, MalformedAddress) as err:  # a field of another form
             raise CheckpointError(f"{self.path}: malformed line {number}: {err!r}") from err
         if kind == "done" and number == 2:
             if self._reader.read(1):
@@ -652,7 +653,7 @@ def trace(
             state.depth += 1
         journal.finish(state.depth)
     manifest = {key: header[key] for key in ("fingerprint", "config", "seeds", "prompts")}
-    manifest["versions"] = {"risktagger": __version__, "python": platform.python_version()}
+    manifest["versions"] = {"risktagger": __version__, "python": sys.version.split()[0]}
     for name, payload in (("diagnostics.json", state.diagnostics), ("run.json", manifest)):
         (out_dir / name).write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
     _compact(journal.path, header, state)

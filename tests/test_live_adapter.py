@@ -575,6 +575,18 @@ MUTATE = {
     "upper_digits": lambda v: v[:2] + v[2:].upper(),
     "zeros": lambda v: "00" + v,
 }
+SIDES = ("from", "to", "self")
+
+
+def with_side(row, side):
+    """A copy of a row of SENDER's, SENDER being its sender, its receiver
+    (the counterparty sending) or both."""
+    if side == "to":
+        return dict(row, **{"from": row["to"], "to": SENDER.hex})
+    return dict(row, to=SENDER.hex) if side == "self" else dict(row)
+
+
+CANONICAL_ROWS = [with_side(row, side) for row in (FULL_ROW, NATIVE_ROW) for side in SIDES]
 ODD_VALUES = st.one_of(
     st.sampled_from([None, True, False, 0, 1, -1, 2.5, 1.74e9, float("nan")]), st.integers(-2, 2**70)
 )
@@ -582,11 +594,14 @@ ODD_VALUES = st.one_of(
 
 @st.composite
 def explorer_row(draw):
-    """A txlist or tokentx row with up to three fields missing, None, a JSON
-    number or boolean, or mutated: empty, edge whitespace, a comma, quotes,
-    uppercase hex."""
+    """A txlist or tokentx row, the account fetched its sender, its receiver
+    or both, with up to three fields missing, None, a JSON number or
+    boolean, or mutated: empty, edge whitespace, a comma, quotes, uppercase
+    hex. With none of these the row is in canonical form."""
     action = draw(st.sampled_from(["txlist", "tokentx"]))
-    row = dict(draw(st.sampled_from([FULL_ROW, NATIVE_ROW])))
+    side = draw(st.sampled_from(SIDES))
+    full = with_side(FULL_ROW, side)
+    row = with_side(draw(st.sampled_from([FULL_ROW, NATIVE_ROW])), side)
     for _ in range(draw(st.integers(0, 3))):
         column = draw(st.sampled_from(FIXTURE_COLUMNS))
         kind = draw(st.sampled_from(["missing", "odd"] + list(MUTATE)))
@@ -595,7 +610,7 @@ def explorer_row(draw):
         elif kind == "odd":
             row[column] = draw(ODD_VALUES)
         else:
-            row[column] = MUTATE[kind](FULL_ROW[column])
+            row[column] = MUTATE[kind](full[column])
     return action, row
 
 
@@ -609,9 +624,15 @@ def test_live_rows_decode_as_the_former_builder_did(case):
         "http://explorer.test/api", "ethereum", api_key="k",
         session=OnePageSession({action: [row]}), rate_limit_per_s=0.0,
     )
-    assert client.fetch_transactions(SENDER) == ([] if expected is None else [expected])
+    records = client.fetch_transactions(SENDER)
+    assert records == ([] if expected is None else [expected])
     dropped = [d for d in client.diagnostics if d["kind"] == "dropped_row"]
     assert len(dropped) == len(former.diagnostics)
+    if row in CANONICAL_ROWS:
+        # the canonical-row path: the fetched side is the fetched Address itself
+        [record] = records
+        sides = [a for a in (record.from_addr, record.to_addr) if a == SENDER]
+        assert sides and all(a is SENDER for a in sides)
 
 
 def test_an_injected_session_is_the_one_used():

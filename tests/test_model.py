@@ -1,5 +1,8 @@
 """Core type contracts: normalization, ordering, round-trips, validation."""
 
+import re
+from dataclasses import make_dataclass
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +18,8 @@ from risktagger.model import (
     TracerConfig,
     TransactionRecord,
     normalize_address,
+    normalize_chain,
+    normalize_hex,
     normalize_tx_hash,
 )
 
@@ -66,6 +71,9 @@ def test_normalize_rejects_bad_chain():
         normalize_address(CANONICAL, "Ether eum")
     with pytest.raises(MalformedAddress):
         normalize_address(CANONICAL, "")
+    for bad in (5, None, ["ethereum"]):
+        with pytest.raises(MalformedAddress, match="must be a string"):
+            normalize_chain(bad)
 
 
 def test_addresses_on_one_chain_share_one_chain_string():
@@ -73,6 +81,83 @@ def test_addresses_on_one_chain_share_one_chain_string():
     second = normalize_address(addr(2).hex, " Ethereum")
     assert first.chain == "ethereum" and first.chain is second.chain
     assert not hasattr(first, "__dict__")
+
+
+def former_normalize_hex(raw):
+    """normalize_hex before canonical input took one match: strip, then
+    lowercase the digits after a 0x prefix of either case, then check."""
+    if not isinstance(raw, str):
+        raise MalformedAddress("not a string")
+    candidate = raw.strip()
+    if not candidate.lower().startswith("0x"):
+        raise MalformedAddress("no prefix")
+    candidate = "0x" + candidate[2:].lower()
+    if not re.match(r"^0x[0-9a-f]{40}$", candidate):
+        raise MalformedAddress("not 40 hex digits")
+    return candidate
+
+
+HEX_DIGITS = st.text("0123456789abcdef", min_size=40, max_size=40)
+
+
+@st.composite
+def hex_text(draw):
+    """Canonical hex, or it made uppercase in part, padded with whitespace,
+    one digit short or long, or with a stray character."""
+    raw = "0x" + draw(HEX_DIGITS)
+    kind = draw(st.sampled_from(["canonical", "upper", "padded", "short", "long", "stray"]))
+    if kind == "upper":
+        cut = draw(st.integers(0, 42))
+        raw = raw[:cut].upper() + raw[cut:]
+    elif kind == "padded":
+        raw = draw(st.sampled_from([" ", "\t", "\n", "\r\n"])) + raw + draw(st.sampled_from(["", " ", "\n"]))
+    elif kind == "short":
+        raw = raw[:-1]
+    elif kind == "long":
+        raw += draw(st.sampled_from(["0", "f", "\n0"]))
+    elif kind == "stray":
+        at = draw(st.integers(0, 41))
+        raw = raw[:at] + draw(st.sampled_from(["g", "X", ",", "\n", " ", "\u0660"])) + raw[at + 1 :]
+    return raw
+
+
+@given(hex_text())
+def test_normalize_hex_returns_what_the_full_path_returns(raw):
+    try:
+        expected = former_normalize_hex(raw)
+    except MalformedAddress:
+        with pytest.raises(MalformedAddress):
+            normalize_hex(raw)
+    else:
+        assert normalize_hex(raw) == expected
+
+
+# Address as it was before it became a tuple type, as the reference
+DataclassAddress = make_dataclass("Address", [("hex", str), ("chain", str)], frozen=True, order=True, slots=True)
+
+
+ADDRESSES = st.builds(
+    lambda digits, chain: normalize_address("0x" + digits, chain),
+    HEX_DIGITS | st.sampled_from(["0" * 40, "0" * 39 + "1"]),
+    st.sampled_from(["ethereum", "bsc", "a", "ethereum2"]),
+)
+
+
+@given(st.lists(ADDRESSES, min_size=1, max_size=8))
+def test_address_keeps_the_dataclass_contract(addresses):
+    former = [DataclassAddress(a.hex, a.chain) for a in addresses]
+    for a, f in zip(addresses, former):
+        assert hash(a) == hash((a.hex, a.chain)) == hash(f)
+        assert repr(a) == repr(f)
+        assert a == (a.hex, a.chain) and a == Address(a.hex, a.chain)
+        assert a != Address(a.hex, a.chain + "2")
+        with pytest.raises(AttributeError):
+            a.hex = "0x" + "0" * 40
+        with pytest.raises(AttributeError):
+            a.extra = 1
+    order = sorted(range(len(addresses)), key=addresses.__getitem__)
+    assert [former[i] for i in order] == sorted(former)
+    assert list(set(addresses)) == [Address(f.hex, f.chain) for f in set(former)]
 
 
 def test_tx_hash_normalization():
@@ -185,8 +270,9 @@ def test_tracer_config_defaults_and_weights():
         TracerConfig(D=0)
     with pytest.raises(ValueError):
         TracerConfig(frontier_cap=0)
-    with pytest.raises(ValueError):
-        TracerConfig(min_value_threshold="abc")
+    for threshold in ("abc", "5\n", "5 ", " 5", "", "-5", "5.0", "\u0665"):
+        with pytest.raises(ValueError, match="min_value_threshold"):
+            TracerConfig(min_value_threshold=threshold)
 
 
 def test_tracer_config_round_trip():

@@ -621,6 +621,30 @@ def test_resume_rejects_a_corrupt_middle_line(tmp_path):
         trace([S], "ethereum", TracerConfig(D=3), ports_for(star_txs(), star_backend(), tmp_path), resume=True)
 
 
+@pytest.mark.parametrize(
+    "part, edit, error",
+    [
+        ("address", {"hex": "0xZZ"}, "MalformedAddress"),
+        ("address", {"chain": 5}, "MalformedAddress"),
+        ("assessment", {"fund_flows": []}, "AttributeError"),
+        ("assessment", {"suspicion_level": 5}, "AttributeError"),
+    ],
+    ids=["hex-not-40-digits", "chain-not-a-string", "dimension-not-an-object", "level-not-a-string"],
+)
+def test_resume_refuses_an_account_line_with_a_field_of_the_wrong_form(tmp_path, part, edit, error):
+    stopped_short([S], star_txs(), TracerConfig(D=3), tmp_path, star_backend(), allow=3)  # S, A and B journaled
+    records = journal_records(tmp_path)
+    records[3][part].update(edit)
+    journal = tmp_path / JOURNAL_NAME
+    journal.write_text("".join(json.dumps(r) + "\n" for r in records))
+    before = journal.read_bytes()
+    backend = star_backend()
+    with pytest.raises(CheckpointError, match=rf"{re.escape(str(journal))}: malformed line 4: {error}"):
+        trace([S], "ethereum", TracerConfig(D=3), ports_for(star_txs(), backend, tmp_path), resume=True)
+    assert backend.calls == 0
+    assert journal.read_bytes() == before
+
+
 class InterruptAfter:
     """Thread-safe call budget; every call past it raises KeyboardInterrupt, as
     Ctrl-C would. The `slow` account's call waits first, so with several
