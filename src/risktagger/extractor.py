@@ -3,8 +3,9 @@
 Stage one slices the document into chunks and pulls candidate clues out of
 each chunk independently; stage two folds the candidates into one record,
 resolving conflicts by majority across chunks with ties going to the
-earliest chunk. The fold is deterministic no matter which extraction
-backend produced the candidates.
+earliest chunk. A backend only proposes candidates, one chunk at a time:
+summarize_chunk drops any it cannot check, and the deterministic fold in
+consolidate alone decides the clues, whichever backend proposed them.
 
 Chunks are literal slices of the source string, so concatenating them in
 id order reproduces the input byte for byte. Boundary whitespace is
@@ -20,14 +21,13 @@ cannot be pinned down land in evidence_snippets instead of a role list.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from decimal import Decimal
 
-from .errors import EmptyDocument, UnparseableVerdict
+from .errors import EmptyDocument, MalformedAddress, UnparseableVerdict
 from .model import normalize_address, normalize_chain
 from .reasoner.parsing import extract_json_fragment
 from .reasoner.prompts import get_template, render
@@ -333,9 +333,6 @@ class PatternExtractor:
                 summary.add(role, hex_addr, _snippet(sentence))
         return summary
 
-    def merge(self, summaries: list) -> list:
-        return summaries
-
 
 def _nearest_role(sentence: str, addr_offset: int) -> str | None:
     """Closest role keyword in the sentence decides; a tie is ambiguous."""
@@ -358,97 +355,66 @@ def _nearest_role(sentence: str, addr_offset: int) -> str | None:
 
 
 class LlmExtractor:
-    """Candidate extraction through a completion port, prompt-driven.
-
-    A reply that cannot be decoded yields an empty summary rather than an
-    abort; transport-level failures propagate from the port itself. Snippets
-    in the reply must quote the chunk verbatim or the candidate is dropped,
-    which keeps the provenance sidecar trustworthy even with a sloppy model.
-    """
+    """Candidate extraction through a completion port: one extractor_chunk
+    prompt per chunk, whose reply maps each field to a list of [value,
+    snippet] pairs or {"value", "snippet"} objects; any other entry, and a
+    field whose value is not a list, is skipped. A reply that cannot be
+    decoded yields an empty summary rather than an abort; transport-level
+    failures propagate from the port itself."""
 
     def __init__(self, port):
         self.port = port
 
-    def _complete_json(self, template_id: str, values: dict):
-        template = get_template(template_id)
-        prompt = render(template, values)
-        raw = self.port.complete(prompt, EXTRACT_TEMPERATURE, EXTRACT_MAX_TOKENS)
-        try:
-            obj, _ = extract_json_fragment(raw)
-            return obj
-        except UnparseableVerdict:
-            logger.warning("undecodable %s reply (%d chars)", template_id, len(raw))
-            return None
-
     def extract_candidates(self, chunk: DocumentChunk) -> ChunkSummary:
-        obj = self._complete_json(
-            "extractor_chunk",
+        prompt = render(
+            get_template("extractor_chunk"),
             {"chunk_id": str(chunk.chunk_id), "chunk_text": chunk.text},
         )
+        raw = self.port.complete(prompt, EXTRACT_TEMPERATURE, EXTRACT_MAX_TOKENS)
         summary = ChunkSummary(chunk.chunk_id)
-        if not isinstance(obj, dict):
+        try:
+            obj, _ = extract_json_fragment(raw)
+        except UnparseableVerdict:
+            logger.warning("undecodable extractor_chunk reply (%d chars)", len(raw))
             return summary
         for field_name in ALL_FIELDS:
-            for entry in obj.get(field_name, []) or []:
-                if not isinstance(entry, dict):
-                    continue
-                value, snippet = str(entry.get("value", "")), str(entry.get("snippet", ""))
-                if value and snippet:
-                    summary.add(field_name, value, snippet)
+            entries = obj.get(field_name)
+            for entry in entries if isinstance(entries, list) else ():
+                if isinstance(entry, dict):
+                    entry = [entry.get("value", ""), entry.get("snippet", "")]
+                if isinstance(entry, list) and len(entry) == 2:
+                    value, snippet = str(entry[0]), str(entry[1])
+                    if value and snippet:
+                        summary.add(field_name, value, snippet)
         return summary
-
-    def merge(self, summaries: list) -> list:
-        """Model-side cross-chunk cleanup; falls back to the raw summaries."""
-        candidates = {
-            str(s.chunk_id): {f: [[v, sn] for v, sn in e] for f, e in s.candidate_clues.items()}
-            for s in summaries
-        }
-        obj = self._complete_json(
-            "extractor_consolidate", {"candidates": json.dumps(candidates, ensure_ascii=False)}
-        )
-        if not isinstance(obj, dict):
-            return summaries
-        known_snippets = {}  # chunk_id -> set of snippets the chunk actually produced
-        for s in summaries:
-            bucket = known_snippets.setdefault(s.chunk_id, set())
-            for entries in s.candidate_clues.values():
-                bucket.update(snippet for _, snippet in entries)
-        merged = {}
-        kept = 0
-        for field_name in ALL_FIELDS:
-            for entry in obj.get(field_name, []) or []:
-                if not isinstance(entry, dict):
-                    continue
-                try:
-                    chunk_id = int(entry.get("chunk_id", 0))
-                except (TypeError, ValueError):
-                    continue
-                value, snippet = str(entry.get("value", "")), str(entry.get("snippet", ""))
-                ok = value and snippet and any(
-                    snippet in known for known in known_snippets.get(chunk_id, ())
-                )
-                if not ok:
-                    continue
-                merged.setdefault(chunk_id, ChunkSummary(chunk_id)).add(field_name, value, snippet)
-                kept += 1
-        if kept == 0:
-            return summaries
-        return [merged[cid] for cid in sorted(merged)]
 
 
 # --- consolidation ----------------------------------------------------------------
 
 
 def summarize_chunk(chunk: DocumentChunk, backend) -> ChunkSummary:
-    """One chunk through the backend, with the snippet invariant enforced."""
+    """One chunk through the backend. A candidate whose snippet does not quote
+    the chunk is dropped, and so is a malformed value: a chain id that
+    normalize_chain refuses (one it accepts is kept normalized), or a
+    stolen_usd that is not bare decimal digits."""
     raw = backend.extract_candidates(chunk)
     cleaned = ChunkSummary(chunk.chunk_id)
     for field_name, entries in raw.candidate_clues.items():
         if field_name not in ALL_FIELDS:
             continue
         for value, snippet in entries:
-            if snippet and snippet in chunk.text:
-                cleaned.add(field_name, value, snippet)
+            if not (snippet and snippet in chunk.text):
+                continue
+            try:
+                kept = normalize_chain(value) if field_name == "chain" else value
+            except MalformedAddress:
+                kept = None
+            if field_name == "stolen_usd" and not (value.isascii() and value.isdecimal()):
+                kept = None
+            if kept is None:
+                logger.warning("dropping malformed %s candidate %r", field_name, value)
+            else:
+                cleaned.add(field_name, kept, snippet)
     return cleaned
 
 
@@ -481,10 +447,8 @@ def _ordered_dedup(entries):
     return values, prov
 
 
-def consolidate(summaries: list, backend=None):
+def consolidate(summaries: list):
     """Folds chunk candidates into (CaseClues, audit provenance map)."""
-    if backend is not None:
-        summaries = backend.merge(summaries)
     gathered = {name: [] for name in ALL_FIELDS}
     for summary in sorted(summaries, key=lambda s: s.chunk_id):
         for field_name, entries in summary.candidate_clues.items():
@@ -529,7 +493,7 @@ def consolidate(summaries: list, backend=None):
         for hex_addr in hexes:
             try:
                 typed.append(normalize_address(hex_addr, address_chain))
-            except Exception:
+            except MalformedAddress:
                 logger.warning("dropping malformed %s candidate %r", field_name, hex_addr)
         if typed:
             setattr(clues, field_name, typed)
@@ -556,4 +520,4 @@ def extract_case_clues(text: str, backend=None):
     backend = backend if backend is not None else PatternExtractor()
     chunks = split_document(text)
     summaries = [summarize_chunk(chunk, backend) for chunk in chunks]
-    return consolidate(summaries, backend)
+    return consolidate(summaries)

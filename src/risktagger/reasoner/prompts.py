@@ -4,7 +4,7 @@ Templates live as plain text files under risktagger/prompts and are loaded
 verbatim (sans trailing newline); the analyst/auditor/explainer texts are
 long-lived transcriptions and must never be edited casually, which is why
 their hashes go into run.json and bind the run journal. The extractor
-templates are original to this project.
+template is original to this project.
 
 Renderers go through get_template, which reads each template from disk once
 per process.
@@ -30,7 +30,6 @@ REGISTRY = {
     "explainer_part1": {"analysis_result"},
     "explainer_part2": set(),
     "extractor_chunk": {"chunk_id", "chunk_text"},
-    "extractor_consolidate": {"candidates"},
 }
 
 _ALL_PLACEHOLDERS = set().union(*REGISTRY.values())

@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import FIXTURES, GOLDEN, REPO_ROOT
-from risktagger import cli
+from risktagger import cli, tracer
 from risktagger.chaindata.cache import FetchCache
 from risktagger.cli import main
 from risktagger.config import RunConfig, load_config
@@ -88,6 +88,34 @@ def test_extract_bundled_document_is_complete(tmp_path, capsys):
     audit = json.loads((out / "extract_audit.json").read_text())
     assert audit["document"] == hashlib.sha256(Path(DOC).read_bytes()).hexdigest()
     assert not (out / "run.json").exists()  # only a trace writes it
+
+
+def test_an_llm_extract_drops_malformed_values_and_writes_the_rest(tmp_path, monkeypatch, caplog):
+    doc = tmp_path / "incident.txt"
+    doc.write_text("On Ethereum the attacker 0x" + "ab" * 20 + " stole $1,500,000,000.\n", encoding="utf-8")
+    reply = {
+        "chain": [["Ethereum", "On Ethereum"]],
+        "attacker_addresses": [["0x" + "AB" * 20, "the attacker 0x"], ["0xZZ", "the attacker 0x"]],
+        "stolen_usd": [["1,500,000,000", "$1,500,000,000"]],
+        "stolen_token": 15,
+    }
+    prompts = []
+
+    class ScriptedPort:
+        def complete(self, prompt, temperature, max_tokens):
+            prompts.append(prompt)
+            return json.dumps(reply)
+
+    monkeypatch.setattr(cli, "_llm_backend", lambda config: ScriptedPort())
+    cfg = write_config(tmp_path, backend="llm", llm_endpoint="http://127.0.0.1:9/v1")
+    out = tmp_path / "out"
+    assert run_cli("extract", doc, "--config", cfg, "--out", out) == 2
+    assert len(prompts) == 1
+    clues = json.loads((out / "case_clues.json").read_text())
+    assert (clues["chain"], clues["attacker_addresses"]) == ("ethereum", ["0x" + "ab" * 20])
+    assert (clues["stolen_usd"], clues["status"]["stolen_usd"]) == (0, "missing")
+    assert "dropping malformed stolen_usd candidate '1,500,000,000'" in caplog.text
+    assert "dropping malformed attacker_addresses candidate '0xZZ'" in caplog.text
 
 
 def test_extract_empty_file_exits_one(tmp_path, capsys):
@@ -289,31 +317,36 @@ def test_resume_after_a_shallower_rerun_reports_the_shallow_run(tmp_path, capsys
         assert (out / name).read_bytes() == (shallow / name).read_bytes(), name
 
 
+# the hash extractor_consolidate.txt had while the extractor registered it
+EXTRACTOR_CONSOLIDATE_SHA256 = "2aec853a97796d1e090aa6edb72c7bc70f09c379fd79e9d9a4ea62ae4877a394"
+
+
 @pytest.mark.parametrize(
-    "extra, edit_prompt, named",
+    "extra, written_with, resumed_with, named",
     [
-        (["--max-depth", 3], False, "config.tracer.D"),
-        (["--max-depth", 4, "--seed-victims"], False, "seeds"),
-        (["--max-depth", 4], True, "prompts.reflection"),
+        (["--max-depth", 3], {}, {}, "config.tracer.D"),
+        (["--max-depth", 4, "--seed-victims"], {}, {}, "seeds"),
+        (["--max-depth", 4], {}, {"reflection": "0" * 64}, "prompts.reflection"),
+        # a journal written while extractor_consolidate was a registered template
+        (["--max-depth", 4], {"extractor_consolidate": EXTRACTOR_CONSOLIDATE_SHA256}, {},
+         "prompts.extractor_consolidate"),
     ],
 )
 def test_resume_of_another_run_exits_one_naming_the_change(
-    tmp_path, capsys, monkeypatch, extra, edit_prompt, named
+    tmp_path, capsys, monkeypatch, extra, written_with, resumed_with, named
 ):
+    hashes = tracer.template_hashes()
     clues = extract_clues(tmp_path)
     cfg = write_config(tmp_path)
     out = tmp_path / "trace"
+    monkeypatch.setattr(tracer, "template_hashes", lambda: {**hashes, **written_with})
     assert run_cli("trace", clues, "--config", cfg, "--out", out, "--max-depth", 4) == 0
     journal = (out / JOURNAL_NAME).read_bytes()
-    if edit_prompt:
-        from risktagger import tracer
-
-        edited = dict(tracer.template_hashes(), reflection="0" * 64)
-        monkeypatch.setattr(tracer, "template_hashes", lambda: edited)
+    monkeypatch.setattr(tracer, "template_hashes", lambda: {**hashes, **resumed_with})
     capsys.readouterr()
     assert run_cli("trace", clues, "--config", cfg, "--out", out, "--resume", *extra) == 1
     err = capsys.readouterr().err
-    assert named in err and "--resume" in err
+    assert f"{named} changed" in err and "--resume" in err
     assert (out / JOURNAL_NAME).read_bytes() == journal
 
 

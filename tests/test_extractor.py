@@ -351,32 +351,68 @@ def test_llm_backend_extracts_and_validates_snippets():
             ]
         }
     )
-    port = ScriptedPort([chunk_reply, "not json at all"])
+    port = ScriptedPort([chunk_reply])
     clues, _ = extract_case_clues(doc, backend=LlmExtractor(port))
     assert clues.chain == "ethereum"
-    assert len(port.prompts) == 2  # one chunk call, one merge call
+    assert len(port.prompts) == 1  # one chunk call, and no other
 
 
-def test_llm_merge_keeps_only_verifiable_entries():
-    summaries = [
-        summary_of(1, chain=["ethereum"]),
-        summary_of(2, chain=["ethereum", "bsc"]),
-    ]
-    merged_reply = json.dumps(
-        {
-            "chain": [
-                {"value": "ethereum", "snippet": "snippet 1", "chunk_id": 1},
-                {"value": "bsc", "snippet": "fabricated", "chunk_id": 2},
-            ]
-        }
-    )
-    backend = LlmExtractor(ScriptedPort([merged_reply]))
-    merged = backend.merge(summaries)
-    assert len(merged) == 1
-    assert merged[0].candidate_clues["chain"] == [("ethereum", "snippet 1")]
+def test_llm_extract_makes_one_backend_call_per_chunk():
+    doc = "\n\n".join(f"Paragraph {n} says the funds moved on Ethereum. " + "x" * 3000 for n in (1, 2, 3))
+    chunks = split_document(doc)
+    assert len(chunks) == 3
+    reply = json.dumps({"chain": [["ethereum", "moved on Ethereum"]]})
+    port = ScriptedPort([reply] * len(chunks))
+    clues, audit = extract_case_clues(doc, backend=LlmExtractor(port))
+    assert len(port.prompts) == len(chunks)
+    assert all(f"Chunk {c.chunk_id}:" in p for c, p in zip(chunks, port.prompts))
+    assert clues.chain == "ethereum"
+    assert [p["chunk_id"] for p in audit["chain"]] == [1, 2, 3]
 
 
-def test_llm_merge_falls_back_on_garbage():
-    summaries = [summary_of(1, chain=["ethereum"])]
-    backend = LlmExtractor(ScriptedPort(["complete nonsense"]))
-    assert backend.merge(summaries) is summaries
+@pytest.mark.parametrize(
+    "reply, field_name, value, status",
+    [
+        # the form extractor_chunk.txt asks for: [value, snippet] pairs
+        ({"chain": [["ethereum", "touched Ethereum"]]}, "chain", "ethereum", "complete"),
+        ({"stolen_usd": [[1500000000, "$1.5 billion"]]}, "stolen_usd", 1500000000, "complete"),
+        # a field that is not a list is skipped, as is an entry of neither form
+        ({"stolen_usd": 1500000000}, "stolen_usd", 0, "missing"),
+        ({"chain": ["ethereum", ["ethereum"], ["a", "b", "c"]]}, "chain", "", "missing"),
+    ],
+    ids=["pair", "pair-with-a-number", "field-not-a-list", "entries-of-neither-form"],
+)
+def test_llm_chunk_reply_forms(reply, field_name, value, status):
+    doc = "The incident touched Ethereum and cost $1.5 billion."
+    port = ScriptedPort([json.dumps(reply)])
+    clues, _ = extract_case_clues(doc, backend=LlmExtractor(port))
+    assert getattr(clues, field_name) == value
+    assert clues.status[field_name] == status
+
+
+@pytest.mark.parametrize(
+    "field_name, proposed, kept",
+    [
+        ("chain", "Ethereum", "ethereum"),
+        ("chain", "Ethereum Mainnet", None),
+        ("chain", "", None),
+        ("stolen_usd", "1,500,000,000", None),
+        ("stolen_usd", "1500000000.0", None),
+        ("stolen_usd", "-1500000000", None),
+        ("stolen_usd", "\u0661\u0665", None),  # digits, but not decimal ASCII ones
+        ("stolen_usd", "1500000000", "1500000000"),
+    ],
+)
+def test_a_malformed_candidate_value_is_dropped_and_logged(field_name, proposed, kept, caplog):
+    class Proposing:
+        def extract_candidates(self, chunk):
+            summary = ChunkSummary(chunk.chunk_id)
+            summary.add(field_name, proposed, "touched Ethereum")
+            return summary
+
+    chunk = DocumentChunk(1, "The incident touched Ethereum.")
+    summary = summarize_chunk(chunk, Proposing())
+    expected = [(kept, "touched Ethereum")] if kept is not None else []
+    assert summary.candidate_clues.get(field_name, []) == expected
+    dropped = [r.getMessage() for r in caplog.records if "dropping malformed" in r.getMessage()]
+    assert dropped == ([] if kept is not None else [f"dropping malformed {field_name} candidate {proposed!r}"])

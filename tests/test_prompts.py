@@ -123,6 +123,13 @@ def test_templates_hash_stable_across_loads():
     assert template_hashes() == template_hashes()
 
 
+def test_the_template_files_are_the_registered_templates():
+    """A template file that nothing registers is hashed into no journal
+    header, and a registered template without its file fails every run."""
+    on_disk = {path.stem for path in prompts._prompts_dir().glob("*.txt")}
+    assert on_disk == set(REGISTRY)
+
+
 def test_each_template_is_read_once_per_process(monkeypatch):
     reads = []
 
