@@ -51,7 +51,7 @@ _INT = "[0-9]{1,18}"  # within int()'s digit limit; longer numbers take the chec
 # which refuses those at or above it.
 _VALUE = "[0-9]{1,77}"
 # A row that _row_to_record accepts without changing a field: lowercase hex,
-# bare digits, a positive timeStamp, no quotes. Hash and addresses have fixed
+# bare digits, a timeStamp in range, no quotes. Hash and addresses have fixed
 # widths, so the sender and receiver sit at fixed offsets (_FROM, _TO).
 _CANONICAL_ROW = re.compile(
     ",".join(
@@ -60,7 +60,7 @@ _CANONICAL_ROW = re.compile(
             "0x[0-9a-f]{40}",  # from
             "0x[0-9a-f]{40}",  # to
             _VALUE,  # value
-            "[1-9][0-9]{0,17}",  # timeStamp
+            "[1-9][0-9]{0,10}",  # timeStamp: 11 digits stay below MAX_TIMESTAMP; longer take the checked path
             _INT,  # blockNumber
             _TEXT,  # tokenSymbol
             "(?:0x[0-9a-f]{40})?",  # contractAddress

@@ -354,13 +354,19 @@ def _nearest_role(sentence: str, addr_offset: int) -> str | None:
 # --- model-backed extraction ------------------------------------------------------
 
 
+def _is_text(value) -> bool:
+    """A JSON string, or a number that is not a boolean."""
+    return isinstance(value, (str, int, float)) and not isinstance(value, bool)
+
+
 class LlmExtractor:
     """Candidate extraction through a completion port: one extractor_chunk
     prompt per chunk, whose reply maps each field to a list of [value,
-    snippet] pairs or {"value", "snippet"} objects; any other entry, and a
-    field whose value is not a list, is skipped. A reply that cannot be
-    decoded yields an empty summary rather than an abort; transport-level
-    failures propagate from the port itself."""
+    snippet] pairs or {"value", "snippet"} objects, each a JSON string or a
+    number; any other entry, such as one holding null, a boolean, a list or
+    an object, and a field whose value is not a list, is skipped. A reply
+    that cannot be decoded yields an empty summary rather than an abort;
+    transport-level failures propagate from the port itself."""
 
     def __init__(self, port):
         self.port = port
@@ -382,7 +388,7 @@ class LlmExtractor:
             for entry in entries if isinstance(entries, list) else ():
                 if isinstance(entry, dict):
                     entry = [entry.get("value", ""), entry.get("snippet", "")]
-                if isinstance(entry, list) and len(entry) == 2:
+                if isinstance(entry, list) and len(entry) == 2 and all(map(_is_text, entry)):
                     value, snippet = str(entry[0]), str(entry[1])
                     if value and snippet:
                         summary.add(field_name, value, snippet)
@@ -391,12 +397,20 @@ class LlmExtractor:
 
 # --- consolidation ----------------------------------------------------------------
 
+# The forms a candidate value must have in these fields; any other is dropped.
+# stolen_token is SYMBOL:amount, as the pattern extractor writes it.
+_VALUE_FORMS = {
+    "stolen_usd": re.compile("[0-9]+"),
+    "stolen_token": re.compile(r"[A-Za-z0-9]+:[0-9]+(?:\.[0-9]+)?"),
+}
+
 
 def summarize_chunk(chunk: DocumentChunk, backend) -> ChunkSummary:
     """One chunk through the backend. A candidate whose snippet does not quote
     the chunk is dropped, and so is a malformed value: a chain id that
-    normalize_chain refuses (one it accepts is kept normalized), or a
-    stolen_usd that is not bare decimal digits."""
+    normalize_chain refuses (one it accepts is kept normalized), a
+    stolen_usd that is not bare decimal digits, or a stolen_token that is not
+    SYMBOL:amount."""
     raw = backend.extract_candidates(chunk)
     cleaned = ChunkSummary(chunk.chunk_id)
     for field_name, entries in raw.candidate_clues.items():
@@ -409,7 +423,8 @@ def summarize_chunk(chunk: DocumentChunk, backend) -> ChunkSummary:
                 kept = normalize_chain(value) if field_name == "chain" else value
             except MalformedAddress:
                 kept = None
-            if field_name == "stolen_usd" and not (value.isascii() and value.isdecimal()):
+            form = _VALUE_FORMS.get(field_name)
+            if form is not None and not form.fullmatch(value):
                 kept = None
             if kept is None:
                 logger.warning("dropping malformed %s candidate %r", field_name, value)

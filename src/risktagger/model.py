@@ -21,6 +21,7 @@ _CHAIN_RE = re.compile(r"[a-z0-9]+")
 _HEX40_RE = re.compile(r"0x[0-9a-f]{40}")
 _HEX66_RE = re.compile(r"0x[0-9a-f]{64}")
 _DIGITS_RE = re.compile(r"[0-9]+")
+MAX_TIMESTAMP = 253402300799  # 9999-12-31T23:59:59Z, the last second a UTC datetime holds
 _CHAINS: dict[str, str] = {}  # one entry per canonical chain id seen, interned
 
 
@@ -152,8 +153,10 @@ class TransactionRecord:
         object.__setattr__(self, "hash", normalize_tx_hash(self.hash))
         if type(self.value) is not int or not 0 <= self.value < 2**256:
             raise ValueError(f"value must be an int in [0, 2**256), got {self.value!r}")
-        if self.timeStamp <= 0:
-            raise ValueError(f"timeStamp must be positive, got {self.timeStamp}")
+        if not 0 < self.timeStamp <= MAX_TIMESTAMP:
+            raise ValueError(
+                f"timeStamp must be positive and at most {MAX_TIMESTAMP} (9999-12-31T23:59:59Z), got {self.timeStamp}"
+            )
         if self.blockNumber < 0:
             raise ValueError(f"blockNumber must be non-negative, got {self.blockNumber}")
         if self.from_addr.chain != self.to_addr.chain:

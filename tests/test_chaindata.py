@@ -1,7 +1,9 @@
 """Fixture replay contracts: schema strictness, dedup, ordering, indexing."""
 
+import contextlib
 import csv
 import gc
+import io
 import itertools
 import os
 import sys
@@ -14,15 +16,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import addr, make_tx, tx_hash
+from conftest import FIXTURES, addr, make_tx, tx_hash
 from risktagger.chaindata import (
     FIXTURE_COLUMNS,
     FixtureChainClient,
     FixtureStore,
     dedup_and_sort,
 )
+from risktagger.chaindata import fixtures
 from risktagger.chaindata.fetch import _row_to_record
 from risktagger.errors import MalformedAddress, ParseError, SchemaMismatch, UnknownChain
+from risktagger.model import TracerConfig
+from risktagger.translator import build_subgraph, to_reasoner_payload
 
 HEADER = ",".join(FIXTURE_COLUMNS)
 
@@ -55,6 +60,27 @@ def load_fixture(path):
     directory."""
     source = FixtureStore.load_dir(path.parent).records_by_chain[path.stem]
     return source.build(range(len(source)))
+
+
+@contextlib.contextmanager
+def split_into(parts):
+    """Loads in the block cut each file into `parts` byte ranges however
+    small it is, as on `parts` usable CPUs."""
+    saved = fixtures._usable_cpus, fixtures._MIN_PART_BYTES
+    fixtures._usable_cpus, fixtures._MIN_PART_BYTES = (lambda: parts), 1
+    try:
+        yield
+    finally:
+        fixtures._usable_cpus, fixtures._MIN_PART_BYTES = saved
+
+
+def structures(source):
+    """A copy of what a load builds for one file, structure by structure, in order."""
+    return source.starts[:], source.lengths[:], set(source.irregular), [(k, v[:]) for k, v in source.index.items()]
+
+
+def built(store):
+    return {chain: structures(source) for chain, source in store.records_by_chain.items()}
 
 
 def test_load_fixture_happy_path(tmp_path):
@@ -408,11 +434,13 @@ def retained_bytes(action):
         tracemalloc.stop()
 
 
-def test_a_loaded_row_costs_its_span_and_index_entries_not_its_text(tmp_path):
+@pytest.mark.parametrize("parts", [1, 2])
+def test_a_loaded_row_costs_its_span_and_index_entries_not_its_text(tmp_path, parts):
     """Under 60 bytes per row: span, row slot and two 4-byte index entries,
-    each address's key and index array once."""
+    each address's key and index array once, however many parts load it."""
     scaled_fixture(tmp_path)
-    store, retained = retained_bytes(lambda: FixtureStore.load_dir(tmp_path))
+    with split_into(parts):
+        store, retained = retained_bytes(lambda: FixtureStore.load_dir(tmp_path))
     assert len(store.records_by_chain["ethereum"]) == ROWS_N
     assert retained / ROWS_N < 60
 
@@ -562,26 +590,32 @@ def fixture_line(draw):
     return ",".join(f'"{v}"' if i in quoted else v for i, v in enumerate(values))
 
 
-def assert_loader_agrees(directory, lines, ending="\n"):
-    """The loader raises the reference's ParseError, or returns its records,
-    through load_fixture and through the store's per-address index."""
+def assert_loader_agrees(directory, lines, ending="\n", parts=1):
+    """The loader, cutting the file into `parts` byte ranges, raises the
+    reference's ParseError, or returns its records through every row and
+    through the store's per-address index, and builds what one part does."""
     path = Path(directory) / "ethereum.csv"
     path.write_text(ending.join([HEADER] + lines) + ending, encoding="utf-8", newline="")
     try:
         expected = reference_load(path)
     except ParseError as err:
-        with pytest.raises(ParseError) as got:
+        with split_into(parts), pytest.raises(ParseError) as got:
             FixtureStore.load_dir(directory)
         assert str(got.value) == str(err)
         return
-    assert load_fixture(path) == expected
-    store = FixtureStore.load_dir(directory)
+    with split_into(parts):
+        store = FixtureStore.load_dir(directory)
+    source = store.records_by_chain["ethereum"]
+    assert source.build(range(len(source))) == expected
+    if parts > 1:
+        assert built(store) == built(FixtureStore.load_dir(directory))
     for hex_ in POOL:
         account = addr(int(hex_, 16))
         assert store.records_for(account) == [r for r in expected if account in (r.from_addr, r.to_addr)]
 
 
-def test_every_mutation_agrees_with_the_reference(tmp_path):
+@pytest.mark.parametrize("parts", [1, 2, 3])
+def test_every_mutation_agrees_with_the_reference(tmp_path, parts):
     values = row(1, addr(1), addr(2), token="USDT", contract=addr(0xABC).hex).split(",")
     for index, kind in MUTATION_SITES:
         mutated = list(values)
@@ -589,16 +623,244 @@ def test_every_mutation_agrees_with_the_reference(tmp_path):
         if kind in QUOTED_KINDS:
             mutated[index] = f'"{mutated[index]}"'
         lines = [",".join(values), ",".join(mutated)]
-        assert_loader_agrees(tmp_path, lines + [",".join(values)])
+        assert_loader_agrees(tmp_path, lines + [",".join(values)], parts=parts)
         # a bad row after it is reported at the same record number
-        assert_loader_agrees(tmp_path, lines + [",".join(values[:-1])])
+        assert_loader_agrees(tmp_path, lines + [",".join(values[:-1])], parts=parts)
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    lines=st.lists(st.one_of(fixture_line(), st.sampled_from(["", "  "])), min_size=1, max_size=8),
-    ending=st.sampled_from(["\n", "\r\n"]),
+# a split load forks, which costs some milliseconds per example
+@pytest.mark.parametrize("parts, examples", [(1, 300), (2, 40), (3, 40)])
+def test_loader_agrees_with_the_row_by_row_reference(parts, examples):
+    @settings(max_examples=examples, deadline=None)
+    @given(
+        lines=st.lists(st.one_of(fixture_line(), st.sampled_from(["", "  "])), min_size=1, max_size=8),
+        ending=st.sampled_from(["\n", "\r\n"]),
+    )
+    def agrees(lines, ending):
+        with tempfile.TemporaryDirectory() as tmp:
+            assert_loader_agrees(tmp, lines, ending, parts)
+
+    agrees()
+
+
+# --- the split load ---------------------------------------------------------------
+
+
+def test_the_part_count_is_the_usable_cpus_capped_by_the_file_size(tmp_path, monkeypatch):
+    path = write_fixture(tmp_path, "ethereum.csv", [row(n, addr(1), addr(2)) for n in range(100)])
+    size, header, default = path.stat().st_size, len(HEADER) + 1, fixtures._MIN_PART_BYTES
+
+    def ranges(cpus, min_part_bytes=1):
+        monkeypatch.setattr(fixtures, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(fixtures, "_MIN_PART_BYTES", min_part_bytes)
+        with path.open("rb") as fh:
+            return fixtures._ranges(fh.fileno(), header, size)
+
+    cut = ranges(3)
+    assert len(cut) == 3 and cut[0][0] == header and cut[-1][1] == size
+    assert all(end == start for (_, end), (start, _) in zip(cut, cut[1:]))
+    data = path.read_bytes()
+    assert all(data[start - 1:start] == b"\n" for start, _ in cut)  # each part starts a line
+    assert len(ranges(4, size // 2)) == 2
+    assert len(ranges(1)) == 1
+    assert len(ranges(64, size + 1)) == 1
+    demo = FIXTURES / "synthetic" / "ethereum.csv"  # 64 KB: one part on any host
+    monkeypatch.setattr(fixtures, "_MIN_PART_BYTES", default)
+    with demo.open("rb") as fh:
+        assert len(fixtures._ranges(fh.fileno(), header, demo.stat().st_size)) == 1
+    monkeypatch.delattr(os, "fork")
+    assert len(ranges(4)) == 1
+
+
+def rows_in_a_quoted_field(n, inner):
+    """One record whose quoted input field spans the `inner` lines and a
+    last one, each of which also reads as a row on its own."""
+    values = row(n, addr(2), addr(3)).split(",")
+    closing = row(n + 1, addr(4), addr(5)).split(",")[:9] + ['0xcd"'] + values[10:]
+    return "\n".join([",".join(values[:9]) + ',"0xab', *inner, ",".join(closing)])
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+def test_a_quoted_row_across_a_part_boundary_loads_as_in_one_part(tmp_path, parts):
+    """Every cut falls inside a quoted field whose lines read as rows on
+    their own, so each child's scan succeeds; the part before reads the whole
+    record, and the parts after are scanned again from where it ended."""
+    quoted = rows_in_a_quoted_field(50, [row(n, addr(1), addr(n % 5 + 1)) for n in range(60, 80)])
+    lines = [row(n, addr(1), addr(2)) for n in range(2)] + [quoted] + [row(n, addr(3), addr(1)) for n in (6, 7)]
+    assert_loader_agrees(tmp_path, lines, parts=parts)
+    path = tmp_path / "ethereum.csv"
+    data = path.read_bytes()
+    inside = range(data.index(b'"0xab') + len(b'"0xab\n'), data.index(b'0xcd"'))
+    with split_into(parts), path.open("rb") as fh:
+        cuts = [start for start, _ in fixtures._ranges(fh.fileno(), len(HEADER) + 1, len(data))[1:]]
+    assert len(cuts) == parts - 1 and all(cut in inside for cut in cuts)
+    assert len(FixtureStore.load_dir(tmp_path).records_by_chain["ethereum"]) == 5
+
+
+def write_rows(tmp_path, lines):
+    path = tmp_path / "ethereum.csv"
+    data = [line.encode() if isinstance(line, str) else line for line in lines]
+    path.write_bytes(b"\n".join([HEADER.encode()] + data) + b"\n")
+    return path
+
+
+def load_error(directory, parts):
+    with split_into(parts), pytest.raises(ParseError) as got:
+        FixtureStore.load_dir(directory)
+    return str(got.value)
+
+
+BAD_VALUE = row(90, addr(1), addr(2), value="1.5")
+NOT_UTF8 = row(91, addr(1), addr(2), token="T\xffK").encode().replace(b"T\xc3\xbfK", b"T\xffK")
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+@pytest.mark.parametrize(
+    "bad, line",
+    [({10: BAD_VALUE}, 12), ({10: NOT_UTF8}, None), ({5: BAD_VALUE, 10: BAD_VALUE}, 7),
+     ({6: NOT_UTF8, 10: BAD_VALUE}, None), ({2: BAD_VALUE, 10: NOT_UTF8}, 4)],
+    ids=["bad-row-late", "not-utf8-late", "bad-rows-in-two-parts", "not-utf8-then-bad-row", "bad-row-then-not-utf8"],
 )
-def test_loader_agrees_with_the_row_by_row_reference(lines, ending):
-    with tempfile.TemporaryDirectory() as tmp:
-        assert_loader_agrees(tmp, lines, ending)
+def test_an_error_in_any_part_is_the_one_part_loads(tmp_path, parts, bad, line):
+    """The first bad record in file order fails the load, with the text of the
+    one-part load's error."""
+    path = write_rows(tmp_path, [bad.get(n, row(n, addr(n % 3 + 1), addr(n % 5 + 1))) for n in range(12)])
+    expected = load_error(tmp_path, 1)
+    assert expected.startswith(f"{path}:{line}: bad fixture row" if line else f"{path}: not UTF-8: ")
+    assert load_error(tmp_path, parts) == expected
+
+
+def test_a_byte_that_is_not_utf8_fails_the_load_at_its_record(tmp_path):
+    path = write_rows(tmp_path, [row(1, addr(1), addr(2)), NOT_UTF8, BAD_VALUE])
+    assert load_error(tmp_path, 1) == f"{path}: not UTF-8: invalid start byte at byte 0xff"
+    path = write_rows(tmp_path, [row(1, addr(1), addr(2)), BAD_VALUE, NOT_UTF8])  # within one read of it
+    assert load_error(tmp_path, 1).startswith(f"{path}:3: bad fixture row: value")
+
+
+def large_rows(n=3000):
+    """Enough rows that a child's stream overfills a pipe, some of them
+    irregular and some addresses first seen in every part."""
+    return [two_line_row(k, addr(k % 7 + 1), addr(k % 11 + 1)) if k % 500 == 1 else
+            row(k, addr(k % 97 + 1), addr(k // 100 + 1000)) for k in range(n)]
+
+
+def open_descriptors():
+    gc.collect()
+    return sorted(os.listdir("/dev/fd"))
+
+
+@contextlib.contextmanager
+def no_process_or_descriptor_left(monkeypatch):
+    """The block's children are all reaped by its end, and it leaves no
+    descriptor open."""
+    forked, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    before = open_descriptors()
+    yield forked
+    for pid in forked:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert open_descriptors() == before
+
+
+@pytest.mark.parametrize("bad", [None, 2500], ids=["loaded", "failed"])
+def test_no_child_or_descriptor_outlives_a_load(tmp_path, monkeypatch, bad):
+    lines = large_rows()
+    if bad is not None:
+        lines[bad] = BAD_VALUE
+    write_rows(tmp_path, lines)
+    with no_process_or_descriptor_left(monkeypatch) as forked:
+        if bad is None:
+            with split_into(3):
+                store = FixtureStore.load_dir(tmp_path)
+            assert built(store) == built(FixtureStore.load_dir(tmp_path))
+        else:
+            assert load_error(tmp_path, 3) == load_error(tmp_path, 1)
+    assert len(forked) == 2  # the one-part load forks none
+
+
+def test_ctrl_c_in_the_parents_own_part_leaves_no_child_and_no_descriptor(tmp_path, monkeypatch):
+    write_rows(tmp_path, large_rows())
+    parent, real = os.getpid(), fixtures._row_to_record
+
+    def interrupted(values, chain):  # the first part's irregular row
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return real(values, chain)
+
+    monkeypatch.setattr(fixtures, "_row_to_record", interrupted)
+    with no_process_or_descriptor_left(monkeypatch) as forked:
+        with split_into(3), pytest.raises(KeyboardInterrupt):
+            FixtureStore.load_dir(tmp_path)
+    assert len(forked) == 2
+
+
+def test_a_child_that_dies_mid_stream_leaves_its_part_to_the_parent(tmp_path, monkeypatch):
+    """What was merged of its part, everything but the last message, is taken
+    back, and the parent scans the part itself."""
+    write_rows(tmp_path, large_rows())
+    parent, real = os.getpid(), fixtures._put
+
+    def dying(sink, message):
+        if os.getpid() != parent and message[0] == "stop":
+            sink.flush()
+            os._exit(1)
+        real(sink, message)
+
+    monkeypatch.setattr(fixtures, "_put", dying)
+    with no_process_or_descriptor_left(monkeypatch):
+        with split_into(3):
+            store = FixtureStore.load_dir(tmp_path)
+    assert built(store) == built(FixtureStore.load_dir(tmp_path))
+    assert store.records_by_chain["ethereum"].irregular == {k for k in range(3000) if k % 500 == 1}
+
+
+def test_a_stream_that_breaks_off_leaves_the_file_as_it_was(tmp_path):
+    path = write_rows(tmp_path, large_rows())
+    size, header = path.stat().st_size, len(HEADER) + 1
+    with split_into(2), path.open("rb") as fh:
+        stamp = fixtures._stamp(fh.fileno())
+        [(_, cut), _] = fixtures._ranges(fh.fileno(), header, size)
+    child, parent = fixtures._FixtureFile(path, "ethereum", stamp), fixtures._FixtureFile(path, "ethereum", stamp)
+    with child._open_at(cut) as fh:
+        stop = child._scan(fh, path, cut, size, 0)
+    with parent._open_at(header) as fh:
+        parent._scan(fh, path, header, cut, 1)
+    stream = io.BytesIO()
+    child._send(stream, *stop)
+    sent = stream.getvalue()
+    before = structures(parent)
+    for end in (len(sent) - 1, len(sent) // 2, 3):
+        assert parent._merge(io.BytesIO(sent[:end])) is None
+        assert structures(parent) == before
+    assert parent._merge(io.BytesIO(sent)) == stop
+    assert structures(parent) == built(FixtureStore.load_dir(tmp_path))["ethereum"]
+
+
+# --- the timestamp range ----------------------------------------------------------
+
+
+def test_a_timestamp_past_9999_fails_the_load_naming_its_line(tmp_path):
+    last = row(1, addr(1), addr(2), ts=253402300799)  # 9999-12-31T23:59:59Z, 12 digits: the checked path
+    path = write_fixture(tmp_path, "ethereum.csv", [row(2, addr(1), addr(2), ts=99999999999), last])
+    store = FixtureStore.load_dir(tmp_path)
+    assert [r.timeStamp for r in load_fixture(path)] == [99999999999, 253402300799]
+    assert store.records_by_chain["ethereum"].irregular == {1}
+    payload = to_reasoner_payload(build_subgraph(addr(1), load_fixture(path), [], TracerConfig(), 1_740_000_100))
+    assert "9999-12-31T23:59:59+00:00" in payload
+    write_fixture(tmp_path, "ethereum.csv", [last, row(3, addr(1), addr(2), ts=253402300800)])
+    with pytest.raises(ParseError) as err:
+        FixtureStore.load_dir(tmp_path)
+    assert str(err.value) == (
+        f"{path}:3: bad fixture row: timeStamp must be positive and at most 253402300799"
+        " (9999-12-31T23:59:59Z), got 253402300800"
+    )

@@ -379,8 +379,17 @@ def test_llm_extract_makes_one_backend_call_per_chunk():
         # a field that is not a list is skipped, as is an entry of neither form
         ({"stolen_usd": 1500000000}, "stolen_usd", 0, "missing"),
         ({"chain": ["ethereum", ["ethereum"], ["a", "b", "c"]]}, "chain", "", "missing"),
+        # a value or snippet that is not a string or a number is skipped likewise
+        ({"chain": [[None, "touched Ethereum"]]}, "chain", "", "missing"),
+        ({"chain": [{"value": None, "snippet": "touched Ethereum"}]}, "chain", "", "missing"),
+        ({"chain": [[True, "touched Ethereum"]]}, "chain", "", "missing"),
+        ({"chain": [[["ethereum"], "touched Ethereum"]]}, "chain", "", "missing"),
+        ({"chain": [[{"id": "ethereum"}, "touched Ethereum"]]}, "chain", "", "missing"),
+        ({"chain": [["ethereum", None]]}, "chain", "", "missing"),
+        ({"stolen_usd": [[False, "$1.5 billion"]]}, "stolen_usd", 0, "missing"),
     ],
-    ids=["pair", "pair-with-a-number", "field-not-a-list", "entries-of-neither-form"],
+    ids=["pair", "pair-with-a-number", "field-not-a-list", "entries-of-neither-form", "null-value",
+         "null-value-object", "boolean-value", "list-value", "object-value", "null-snippet", "boolean-usd"],
 )
 def test_llm_chunk_reply_forms(reply, field_name, value, status):
     doc = "The incident touched Ethereum and cost $1.5 billion."
@@ -401,6 +410,15 @@ def test_llm_chunk_reply_forms(reply, field_name, value, status):
         ("stolen_usd", "-1500000000", None),
         ("stolen_usd", "\u0661\u0665", None),  # digits, but not decimal ASCII ones
         ("stolen_usd", "1500000000", "1500000000"),
+        # SYMBOL:amount, as the pattern extractor writes it
+        ("stolen_token", "ETH:401000", "ETH:401000"),
+        ("stolen_token", "mETH:8000.5", "mETH:8000.5"),
+        ("stolen_token", "401,000 ETH", None),
+        ("stolen_token", "ETH:401,000", None),
+        ("stolen_token", "ETH:", None),
+        ("stolen_token", ":401000", None),
+        ("stolen_token", "ETH:1.", None),
+        ("stolen_token", "ETH:\u0661\u0665", None),
     ],
 )
 def test_a_malformed_candidate_value_is_dropped_and_logged(field_name, proposed, kept, caplog):
@@ -416,3 +434,15 @@ def test_a_malformed_candidate_value_is_dropped_and_logged(field_name, proposed,
     assert summary.candidate_clues.get(field_name, []) == expected
     dropped = [r.getMessage() for r in caplog.records if "dropping malformed" in r.getMessage()]
     assert dropped == ([] if kept is not None else [f"dropping malformed {field_name} candidate {proposed!r}"])
+
+
+def test_a_free_form_stolen_token_from_the_model_is_dropped_not_written_as_a_symbol():
+    doc = "The attacker took 401,000 ETH from the cold wallet."
+    reply = {"stolen_token": [["401,000 ETH", "401,000 ETH"], ["ETH:401000", "took 401,000 ETH"]]}
+    port = ScriptedPort([json.dumps(reply)])
+    clues, audit = extract_case_clues(doc, backend=LlmExtractor(port))
+    assert clues.stolen_token == {"ETH": "401000"}
+    assert [p["value"] for p in audit["stolen_token"]] == ["ETH:401000"]
+    port = ScriptedPort([json.dumps({"stolen_token": [["401,000 ETH", "401,000 ETH"]]})])
+    clues, _ = extract_case_clues(doc, backend=LlmExtractor(port))
+    assert clues.stolen_token == {} and clues.status["stolen_token"] == "missing"

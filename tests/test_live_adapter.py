@@ -459,6 +459,24 @@ def test_a_row_valued_2_256_or_more_is_dropped_and_the_rest_kept():
     assert len(dropped) == 2 and all("2**256" in reason for reason in dropped)
 
 
+def test_a_row_dated_past_9999_is_dropped_and_the_rest_kept():
+    """The trace would die formatting its date; the last second of 9999,
+    which takes the checked path, is kept."""
+    rows = five_rows()
+    rows[1]["timeStamp"] = "253402300800"
+    rows[3]["timeStamp"] = 253402300800  # a JSON number
+    rows[4]["timeStamp"] = "253402300799"
+    with StubChainServer({(CENTER.hex, "txlist", 1): rows}) as srv:
+        client = client_for(srv)
+        records = client.fetch_transactions(CENTER)
+    assert [r.to_addr for r in records] == [PEERS[0], PEERS[2], PEERS[4]]
+    dropped = [d["reason"] for d in client.diagnostics if d["kind"] == "dropped_row"]
+    reason = "timeStamp must be positive and at most 253402300799 (9999-12-31T23:59:59Z), got 253402300800"
+    assert dropped == [reason, reason]
+    payload = to_reasoner_payload(build_subgraph(CENTER, records, [], TracerConfig(), 1_740_000_100))
+    assert "9999-12-31T23:59:59+00:00" in payload
+
+
 @pytest.mark.parametrize(
     "body, error",
     [

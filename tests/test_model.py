@@ -186,6 +186,10 @@ def test_transaction_rejects_bad_values():
                           timeStamp=1, blockNumber=1)
     with pytest.raises(ValueError, match="timeStamp must be positive"):
         make_tx(3, addr(1), addr(2), ts=0)
+    # a UTC datetime ends at 9999-12-31T23:59:59Z
+    assert make_tx(3, addr(1), addr(2), ts=253402300799).timeStamp == 253402300799
+    with pytest.raises(ValueError, match=r"at most 253402300799 \(9999-12-31T23:59:59Z\), got 253402300800"):
+        make_tx(3, addr(1), addr(2), ts=253402300800)
     with pytest.raises(ValueError, match="same chain"):
         # records never span chains
         TransactionRecord(
