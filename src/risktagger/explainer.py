@@ -52,6 +52,16 @@ SECTION_TITLES = (
     "Temporal Behavior Patterns",
     "Conclusion and Audit Recommendations",
 )
+# the explainer prompt's names for the sections it titles otherwise
+PROMPT_SECTION_TITLES = {
+    2: "Bybit Attack Incident Overview",
+    4: "Money Laundering Risk Account Analysis",
+    5: "Typical Money Laundering Transaction Patterns",
+}
+_SECTION_NAMES = [{t.casefold(), PROMPT_SECTION_TITLES.get(i, t).casefold()} for i, t in enumerate(SECTION_TITLES, 1)]
+# a Markdown heading of any level, its title optionally numbered "N."; left
+# to re's cache, as only a model's report reaches it
+_HEADING = r"(?m)^#{1,6}[ \t]+(?:(\d+)\.[ \t]*)?(.*?)[ \t#]*$"
 
 LEVEL_ORDER = (
     SuspicionLevel.HIGH,
@@ -370,7 +380,20 @@ def _evidence_line(address: str, layer: int, dimension) -> str:
 
 
 def _missing_sections(text: str) -> list[str]:
-    return [str(i) for i, title in enumerate(SECTION_TITLES, 1) if f"## {i}. {title}" not in text]
+    """The numbers of the sections without a heading after the last one found:
+    section N's heading names it as the template or the explainer prompt
+    does, case aside, numbered N. or not numbered."""
+    headings = [(m.group(1), m.group(2).casefold()) for m in re.finditer(_HEADING, text)]
+    missing, at = [], 0
+    for i, names in enumerate(_SECTION_NAMES, 1):
+        for j in range(at, len(headings)):
+            number, title = headings[j]
+            if number in (None, str(i)) and title in names:
+                at = j + 1
+                break
+        else:
+            missing.append(str(i))
+    return missing
 
 
 def _section_introduction(clues, stats: dict) -> list[str]:

@@ -4,8 +4,10 @@ Stage one slices the document into chunks and pulls candidate clues out of
 each chunk independently; stage two folds the candidates into one record,
 resolving conflicts by majority across chunks with ties going to the
 earliest chunk. A backend only proposes candidates, one chunk at a time:
-summarize_chunk drops any it cannot check, and the deterministic fold in
-consolidate alone decides the clues, whichever backend proposed them.
+summarize_chunk keeps each in the form its field's check in FORMS gives it
+and drops any that check refuses, and the deterministic fold in consolidate
+alone decides the clues, whichever backend proposed them. The same checks
+admit the values of a case_clues.json document (CaseClues.from_json).
 
 Chunks are literal slices of the source string, so concatenating them in
 id order reproduces the input byte for byte. Boundary whitespace is
@@ -27,8 +29,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from decimal import Decimal
 
-from .errors import EmptyDocument, MalformedAddress, UnparseableVerdict
-from .model import normalize_address, normalize_chain
+from .errors import EmptyDocument, MalformedAddress, ParseError, UnparseableVerdict
+from .model import Address, normalize_chain, normalize_hex
 from .reasoner.parsing import extract_json_fragment
 from .reasoner.prompts import get_template, render
 
@@ -52,6 +54,44 @@ MANDATORY_FIELDS = (
 )
 OPTIONAL_FIELDS = ("laundering_methods", "laundering_path", "evidence_snippets")
 ALL_FIELDS = MANDATORY_FIELDS + OPTIONAL_FIELDS
+# consolidate's two loops, in the order extract_audit.json lists the fields;
+# a stolen_token value votes as a scalar of its symbol
+SCALAR_FIELDS = ("chain", "attack_vector", "affected_platform", "laundering_path", "stolen_usd", "stolen_token")
+ADDRESS_FIELDS = ("contract_address", "attacker_addresses", "victim_addresses")
+LIST_FIELDS = ADDRESS_FIELDS + ("laundering_methods", "evidence_snippets")
+
+
+def _matching(pattern: str, form: str):
+    """The check that keeps a string the pattern matches whole."""
+    compiled = re.compile(pattern)
+
+    def check(value) -> str:
+        if isinstance(value, str) and compiled.fullmatch(value):
+            return value
+        raise ParseError(f"{value!r} is not {form}")
+
+    return check
+
+
+_digits = _matching("[0-9]+", "bare decimal digits")
+
+
+def _usd(value) -> str:
+    """Bare decimal digits, or a JSON integer >= 0 (not a boolean) written as digits."""
+    return str(value) if type(value) is int and value >= 0 else _digits(value)
+
+
+# field -> the check of one value: it returns the value in its kept form or
+# raises MalformedAddress or ParseError. stolen_token is SYMBOL:amount, as the
+# pattern extractor writes it.
+FORMS = {
+    **{name: _matching("(?s).+", "a non-empty string") for name in ALL_FIELDS},
+    "chain": normalize_chain,
+    **{name: normalize_hex for name in ADDRESS_FIELDS},
+    "stolen_usd": _usd,
+    "stolen_token": _matching(r"[A-Za-z0-9]+:[0-9]+(?:\.[0-9]+)?", "SYMBOL:amount"),
+}
+
 
 @dataclass
 class DocumentChunk:
@@ -64,7 +104,7 @@ class ChunkSummary:
     chunk_id: int
     candidate_clues: dict = field(default_factory=dict)  # field -> [(value, snippet)]
 
-    def add(self, field_name: str, value: str, snippet: str) -> None:
+    def add(self, field_name: str, value, snippet) -> None:
         self.candidate_clues.setdefault(field_name, []).append((value, snippet))
 
 
@@ -102,24 +142,40 @@ class CaseClues:
             "status": dict(self.status),
         }
 
+    def put(self, field_name: str, value: str) -> None:
+        """Sets one value in the form FORMS keeps: a list field appends it,
+        an address typed on the clue chain, and a stolen_token value sets
+        its symbol's amount."""
+        if field_name in ADDRESS_FIELDS:
+            value = Address(value, self.chain or "ethereum")  # a missing chain shows in status
+        if field_name in LIST_FIELDS:
+            getattr(self, field_name).append(value)
+        elif field_name == "stolen_token":
+            symbol, _, amount = value.partition(":")
+            self.stolen_token[symbol] = amount
+        else:
+            setattr(self, field_name, int(value) if field_name == "stolen_usd" else value)
+
     @staticmethod
     def from_json(obj: dict) -> "CaseClues":
-        chain = obj.get("chain") or "ethereum"
-        to_addr = lambda hexes: [normalize_address(h, chain) for h in hexes]
-        return CaseClues(
-            chain=obj.get("chain", ""),
-            attack_vector=obj.get("attack_vector", ""),
-            affected_platform=obj.get("affected_platform", ""),
-            contract_address=to_addr(obj.get("contract_address", [])),
-            attacker_addresses=to_addr(obj.get("attacker_addresses", [])),
-            victim_addresses=to_addr(obj.get("victim_addresses", [])),
-            stolen_usd=int(obj.get("stolen_usd", 0)),
-            stolen_token=dict(obj.get("stolen_token", {})),
-            laundering_methods=list(obj.get("laundering_methods", [])),
-            laundering_path=obj.get("laundering_path", ""),
-            evidence_snippets=list(obj.get("evidence_snippets", [])),
-            status=dict(obj.get("status", {})),
-        )
+        """The clues of a case_clues.json document. Every non-empty value
+        goes through its field's check in FORMS; one it refuses raises
+        ParseError naming the field."""
+        clues = CaseClues(status=dict(obj.get("status", {})))
+        for field_name in SCALAR_FIELDS + LIST_FIELDS:
+            values = obj.get(field_name)
+            if not values:
+                continue
+            if field_name == "stolen_token":
+                values = [f"{symbol}:{amount}" for symbol, amount in values.items()]
+            elif field_name not in LIST_FIELDS:
+                values = [values]
+            for value in values:
+                try:
+                    clues.put(field_name, FORMS[field_name](value))
+                except (MalformedAddress, ParseError) as exc:
+                    raise ParseError(f"{field_name}: {exc}") from exc
+        return clues
 
 
 # --- chunking -----------------------------------------------------------------
@@ -354,19 +410,14 @@ def _nearest_role(sentence: str, addr_offset: int) -> str | None:
 # --- model-backed extraction ------------------------------------------------------
 
 
-def _is_text(value) -> bool:
-    """A JSON string, or a number that is not a boolean."""
-    return isinstance(value, (str, int, float)) and not isinstance(value, bool)
-
-
 class LlmExtractor:
     """Candidate extraction through a completion port: one extractor_chunk
     prompt per chunk, whose reply maps each field to a list of [value,
-    snippet] pairs or {"value", "snippet"} objects, each a JSON string or a
-    number; any other entry, such as one holding null, a boolean, a list or
-    an object, and a field whose value is not a list, is skipped. A reply
-    that cannot be decoded yields an empty summary rather than an abort;
-    transport-level failures propagate from the port itself."""
+    snippet] pairs or {"value", "snippet"} objects. Each pair goes on as the
+    reply holds it, for summarize_chunk to check; any other entry, and a
+    field whose value is not a list, is skipped. A reply that cannot be
+    decoded yields an empty summary rather than an abort; transport-level
+    failures propagate from the port itself."""
 
     def __init__(self, port):
         self.port = port
@@ -383,147 +434,83 @@ class LlmExtractor:
         except UnparseableVerdict:
             logger.warning("undecodable extractor_chunk reply (%d chars)", len(raw))
             return summary
-        for field_name in ALL_FIELDS:
-            entries = obj.get(field_name)
+        for field_name, entries in obj.items():
             for entry in entries if isinstance(entries, list) else ():
                 if isinstance(entry, dict):
-                    entry = [entry.get("value", ""), entry.get("snippet", "")]
-                if isinstance(entry, list) and len(entry) == 2 and all(map(_is_text, entry)):
-                    value, snippet = str(entry[0]), str(entry[1])
-                    if value and snippet:
-                        summary.add(field_name, value, snippet)
+                    entry = [entry.get("value"), entry.get("snippet")]
+                if isinstance(entry, list) and len(entry) == 2:
+                    summary.add(field_name, *entry)
         return summary
 
 
 # --- consolidation ----------------------------------------------------------------
 
-# The forms a candidate value must have in these fields; any other is dropped.
-# stolen_token is SYMBOL:amount, as the pattern extractor writes it.
-_VALUE_FORMS = {
-    "stolen_usd": re.compile("[0-9]+"),
-    "stolen_token": re.compile(r"[A-Za-z0-9]+:[0-9]+(?:\.[0-9]+)?"),
-}
-
 
 def summarize_chunk(chunk: DocumentChunk, backend) -> ChunkSummary:
-    """One chunk through the backend. A candidate whose snippet does not quote
-    the chunk is dropped, and so is a malformed value: a chain id that
-    normalize_chain refuses (one it accepts is kept normalized), a
-    stolen_usd that is not bare decimal digits, or a stolen_token that is not
-    SYMBOL:amount."""
+    """One chunk through the backend. A candidate of a field FORMS does not
+    know, or whose snippet is not a string quoting the chunk, is dropped, and
+    so is one whose value its field's check refuses, with a warning; the rest
+    keep the form the check gives them."""
     raw = backend.extract_candidates(chunk)
     cleaned = ChunkSummary(chunk.chunk_id)
     for field_name, entries in raw.candidate_clues.items():
-        if field_name not in ALL_FIELDS:
+        check = FORMS.get(field_name)
+        if check is None:
             continue
         for value, snippet in entries:
-            if not (snippet and snippet in chunk.text):
+            if not (isinstance(snippet, str) and snippet and snippet in chunk.text):
                 continue
             try:
-                kept = normalize_chain(value) if field_name == "chain" else value
-            except MalformedAddress:
-                kept = None
-            form = _VALUE_FORMS.get(field_name)
-            if form is not None and not form.fullmatch(value):
-                kept = None
-            if kept is None:
+                cleaned.add(field_name, check(value), snippet)
+            except (MalformedAddress, ParseError):
                 logger.warning("dropping malformed %s candidate %r", field_name, value)
-            else:
-                cleaned.add(field_name, kept, snippet)
     return cleaned
+
+
+def _provenance(entries) -> list:
+    return [{"value": value, "chunk_id": chunk_id, "snippet": snippet} for chunk_id, value, snippet in entries]
 
 
 def _scalar_winner(entries):
     """Majority by chunks mentioning the value; ties to the earliest chunk,
-    then lexicographically smallest value so reruns cannot flap."""
-    by_value = {}
-    for chunk_id, value, snippet in entries:
-        rec = by_value.setdefault(value, {"chunks": set(), "prov": []})
-        rec["chunks"].add(chunk_id)
-        rec["prov"].append({"value": value, "chunk_id": chunk_id, "snippet": snippet})
-    value, rec = min(
-        by_value.items(), key=lambda kv: (-len(kv[1]["chunks"]), min(kv[1]["chunks"]), kv[0])
-    )
-    return value, rec["prov"]
-
-
-def _ordered_dedup(entries):
-    seen = set()
-    values = []
-    prov = []
-    for chunk_id, value, snippet in entries:
-        prov_entry = {"value": value, "chunk_id": chunk_id, "snippet": snippet}
-        if value in seen:
-            prov.append(prov_entry)
-            continue
-        seen.add(value)
-        values.append(value)
-        prov.append(prov_entry)
-    return values, prov
+    then lexicographically smallest value so reruns cannot flap. Provenance
+    is the winner's entries."""
+    chunks = {}
+    for chunk_id, value, _ in entries:
+        chunks.setdefault(value, set()).add(chunk_id)
+    winner = min(chunks, key=lambda value: (-len(chunks[value]), min(chunks[value]), value))
+    return winner, _provenance(e for e in entries if e[1] == winner)
 
 
 def consolidate(summaries: list):
-    """Folds chunk candidates into (CaseClues, audit provenance map)."""
-    gathered = {name: [] for name in ALL_FIELDS}
+    """Folds checked chunk candidates, as summarize_chunk keeps them, into
+    (CaseClues, audit provenance map): a scalar field, and the amount of each
+    stolen_token symbol, takes _scalar_winner's value; a list field keeps
+    each value once, in order."""
+    gathered = {}
     for summary in sorted(summaries, key=lambda s: s.chunk_id):
         for field_name, entries in summary.candidate_clues.items():
-            if field_name not in gathered:
-                continue
-            for value, snippet in entries:
-                gathered[field_name].append((summary.chunk_id, value, snippet))
+            gathered.setdefault(field_name, []).extend((summary.chunk_id, v, s) for v, s in entries)
 
     clues = CaseClues()
     audit = {}
-
-    if gathered["chain"]:
-        clues.chain, audit["chain"] = _scalar_winner(gathered["chain"])
-    for field_name in ("attack_vector", "affected_platform", "laundering_path"):
-        if gathered[field_name]:
-            value, prov = _scalar_winner(gathered[field_name])
-            setattr(clues, field_name, value)
-            audit[field_name] = prov
-    if gathered["stolen_usd"]:
-        value, audit["stolen_usd"] = _scalar_winner(gathered["stolen_usd"])
-        clues.stolen_usd = int(value)
-
-    if gathered["stolen_token"]:
-        by_symbol = {}
-        for chunk_id, value, snippet in gathered["stolen_token"]:
-            symbol, _, amount = value.partition(":")
-            by_symbol.setdefault(symbol, []).append((chunk_id, amount, snippet))
-        audit["stolen_token"] = []
-        for symbol, entries in by_symbol.items():
-            amount, prov = _scalar_winner(entries)
-            clues.stolen_token[symbol] = amount
-            for p in prov:
-                p["value"] = f"{symbol}:{p['value']}"
-            audit["stolen_token"].extend(prov)
-
-    address_chain = clues.chain or "ethereum"  # typing fallback; status still flags a missing chain
-    for field_name in ("contract_address", "attacker_addresses", "victim_addresses"):
-        if not gathered[field_name]:
-            continue
-        hexes, prov = _ordered_dedup(gathered[field_name])
-        typed = []
-        for hex_addr in hexes:
-            try:
-                typed.append(normalize_address(hex_addr, address_chain))
-            except MalformedAddress:
-                logger.warning("dropping malformed %s candidate %r", field_name, hex_addr)
-        if typed:
-            setattr(clues, field_name, typed)
-            audit[field_name] = prov
-
-    for field_name in ("laundering_methods", "evidence_snippets"):
-        if gathered[field_name]:
-            values, prov = _ordered_dedup(gathered[field_name])
-            setattr(clues, field_name, values)
-            audit[field_name] = prov
+    for field_name in SCALAR_FIELDS:
+        ballots = {}  # one per stolen_token symbol, else one
+        for entry in gathered.get(field_name, ()):
+            symbol = entry[1].partition(":")[0] if field_name == "stolen_token" else None
+            ballots.setdefault(symbol, []).append(entry)
+        for entries in ballots.values():
+            value, prov = _scalar_winner(entries)
+            clues.put(field_name, value)
+            audit.setdefault(field_name, []).extend(prov)
+    for field_name in LIST_FIELDS:
+        if gathered.get(field_name):
+            audit[field_name] = _provenance(gathered[field_name])
+            for value in dict.fromkeys(value for _, value, _ in gathered[field_name]):
+                clues.put(field_name, value)
 
     for field_name in MANDATORY_FIELDS:
-        present = bool(getattr(clues, field_name)) or (
-            field_name == "stolen_usd" and bool(gathered["stolen_usd"])
-        )
+        present = bool(getattr(clues, field_name)) or (field_name == "stolen_usd" and "stolen_usd" in audit)
         clues.status[field_name] = "complete" if present else "missing"
     for field_name in OPTIONAL_FIELDS:
         clues.status[field_name] = "complete" if getattr(clues, field_name) else "absent"

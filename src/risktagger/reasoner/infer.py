@@ -17,6 +17,9 @@ from .parsing import VerdictFragment, parse_verdict
 from .prompts import build_cot_prompt, build_reflection_prompt
 
 _NO_FLAW_RE = re.compile(r"\bno flaw", re.IGNORECASE)
+# "No flaw" as the answer's first sentence or line, after any bullet, quote or
+# bold; left to re's cache, as the rule engine's reply never reaches it
+_NO_FLAW_ANSWER = r"(?im)[\W_]*no flaws?[*_\"']*[ \t]*(?:[.!:;]|$)"
 _BULLET_RE = re.compile(r"^\s*(?:[-*•]|\d+[.)])\s+(.*\S)\s*$")
 
 
@@ -33,15 +36,18 @@ def consistency_trigger(fragment: VerdictFragment) -> str | None:
 
 
 def parse_reflection(text: str) -> list[str]:
-    """Issue list from the auditor completion; empty means 'No flaw'."""
-    if _NO_FLAW_RE.search(text):
-        return []
-    section = text
+    """Issue list from the auditor completion, empty for "No flaw". The answer
+    follows "Critical Issues Identified", or is the whole reply without it.
+    An answer whose first sentence is "No flaw" lists no issue, however it
+    explains itself; otherwise its bulleted lines are the issues. An answer
+    with no bullet lists none when it says "no flaw" anywhere, else its whole
+    text is the one issue."""
     m = re.search(r"critical issues identified\s*:?", text, re.IGNORECASE)
-    if m:
-        section = text[m.end():]
-    issues = [m.group(1) for line in section.splitlines() if (m := _BULLET_RE.match(line))]
-    if issues:
+    answer = text[m.end():] if m else text
+    if re.match(_NO_FLAW_ANSWER, answer):
+        return []
+    issues = [m.group(1) for line in answer.splitlines() if (m := _BULLET_RE.match(line))]
+    if issues or _NO_FLAW_RE.search(text):
         return issues
     flat = " ".join(text.split())
     return [flat[:300]] if flat else []

@@ -4,6 +4,9 @@ The contract: take the first well-formed JSON object in the completion,
 preferring one that carries a suspicion level, found as written or after
 one bounded repair (strip code fence lines). Whether the repair fired is
 reported upward, because a repaired parse is one of the reflection triggers.
+The justification and gaps come from the object's keys, or, where it has
+none, from the "Justification:" and "Gaps:" lines the analyst prompt asks
+for in the prose.
 """
 
 from __future__ import annotations
@@ -24,6 +27,9 @@ DIM_KEYS = {
 }
 
 _FENCE_RE = re.compile(r"^```[a-zA-Z0-9_-]*\s*$", re.MULTILINE)
+# a "Justification: ..." or "Gaps: ..." line, bulleted or in bold or neither;
+# left to re's cache, so only a reply that reaches it pays for its compile
+_PROSE_FIELD = r"(?im)^[ \t]*(?:[-*•][ \t]*)?\**(justification|gaps)\**[ \t]*:[ \t]*\**[ \t]*(.*?)[ \t]*$"
 
 
 @dataclass
@@ -116,11 +122,8 @@ def parse_verdict(raw: str) -> VerdictFragment:
             result=str(block.get("result", "") or ""),
             evidence=str(block.get("evidence", "") or ""),
         )
-    return VerdictFragment(
-        suspicion_level=level,
-        dimensions=dims,
-        justification=str(fragment.get("justification", "") or ""),
-        gaps=str(fragment.get("gaps", "") or ""),
-        repaired=repaired,
-        raw=fragment,
-    )
+    notes = {key: str(fragment[key] or "") for key in ("justification", "gaps") if key in fragment}
+    if len(notes) < 2:  # a JSON key wins over the prose, and the first prose line over later ones
+        for m in re.finditer(_PROSE_FIELD, raw):
+            notes.setdefault(m.group(1).lower(), m.group(2))
+    return VerdictFragment(level, dims, repaired=repaired, raw=fragment, **notes)

@@ -164,6 +164,21 @@ def test_trace_on_clues_that_are_not_an_object_exits_one_naming_the_file(tmp_pat
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["trace", "explain"])
+def test_a_malformed_clue_value_fails_at_load_naming_the_file_and_field(tmp_path, capsys, command):
+    good = extract_clues(tmp_path)
+    clues = tmp_path / "clues.json"
+    clues.write_text(json.dumps({**json.loads(good.read_text()), "stolen_token": {"ETH": "about 401k"}}))
+    cfg = write_config(tmp_path)
+    labels = GOLDEN / "synthetic_labels.golden.jsonl"
+    argv = [clues, "--config", cfg] if command == "trace" else [clues, labels, "--config", cfg]
+    capsys.readouterr()
+    assert run_cli(command, *argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {clues}: bad case clues: ParseError: stolen_token: 'ETH:about 401k'")
+    assert not (tmp_path / "out" / "labels.jsonl").exists() and not (tmp_path / "out" / "report.md").exists()
+
+
 def test_a_cached_rate_limit_page_is_a_recorded_skip(tmp_path, refused_api_url):
     clues = extract_clues(tmp_path)
     warm_cache_from_fixture(tmp_path / "cache")

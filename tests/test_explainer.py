@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -13,6 +14,7 @@ from conftest import FIXTURES, GOLDEN, addr
 from risktagger.errors import BackendFailure, EmptyChecklist
 from risktagger.explainer import (
     NOTHING_FLAGGED,
+    PROMPT_SECTION_TITLES,
     SECTION_TITLES,
     ChecklistEntity,
     build_checklist,
@@ -22,6 +24,7 @@ from risktagger.explainer import (
 from risktagger.extractor import CaseClues, extract_case_clues
 from risktagger.model import RiskAssessment, RiskDimension, SuspicionLevel, normalize_address
 from risktagger.reasoner.backends import HttpLlmBackend
+from risktagger.reasoner.prompts import build_explainer_prompt
 
 
 def entity(i: int, field: str = "attacker_addresses") -> ChecklistEntity:
@@ -449,6 +452,37 @@ def test_backend_missing_sections_falls_back_to_template():
     report, _ = generate_report(sample_clues(), fixture_dataset(), backend=backend)
     assert len([l for l in report.splitlines() if l.startswith("## ")]) == 8
     assert "1,500,000,000 USD" in report
+
+
+def _prompt_titles():
+    return [PROMPT_SECTION_TITLES.get(i, title) for i, title in enumerate(SECTION_TITLES, 1)]
+
+
+@pytest.mark.parametrize(
+    "document, missing",
+    [
+        ("\n\n".join(f"## {i}. {t}\n\nNarrative." for i, t in enumerate(_prompt_titles(), 1)), None),
+        ("\n\n".join(f"## {t}\n\nNarrative." for t in _prompt_titles()), None),
+        ("\n\n".join(f"{'#' * (1 + i % 3)} {t.upper()}\n\nNarrative." for i, t in enumerate(SECTION_TITLES)), None),
+        # controls: all eight, in order, each under its own number
+        ("\n\n".join(f"## {t}\n\nNarrative." for t in reversed(_prompt_titles())), "2, 3, 4, 5, 6, 7, 8"),
+        (canned_document().replace("## 4. ", "## 5. "), "4"),
+        (canned_document().replace("## 6. Fund Flow", "## 6. Fund Flows"), "6"),
+    ],
+    ids=["numbered-prompt-titles", "bare-prompt-titles", "any-level-and-case", "reversed", "wrong-number", "other-title"],
+)
+def test_section_headings_of_either_outline_at_any_level_are_accepted_in_order(document, missing):
+    report, provenance = generate_report(sample_clues(), fixture_dataset(), backend=ScriptedBackend(document))
+    if missing is None:
+        assert (report, provenance["report_source"]) == (document, "model")
+    else:
+        assert provenance == {"report_source": "template", "fallback_reason": f"backend reply missing section(s) {missing}"}
+
+
+def test_the_prompt_section_titles_are_the_explainer_prompts():
+    prompt = build_explainer_prompt("{}")
+    outline = prompt[prompt.index("3. Report Generation Explanation") :]
+    assert re.findall(r"^- (.+)$", outline, re.MULTILINE) == _prompt_titles()
 
 
 def test_prompt_and_template_report_one_analysis():

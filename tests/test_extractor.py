@@ -7,8 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES
-from risktagger.errors import EmptyDocument
+from risktagger.errors import EmptyDocument, ParseError
+from risktagger.explainer import build_checklist
 from risktagger.extractor import (
+    ALL_FIELDS,
+    FORMS,
+    LIST_FIELDS,
+    SCALAR_FIELDS,
     CaseClues,
     ChunkSummary,
     DocumentChunk,
@@ -387,9 +392,18 @@ def test_llm_extract_makes_one_backend_call_per_chunk():
         ({"chain": [[{"id": "ethereum"}, "touched Ethereum"]]}, "chain", "", "missing"),
         ({"chain": [["ethereum", None]]}, "chain", "", "missing"),
         ({"stolen_usd": [[False, "$1.5 billion"]]}, "stolen_usd", 0, "missing"),
+        # only stolen_usd may be a number: a numeric chain, text value or snippet is dropped
+        ({"chain": [[1, "touched Ethereum"]]}, "chain", "", "missing"),
+        ({"chain": [[float("nan"), "touched Ethereum"]]}, "chain", "", "missing"),  # json.loads reads NaN
+        ({"chain": [["ethereum", 1]]}, "chain", "", "missing"),  # the chunk quotes "1" too
+        ({"attack_vector": [[42, "touched Ethereum"]]}, "attack_vector", "", "missing"),
+        ({"laundering_methods": [[7, "touched Ethereum"]]}, "laundering_methods", [], "absent"),
+        ({"evidence_snippets": [[1.5, "touched Ethereum"]]}, "evidence_snippets", [], "absent"),
     ],
     ids=["pair", "pair-with-a-number", "field-not-a-list", "entries-of-neither-form", "null-value",
-         "null-value-object", "boolean-value", "list-value", "object-value", "null-snippet", "boolean-usd"],
+         "null-value-object", "boolean-value", "list-value", "object-value", "null-snippet", "boolean-usd",
+         "numeric-chain", "nan-chain", "numeric-snippet", "numeric-attack-vector", "numeric-method",
+         "numeric-evidence"],
 )
 def test_llm_chunk_reply_forms(reply, field_name, value, status):
     doc = "The incident touched Ethereum and cost $1.5 billion."
@@ -404,6 +418,8 @@ def test_llm_chunk_reply_forms(reply, field_name, value, status):
     [
         ("chain", "Ethereum", "ethereum"),
         ("chain", "Ethereum Mainnet", None),
+        ("chain", 1, None),
+        ("chain", float("nan"), None),
         ("chain", "", None),
         ("stolen_usd", "1,500,000,000", None),
         ("stolen_usd", "1500000000.0", None),
@@ -446,3 +462,52 @@ def test_a_free_form_stolen_token_from_the_model_is_dropped_not_written_as_a_sym
     port = ScriptedPort([json.dumps({"stolen_token": [["401,000 ETH", "401,000 ETH"]]})])
     clues, _ = extract_case_clues(doc, backend=LlmExtractor(port))
     assert clues.stolen_token == {} and clues.status["stolen_token"] == "missing"
+
+
+def test_mixed_case_repeats_of_one_address_give_one_address():
+    upper, lower = "0x" + "AB" * 20, "0x" + "ab" * 20
+    doc = f"The attacker {upper} drained the wallet on Ethereum. Later the attacker {lower} moved funds."
+    reply = {
+        "chain": [["ethereum", "on Ethereum"]],
+        "attacker_addresses": [[upper, f"attacker {upper}"], [lower, f"attacker {lower}"], [" " + upper, "attacker"]],
+    }
+    clues, audit = extract_case_clues(doc, backend=LlmExtractor(ScriptedPort([json.dumps(reply)])))
+    assert [a.hex for a in clues.attacker_addresses] == [lower]
+    assert [e.value for e in build_checklist(clues) if e.field_name == "attacker_addresses"] == [lower]
+    assert [p["value"] for p in audit["attacker_addresses"]] == [lower] * 3
+
+
+def test_one_form_table_serves_every_field():
+    assert list(FORMS) == list(ALL_FIELDS)
+    assert sorted(SCALAR_FIELDS + LIST_FIELDS) == sorted(ALL_FIELDS)
+
+
+@pytest.mark.parametrize(
+    "field_name, bad",
+    [
+        ("chain", 1),
+        ("chain", "Ethereum Mainnet"),
+        ("attack_vector", 5),
+        ("attacker_addresses", ["0xZZ"]),
+        ("contract_address", [None]),
+        ("stolen_usd", True),
+        ("stolen_usd", -1),
+        ("stolen_usd", 1.5e9),
+        ("stolen_usd", "1,500,000,000"),
+        ("stolen_token", {"ETH": "about 401k"}),
+        ("stolen_token", {"ETH": None}),
+        ("laundering_methods", [3]),
+        ("evidence_snippets", [""]),
+    ],
+)
+def test_case_clues_from_json_refuses_a_value_its_field_check_refuses(field_name, bad):
+    good = extract_case_clues(BYBIT_DOC)[0].to_json()
+    with pytest.raises(ParseError, match=f"^{field_name}: "):
+        CaseClues.from_json({**good, field_name: bad})
+
+
+def test_case_clues_from_json_keeps_checked_values_in_their_kept_form():
+    clues = CaseClues.from_json(
+        {"chain": "Ethereum", "attacker_addresses": ["0x" + "AB" * 20], "stolen_usd": "15", "stolen_token": {}}
+    )
+    assert (clues.chain, clues.attacker_addresses, clues.stolen_usd) == ("ethereum", [("0x" + "ab" * 20, "ethereum")], 15)

@@ -116,6 +116,24 @@ def test_parse_justification_and_gaps_passthrough():
     assert frag.gaps == "unknown mixers"
 
 
+@pytest.mark.parametrize(
+    "prose, extra, justification, gaps",
+    [
+        ("Justification: burst then fan-out\nGaps: none verified", {}, "burst then fan-out", "none verified"),
+        ("- **Justification:** burst then fan-out\n* GAPS: none verified", {}, "burst then fan-out", "none verified"),
+        ("Justification: from the prose\nGaps: from the prose", {"gaps": "from the JSON"}, "from the prose", "from the JSON"),
+        ("Justification: the first line\nJustification: a later line", {}, "the first line", ""),
+        # controls: a JSON key wins, even an empty one, and no line means ""
+        ("Justification: from the prose", {"justification": "", "gaps": "g"}, "", "g"),
+        ("Risk Details: nothing else", {}, "", ""),
+    ],
+    ids=["plain", "bulleted-bold", "one-json-key", "first-line-wins", "json-keys-win", "no-lines"],
+)
+def test_parse_takes_justification_and_gaps_from_prose_lines(prose, extra, justification, gaps):
+    frag = parse_verdict(prose + "\n\n" + verdict_json("High", **extra))
+    assert (frag.justification, frag.gaps) == (justification, gaps)
+
+
 # --- rule table --------------------------------------------------------------
 
 
@@ -482,6 +500,25 @@ def test_consistency_trigger_cases():
     assert consistency_trigger(frag) == "no_suspicion_despite_risk_dimensions"
     frag = parse_verdict(verdict_json("Low", a="burst"))
     assert consistency_trigger(frag) is None
+
+
+@pytest.mark.parametrize(
+    "reply, issues",
+    [
+        (
+            "Critical Issues Identified:\n- Dimension a shows no flaw, but the High level cites no transaction rows.\n"
+            "- Justification is vague.",
+            ["Dimension a shows no flaw, but the High level cites no transaction rows.", "Justification is vague."],
+        ),
+        ("No flaw in dimension a, but:\n- the High level cites no rows", ["the High level cites no rows"]),
+        # controls: "No flaw" as the answer lists none, however it explains itself
+        ("Critical Issues Identified: No flaw.\n- All four dimensions were covered.", []),
+        ("- Critical Issues Identified:\n  **No flaw**\n  - Every claim cites a row.", []),
+    ],
+    ids=["no-flaw-inside-an-issue", "no-flaw-as-a-qualifier", "no-flaw-then-bullets", "bold-no-flaw"],
+)
+def test_parse_reflection_lists_issues_unless_the_answer_is_no_flaw(reply, issues):
+    assert parse_reflection(reply) == issues
 
 
 def test_parse_reflection_variants():
