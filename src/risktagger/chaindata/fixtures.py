@@ -24,16 +24,17 @@ with threads). A child streams its spans, its irregular positions and its
 index back over a pipe in chunks of at most _CHUNK items, and leaves only
 through os._exit, never returning into its caller. The parts merge in file
 order, each child's positions shifted by the rows before its range, into
-exactly what a one-part load builds. A part whose child failed, or whose
-start falls inside a quoted record that the previous part ran past, is
-scanned again here from where that part stopped, with its line number, so
-every load error is the one-part load's. Every child is killed if need be
-and reaped before the load returns or raises, Ctrl-C included.
+exactly what a one-part load builds. The split is all or nothing: unless
+each part starts where the one before stopped and each child's stream ends
+whole, the merged parts are cleared and the file is scanned again here in one
+part, so every load error is the one-part load's. Only a failed fork, or a
+split file (8 MiB or more) that is bad or has a multi-line quoted record
+across a cut, costs that second scan. Every child is killed if need be and
+reaped before the load returns, raises or scans again, Ctrl-C included.
 """
 
 from __future__ import annotations
 
-import bisect
 import csv
 import functools
 import io
@@ -190,7 +191,8 @@ class _FixtureFile:
 
     def _load(self, fh, path: Path) -> None:
         """Check and index every record of `fh`, the file opened at its start:
-        the header here, then each part, the later ones in forked children."""
+        the header here, then each part, the later ones in forked children;
+        if the parts do not come back whole, the rows once more, here."""
         try:
             taken: list[str] = []
             header = next(csv.reader(_noting(fh, taken)), None)
@@ -201,7 +203,8 @@ class _FixtureFile:
         offset = sum(map(_nbytes, taken))
         if tuple(h.strip() for h in header) != FIXTURE_COLUMNS:
             raise SchemaMismatch(f"{path}: header mismatch: got {header!r}, expected {list(FIXTURE_COLUMNS)!r}")
-        (_, end), *later = _ranges(fh.fileno(), offset, self.stamp[2])
+        size = self.stamp[2]
+        (_, end), *later = _ranges(fh.fileno(), offset, size)
         children: list[tuple[int, int]] = []  # (pid, read end) of the first parts of `later`
         try:
             if later:
@@ -213,39 +216,39 @@ class _FixtureFile:
                     for start, stop in later:
                         children.append(self._fork_scan(start, stop, [r for _, r in children]))
                 except OSError:
-                    pass  # no more children: this process scans the parts left
+                    pass  # a part with no child: the file is scanned again below
                 finally:
                     signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            offset, line_no = self._scan(fh, path, offset, end, 1)
-            for k, (start, end) in enumerate(later):
-                stopped = None
-                if offset == start and k < len(children):
-                    with open(children[k][1], "rb", closefd=False) as stream:
-                        stopped = self._merge(stream)
-                if stopped is None:  # no child, a failed one, or the part before ran past this start
-                    with self._open_at(offset) as part:
-                        offset, line_no = self._scan(part, path, offset, end, line_no)
-                else:
-                    offset, line_no = stopped[0], line_no + stopped[1]
+            stopped = self._scan(fh, path, offset, end)
+            for (start, _), (_, r) in zip(later, children):
+                if stopped != start:  # None: a child failed; else the part before ran past this start
+                    break
+                with open(r, "rb", closefd=False) as stream:
+                    stopped = self._merge(stream)
         finally:
             for pid, r in children:
                 os.close(r)
                 os.kill(pid, signal.SIGKILL)  # a child still running is no longer needed
                 os.waitpid(pid, 0)
+        if stopped != size:  # the parts did not come back whole: one part, in this process
+            del self.starts[:], self.lengths[:]
+            self.irregular.clear()
+            self.index.clear()
+            with self._open_at(offset) as whole:
+                self._scan(whole, path, offset, size)
 
-    def _scan(self, fh, path: Path, offset: int, end: int, line_no: int) -> tuple[int, int]:
+    def _scan(self, fh, path: Path, offset: int, end: int) -> int:
         """Check and index the records read from `fh`, which stands at byte
-        `offset`, the start of record line_no + 1, up to the first record
-        that starts at or past `end`. Returns the byte offset and the record
-        number reached. Line numbers in errors count CSV records, the header
-        being line 1."""
+        `offset`, up to the first record that starts at or past `end`.
+        Returns the byte offset reached. Line numbers in errors count CSV
+        records from the file's start, the header being line 1, so they hold
+        for a scan from the first record; a child's errors are not shown."""
         starts, lengths, index = self.starts, self.lengths, self.index
-        first, rows, blanks = line_no + 1, len(starts), 0
         canonical = _CANONICAL_ROW.fullmatch
         try:
             # A canonical line is one whole record. Any other line starts a record
             # that csv reads from here, taking more lines if a quoted field spans them.
-            for line_no, line in enumerate(fh, start=first):
+            for line_no, line in enumerate(fh, start=2):
                 if offset >= end:
                     break
                 start = offset
@@ -257,7 +260,6 @@ class _FixtureFile:
                     values = next(csv.reader(itertools.chain([line], _noting(fh, taken))))
                     offset += sum(map(_nbytes, taken))
                     if not values or (len(values) == 1 and not values[0].strip()):
-                        blanks += 1
                         continue  # blank line
                     if len(values) != len(FIXTURE_COLUMNS):
                         raise ParseError(
@@ -277,7 +279,7 @@ class _FixtureFile:
                     index[dst].append(position)
         except csv.Error as exc:  # from csv.reader only: a field over its size limit
             raise ParseError(f"{path}:{line_no}: bad fixture row: {exc}") from exc
-        return offset, first - 1 + len(starts) - rows + blanks
+        return offset
 
     def _fork_scan(self, start: int, end: int, readers: list[int]) -> tuple[int, int]:
         """A child forked to scan bytes [start, end): its pid and the read
@@ -305,14 +307,14 @@ class _FixtureFile:
                 os.close(fd)
             part = _FixtureFile(self.path, self.chain, self.stamp)
             with part._open_at(start) as fh, open(sink, "wb") as stream:
-                part._send(stream, *part._scan(fh, self.path, start, end, 0))
+                part._send(stream, part._scan(fh, self.path, start, end))
             status = 0
         finally:
             os._exit(status)
 
-    def _send(self, sink, offset: int, records: int) -> None:
+    def _send(self, sink, offset: int) -> None:
         """Streams this file, one part's scan, in chunks; the last message
-        holds where the scan stopped and how many records it read."""
+        holds where the scan stopped."""
         for i in range(0, len(self), _CHUNK):
             _put(sink, ("spans", self.starts[i:i + _CHUNK].tobytes(), self.lengths[i:i + _CHUNK].tobytes()))
         irregular = sorted(self.irregular)
@@ -321,15 +323,14 @@ class _FixtureFile:
         items = iter(self.index.items())
         while chunk := {hex_: positions.tobytes() for hex_, positions in itertools.islice(items, _CHUNK)}:
             _put(sink, ("index", chunk))
-        _put(sink, ("stop", offset, records))
+        _put(sink, ("stop", offset))
 
-    def _merge(self, stream) -> tuple[int, int] | None:
+    def _merge(self, stream) -> int | None:
         """Appends a child's part, its positions shifted by the rows already
-        here, and returns where its scan stopped and how many records it
-        read. If the stream ends first, the child failed: this file is left
-        as it was and None is returned."""
-        rows = len(self)
-        shift = rows.__add__
+        here, and returns the byte offset where its scan stopped. If the
+        stream ends first, the child failed: None is returned, and what was
+        merged of the part stays for the caller to clear."""
+        shift = len(self).__add__
         try:
             while True:
                 kind, *data = _get(stream)
@@ -343,14 +344,8 @@ class _FixtureFile:
                     for hex_, positions in data[0].items():
                         index[hex_].extend(map(shift, array("I", positions)))
                 else:
-                    return data[0], data[1]
+                    return data[0]
         except EOFError:
-            del self.starts[rows:], self.lengths[rows:]
-            self.irregular = {position for position in self.irregular if position < rows}
-            for hex_, positions in list(self.index.items()):
-                del positions[bisect.bisect_left(positions, rows):]
-                if not positions:
-                    del self.index[hex_]
             return None
 
 

@@ -75,9 +75,9 @@ def _from_document(obj: dict) -> RunConfig:
     if unknown:
         raise ParseError(f"unknown config keys: {sorted(unknown)}")
     kwargs = dict(obj)
-    if "tracer" in kwargs:
-        kwargs["tracer"] = TracerConfig.from_json(kwargs["tracer"])
     try:
+        if "tracer" in kwargs:
+            kwargs["tracer"] = TracerConfig.from_json(kwargs["tracer"])
         return RunConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad config value: {exc}") from exc

@@ -77,8 +77,14 @@ _digits = _matching("[0-9]+", "bare decimal digits")
 
 
 def _usd(value) -> str:
-    """Bare decimal digits, or a JSON integer >= 0 (not a boolean) written as digits."""
-    return str(value) if type(value) is int and value >= 0 else _digits(value)
+    """Bare decimal digits, or a JSON integer >= 0 (not a boolean) written as
+    digits, within the digits int() converts."""
+    try:
+        digits = str(value) if type(value) is int and value >= 0 else _digits(value)
+        int(digits)
+    except ValueError as exc:  # past sys.get_int_max_str_digits()
+        raise ParseError(f"not a number int() converts: {exc}") from None
+    return digits
 
 
 # field -> the check of one value: it returns the value in its kept form or

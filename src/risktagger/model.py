@@ -300,6 +300,10 @@ class TracerConfig:
         if self.frontier_cap is not None and self.frontier_cap < 1:
             raise ValueError("frontier_cap must be >= 1 or None for unlimited")
         _require_digits("min_value_threshold", self.min_value_threshold)
+        try:
+            int(self.min_value_threshold)
+        except ValueError as exc:  # past sys.get_int_max_str_digits()
+            raise ValueError(f"min_value_threshold: {exc}") from None
         for name in ("value_weight", "recency_weight", "flag_weight"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")

@@ -53,7 +53,7 @@ def _first_json_object(text: str):
     for match in re.finditer(r"\{", text):
         try:
             obj, _ = decoder.raw_decode(text, match.start())
-        except json.JSONDecodeError:
+        except ValueError:  # JSONDecodeError, or a number past int()'s digit limit
             continue
         if not isinstance(obj, dict):
             continue

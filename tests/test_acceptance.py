@@ -17,7 +17,8 @@ import pytest
 import requests
 
 from conftest import FIXTURES, GOLDEN, REPO_ROOT, labels_in
-from oracle_bfs import bfs_oracle, read_rows
+from oracle_bfs import bfs_levels, read_rows
+from oracle_rules import assess, read_blacklist, rows_of
 from risktagger.chaindata import EtherscanClient, FetchCache, FixtureChainClient, FixtureStore
 from risktagger.cli import main
 from risktagger.errors import BackendFailure
@@ -102,22 +103,35 @@ def test_criterion_1_extraction_recovers_all_gold_fields_under_5s():
 # --- 2. tracer against the independent oracle ---------------------------------
 
 
+EXPAND = [{"High", "Medium", "Low", "No Suspicion"}, {"High", "Medium"}, {"High"}]
+WEIGHTS = [(0.6, 0.4, 0.0), (0.3, 0.2, 0.5)]  # value, recency, flag: each triple sums to 1
+
+
 def test_criterion_2_tracer_matches_independent_bfs_oracle_on_all_depth_cap_combos(tmp_path):
+    """Hop depth and level of every analyzed account, against the BFS oracle
+    with the rules oracle's levels, over expand_levels × weights × D × cap."""
     rows = read_rows(SYNTHETIC / "ethereum.csv")
+    blacklist = read_blacklist(FIXTURES / "blacklist.txt")
+    accounts = {row[side] for row in rows for side in ("from", "to")}
+    levels = {a: assess(rows_of(rows, a), a, blacklist)[0] for a in accounts}
     started = time.monotonic()
-    for depth_limit in (1, 3, 20):
-        for cap in (None, 10):
-            cfg = synthetic_cfg(D=depth_limit, frontier_cap=cap)
-            trace([SEED], "ethereum", cfg, synthetic_ports(tmp_path))
-            got = {a.target_address.hex: a.hop_depth for a in labels_in(tmp_path)}
-            want = bfs_oracle(
-                rows, [SEED], depth_limit, NOW,
-                frontier_cap=cap, min_value_threshold=0,
-                value_weight=0.6, recency_weight=0.4,
-            )
-            assert got == want, f"divergence at D={depth_limit} cap={cap}"
+    for expand in EXPAND:
+        for value_weight, recency_weight, flag_weight in WEIGHTS:
+            weights = dict(value_weight=value_weight, recency_weight=recency_weight, flag_weight=flag_weight)
+            for depth_limit in (3, 20):
+                for cap in (None, 5):
+                    cfg = synthetic_cfg(
+                        D=depth_limit, frontier_cap=cap, expand_levels={SuspicionLevel(v) for v in expand}, **weights
+                    )
+                    trace([SEED], "ethereum", cfg, synthetic_ports(tmp_path))
+                    got = {a.target_address.hex: (a.hop_depth, a.suspicion_level.value) for a in labels_in(tmp_path)}
+                    want = bfs_levels(
+                        rows, [SEED], depth_limit, NOW, level_of=levels.get, expand_levels=expand,
+                        frontier_cap=cap, min_value_threshold=0, **weights,
+                    )
+                    assert got == want, f"divergence at {sorted(expand)} {weights} D={depth_limit} cap={cap}"
     elapsed = time.monotonic() - started
-    assert elapsed < 10.0, f"six traces took {elapsed:.2f}s"
+    assert elapsed < 10.0, f"24 traces took {elapsed:.2f}s"
 
 
 # --- 3. coverage formula --------------------------------------------------------

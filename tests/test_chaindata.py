@@ -684,7 +684,8 @@ def rows_in_a_quoted_field(n, inner):
 def test_a_quoted_row_across_a_part_boundary_loads_as_in_one_part(tmp_path, parts):
     """Every cut falls inside a quoted field whose lines read as rows on
     their own, so each child's scan succeeds; the part before reads the whole
-    record, and the parts after are scanned again from where it ended."""
+    record, past the cuts, so no child's part is merged and the file is
+    scanned again in one part."""
     quoted = rows_in_a_quoted_field(50, [row(n, addr(1), addr(n % 5 + 1)) for n in range(60, 80)])
     lines = [row(n, addr(1), addr(2)) for n in range(2)] + [quoted] + [row(n, addr(3), addr(1)) for n in (6, 7)]
     assert_loader_agrees(tmp_path, lines, parts=parts)
@@ -805,8 +806,8 @@ def test_ctrl_c_in_the_parents_own_part_leaves_no_child_and_no_descriptor(tmp_pa
 
 
 def test_a_child_that_dies_mid_stream_leaves_its_part_to_the_parent(tmp_path, monkeypatch):
-    """What was merged of its part, everything but the last message, is taken
-    back, and the parent scans the part itself."""
+    """Its part, merged but for the last message, is cleared with the
+    parent's own, and the file is scanned again in one part."""
     write_rows(tmp_path, large_rows())
     parent, real = os.getpid(), fixtures._put
 
@@ -824,26 +825,44 @@ def test_a_child_that_dies_mid_stream_leaves_its_part_to_the_parent(tmp_path, mo
     assert store.records_by_chain["ethereum"].irregular == {k for k in range(3000) if k % 500 == 1}
 
 
-def test_a_stream_that_breaks_off_leaves_the_file_as_it_was(tmp_path):
+def message_starts(sent):
+    """The byte offset of each message of a child's stream, and its end."""
+    starts = [0]
+    while starts[-1] < len(sent):
+        starts.append(starts[-1] + 4 + int.from_bytes(sent[starts[-1]:starts[-1] + 4], "little"))
+    return starts
+
+
+def test_a_stream_cut_anywhere_merges_as_none_and_the_load_is_the_one_part_loads(tmp_path, monkeypatch):
     path = write_rows(tmp_path, large_rows())
     size, header = path.stat().st_size, len(HEADER) + 1
     with split_into(2), path.open("rb") as fh:
         stamp = fixtures._stamp(fh.fileno())
         [(_, cut), _] = fixtures._ranges(fh.fileno(), header, size)
     child, parent = fixtures._FixtureFile(path, "ethereum", stamp), fixtures._FixtureFile(path, "ethereum", stamp)
-    with child._open_at(cut) as fh:
-        stop = child._scan(fh, path, cut, size, 0)
-    with parent._open_at(header) as fh:
-        parent._scan(fh, path, header, cut, 1)
     stream = io.BytesIO()
-    child._send(stream, *stop)
+    with child._open_at(cut) as fh:
+        child._send(stream, child._scan(fh, path, cut, size))
     sent = stream.getvalue()
-    before = structures(parent)
-    for end in (len(sent) - 1, len(sent) // 2, 3):
-        assert parent._merge(io.BytesIO(sent[:end])) is None
-        assert structures(parent) == before
-    assert parent._merge(io.BytesIO(sent)) == stop
-    assert structures(parent) == built(FixtureStore.load_dir(tmp_path))["ethereum"]
+    starts = message_starts(sent)
+    for end in sorted({start + d for start in starts[:-1] for d in (0, 1, 4, 5)} | {len(sent) - 1}):
+        assert fixtures._FixtureFile(path, "ethereum", stamp)._merge(io.BytesIO(sent[:end])) is None
+    with parent._open_at(header) as fh:
+        assert parent._scan(fh, path, header, cut) == cut
+    assert parent._merge(io.BytesIO(sent)) == size
+    one_part = built(FixtureStore.load_dir(tmp_path))
+    assert structures(parent) == one_part["ethereum"]
+
+    send = fixtures._FixtureFile._send
+    for end in (0, 3, starts[len(starts) // 2] + 5, len(sent) - 1):
+        def cut_off(self, sink, offset, end=end):
+            whole = io.BytesIO()
+            send(self, whole, offset)
+            sink.write(whole.getvalue()[:end])
+
+        monkeypatch.setattr(fixtures._FixtureFile, "_send", cut_off)
+        with split_into(2):
+            assert built(FixtureStore.load_dir(tmp_path)) == one_part
 
 
 # --- the timestamp range ----------------------------------------------------------

@@ -195,6 +195,48 @@ def test_a_cached_rate_limit_page_is_a_recorded_skip(tmp_path, refused_api_url):
     assert victim not in labeled
 
 
+def test_a_verdict_holding_a_number_past_int_digits_is_a_recorded_skip(tmp_path, monkeypatch):
+    clues = extract_clues(tmp_path)
+    golden = [json.loads(l) for l in (GOLDEN / "synthetic_labels.golden.jsonl").read_text().splitlines()]
+    victim = next(l["target_address"]["hex"] for l in golden if l["hop_depth"] == 1)
+    real = RuleBackend.complete
+
+    def huge_number(backend, prompt, temperature, max_tokens):
+        reply = real(backend, prompt, temperature, max_tokens)
+        if f'"target_address":{{"hex":"{victim}"' in prompt:  # json.loads refuses past 4300 digits
+            reply = reply.replace("{", '{"score": ' + "9" * 5000 + ",", 1)
+        return reply
+
+    monkeypatch.setattr(RuleBackend, "complete", huge_number)
+    out = tmp_path / "out"
+    assert run_cli("trace", clues, "--config", write_config(tmp_path), "--out", out, "--max-depth", 2) == 0
+    errors = json.loads((out / "diagnostics.json").read_text())["errors"]
+    assert [(e["address"], e["error"]) for e in errors] == [(victim, "SchemaViolation")]
+    labeled = {json.loads(l)["target_address"]["hex"] for l in (out / "labels.jsonl").read_text().splitlines()}
+    assert victim not in labeled and len(labeled) > 1
+
+
+def test_clues_with_a_stolen_usd_past_int_digits_fail_at_load_naming_the_field(tmp_path, capsys):
+    good = extract_clues(tmp_path)
+    clues = tmp_path / "clues.json"
+    clues.write_text(json.dumps({**json.loads(good.read_text()), "stolen_usd": "9" * 5000}))
+    capsys.readouterr()
+    assert run_cli("trace", clues, "--config", write_config(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {clues}: bad case clues: ParseError: stolen_usd: not a number int() converts")
+    assert not (tmp_path / "out" / "labels.jsonl").exists()
+
+
+def test_a_value_threshold_past_int_digits_is_a_bad_config_value(tmp_path, capsys):
+    clues = extract_clues(tmp_path)
+    tracer_cfg = json.loads(Path(write_config(tmp_path)).read_text())["tracer"]
+    cfg = write_config(tmp_path, tracer={**tracer_cfg, "min_value_threshold": "9" * 5000})
+    capsys.readouterr()
+    assert run_cli("trace", clues, "--config", cfg) == 1
+    assert capsys.readouterr().err.startswith("error: bad config value: min_value_threshold: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_diagnostics_are_written_as_utf8_under_an_ascii_locale(tmp_path, refused_api_url):
     clues = extract_clues(tmp_path)
     warm_cache_from_fixture(tmp_path / "cache")

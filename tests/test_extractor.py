@@ -426,6 +426,7 @@ def test_llm_chunk_reply_forms(reply, field_name, value, status):
         ("stolen_usd", "-1500000000", None),
         ("stolen_usd", "\u0661\u0665", None),  # digits, but not decimal ASCII ones
         ("stolen_usd", "1500000000", "1500000000"),
+        pytest.param("stolen_usd", "9" * 5000, None, id="stolen_usd-past-int-digits"),
         # SYMBOL:amount, as the pattern extractor writes it
         ("stolen_token", "ETH:401000", "ETH:401000"),
         ("stolen_token", "mETH:8000.5", "mETH:8000.5"),
@@ -494,6 +495,7 @@ def test_one_form_table_serves_every_field():
         ("stolen_usd", -1),
         ("stolen_usd", 1.5e9),
         ("stolen_usd", "1,500,000,000"),
+        pytest.param("stolen_usd", "9" * 5000, id="stolen_usd-past-int-digits"),
         ("stolen_token", {"ETH": "about 401k"}),
         ("stolen_token", {"ETH": None}),
         ("laundering_methods", [3]),
